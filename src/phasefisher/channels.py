@@ -8,10 +8,10 @@ attenuation Kraus family
 truncated exactly at the cutoff (a^k annihilates everything above it). The
 implementation exploits the band structure of K_k: each two-mode Kraus pair
 maps basis state |n1, n2> to the single state |n1 - k1, n2 - k2>, so the
-channel only ever moves weight downward. apply_loss detects the exact
-occupancy pattern of its input and works on the downward closure of that
-pattern, which keeps the dominant inputs here (states supported on a few
-hundred basis states) cheap without any state-specific assumptions.
+channel only ever moves weight downward. apply_loss maps the support of its
+input to the downward closure of that support and works on the block over
+it, which keeps the dominant inputs here (states supported on a few hundred
+basis states) cheap without any state-specific assumptions.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .exceptions import InvalidEta, TruncationTooSmall
-from .fock_core import DensityOperator, FockTruncation, StateVector
+from .exceptions import DimensionMismatch, InvalidEta, TruncationTooSmall
+from .fock_core import DensityOperator, FockTruncation
 
 TWO_ARM = "two_arm"
 SINGLE_ARM = "single_arm"
@@ -101,13 +101,6 @@ def _loss_bands(eta: float, d: int) -> list[np.ndarray]:
     return bands
 
 
-def _occupancy(matrix: np.ndarray, d: int) -> np.ndarray:
-    """Boolean (d, d) grid of basis states carrying any exact nonzero weight."""
-    nonzero = matrix != 0
-    rows = nonzero.any(axis=1) | nonzero.any(axis=0)
-    return rows.reshape(d, d)
-
-
 def _downward_closure(occ: np.ndarray) -> np.ndarray:
     """States reachable from occ by removing photons from either mode."""
     c = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
@@ -121,43 +114,27 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
         return rho
     trunc = rho.truncation
     d = trunc.dim_single
-    occ = _occupancy(rho.matrix, d)
-    closure = _downward_closure(occ)
+    in_n1, in_n2 = np.divmod(rho.support, d)
+    occ = np.zeros((d, d), dtype=bool)
+    occ[in_n1, in_n2] = True
     # pair (k1, k2) moves some occupied state iff an occupied (n1 >= k1, n2 >= k2)
     # exists, which is the same suffix condition the closure encodes
-    pair_ok = closure
-    out_pos = np.full((d, d), -1, dtype=int)
-    out_states = np.argwhere(closure)
-    out_pos[out_states[:, 0], out_states[:, 1]] = np.arange(len(out_states))
-    out_flat = out_states[:, 0] * d + out_states[:, 1]
-
-    in_states = np.argwhere(occ)
-    in_n1, in_n2 = in_states[:, 0], in_states[:, 1]
-    in_flat = in_n1 * d + in_n2
-    sub = rho.matrix[np.ix_(in_flat, in_flat)]
+    closure = _downward_closure(occ)
+    out_support = np.flatnonzero(closure)
+    out_pos = np.full(d * d, -1, dtype=int)
+    out_pos[out_support] = np.arange(out_support.size)
 
     bands = _loss_bands(eta, d)
-    acc = np.zeros((len(out_states), len(out_states)), dtype=complex)
+    acc = np.zeros((out_support.size, out_support.size), dtype=complex)
     for k1 in range(int(in_n1.max()) + 1):
         for k2 in range(int(in_n2.max()) + 1):
-            if not pair_ok[k1, k2]:
+            if not closure[k1, k2]:
                 continue
-            valid = (in_n1 >= k1) & (in_n2 >= k2)
-            if not valid.any():
-                continue
-            src = np.flatnonzero(valid)
+            src = np.flatnonzero((in_n1 >= k1) & (in_n2 >= k2))
             w = bands[k1][in_n1[src] - k1] * bands[k2][in_n2[src] - k2]
-            dst = out_pos[in_n1[src] - k1, in_n2[src] - k2]
-            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * sub[np.ix_(src, src)]
-
-    out = np.zeros_like(rho.matrix)
-    out[np.ix_(out_flat, out_flat)] = acc
-    return DensityOperator(out, trunc)
-
-
-def apply_loss_vector(psi: StateVector, eta: float) -> DensityOperator:
-    """Loss applied to a pure probe; convenience wrapper over apply_loss."""
-    return apply_loss(psi.density(), eta)
+            dst = out_pos[(in_n1[src] - k1) * d + in_n2[src] - k2]
+            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * rho.block[np.ix_(src, src)]
+    return DensityOperator(out_support, acc, trunc)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:
@@ -167,15 +144,19 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     between basis states of different n1 + n2 and leaves the rest untouched;
     the masking below is that integral done exactly. Idempotent.
     """
-    tot = rho.truncation.totals()
+    tot = rho.truncation.totals()[rho.support]
     mask = tot[:, None] == tot[None, :]
-    return DensityOperator(np.where(mask, rho.matrix, 0.0), rho.truncation)
+    return DensityOperator(rho.support, np.where(mask, rho.block, 0.0), rho.truncation)
 
 
 def apply_phase(rho: DensityOperator, phi: float, gen: PhaseGenerator) -> DensityOperator:
     """Conjugate by exp(-i phi G). Spectrum and trace are untouched."""
-    u = np.exp(-1j * phi * gen.diagonal)
-    return DensityOperator(np.outer(u, u.conj()) * rho.matrix, rho.truncation)
+    if gen.truncation != rho.truncation:
+        raise DimensionMismatch(
+            f"state cutoff {rho.truncation} vs generator cutoff {gen.truncation}"
+        )
+    u = np.exp(-1j * phi * gen.diagonal[rho.support])
+    return DensityOperator(rho.support, np.outer(u, u.conj()) * rho.block, rho.truncation)
 
 
 def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
@@ -208,8 +189,9 @@ def apply_loss_via_bs(
     de = (env_n_max if env_n_max is not None else trunc.n_max) + 1
     v = bs_pair_unitary(ds, de, eta)
 
-    w, vecs = np.linalg.eigh(rho.matrix)
-    out = np.zeros_like(rho.matrix)
+    dense = rho.matrix
+    w, vecs = np.linalg.eigh(dense)
+    out = np.zeros_like(dense)
     for i in range(len(w)):
         if w[i] < _EIGENVALUE_RANK_TOL:
             continue
@@ -230,4 +212,4 @@ def apply_loss_via_bs(
         raise TruncationTooSmall(
             f"environment cutoff {de - 1} leaks trace {deficit:.3e}; raise env_n_max"
         )
-    return DensityOperator(out, trunc)
+    return DensityOperator.from_dense(out, trunc)

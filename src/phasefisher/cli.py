@@ -67,7 +67,6 @@ class SweepConfig:
     n_max: float = DEFAULT_SWEEP_RANGE[1]
     points: int = DEFAULT_SWEEP_POINTS
     spacing: str = "log"
-    truncation_tol: float = DEFAULT_TAIL_TOL
     output_path: str = "sweep.csv"
 
     def __post_init__(self) -> None:
@@ -81,8 +80,6 @@ class SweepConfig:
             raise ValueError(f"need at least 2 points, got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if not 0.0 < self.truncation_tol < 1.0:
-            raise ValueError(f"truncation tolerance must be in (0, 1), got {self.truncation_tol}")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -225,6 +222,8 @@ def find_crossings(
     """
     if not 0.0 < eta < 1.0:
         raise InvalidEta(f"crossings are defined for 0 < eta < 1, got {eta}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"crossing tolerance must be finite and positive, got {tolerance}")
 
     def gap(nm: float) -> float:
         return qfi_noon_continuous(nm, eta) - qfi_ecs_ref_at_mean_photons(nm, eta)
@@ -318,7 +317,6 @@ def build_parser() -> ArgumentParser:
     sweep.add_argument("--n-max", type=float, default=DEFAULT_SWEEP_RANGE[1], dest="n_max")
     sweep.add_argument("--points", type=int, default=DEFAULT_SWEEP_POINTS)
     sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
-    sweep.add_argument("--trunc-tol", type=float, default=DEFAULT_TAIL_TOL, dest="trunc_tol")
 
     crossings = sub.add_parser("crossings", help="find where NOON and ECS curves cross")
     crossings.add_argument("--eta", type=float, required=True)
@@ -357,7 +355,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_max=args.n_max,
                 points=args.points,
                 spacing=args.spacing,
-                truncation_tol=args.trunc_tol,
                 output_path=args.output,
             )
             return cmd_sweep(cfg)

@@ -4,14 +4,16 @@ States and operators live on the product basis |n1, n2> with 0 <= ni <= n_max,
 ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
 
-All arrays are dense complex128. Values are treated as immutable after
-construction; the wrappers mark their buffers read-only.
+Pure states are dense complex128 amplitude vectors. Density operators keep
+only the basis states they occupy plus the dense block over them. Values are
+treated as immutable after construction; the wrappers mark their buffers
+read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,72 +117,65 @@ class StateVector:
         _read_only(self.amplitudes)
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.truncation)
+        support = np.flatnonzero(self.amplitudes)
+        amp = self.amplitudes[support]
+        return DensityOperator(support, np.outer(amp, amp.conj()), self.truncation)
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, trace-one operator over the two-mode basis.
+    """Hermitian, trace-one operator over the two-mode basis, stored on its support.
 
-    Hermiticity and trace are enforced at construction; positivity is
-    enforced where spectra are actually taken (the eigendecomposition
-    clips roundoff-negative eigenvalues and rejects anything worse).
+    support is a strictly increasing array of basis indices and block the
+    dense operator over them; every entry outside support x support is
+    exactly zero. Hermiticity and trace are enforced on the block at
+    construction; positivity is enforced where spectra are actually taken
+    (the QFI eigensolve clips roundoff-negative eigenvalues and rejects
+    anything worse).
     """
 
-    matrix: np.ndarray
+    support: np.ndarray
+    block: np.ndarray
     truncation: FockTruncation
 
     def __post_init__(self) -> None:
-        d = self.truncation.dim
-        if self.matrix.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {self.matrix.shape} for dim {d}")
-        dev = float(np.abs(self.matrix - self.matrix.conj().T).max())
+        s, d = self.support, self.truncation.dim
+        if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
+            s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
+        ):
+            raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
+        if self.block.shape != (s.size, s.size):
+            raise DimensionMismatch(f"block shape {self.block.shape} for support size {s.size}")
+        dev = float(np.abs(self.block - self.block.conj().T).max(initial=0.0))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
-        tr = complex(np.trace(self.matrix))
+        tr = complex(np.trace(self.block))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        _read_only(self.matrix)
+        _read_only(s)
+        _read_only(self.block)
 
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray, truncation: FockTruncation) -> "DensityOperator":
+        """Compress a dense (dim, dim) operator onto the rows and columns with any exact nonzero."""
+        d = truncation.dim
+        if matrix.shape != (d, d):
+            raise DimensionMismatch(f"matrix shape {matrix.shape} for dim {d}")
+        nz = matrix != 0
+        support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+        return cls(support, matrix[np.ix_(support, support)], truncation)
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """Operator acting on one mode, embedded in the two-mode space."""
+    def on(self, support: np.ndarray) -> np.ndarray:
+        """The operator as a dense array over a strictly increasing superset of its support."""
+        pos = np.searchsorted(support, self.support)
+        out = np.zeros((support.size, support.size), dtype=self.block.dtype)
+        out[np.ix_(pos, pos)] = self.block
+        return out
 
-    matrix: np.ndarray
-    mode_label: int = field(default=1)
-
-    def __post_init__(self) -> None:
-        if self.mode_label not in (1, 2):
-            raise ValueError(f"mode_label must be 1 or 2, got {self.mode_label}")
-        _read_only(self.matrix)
-
-    def dagger(self) -> "ModeOperator":
-        return ModeOperator(self.matrix.conj().T.copy(), self.mode_label)
-
-
-def _annihilation_single(d: int) -> np.ndarray:
-    # <n-1| a |n> = sqrt(n)
-    return np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
-
-
-def annihilation(mode: int, trunc: FockTruncation) -> ModeOperator:
-    """Annihilation operator a_mode (x) identity on the other mode."""
-    d = trunc.dim_single
-    a = _annihilation_single(d)
-    eye = np.eye(d, dtype=complex)
-    mat = np.kron(a, eye) if mode == 1 else np.kron(eye, a)
-    return ModeOperator(mat, mode)
-
-
-def creation(mode: int, trunc: FockTruncation) -> ModeOperator:
-    return annihilation(mode, trunc).dagger()
-
-
-def number_operator(mode: int, trunc: FockTruncation) -> ModeOperator:
-    n1, n2 = trunc.occupations()
-    diag = n1 if mode == 1 else n2
-    return ModeOperator(np.diag(diag.astype(complex)), mode)
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense (dim, dim) view, allocated on each access."""
+        return _read_only(self.on(np.arange(self.truncation.dim)))
 
 
 def coherent_vector(
@@ -203,44 +198,3 @@ def coherent_vector(
             f"coherent tail {tail:.3e} at n_max={trunc.n_max} exceeds {tail_tol} for alpha={alpha}"
         )
     return c
-
-
-def eigendecompose_hermitian(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    return eigendecompose_hermitian_matrix(rho.matrix)
-
-
-def eigendecompose_hermitian_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dev = float(np.abs(matrix - matrix.conj().T).max())
-    if dev > HERMITICITY_ATOL:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
-    w, v = np.linalg.eigh(matrix)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def partial_trace(matrix: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out every subsystem not listed in keep.
-
-    matrix is a square array over the tensor product of subsystems with the
-    given dims, subsystem 0 major. keep lists subsystem positions to retain,
-    in their original order.
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    if matrix.shape != (total, total):
-        raise DimensionMismatch(f"matrix shape {matrix.shape} for dims {dims}")
-    keep = tuple(keep)
-    if any(k < 0 or k >= len(dims) for k in keep) or len(set(keep)) != len(keep):
-        raise DimensionMismatch(f"keep {keep} invalid for {len(dims)} subsystems")
-    traced = tuple(i for i in range(len(dims)) if i not in keep)
-    t = matrix.reshape(dims + dims)
-    n = len(dims)
-    for count, sub in enumerate(sorted(traced)):
-        # axes shift down as earlier subsystems are consumed
-        ax = sub - count
-        t = np.trace(t, axis1=ax, axis2=ax + n - count)
-    kept_dim = 1
-    for k in keep:
-        kept_dim *= dims[k]
-    return np.ascontiguousarray(t.reshape(kept_dim, kept_dim))

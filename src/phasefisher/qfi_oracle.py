@@ -21,6 +21,7 @@ information once loss mixes neighboring sectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,24 +112,20 @@ def qfi_numeric(
 ) -> QFIResult:
     """Spectral QFI sum over the eigenpairs of rho.
 
-    The sum is evaluated on the basis states that actually carry support
-    (rows or columns of rho with any exact nonzero). For a diagonal
-    generator this restriction is exact: every excluded basis state is a
-    zero-weight eigenvector of rho and an eigenvector of G, so its pair
-    contributions vanish identically. Support restriction is what keeps
-    rank-two states on large cutoffs cheap.
+    The sum is evaluated on the support of rho only. For a diagonal
+    generator this restriction is exact: every basis state outside the
+    support is a zero-weight eigenvector of rho and an eigenvector of G, so
+    its pair contributions vanish identically (the support-restricted QFI;
+    Liu et al., J. Phys. A 53, 023001 (2020)). Support restriction is what
+    keeps rank-two states on large cutoffs cheap.
     """
     if rho.truncation != generator.truncation:
         raise DimensionMismatch(
             f"state cutoff {rho.truncation} vs generator cutoff {generator.truncation}"
         )
-    m = rho.matrix
-    nz = m != 0
-    idx = np.nonzero(nz.any(axis=0) | nz.any(axis=1))[0]
-    sub = m[np.ix_(idx, idx)]
-    g = generator.diagonal[idx]
+    g = generator.diagonal[rho.support]
 
-    w, v = np.linalg.eigh(sub)
+    w, v = np.linalg.eigh(rho.block)
     if w.min() < -cfg.eigenvalue_floor:
         raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{cfg.eigenvalue_floor}")
     w = np.clip(w, 0.0, None)
@@ -149,7 +146,7 @@ class Scenario:
 
     Reference-beam scenarios hold a single unit-weight component; the
     reference-free scenario holds one component per surviving total-photon
-    sector, each on its own minimal cutoff.
+    sector, all on the probe cutoff.
     """
 
     probe: ProbeSpec
@@ -188,29 +185,17 @@ def _probe_vector(probe: ProbeSpec, trunc: FockTruncation, tail_tol: float) -> S
 def _sector_components(
     psi: StateVector, eta: float
 ) -> tuple[tuple[float, DensityOperator], ...]:
-    """Split a pure state into total-photon sectors, then lose photons per sector.
-
-    Each sector block is re-expressed on the minimal cutoff that can hold
-    it (total photons only decrease under loss), which keeps the later
-    eigendecompositions small.
-    """
-    trunc = psi.truncation
+    """Split a pure state into total-photon sectors, then lose photons per sector."""
     amp = psi.amplitudes
-    totals = trunc.totals()
-    n1s, n2s = trunc.occupations()
+    totals = psi.truncation.totals()
     components = []
     for n in range(int(totals.max()) + 1):
         mask = totals == n
         weight = float(np.sum(np.abs(amp[mask]) ** 2))
         if weight <= SECTOR_WEIGHT_FLOOR:
             continue
-        small = FockTruncation(n)
-        vec = np.zeros(small.dim, dtype=complex)
-        for i in np.nonzero(mask & (amp != 0))[0]:
-            vec[small.index(int(n1s[i]), int(n2s[i]))] = amp[i]
-        vec /= math.sqrt(weight)
-        block = StateVector(vec, small).density()
-        components.append((weight, apply_loss(block, eta)))
+        sector = StateVector(np.where(mask, amp, 0.0) / math.sqrt(weight), psi.truncation)
+        components.append((weight, apply_loss(sector.density(), eta)))
     return tuple(components)
 
 
@@ -266,17 +251,21 @@ def scenario_mixture(
     target = trunc
     if target is None:
         target = max((rho.truncation for _, rho in scenario.components), key=lambda t: t.n_max)
-    acc = np.zeros((target.dim, target.dim), dtype=complex)
+    placed = []
     for weight, rho in scenario.components:
         small = rho.truncation
         if small.n_max > target.n_max:
             raise TruncationTooSmall(
                 f"component cutoff {small.n_max} exceeds target {target.n_max}"
             )
-        n1s, n2s = small.occupations()
-        idx = n1s * (target.n_max + 1) + n2s
-        acc[np.ix_(idx, idx)] += weight * rho.matrix
-    return DensityOperator(acc, target)
+        n1, n2 = np.divmod(rho.support, small.dim_single)
+        placed.append((weight, n1 * target.dim_single + n2, rho.block))
+    support = functools.reduce(np.union1d, (idx for _, idx, _ in placed))
+    acc = np.zeros((support.size, support.size), dtype=complex)
+    for weight, idx, block in placed:
+        pos = np.searchsorted(support, idx)
+        acc[np.ix_(pos, pos)] += weight * block
+    return DensityOperator(support, acc, target)
 
 
 def two_level_matrix_numeric(
@@ -303,11 +292,11 @@ def two_level_matrix_numeric(
     p = float(np.vdot(psi1, psi2).real)
     e1 = psi1
     e2 = (psi2 - p * e1) / math.sqrt(1.0 - p * p)
-    basis = (e1, e2)
+    basis = (e1[sigma.support], e2[sigma.support])
     m = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            m[i, j] = float(np.vdot(basis[i], sigma.matrix @ basis[j]).real)
+            m[i, j] = float(np.vdot(basis[i], sigma.block @ basis[j]).real)
     return m
 
 
@@ -364,6 +353,12 @@ def _run_check(name: str, tolerance: float, body) -> CheckResult:
 
 def _rel(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
+
+
+def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
+    """Largest entrywise |a - b|, taken over the union of the two supports."""
+    support = np.union1d(a.support, b.support)
+    return float(np.max(np.abs(a.on(support) - b.on(support))))
 
 
 def verify_all(
@@ -479,7 +474,7 @@ def verify_all(
                 rho = ecs_vector(alpha, trunc, tail_tol).density()
                 via_kraus = apply_loss(rho, eta)
                 via_bs = apply_loss_via_bs(rho, eta)
-                worst = max(worst, float(np.max(np.abs(via_kraus.matrix - via_bs.matrix))))
+                worst = max(worst, _max_entry_gap(via_kraus, via_bs))
         return worst, f"{used} points, entrywise"
 
     def spectrum_eigen_body():
@@ -529,7 +524,7 @@ def verify_all(
             direct = phase_average(
                 apply_loss(ecs_vector(alpha, local.truncation, tail_tol).density(), eta)
             )
-            worst = max(worst, float(np.max(np.abs(merged.matrix - direct.matrix))))
+            worst = max(worst, _max_entry_gap(merged, direct))
         return worst, f"{used} points: sector merge equals dephase-then-lose"
 
     def generator_body():

@@ -45,8 +45,8 @@ class ProbeSpec:
             raise ValueError(f"family must be 'ecs' or 'noon', got {self.family!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidEta(f"eta must lie in [0, 1], got {self.eta}")
-        if self.family == "ecs" and abs(self.alpha) <= 0.0:
-            raise ValueError("ECS probe needs |alpha| > 0")
+        if self.family == "ecs" and not 0.0 < abs(self.alpha) < math.inf:
+            raise ValueError(f"ECS probe needs finite |alpha| > 0, got {self.alpha}")
         if self.family == "noon" and self.n < 1:
             raise ValueError(f"NOON probe needs n >= 1, got {self.n}")
 

@@ -1,7 +1,7 @@
 """Loss channel, dephasing, and phase generators.
 
 The loss tests lean on exactly solvable cases (coherent inputs, the
-semigroup property, the textbook dense Kraus sum) so the fast occupancy
+semigroup property, the textbook dense Kraus sum) so the support-based
 implementation is checked against independent structure, not itself.
 """
 
@@ -23,7 +23,7 @@ from phasefisher.channels import (
     single_arm_generator,
     two_arm_generator,
 )
-from phasefisher.exceptions import InvalidEta
+from phasefisher.exceptions import DimensionMismatch, InvalidEta
 from phasefisher.fock_core import (
     DensityOperator,
     FockTruncation,
@@ -39,7 +39,7 @@ def _random_density(n_max: int, seed: int) -> DensityOperator:
     trunc = FockTruncation(n_max)
     a = rng.normal(size=(trunc.dim, trunc.dim)) + 1j * rng.normal(size=(trunc.dim, trunc.dim))
     m = a @ a.conj().T
-    return DensityOperator(m / np.trace(m), trunc)
+    return DensityOperator.from_dense(m / np.trace(m), trunc)
 
 
 def _coherent_vacuum_product(alpha: float, trunc: FockTruncation) -> StateVector:
@@ -203,6 +203,12 @@ class TestGenerators:
         assert np.allclose(
             np.linalg.eigvalsh(rotated.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-12
         )
+
+    def test_apply_phase_rejects_other_cutoff(self):
+        trunc = default_truncation(0.5)
+        rho = ecs_vector(0.5, trunc).density()
+        with pytest.raises(DimensionMismatch):
+            apply_phase(rho, 0.1, two_arm_generator(FockTruncation(trunc.n_max + 1)))
 
     def test_apply_phase_composes(self):
         rho = _random_density(3, seed=19)

@@ -79,6 +79,16 @@ class TestPoint:
         rc = main(["point", "--family", "noon", "--n", "2", "--eta", "0.7", "--oracle"])
         assert rc == 0
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed", "oracle"])
+    def test_non_finite_alpha_exits_two(self, capsys, alpha, oracle):
+        rc = main(["point", "--family", "ecs", f"--alpha={alpha}", "--eta", "0.9",
+                   "--reference", "with", *oracle])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "alpha" in captured.err
+
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
             return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value, CLOSED_FORM)
@@ -108,8 +118,6 @@ class TestSweepConfig:
             SweepConfig(eta=0.9, points=1)
         with pytest.raises(ValueError):
             SweepConfig(eta=0.9, spacing="geometric")
-        with pytest.raises(ValueError):
-            SweepConfig(eta=0.9, truncation_tol=0.0)
 
 
 class TestSweep:
@@ -167,6 +175,13 @@ class TestSweep:
         assert rc == 2
         assert not out.exists()
 
+    def test_trunc_tol_is_not_a_sweep_flag(self, tmp_path, capsys):
+        # sweeps evaluate closed forms only, so there is no cutoff to tune
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--eta", "0.9", "--output", str(out), "--trunc-tol", "1e-3"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         rc = main(["sweep", "--eta", "0.9", "--points", "2", "--n-min", "1",
                    "--n-max", "2", "--output", str(tmp_path / "no" / "dir" / "x.csv")])
@@ -195,6 +210,14 @@ class TestCrossings:
     def test_eta_must_be_lossy(self, capsys):
         assert main(["crossings", "--eta", "1.0"]) == 2
         assert main(["crossings", "--eta", "0.0"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        rc = main(["crossings", "--eta", "0.9", f"--tol={tol}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert "tolerance" in captured.err
 
     def test_no_sign_change_raises(self):
         # strictly inside the crossing pair the noon curve stays on top

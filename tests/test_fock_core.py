@@ -1,4 +1,4 @@
-"""Basis bookkeeping, coherent amplitudes, and the dense helpers underneath everything else."""
+"""Basis bookkeeping, coherent amplitudes, and the state wrappers underneath everything else."""
 
 import math
 
@@ -12,24 +12,10 @@ from phasefisher.fock_core import (
     DensityOperator,
     FockTruncation,
     StateVector,
-    annihilation,
     coherent_vector,
-    creation,
     default_truncation,
-    eigendecompose_hermitian,
-    eigendecompose_hermitian_matrix,
-    number_operator,
-    partial_trace,
     truncation_for_tolerance,
 )
-
-
-def _random_density(n_max: int, seed: int) -> DensityOperator:
-    rng = np.random.default_rng(seed)
-    trunc = FockTruncation(n_max)
-    a = rng.normal(size=(trunc.dim, trunc.dim)) + 1j * rng.normal(size=(trunc.dim, trunc.dim))
-    m = a @ a.conj().T
-    return DensityOperator(m / np.trace(m), trunc)
 
 
 class TestTruncation:
@@ -110,40 +96,6 @@ class TestCoherent:
             coherent_vector(2.0, FockTruncation(4))
 
 
-class TestModeOperators:
-    @pytest.mark.parametrize("mode", [1, 2])
-    def test_creation_is_adjoint_of_annihilation(self, mode):
-        t = FockTruncation(5)
-        a = annihilation(mode, t).matrix
-        adag = creation(mode, t).matrix
-        assert np.array_equal(adag, a.conj().T)
-
-    @pytest.mark.parametrize("mode", [1, 2])
-    def test_number_equals_adag_a(self, mode):
-        t = FockTruncation(5)
-        n = number_operator(mode, t).matrix
-        a = annihilation(mode, t).matrix
-        assert np.allclose(n, creation(mode, t).matrix @ a, atol=1e-13)
-
-    def test_modes_commute(self):
-        t = FockTruncation(4)
-        a1 = annihilation(1, t).matrix
-        a2 = annihilation(2, t).matrix
-        assert np.allclose(a1 @ a2 - a2 @ a1, 0.0, atol=1e-14)
-        assert np.allclose(a1 @ a2.conj().T - a2.conj().T @ a1, 0.0, atol=1e-14)
-
-    def test_matrix_elements(self):
-        t = FockTruncation(3)
-        a1 = annihilation(1, t).matrix
-        # <n-1, m| a_1 |n, m> = sqrt(n)
-        assert a1[t.index(1, 2), t.index(2, 2)] == pytest.approx(math.sqrt(2.0))
-        assert a1[t.index(0, 1), t.index(1, 1)] == pytest.approx(1.0)
-
-    def test_mode_label_validated(self):
-        with pytest.raises(ValueError):
-            annihilation(3, FockTruncation(2))
-
-
 class TestStateWrappers:
     def test_state_vector_rejects_bad_norm(self):
         t = FockTruncation(1)
@@ -162,28 +114,57 @@ class TestStateWrappers:
         m = np.eye(t.dim, dtype=complex) / t.dim
         m[0, 1] = 0.1
         with pytest.raises(NotHermitian):
-            DensityOperator(m, t)
+            DensityOperator.from_dense(m, t)
+        block = np.array([[0.5, 0.1j], [0.1j, 0.5]])
+        with pytest.raises(NotHermitian):
+            DensityOperator(np.array([0, 3]), block, t)
 
     def test_density_rejects_bad_trace(self):
         t = FockTruncation(1)
         with pytest.raises(ValueError):
-            DensityOperator(np.eye(t.dim, dtype=complex), t)
+            DensityOperator.from_dense(np.eye(t.dim, dtype=complex), t)
 
     def test_density_rejects_bad_shape(self):
         t = FockTruncation(2)
         with pytest.raises(DimensionMismatch):
-            DensityOperator(np.eye(3, dtype=complex) / 3.0, t)
+            DensityOperator.from_dense(np.eye(3, dtype=complex) / 3.0, t)
+        half = np.eye(2, dtype=complex) / 2.0
+        bad = [
+            (np.array([0, 1]), np.eye(3, dtype=complex) / 3.0),  # block does not match support
+            (np.array([0, 9]), half),  # index beyond dim - 1
+            (np.array([-1, 0]), half),  # negative index
+            (np.array([4, 2]), half),  # not increasing
+            (np.array([3, 3]), half),  # repeated index
+            (np.array([0.0, 1.0]), half),  # not integer
+            (np.array([[0, 1]]), half),  # not one-dimensional
+        ]
+        for support, block in bad:
+            with pytest.raises(DimensionMismatch):
+                DensityOperator(support, block, t)
 
     def test_density_from_pure_state(self):
         t = FockTruncation(2)
         amp = np.zeros(t.dim, dtype=complex)
         amp[t.index(1, 0)] = amp[t.index(0, 1)] = 1.0 / math.sqrt(2.0)
         rho = StateVector(amp, t).density()
-        w, v = eigendecompose_hermitian(rho)
-        assert w[0] == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(w[1:], 0.0, atol=1e-14)
-        overlap = abs(np.vdot(v[:, 0], amp))
+        assert list(rho.support) == [t.index(0, 1), t.index(1, 0)]
+        w, v = np.linalg.eigh(rho.matrix)
+        assert w[-1] == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(w[:-1], 0.0, atol=1e-14)
+        overlap = abs(np.vdot(v[:, -1], amp))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    def test_from_dense_round_trips_the_matrix(self):
+        t = FockTruncation(2)
+        m = np.zeros((t.dim, t.dim), dtype=complex)
+        i, j = t.index(0, 2), t.index(2, 1)
+        m[i, i], m[j, j], m[i, j], m[j, i] = 0.25, 0.75, 0.1j, -0.1j
+        rho = DensityOperator.from_dense(m, t)
+        assert list(rho.support) == [i, j]
+        assert np.array_equal(rho.block, [[0.25, 0.1j], [-0.1j, 0.75]])
+        assert np.array_equal(rho.matrix, m)
+        with pytest.raises(ValueError):
+            rho.matrix[i, i] = 0.0
 
     def test_buffers_are_read_only(self):
         t = FockTruncation(1)
@@ -192,78 +173,3 @@ class TestStateWrappers:
         psi = StateVector(amp, t)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
-
-
-class TestEigendecompose:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_descending_and_reconstructs(self, seed):
-        rho = _random_density(2, seed)
-        w, v = eigendecompose_hermitian(rho)
-        assert np.all(np.diff(w) <= 1e-14)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, rho.matrix, atol=1e-12)
-        assert np.allclose(v.conj().T @ v, np.eye(len(w)), atol=1e-12)
-
-    def test_rejects_nonhermitian_matrix(self):
-        m = np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(NotHermitian):
-            eigendecompose_hermitian_matrix(m)
-
-
-class TestPartialTrace:
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_kron_marginals(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = np.kron(a, b)
-        assert np.allclose(partial_trace(m, (3, 4), (0,)), a * np.trace(b), atol=1e-12)
-        assert np.allclose(partial_trace(m, (3, 4), (1,)), b * np.trace(a), atol=1e-12)
-
-    def test_three_subsystems_middle_traced(self):
-        rng = np.random.default_rng(7)
-        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 2)]
-        m = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        got = partial_trace(m, (2, 3, 2), (0, 2))
-        want = np.kron(mats[0], mats[2]) * np.trace(mats[1])
-        assert np.allclose(got, want, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_trace_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        for keep in ((0,), (1,), (0, 1)):
-            reduced = partial_trace(m, (3, 4), keep)
-            assert complex(np.trace(reduced)) == pytest.approx(complex(np.trace(m)), abs=1e-12)
-
-    @given(seed=st.integers(0, 10_000), mix=st.floats(0.0, 1.0))
-    @settings(max_examples=120, deadline=None)
-    def test_linear_and_trace_preserving_on_psd_inputs(self, seed, mix):
-        rng = np.random.default_rng(seed)
-
-        def psd():
-            a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-            m = a @ a.conj().T
-            return m / np.trace(m)
-
-        x, y = psd(), psd()
-        blend = mix * x + (1.0 - mix) * y
-        for keep in ((0,), (1,)):
-            got = partial_trace(blend, (3, 4), keep)
-            want = mix * partial_trace(x, (3, 4), keep)
-            want += (1.0 - mix) * partial_trace(y, (3, 4), keep)
-            assert np.allclose(got, want, atol=1e-13)
-            assert complex(np.trace(got)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_keep_everything_is_identity(self):
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert np.allclose(partial_trace(m, (2, 3), (0, 1)), m)
-
-    def test_shape_and_keep_validation(self):
-        m = np.eye(6, dtype=complex)
-        with pytest.raises(DimensionMismatch):
-            partial_trace(m, (2, 2), (0,))
-        with pytest.raises(DimensionMismatch):
-            partial_trace(m, (2, 3), (2,))
-        with pytest.raises(DimensionMismatch):
-            partial_trace(m, (2, 3), (0, 0))

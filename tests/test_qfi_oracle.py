@@ -7,6 +7,7 @@ verification suite notices.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def _embed(rho: DensityOperator, target: FockTruncation) -> DensityOperator:
     idx = n1s * (target.n_max + 1) + n2s
     acc = np.zeros((target.dim, target.dim), dtype=complex)
     acc[np.ix_(idx, idx)] = rho.matrix
-    return DensityOperator(acc, target)
+    return DensityOperator.from_dense(acc, target)
 
 
 class TestQfiNumeric:
@@ -77,7 +78,7 @@ class TestQfiNumeric:
     def test_mixture_of_orthogonal_pure_states_is_additive(self):
         # diagonal generator, disjoint supports: no cross contributions
         trunc = FockTruncation(3)
-        rho = DensityOperator(
+        rho = DensityOperator.from_dense(
             0.3 * noon_vector(1, trunc).density().matrix
             + 0.7 * noon_vector(3, trunc).density().matrix,
             trunc,
@@ -119,7 +120,7 @@ class TestQfiNumeric:
         trunc = FockTruncation(1)
         diag = np.zeros(trunc.dim)
         diag[0], diag[1] = 1.3, -0.3
-        rho = DensityOperator(np.diag(diag.astype(complex)), trunc)
+        rho = DensityOperator.from_dense(np.diag(diag.astype(complex)), trunc)
         with pytest.raises(NegativeEigenvalue):
             qfi_numeric(rho, two_arm_generator(trunc))
 
@@ -180,11 +181,36 @@ class TestBuildScenario:
         scenario = build_scenario(probe, WITHOUT_REFERENCE)
         weights = [w for w, _ in scenario.components]
         assert sum(weights) == pytest.approx(1.0, abs=1e-10)
-        # components sit on their minimal cutoffs, vacuum sector first
-        assert scenario.components[0][1].truncation.n_max == 0
+        # vacuum sector first, supported on the vacuum alone
+        assert list(scenario.components[0][1].support) == [0]
         expected = ecs_scalars(alpha, default_truncation(alpha)).noon_weights
         assert weights[0] == pytest.approx(float(expected[0]), rel=1e-12)
         assert weights[1] == pytest.approx(float(expected[1]), rel=1e-12)
+
+    def test_with_reference_support_is_the_two_axes(self):
+        """Loss keeps |n, 0> + |0, m> states on their axes: 2 n_max + 1 basis states."""
+        probe = ProbeSpec("ecs", 0.9, alpha=4.0)
+        (_, rho), = build_scenario(probe, WITH_REFERENCE).components
+        n_max = default_truncation(4.0).n_max
+        assert rho.support.size == 2 * n_max + 1 == 153
+
+    def test_large_field_oracle_stays_small(self):
+        """alpha = 4 on a 77-state-per-mode cutoff: both references, traced peak below 64 MB.
+
+        A dense (n_max + 1)^2 x (n_max + 1)^2 operator alone would take 536 MiB here.
+        """
+        alpha, eta = 4.0, 0.9
+        probe = ProbeSpec("ecs", eta, alpha=alpha)
+        tracemalloc.start()
+        try:
+            with_ref = scenario_qfi(build_scenario(probe, WITH_REFERENCE)).value
+            without = scenario_qfi(build_scenario(probe, WITHOUT_REFERENCE)).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(with_ref / qfi_ecs_ref(alpha, eta).value - 1.0) <= 1e-8
+        assert abs(without / qfi_ecs_noref(alpha, eta).value - 1.0) <= 1e-6
+        assert peak < 64 * 2**20
 
     def test_full_loss_yields_zero_information(self):
         probe = ProbeSpec("ecs", 0.0, alpha=1.0)
