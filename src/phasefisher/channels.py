@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionMismatch, InvalidEta, TruncationTooSmall
 from .fock_core import DensityOperator, FockTruncation
@@ -165,6 +164,9 @@ def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
     Acts on (signal, env) with the signal index major. Sends |alpha>|0> to
     |sqrt(eta) alpha>|-sqrt(1-eta) alpha> up to cutoff leakage.
     """
+    # scipy is imported here so that only the beam-splitter cross-check pays for it
+    import scipy.linalg
+
     LossChannel(eta)
     a_sig = np.diag(np.sqrt(np.arange(1.0, d_signal)), 1)
     a_env = np.diag(np.sqrt(np.arange(1.0, d_env)), 1)

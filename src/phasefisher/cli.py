@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidEta, NoConvergence, NoCrossingFound, PhaseFisherError
+from .exceptions import (
+    InvalidEta,
+    NoConvergence,
+    NoCrossingFound,
+    NonpositiveFisher,
+    PhaseFisherError,
+)
 from .fock_core import DEFAULT_TAIL_TOL, FockTruncation, truncation_for_tolerance
 from .qfi_analytic import (
     qfi_ecs_noref,
@@ -85,20 +91,6 @@ class SweepConfig:
         if self.spacing == "log":
             return np.geomspace(self.n_min, self.n_max, self.points)
         return np.linspace(self.n_min, self.n_max, self.points)
-
-
-@dataclass(frozen=True)
-class CrossingResult:
-    """The two mean photon numbers where the NOON and ECS curves meet."""
-
-    n1: float
-    n2: float
-    eta: float
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if not self.n1 < self.n2:
-            raise ValueError(f"crossings out of order: {self.n1} >= {self.n2}")
 
 
 def _fmt(x: float) -> str:
@@ -169,6 +161,11 @@ def sweep_rows(cfg: SweepConfig) -> list[str]:
         f_ref = qfi_ecs_ref(alpha, cfg.eta).value
         f_asym = qfi_ecs_ref_asymptotic(alpha, cfg.eta).value
         f_noon = qfi_noon_continuous(nm, cfg.eta)
+        if min(f_noref, f_ref, f_noon) == 0.0:
+            raise NonpositiveFisher(
+                f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {cfg.eta:g}), "
+                "so its sensitivity is undefined; lower --n-max"
+            )
         integer_n = "true" if abs(nm - round(nm)) < INTEGER_N_ATOL else "false"
         values = (
             nm,
@@ -264,11 +261,12 @@ def cmd_crossings(eta: float, tolerance: float = 1e-6) -> int:
         print(str(exc))
         return 0
     if len(roots) == 2:
-        result = CrossingResult(roots[0], roots[1], eta, tolerance)
+        # bisection runs over the grid brackets in order, so n1 < n2
+        n1, n2 = roots
         print(f"eta = {eta:g}: two crossings")
-        print(f"N1 = {_fmt(result.n1)}")
-        print(f"N2 = {_fmt(result.n2)}")
-        mid = math.sqrt(result.n1 * result.n2)
+        print(f"N1 = {_fmt(n1)}")
+        print(f"N2 = {_fmt(n2)}")
+        mid = math.sqrt(n1 * n2)
         lead = "noon" if qfi_noon_continuous(mid, eta) > qfi_ecs_ref_at_mean_photons(mid, eta) else "ecs"
         print(f"between them the {lead} probe carries more information")
     else:

@@ -40,6 +40,10 @@ class NonpositiveFisher(PhaseFisherError):
     """Sensitivity requested for a nonpositive Fisher information."""
 
 
+class NumericalOverflow(PhaseFisherError):
+    """A closed form leaves the double-precision range for the given inputs."""
+
+
 class NoConvergence(PhaseFisherError):
     """An iterative solver exhausted its iteration budget."""
 

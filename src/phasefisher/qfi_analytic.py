@@ -23,6 +23,7 @@ eigensolve of the two-level matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,10 @@ from .exceptions import (
     InvalidEta,
     InvalidWeights,
     NonpositiveFisher,
+    NumericalOverflow,
 )
 from .fock_core import FockTruncation
-from .states import ProbeSpec, ecs_normalization, ecs_scalars
+from .states import ecs_normalization, ecs_scalars
 
 CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
@@ -52,9 +54,10 @@ class QFIResult:
     value: float
     method: str
     generator: str = "two_arm"
-    inputs: ProbeSpec | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise NumericalOverflow(f"QFI is {self.value!r}: inputs beyond double precision")
         if self.value < 0.0:
             raise ValueError(f"QFI must be nonnegative, got {self.value}")
 
@@ -85,6 +88,22 @@ class EcsLossySpectrum:
     sigma3_expect: float
 
 
+def _in_double_range(closed_form):
+    """Report a float overflow inside closed_form as NumericalOverflow."""
+
+    @functools.wraps(closed_form)
+    def checked(*args, **kwargs):
+        try:
+            return closed_form(*args, **kwargs)
+        except OverflowError as exc:
+            raise NumericalOverflow(
+                f"{closed_form.__name__} overflows double precision at {args or kwargs}: {exc}"
+            ) from exc
+
+    return checked
+
+
+@_in_double_range
 def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     """Sector-resolved QFI of the lossy ECS without a reference beam."""
     _check_eta(eta)
@@ -112,6 +131,7 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
     return QFIResult(value, CLOSED_FORM)
 
 
+@_in_double_range
 def qfi_noon(n: int, eta: float) -> QFIResult:
     """F = n^2 eta^n for the lossy NOON probe, Heisenberg-limited at eta = 1."""
     _check_eta(eta)
@@ -229,6 +249,7 @@ def qfi_two_level(
     return value
 
 
+@_in_double_range
 def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     """QFI of the lossy ECS when a reference beam fixes the sum phase.
 
@@ -272,6 +293,7 @@ def qfi_ecs_ref_reduced(alpha: complex, eta: float) -> float:
     return (x + x * x) / denominator - x * x * (-math.expm1(-2.0 * (1.0 - eta) * a2)) / denominator**2
 
 
+@_in_double_range
 def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     """Large-field limit of qfi_ecs_ref, valid once p = e^{-eta |alpha|^2} is negligible."""
     _check_eta(eta)

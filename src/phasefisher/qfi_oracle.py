@@ -236,7 +236,7 @@ def scenario_qfi(
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
         total += weight * qfi_numeric(rho, gen, cfg).value
-    return QFIResult(total, NUMERIC, kind, scenario.probe)
+    return QFIResult(total, NUMERIC, kind)
 
 
 def scenario_mixture(

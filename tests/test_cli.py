@@ -11,7 +11,6 @@ import pytest
 
 from phasefisher.cli import (
     CSV_HEADER,
-    CrossingResult,
     SweepConfig,
     find_crossings,
     main,
@@ -32,6 +31,10 @@ def _stdout_value(out: str, key: str) -> float:
         if line.startswith(key):
             return float(line.split("=")[1].split()[0])
     raise AssertionError(f"no line starting with {key!r} in output:\n{out}")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep_eta0.9.csv"
 
 
 class TestPoint:
@@ -88,6 +91,17 @@ class TestPoint:
         captured = capsys.readouterr()
         assert "nan" not in captured.out
         assert "alpha" in captured.err
+
+    @pytest.mark.parametrize("reference", ["with", "without"])
+    def test_alpha_beyond_double_range_exits_two(self, capsys, reference):
+        # with reference the closed form overflows; without, it would be 0 * inf
+        rc = main(["point", "--family", "ecs", "--alpha", "1e100", "--eta", "0.9",
+                   "--reference", reference])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
@@ -188,6 +202,35 @@ class TestSweep:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_underflowed_fisher_exits_two_without_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--eta", "0.9", "--n-max", "1e9", "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "underflows to 0 at N = " in err
+
+    def test_matches_golden_csv(self, tmp_path):
+        """The default sweep against the committed tests/data/sweep_eta0.9.csv.
+
+        Header and shape (201 lines of 12 cells) match exactly, every numeric
+        cell to 1e-12 relative, every is_integer_n cell exactly.
+        """
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--eta", "0.9", "--output", str(out)]) == 0
+        golden = [line.split(",") for line in GOLDEN_SWEEP.read_text().splitlines()]
+        fresh = [line.split(",") for line in out.read_text().splitlines()]
+        assert fresh[0] == golden[0] == CSV_HEADER.split(",")
+        assert len(golden) == 201
+        assert [len(row) for row in fresh] == [len(row) for row in golden] == [12] * 201
+        for i, (got, want) in enumerate(zip(fresh[1:], golden[1:]), start=1):
+            assert got[-1] == want[-1], f"row {i}: is_integer_n {got[-1]} != {want[-1]}"
+            for col, a, b in zip(golden[0], got[:-1], want[:-1]):
+                assert math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=0.0), (
+                    f"row {i} {col}: {a} != {b}"
+                )
+
     def test_snl_column(self):
         rows = sweep_rows(SweepConfig(eta=0.25, n_min=4.0, n_max=8.0, points=2))
         cells = rows[1].split(",")
@@ -240,10 +283,6 @@ class TestCrossings:
         out = capsys.readouterr().out
         assert "found 3 crossing(s), expected 2" in out
 
-    def test_result_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            CrossingResult(5.0, 2.0, 0.9, 1e-6)
-
 
 class TestVerify:
     def test_single_point_passes_and_writes_report(self, tmp_path, capsys):
@@ -267,8 +306,14 @@ def test_no_arguments_is_usage_error():
     assert main([]) == 2
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 NOON_POINT = ["point", "--family", "noon", "--n", "2", "--eta", "0.5"]
+
+
+def _checkout_env() -> dict[str, str]:
+    """This environment with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def _assert_noon_point(proc: subprocess.CompletedProcess, what: str) -> None:
@@ -296,11 +341,64 @@ def test_console_script_installed():
     module, sep, func = entry.partition(":")
     assert sep and module and func, f"entry {entry!r} is not of the form module:function"
     wrapper = f"import sys\nfrom {module} import {func}\nsys.argv[0] = 'phasefisher'\nsys.exit({func}())\n"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", wrapper, *NOON_POINT], cwd=SRC, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", wrapper, *NOON_POINT], cwd=SRC,
+                          env=_checkout_env(), capture_output=True, text=True, timeout=120)
     last_err = (proc.stderr.strip().splitlines() or [""])[-1]
     if proc.returncode and last_err.startswith(("ImportError", "ModuleNotFoundError")):
         pytest.fail(f"entry {entry!r} is not importable from {SRC}: {last_err}")
     _assert_noon_point(proc, f"declared entry point {entry!r} run from {SRC}")
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """Run code in a new interpreter on this checkout's src/; return its stdout lines."""
+    proc = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+    return proc.stdout.splitlines()
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+ECS = ["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9", "--reference"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        [*ECS, "with"],
+        [*ECS, "without"],
+        ["point", "--family", "noon", "--n", "3", "--eta", "0.9"],
+        [*ECS, "with", "--oracle"],
+        [*ECS, "without", "--oracle"],
+        ["sweep", "--eta", "0.9", "--output", "SWEEP"],
+        ["crossings", "--eta", "0.9"],
+    ],
+    ids=["import", "point-ecs-with", "point-ecs-without", "point-noon",
+         "oracle-ecs-with", "oracle-ecs-without", "sweep", "crossings"],
+)
+def test_no_scipy_import_outside_beam_splitter(tmp_path, argv):
+    # scipy serves only the beam-splitter cross-check; every other path must
+    # run on numpy alone, so a fresh interpreter never loads a scipy module
+    if argv is None:
+        code = "import sys\nimport phasefisher\n"
+    else:
+        argv = [str(tmp_path / "sweep.csv") if a == "SWEEP" else a for a in argv]
+        code = ("import sys\nfrom phasefisher.cli import main\n"
+                f"print('exit', main({argv!r}))\n")
+    lines = _fresh_interpreter(code + f"print('scipy', {_LOADED_SCIPY})\n")
+    if argv is not None:
+        assert lines[-2] == "exit 0", lines
+    assert lines[-1] == "scipy []", lines
+
+
+def test_beam_splitter_still_imports_scipy():
+    code = (
+        "import sys\nimport numpy as np\n"
+        "from phasefisher.channels import bs_pair_unitary\n"
+        f"print('before', {_LOADED_SCIPY})\n"
+        "u = bs_pair_unitary(5, 5, 0.6)\n"
+        "print('unitary', u.shape, np.allclose(u @ u.conj().T, np.eye(25), atol=1e-12))\n"
+        "print('after', 'scipy' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code)[-3:] == ["before []", "unitary (25, 25) True", "after True"]

@@ -11,6 +11,7 @@ from phasefisher.exceptions import (
     InvalidEta,
     InvalidWeights,
     NonpositiveFisher,
+    NumericalOverflow,
 )
 from phasefisher.fock_core import default_truncation
 from phasefisher.qfi_analytic import (
@@ -281,3 +282,16 @@ class TestSensitivity:
 def test_result_rejects_negative_value():
     with pytest.raises(ValueError):
         QFIResult(-1e-9, CLOSED_FORM)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_result_rejects_non_finite_value(value):
+    with pytest.raises(NumericalOverflow):
+        QFIResult(value, CLOSED_FORM)
+
+
+def test_closed_form_overflow_is_typed():
+    with pytest.raises(NumericalOverflow, match="qfi_ecs_ref"):
+        qfi_ecs_ref(1e100, 0.9)
+    with pytest.raises(NumericalOverflow, match="qfi_noon"):
+        qfi_noon(n=10**200, eta=0.9)
