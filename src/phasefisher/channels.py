@@ -11,7 +11,11 @@ maps basis state |n1, n2> to the single state |n1 - k1, n2 - k2>, so the
 channel only ever moves weight downward. apply_loss maps the support of its
 input to the downward closure of that support and works on the block over
 it, which keeps the dominant inputs here (states supported on a few hundred
-basis states) cheap without any state-specific assumptions.
+basis states) cheap without any state-specific assumptions. The Kraus sum
+is evaluated for all (k1, k2) pairs at once, in bounded chunks of
+consecutive terms; every output entry still receives its terms in the
+row-major (k1, k2) order of the plain double loop over pairs, so the result
+is the loop's to the bit, whatever the chunking.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -36,6 +40,9 @@ SINGLE_ARM = "single_arm"
 # rank cutoff when feeding mixed states through the beam-splitter model
 _EIGENVALUE_RANK_TOL = 1e-14
 
+# Kraus-sum terms apply_loss evaluates at once (more only if one row of a pair is longer)
+LOSS_CHUNK_TERMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class LossChannel:
@@ -50,11 +57,11 @@ class LossChannel:
     def kraus_operators(self, trunc: FockTruncation) -> list[np.ndarray]:
         """Single-mode Kraus matrices; sum K^dag K = identity at the cutoff."""
         d = trunc.dim_single
-        bands = _loss_bands(self.eta, d)
+        table = _loss_table(self.eta, d)
         ops = []
-        for k, band in enumerate(bands):
+        for k in range(d):
             mat = np.zeros((d, d), dtype=complex)
-            mat[np.arange(d - k), np.arange(k, d)] = band
+            mat[np.arange(d - k), np.arange(k, d)] = table[k, : d - k]
             ops.append(mat)
         return ops
 
@@ -91,13 +98,16 @@ def single_arm_generator(trunc: FockTruncation) -> PhaseGenerator:
     return PhaseGenerator(SINGLE_ARM, n1.astype(float), trunc)
 
 
-def _loss_bands(eta: float, d: int) -> list[np.ndarray]:
-    """bands[k][a] = <a| K_k |a + k>, the only nonzero entries of K_k."""
-    bands = [eta ** (np.arange(d) / 2.0)]
-    for k in range(1, d):
-        a = np.arange(d - k, dtype=float)
-        bands.append(bands[k - 1][: d - k] * np.sqrt((1.0 - eta) * (a + k) / k))
-    return bands
+def _loss_table(eta: float, d: int) -> np.ndarray:
+    """table[k, a] = <a| K_k |a + k> for a + k < d: the bands of K_k on the first d Fock states.
+
+    Row k is row k - 1 times sqrt((1 - eta)(a + k) / k). Entries with
+    a + k >= d are never read; each is still a binomial amplitude, at most
+    1, so none overflows.
+    """
+    a = np.arange(d, dtype=float)
+    k = np.arange(1, d)[:, None]
+    return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
 
 
 def _downward_closure(occ: np.ndarray) -> np.ndarray:
@@ -106,33 +116,91 @@ def _downward_closure(occ: np.ndarray) -> np.ndarray:
     return np.logical_or.accumulate(c[:, ::-1], axis=1)[:, ::-1]
 
 
+def _incidences(
+    n1: np.ndarray, n2: np.ndarray, d: int, out_support: np.ndarray, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (pair, source) incidence of the Kraus sum, grouped pair by pair.
+
+    Source s (occupations n1[s], n2[s]) is moved by every pair k1 <= n1[s],
+    k2 <= n2[s]. A stable sort on the pair's basis index puts the pairs in
+    row-major (k1, k2) order and keeps the sources ascending within a pair.
+    Returns per incidence: source position, Kraus weight, output position,
+    the pair's source count, and the position of the pair's first incidence.
+    Kept apart from _kraus_sum so that its temporaries are freed before the
+    terms are accumulated.
+    """
+    per_src = (n1 + 1) * (n2 + 1)
+    src = np.repeat(np.arange(n1.size), per_src)
+    local = np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src)
+    k1, k2 = np.divmod(local, n2[src] + 1)
+    order = np.argsort(k1 * d + k2, kind="stable")
+    src, k1, k2 = src[order], k1[order], k2[order]
+    a1, a2 = n1[src] - k1, n2[src] - k2
+    # no pair or output state reaches past the largest occupation in the support
+    table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)
+    pair = np.searchsorted(out_support, k1 * d + k2)
+    group = np.bincount(pair)
+    return (
+        src,
+        table[k1, a1] * table[k2, a2],
+        np.searchsorted(out_support, a1 * d + a2),
+        group[pair],
+        (np.cumsum(group) - group)[pair],
+    )
+
+
+def _kraus_sum(
+    block: np.ndarray,
+    n1: np.ndarray,
+    n2: np.ndarray,
+    d: int,
+    out_support: np.ndarray,
+    eta: float,
+) -> np.ndarray:
+    """Accumulate every term of the Kraus sum into the block over the output support.
+
+    Incidence i is the row of one term per incidence of its pair: term t of
+    incidence i pairs it with incidence t - skip[i]. np.add.at adds the
+    terms in array order, so each output entry receives them pair by pair.
+    """
+    src, w, dst, size, first = _incidences(n1, n2, d, out_support, eta)
+    ends = np.cumsum(size)
+    skip = ends - size - first
+    n_out = out_support.size
+    acc = np.zeros((n_out, n_out), dtype=complex)
+    flat = acc.reshape(-1)
+    start = 0
+    while start < src.size:
+        done = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, done + LOSS_CHUNK_TERMS, side="right")), start + 1)
+        row = np.repeat(np.arange(start, stop), size[start:stop])
+        col = np.arange(done, ends[stop - 1]) - skip[row]
+        np.add.at(flat, dst[row] * n_out + dst[col], (w[row] * w[col]) * block[src[row], src[col]])
+        start = stop
+    return acc
+
+
 def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
-    """Equal transmittance eta on both modes, trace preserving and completely positive."""
+    """Equal transmittance eta on both modes, trace preserving and completely positive.
+
+    The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag. Pair
+    (k1, k2) moves every occupied state with n1 >= k1 and n2 >= k2, so the
+    pairs that move anything are the downward closure of the support,
+    which is also the output support. Each term (pair, source row, source
+    column) gets its weight and output index, and the terms are accumulated
+    in the order of a double loop over the pairs, in chunks of at most
+    LOSS_CHUNK_TERMS terms (or one row of a pair, if longer).
+    """
     LossChannel(eta)
     if eta == 1.0:
         return rho
     trunc = rho.truncation
     d = trunc.dim_single
-    in_n1, in_n2 = np.divmod(rho.support, d)
+    n1, n2 = np.divmod(rho.support, d)
     occ = np.zeros((d, d), dtype=bool)
-    occ[in_n1, in_n2] = True
-    # pair (k1, k2) moves some occupied state iff an occupied (n1 >= k1, n2 >= k2)
-    # exists, which is the same suffix condition the closure encodes
-    closure = _downward_closure(occ)
-    out_support = np.flatnonzero(closure)
-    out_pos = np.full(d * d, -1, dtype=int)
-    out_pos[out_support] = np.arange(out_support.size)
-
-    bands = _loss_bands(eta, d)
-    acc = np.zeros((out_support.size, out_support.size), dtype=complex)
-    for k1 in range(int(in_n1.max()) + 1):
-        for k2 in range(int(in_n2.max()) + 1):
-            if not closure[k1, k2]:
-                continue
-            src = np.flatnonzero((in_n1 >= k1) & (in_n2 >= k2))
-            w = bands[k1][in_n1[src] - k1] * bands[k2][in_n2[src] - k2]
-            dst = out_pos[(in_n1[src] - k1) * d + in_n2[src] - k2]
-            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * rho.block[np.ix_(src, src)]
+    occ[n1, n2] = True
+    out_support = np.flatnonzero(_downward_closure(occ))
+    acc = _kraus_sum(rho.block, n1, n2, d, out_support, eta)
     return DensityOperator(out_support, acc, trunc)
 
 
@@ -191,14 +259,16 @@ def apply_loss_via_bs(
     de = (env_n_max if env_n_max is not None else trunc.n_max) + 1
     v = bs_pair_unitary(ds, de, eta)
 
-    dense = rho.matrix
-    w, vecs = np.linalg.eigh(dense)
-    out = np.zeros_like(dense)
+    # eigenvectors of the block, embedded on the support, are those of the full operator
+    w, vecs = np.linalg.eigh(rho.block)
+    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     for i in range(len(w)):
         if w[i] < _EIGENVALUE_RANK_TOL:
             continue
+        vec = np.zeros(trunc.dim, dtype=complex)
+        vec[rho.support] = vecs[:, i]
         four = np.zeros((ds, ds, de, de), dtype=complex)
-        four[:, :, 0, 0] = vecs[:, i].reshape(ds, ds)
+        four[:, :, 0, 0] = vec.reshape(ds, ds)
         # couple mode 1 to env 3: bring axes to (n1, n3 | n2, n4)
         four = four.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
         four = (v @ four).reshape(ds, de, ds, de)

@@ -6,8 +6,13 @@ number CSV suitable for log-log plotting, `crossings` locates where the
 NOON and reference-beam ECS information curves intersect, and `verify`
 runs the full closed-form-vs-oracle suite.
 
-All output is deterministic for fixed flags: floats are rendered with
-repr (shortest round-trip digits), rows in input order, no timestamps.
+All output is deterministic for fixed flags on a fixed numpy build:
+floats are rendered with repr (shortest round-trip digits), rows in input
+order, no timestamps. Closed-form output (`point` without `--oracle`,
+`sweep`, `crossings`) uses no linear algebra. Oracle values and `verify`
+errors come from LAPACK eigensolves and BLAS products: they were checked
+to be the same at one and two BLAS threads (a subprocess test pins the
+beam-splitter check), but another BLAS library may move their last digits.
 """
 
 from __future__ import annotations
@@ -283,6 +288,8 @@ def cmd_verify(
     trunc_tol: float = DEFAULT_TAIL_TOL,
     output: str | None = None,
 ) -> int:
+    # --alpha and --eta follow the domain of `point`, even where the full grid ignores them
+    ProbeSpec("ecs", eta, alpha=alpha)
     grid = [(alpha, eta)] if grid_mode == "single" else None
     report = verify_all(grid, tail_tol=trunc_tol)
     print(report.render())

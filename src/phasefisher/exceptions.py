@@ -44,6 +44,10 @@ class NumericalOverflow(PhaseFisherError):
     """A closed form leaves the double-precision range for the given inputs."""
 
 
+class OracleTooLarge(PhaseFisherError):
+    """The Fock cutoff is too large for the brute-force oracle to allocate."""
+
+
 class NoConvergence(PhaseFisherError):
     """An iterative solver exhausted its iteration budget."""
 

@@ -41,6 +41,7 @@ from .exceptions import (
     DimensionMismatch,
     InvalidWeights,
     NegativeEigenvalue,
+    OracleTooLarge,
     PhaseFisherError,
     TruncationTooSmall,
 )
@@ -72,6 +73,10 @@ WITHOUT_REFERENCE = "without"
 
 # sectors lighter than this cannot move any tested tolerance
 SECTOR_WEIGHT_FLOOR = 1e-14
+
+# largest complex amplitude vector over the two-mode basis the oracle builds
+# (n_max <= 2047); the probe and its per-basis-state arrays all scale with it
+MAX_STATE_VECTOR_BYTES = 1 << 26
 
 DEFAULT_GRID_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_GRID_ETAS = (0.6, 0.9, 0.99, 1.0)
@@ -168,6 +173,16 @@ class Scenario:
             raise InvalidWeights(f"component weights sum to {total} > 1")
 
 
+def _require_oracle_size(trunc: FockTruncation) -> None:
+    """Refuse, before allocating anything, a cutoff past MAX_STATE_VECTOR_BYTES."""
+    need = 16 * trunc.dim
+    if need > MAX_STATE_VECTOR_BYTES:
+        raise OracleTooLarge(
+            f"cutoff n_max={trunc.n_max} needs {need / 2**30:.3g} GiB per state vector; "
+            f"the oracle allows {MAX_STATE_VECTOR_BYTES / 2**20:g} MiB"
+        )
+
+
 def _probe_truncation(probe: ProbeSpec, cfg: OracleConfig) -> FockTruncation:
     if cfg.truncation is not None:
         return cfg.truncation
@@ -185,17 +200,23 @@ def _probe_vector(probe: ProbeSpec, trunc: FockTruncation, tail_tol: float) -> S
 def _sector_components(
     psi: StateVector, eta: float
 ) -> tuple[tuple[float, DensityOperator], ...]:
-    """Split a pure state into total-photon sectors, then lose photons per sector."""
+    """Split a pure state into total-photon sectors, then lose photons per sector.
+
+    Only the occupied basis states are visited, so a sector costs its own
+    support rather than a pass over the whole two-mode basis.
+    """
     amp = psi.amplitudes
-    totals = psi.truncation.totals()
+    occupied = np.flatnonzero(amp)
+    totals = psi.truncation.totals()[occupied]
     components = []
     for n in range(int(totals.max()) + 1):
-        mask = totals == n
-        weight = float(np.sum(np.abs(amp[mask]) ** 2))
+        support = occupied[totals == n]
+        weight = float(np.sum(np.abs(amp[support]) ** 2))
         if weight <= SECTOR_WEIGHT_FLOOR:
             continue
-        sector = StateVector(np.where(mask, amp, 0.0) / math.sqrt(weight), psi.truncation)
-        components.append((weight, apply_loss(sector.density(), eta)))
+        sector = amp[support] / math.sqrt(weight)
+        rho = DensityOperator(support, np.outer(sector, sector.conj()), psi.truncation)
+        components.append((weight, apply_loss(rho, eta)))
     return tuple(components)
 
 
@@ -212,6 +233,7 @@ def build_scenario(
     if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
         raise ValueError(f"reference must be 'with' or 'without', got {reference!r}")
     trunc = _probe_truncation(probe, cfg)
+    _require_oracle_size(trunc)
     psi = _probe_vector(probe, trunc, cfg.tail_tol)
     if reference == WITH_REFERENCE:
         components = ((1.0, apply_loss(psi.density(), probe.eta)),)
@@ -282,6 +304,7 @@ def two_level_matrix_numeric(
     """
     if trunc is None:
         trunc = default_truncation(alpha)
+    _require_oracle_size(trunc)
     sigma = apply_loss(ecs_vector(alpha, trunc, tail_tol).density(), eta)
     d = trunc.dim_single
     vac = np.zeros(d, dtype=complex)
@@ -377,12 +400,17 @@ def verify_all(
     coherent-tail criterion, so loosening it degrades the oracle and the
     truncation-stability row catches that. spectrum_fn / basis_matrix_fn
     are injection seams for negative-control tests that feed deliberately
-    corrupted closed forms.
+    corrupted closed forms. A grid point or tail_tol outside the domain
+    `point` accepts raises before any check runs.
     """
     if grid is None:
         grid = [(a, e) for a in DEFAULT_GRID_ALPHAS for e in DEFAULT_GRID_ETAS]
     if not grid:
         raise ValueError("verification grid must be nonempty")
+    for alpha, eta in grid:
+        ProbeSpec("ecs", eta, alpha=alpha)  # the alpha and eta domain of `point`
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
     floors = cfg if cfg is not None else _DEFAULT_CFG
 
     def cfg_for(alpha: float) -> OracleConfig:

@@ -2,15 +2,22 @@
 
 The loss tests lean on exactly solvable cases (coherent inputs, the
 semigroup property, the textbook dense Kraus sum) so the support-based
-implementation is checked against independent structure, not itself.
+implementation is checked against independent structure, not itself. The
+vectorized Kraus sum is also held bit for bit to the plain loop over
+(k1, k2) pairs it replaced, which is kept here as the reference.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phasefisher.channels import (
+    LOSS_CHUNK_TERMS,
     SINGLE_ARM,
     TWO_ARM,
     LossChannel,
@@ -33,6 +40,8 @@ from phasefisher.fock_core import (
 )
 from phasefisher.states import ecs_normalization, ecs_vector
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def _random_density(n_max: int, seed: int) -> DensityOperator:
     rng = np.random.default_rng(seed)
@@ -40,6 +49,67 @@ def _random_density(n_max: int, seed: int) -> DensityOperator:
     a = rng.normal(size=(trunc.dim, trunc.dim)) + 1j * rng.normal(size=(trunc.dim, trunc.dim))
     m = a @ a.conj().T
     return DensityOperator.from_dense(m / np.trace(m), trunc)
+
+
+def _irregular_density(seed: int) -> DensityOperator:
+    """A random mixed state on the scattered support {(0, 3), (2, 1), (4, 4)}."""
+    trunc = FockTruncation(4)
+    support = np.array([trunc.index(0, 3), trunc.index(2, 1), trunc.index(4, 4)])
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = a @ a.conj().T
+    return DensityOperator(support, m / np.trace(m), trunc)
+
+
+def _loop_bands(eta: float, d: int) -> list[np.ndarray]:
+    """bands[k][a] = <a| K_k |a + k>, one band at a time."""
+    bands = [eta ** (np.arange(d) / 2.0)]
+    for k in range(1, d):
+        a = np.arange(d - k, dtype=float)
+        bands.append(bands[k - 1][: d - k] * np.sqrt((1.0 - eta) * (a + k) / k))
+    return bands
+
+
+def _loop_loss(rho: DensityOperator, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus sum as a double loop over (k1, k2) pairs: (support, block)."""
+    d = rho.truncation.dim_single
+    in_n1, in_n2 = np.divmod(rho.support, d)
+    occ = np.zeros((d, d), dtype=bool)
+    occ[in_n1, in_n2] = True
+    # every pair that moves an occupied state lands in the downward closure
+    closure = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
+    closure = np.logical_or.accumulate(closure[:, ::-1], axis=1)[:, ::-1]
+    out_support = np.flatnonzero(closure)
+    out_pos = np.full(d * d, -1, dtype=int)
+    out_pos[out_support] = np.arange(out_support.size)
+    bands = _loop_bands(eta, d)
+    acc = np.zeros((out_support.size, out_support.size), dtype=complex)
+    for k1 in range(int(in_n1.max()) + 1):
+        for k2 in range(int(in_n2.max()) + 1):
+            if not closure[k1, k2]:
+                continue
+            src = np.flatnonzero((in_n1 >= k1) & (in_n2 >= k2))
+            w = bands[k1][in_n1[src] - k1] * bands[k2][in_n2[src] - k2]
+            dst = out_pos[(in_n1[src] - k1) * d + in_n2[src] - k2]
+            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * rho.block[np.ix_(src, src)]
+    return out_support, acc
+
+
+def _loss_terms(rho: DensityOperator) -> int:
+    """Terms of the Kraus sum: the squared source count of every pair that moves a state."""
+    n1, n2 = np.divmod(rho.support, rho.truncation.dim_single)
+    return sum(
+        int(np.count_nonzero((n1 >= k1) & (n2 >= k2))) ** 2
+        for k1 in range(int(n1.max()) + 1)
+        for k2 in range(int(n2.max()) + 1)
+    )
+
+
+def _assert_matches_loop(rho: DensityOperator, eta: float) -> None:
+    support, block = _loop_loss(rho, eta)
+    got = apply_loss(rho, eta)
+    assert np.array_equal(got.support, support)
+    assert np.array_equal(got.block, block)
 
 
 def _coherent_vacuum_product(alpha: float, trunc: FockTruncation) -> StateVector:
@@ -69,19 +139,56 @@ class TestKraus:
         with pytest.raises(InvalidEta):
             LossChannel(eta)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 20, 40, 60])
+    def test_bands_equal_the_one_band_recurrence(self, n_max):
+        trunc = FockTruncation(n_max)
+        d = trunc.dim_single
+        for eta in (0.0, 1e-9, 0.3, 0.55, 0.9, 0.999, 1.0):
+            ops = LossChannel(eta).kraus_operators(trunc)
+            for k, band in enumerate(_loop_bands(eta, d)):
+                assert np.array_equal(ops[k][np.arange(d - k), np.arange(k, d)], band)
+
+
+class TestLossMatchesPairLoop:
+    """apply_loss against the double loop over (k1, k2): equal bit for bit."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.55, 0.9])
+    def test_dense_state_over_several_chunks(self, eta):
+        rho = _random_density(10, seed=21)
+        assert _loss_terms(rho) > 2 * LOSS_CHUNK_TERMS
+        _assert_matches_loop(rho, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.45])
+    def test_irregular_sparse_support(self, eta):
+        _assert_matches_loop(_irregular_density(22), eta)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
+    def test_ecs_and_its_sectors(self, alpha):
+        trunc = default_truncation(alpha)
+        psi = ecs_vector(alpha, trunc)
+        _assert_matches_loop(psi.density(), 0.9)
+        totals = trunc.totals()
+        for n in (0, 1, 4):
+            mask = totals == n
+            weight = float(np.sum(np.abs(psi.amplitudes[mask]) ** 2))
+            sector = StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc)
+            _assert_matches_loop(sector.density(), 0.6)
+
 
 class TestApplyLoss:
     def test_matches_dense_kraus_sum(self):
-        rho = _random_density(4, seed=11)
-        eta = 0.55
-        ops = LossChannel(eta).kraus_operators(rho.truncation)
-        want = np.zeros_like(rho.matrix)
-        for k1 in ops:
-            for k2 in ops:
-                k = np.kron(k1, k2)
-                want += k @ rho.matrix @ k.conj().T
-        got = apply_loss(rho, eta)
-        assert np.allclose(got.matrix, want, atol=1e-13)
+        # n_max = 10 spreads the sum over several chunks
+        for n_max in (4, 10):
+            rho = _random_density(n_max, seed=11)
+            eta = 0.55
+            ops = LossChannel(eta).kraus_operators(rho.truncation)
+            want = np.zeros_like(rho.matrix)
+            for k1 in ops:
+                for k2 in ops:
+                    k = np.kron(k1, k2)
+                    want += k @ rho.matrix @ k.conj().T
+            got = apply_loss(rho, eta)
+            assert np.allclose(got.matrix, want, atol=1e-13)
 
     def test_coherent_stays_coherent(self):
         alpha, eta = 1.2, 0.6
@@ -243,3 +350,42 @@ class TestBeamSplitterRoute:
         via_bs = apply_loss_via_bs(rho, eta)
         via_kraus = apply_loss(rho, eta)
         assert np.allclose(via_bs.matrix, via_kraus.matrix, atol=1e-11)
+
+    def test_matches_kraus_on_sparse_support(self):
+        # the eigensolve runs on the block; embedding must land on the right states
+        rho = _irregular_density(23)
+        via_bs = apply_loss_via_bs(rho, 0.7, env_n_max=8)
+        assert np.allclose(via_bs.matrix, apply_loss(rho, 0.7).matrix, atol=1e-11)
+
+    def test_check_value_independent_of_blas_threads(self):
+        """The largest Kraus-vs-beam-splitter entry gap, bit for bit at 1 and 2 BLAS threads.
+
+        This is the value `verify` reports in its bs_vs_kraus_channel row at
+        alpha = 1.5. The route's output itself still moves in the last bits
+        with the thread count, since threaded products round differently.
+        """
+        code = (
+            "import numpy as np\n"
+            "from phasefisher.channels import apply_loss, apply_loss_via_bs\n"
+            "from phasefisher.fock_core import FockTruncation, truncation_for_tolerance\n"
+            "from phasefisher.states import ecs_vector\n"
+            "trunc = FockTruncation(truncation_for_tolerance(1.5, 1e-12).n_max + 2)\n"
+            "rho = ecs_vector(1.5, trunc).density()\n"
+            "for eta in (0.6, 0.9):\n"
+            "    gap = np.abs(apply_loss(rho, eta).matrix - apply_loss_via_bs(rho, eta).matrix)\n"
+            "    print(repr(float(gap.max())))\n"
+        )
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("OpenBLAS runs at most one thread per CPU this process may use")
+        outputs = []
+        for threads in ("1", "2"):
+            # a fresh interpreter per thread count, since BLAS reads it at load time
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

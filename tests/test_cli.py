@@ -103,6 +103,14 @@ class TestPoint:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_oversized_oracle_exits_two(self, capsys):
+        rc = main(["point", "--family", "noon", "--n", "100000", "--eta", "0.9", "--oracle"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "oracle =" not in captured.out
+        assert captured.err.startswith("error:") and "n_max=100000" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
             return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value, CLOSED_FORM)
@@ -294,6 +302,22 @@ class TestVerify:
         lines = out.read_text().splitlines()
         assert lines[0] == "check,passed,max_err,tolerance,detail"
         assert len(lines) == 15
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--trunc-tol", "0"],
+            ["--grid", "single", "--alpha", "nan", "--eta", "0.9"],
+            ["--eta", "1.5"],
+        ],
+        ids=["trunc-tol-0", "alpha-nan", "eta-1.5"],
+    )
+    def test_domain_error_exits_two_before_any_check(self, capsys, argv):
+        rc = main(["verify", *argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_loose_truncation_fails_honestly(self, capsys):
         rc = main(["verify", "--grid", "single", "--alpha", "0.5", "--eta", "0.9",

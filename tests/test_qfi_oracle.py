@@ -5,9 +5,11 @@ controls at the bottom corrupt the closed forms on purpose and demand the
 verification suite notices.
 """
 
+import csv
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +25,19 @@ from phasefisher.channels import (
 )
 from phasefisher.exceptions import (
     DimensionMismatch,
+    InvalidEta,
     InvalidWeights,
     NegativeEigenvalue,
+    OracleTooLarge,
     TruncationTooSmall,
 )
-from phasefisher.fock_core import DensityOperator, FockTruncation, default_truncation
+from phasefisher.fock_core import (
+    DEFAULT_TAIL_TOL,
+    DensityOperator,
+    FockTruncation,
+    default_truncation,
+    truncation_for_tolerance,
+)
 from phasefisher.qfi_analytic import (
     basis_overlap_matrix,
     qfi_ecs_noref,
@@ -35,6 +45,7 @@ from phasefisher.qfi_analytic import (
     sigma_spectrum,
 )
 from phasefisher.qfi_oracle import (
+    MAX_STATE_VECTOR_BYTES,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
     OracleConfig,
@@ -47,6 +58,9 @@ from phasefisher.qfi_oracle import (
     verify_all,
 )
 from phasefisher.states import ProbeSpec, ecs_scalars, ecs_vector, noon_vector
+
+
+GOLDEN_ORACLE = Path(__file__).resolve().parent / "data" / "oracle_grid.csv"
 
 
 def _embed(rho: DensityOperator, target: FockTruncation) -> DensityOperator:
@@ -212,6 +226,25 @@ class TestBuildScenario:
         assert abs(without / qfi_ecs_noref(alpha, eta).value - 1.0) <= 1e-6
         assert peak < 64 * 2**20
 
+    def test_oversized_cutoff_refused_before_allocating(self):
+        """n = 100000 would need a 149 GiB amplitude vector; nothing large may be allocated."""
+        probe = ProbeSpec("noon", 0.9, n=100000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleTooLarge, match="n_max=100000"):
+                build_scenario(probe, WITH_REFERENCE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_size_ceiling_admits_every_cutoff_in_use(self):
+        # the largest: `verify --alpha 12` doubles its tail cutoff for the stability row
+        doubled = 2 * (truncation_for_tolerance(12.0, DEFAULT_TAIL_TOL).n_max + 2)
+        for n_max in (default_truncation(12.0).n_max, doubled, 2047):
+            assert 16 * FockTruncation(n_max).dim <= MAX_STATE_VECTOR_BYTES
+        assert 16 * FockTruncation(2048).dim > MAX_STATE_VECTOR_BYTES
+
     def test_full_loss_yields_zero_information(self):
         probe = ProbeSpec("ecs", 0.0, alpha=1.0)
         for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
@@ -236,6 +269,28 @@ class TestScenarioQfi:
         probe = ProbeSpec("noon", 0.7, n=3)
         oracle = scenario_qfi(build_scenario(probe, WITH_REFERENCE))
         assert oracle.value == pytest.approx(9.0 * 0.7**3, rel=1e-10)
+
+    def test_matches_golden_oracle_grid(self):
+        """Oracle values on the default grid and the NOON orders, to 1e-12 relative.
+
+        tests/data/oracle_grid.csv holds scenario_qfi(build_scenario(...))
+        with the default OracleConfig for the 16-point (alpha, eta) grid and
+        NOON orders 1, 2, 3 and 5, both references, as computed by the
+        per-pair loss loop. The closed-form gates (1e-6 to 1e-9) would miss
+        a drift this small in the oracle's own digits.
+        """
+        with GOLDEN_ORACLE.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64
+        for row in rows:
+            eta = float(row["eta"])
+            if row["family"] == "ecs":
+                probe = ProbeSpec("ecs", eta, alpha=float(row["size"]))
+            else:
+                probe = ProbeSpec("noon", eta, n=int(row["size"]))
+            value = scenario_qfi(build_scenario(probe, row["reference"])).value
+            want = float(row["qfi"])
+            assert abs(value - want) <= 1e-12 * abs(want), row
 
     def test_unknown_generator_kind(self):
         scenario = build_scenario(ProbeSpec("noon", 0.9, n=1), WITH_REFERENCE)
@@ -308,6 +363,21 @@ class TestVerifyAll:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             verify_all([])
+
+    @pytest.mark.parametrize(
+        "grid, tail_tol, error",
+        [
+            ([(math.nan, 0.9)], DEFAULT_TAIL_TOL, ValueError),
+            ([(0.0, 0.9)], DEFAULT_TAIL_TOL, ValueError),
+            ([(0.5, 1.5)], DEFAULT_TAIL_TOL, InvalidEta),
+            ([(0.5, math.nan)], DEFAULT_TAIL_TOL, InvalidEta),
+            ([(0.5, 0.9)], 0.0, ValueError),
+            ([(0.5, 0.9)], 1.0, ValueError),
+        ],
+    )
+    def test_domain_rejected_before_any_check(self, grid, tail_tol, error):
+        with pytest.raises(error):
+            verify_all(grid, tail_tol=tail_tol)
 
     def test_render_and_csv_shape(self):
         report = verify_all([(0.5, 1.0)])
