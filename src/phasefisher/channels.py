@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidEta, TruncationTooSmall
+from .exceptions import TruncationTooSmall, check_eta
 from .fock_core import DensityOperator, FockTruncation
 
 TWO_ARM = "two_arm"
@@ -42,28 +42,6 @@ _EIGENVALUE_RANK_TOL = 1e-14
 
 # Kraus-sum terms apply_loss evaluates at once (more only if one row of a pair is longer)
 LOSS_CHUNK_TERMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Equal-arm photon loss with transmittance eta."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise InvalidEta(f"transmittance must lie in [0, 1], got {self.eta}")
-
-    def kraus_operators(self, trunc: FockTruncation) -> list[np.ndarray]:
-        """Single-mode Kraus matrices; sum K^dag K = identity at the cutoff."""
-        d = trunc.dim_single
-        table = _loss_table(self.eta, d)
-        ops = []
-        for k in range(d):
-            mat = np.zeros((d, d), dtype=complex)
-            mat[np.arange(d - k), np.arange(k, d)] = table[k, : d - k]
-            ops.append(mat)
-        return ops
 
 
 @dataclass(frozen=True)
@@ -80,10 +58,6 @@ class PhaseGenerator:
         if self.diagonal.shape != (self.truncation.dim,):
             raise ValueError("generator diagonal does not match the truncation")
         self.diagonal.setflags(write=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal.astype(complex))
 
 
 def two_arm_generator(trunc: FockTruncation) -> PhaseGenerator:
@@ -191,7 +165,7 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     in the order of a double loop over the pairs, in chunks of at most
     LOSS_CHUNK_TERMS terms (or one row of a pair, if longer).
     """
-    LossChannel(eta)
+    check_eta(eta)
     if eta == 1.0:
         return rho
     trunc = rho.truncation
@@ -216,16 +190,6 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.support, np.where(mask, rho.block, 0.0), rho.truncation)
 
 
-def apply_phase(rho: DensityOperator, phi: float, gen: PhaseGenerator) -> DensityOperator:
-    """Conjugate by exp(-i phi G). Spectrum and trace are untouched."""
-    if gen.truncation != rho.truncation:
-        raise DimensionMismatch(
-            f"state cutoff {rho.truncation} vs generator cutoff {gen.truncation}"
-        )
-    u = np.exp(-1j * phi * gen.diagonal[rho.support])
-    return DensityOperator(rho.support, np.outer(u, u.conj()) * rho.block, rho.truncation)
-
-
 def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
     """exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(eta).
 
@@ -235,7 +199,7 @@ def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
     # scipy is imported here so that only the beam-splitter cross-check pays for it
     import scipy.linalg
 
-    LossChannel(eta)
+    check_eta(eta)
     a_sig = np.diag(np.sqrt(np.arange(1.0, d_signal)), 1)
     a_env = np.diag(np.sqrt(np.arange(1.0, d_env)), 1)
     theta = np.arccos(np.sqrt(eta))
@@ -243,21 +207,19 @@ def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
     return scipy.linalg.expm(theta * coupling)
 
 
-def apply_loss_via_bs(
-    rho: DensityOperator, eta: float, env_n_max: int | None = None
-) -> DensityOperator:
+def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     """Loss through explicit vacuum environments, then a partial trace.
 
-    Each signal mode is coupled to its own environment mode (cutoff
-    env_n_max, defaulting to the signal cutoff) by bs_pair_unitary, and the
-    environments are traced out. Agrees with apply_loss up to environment
-    truncation; a trace deficit beyond 1e-9 raises TruncationTooSmall.
+    Each signal mode is coupled to its own environment mode by
+    bs_pair_unitary, and the environments are traced out. The environment
+    shares the signal cutoff, which is exact: a mode holding at most n_max
+    photons can lose at most n_max. A trace deficit beyond 1e-9 (roundoff
+    only) raises TruncationTooSmall.
     """
-    LossChannel(eta)
+    check_eta(eta)
     trunc = rho.truncation
-    ds = trunc.dim_single
-    de = (env_n_max if env_n_max is not None else trunc.n_max) + 1
-    v = bs_pair_unitary(ds, de, eta)
+    d = trunc.dim_single
+    v = bs_pair_unitary(d, d, eta)
 
     # eigenvectors of the block, embedded on the support, are those of the full operator
     w, vecs = np.linalg.eigh(rho.block)
@@ -267,21 +229,21 @@ def apply_loss_via_bs(
             continue
         vec = np.zeros(trunc.dim, dtype=complex)
         vec[rho.support] = vecs[:, i]
-        four = np.zeros((ds, ds, de, de), dtype=complex)
-        four[:, :, 0, 0] = vec.reshape(ds, ds)
+        four = np.zeros((d, d, d, d), dtype=complex)
+        four[:, :, 0, 0] = vec.reshape(d, d)
         # couple mode 1 to env 3: bring axes to (n1, n3 | n2, n4)
-        four = four.transpose(0, 2, 1, 3).reshape(ds * de, ds * de)
-        four = (v @ four).reshape(ds, de, ds, de)
+        four = four.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        four = (v @ four).reshape(d, d, d, d)
         # couple mode 2 to env 4: axes currently (n1, n3, n2, n4)
-        four = four.transpose(2, 3, 0, 1).reshape(ds * de, ds * de)
-        four = (v @ four).reshape(ds, de, ds, de)
+        four = four.transpose(2, 3, 0, 1).reshape(d * d, d * d)
+        four = (v @ four).reshape(d, d, d, d)
         # axes now (n2, n4, n1, n3); regroup to (signal pair, env pair)
-        signal_env = four.transpose(2, 0, 3, 1).reshape(ds * ds, de * de)
+        signal_env = four.transpose(2, 0, 3, 1).reshape(d * d, d * d)
         out += w[i] * (signal_env @ signal_env.conj().T)
 
     deficit = abs(float(np.trace(out).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(
-            f"environment cutoff {de - 1} leaks trace {deficit:.3e}; raise env_n_max"
+            f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}"
         )
     return DensityOperator.from_dense(out, trunc)

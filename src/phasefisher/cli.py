@@ -32,7 +32,7 @@ from .exceptions import (
     NonpositiveFisher,
     PhaseFisherError,
 )
-from .fock_core import DEFAULT_TAIL_TOL, FockTruncation, truncation_for_tolerance
+from .fock_core import DEFAULT_TAIL_TOL
 from .qfi_analytic import (
     qfi_ecs_noref,
     qfi_ecs_ref,
@@ -45,6 +45,7 @@ from .qfi_oracle import (
     WITHOUT_REFERENCE,
     OracleConfig,
     build_scenario,
+    cutoff_config,
     scenario_qfi,
     verify_all,
 )
@@ -83,6 +84,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta <= 1.0:
             raise InvalidEta(f"sweep needs 0 < eta <= 1, got {self.eta}")
+        for name, bound in (("n_min", self.n_min), ("n_max", self.n_max)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         if self.n_min <= 0.0:
             raise ValueError(f"n_min must be positive, got {self.n_min}")
         if self.n_max <= self.n_min:
@@ -137,16 +141,13 @@ def cmd_point(
 
     if not use_oracle:
         return 0
-    if trunc_tol is not None:
-        cfg = OracleConfig(
-            truncation=FockTruncation(truncation_for_tolerance(probe.alpha, trunc_tol).n_max + 2)
-            if family == "ecs"
-            else None,
-            tail_tol=trunc_tol,
-        )
-    else:
+    if trunc_tol is None:
         cfg = OracleConfig()
-    numeric = scenario_qfi(build_scenario(probe, reference, cfg), cfg)
+    elif family == "ecs":
+        cfg = cutoff_config(probe.alpha, trunc_tol)
+    else:
+        cfg = OracleConfig(tail_tol=trunc_tol)
+    numeric = scenario_qfi(build_scenario(probe, reference, cfg))
     scale = abs(result.value) if result.value != 0.0 else 1.0
     deviation = abs(numeric.value - result.value) / scale
     tolerance = ORACLE_POINT_TOL[(family, reference)]

@@ -1,4 +1,4 @@
-"""Error types raised across the package.
+"""Error types raised across the package, and the one transmittance check.
 
 Everything derives from PhaseFisherError so callers can catch broadly.
 """
@@ -26,6 +26,12 @@ class DimensionMismatch(PhaseFisherError):
 
 class InvalidEta(PhaseFisherError):
     """Transmittance outside [0, 1]."""
+
+
+def check_eta(eta: float) -> None:
+    """Raise InvalidEta unless 0 <= eta <= 1; NaN fails the comparison and raises too."""
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidEta(f"eta must lie in [0, 1], got {eta}")
 
 
 class DegenerateSpectrum(PhaseFisherError):

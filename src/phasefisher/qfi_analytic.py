@@ -35,9 +35,10 @@ from .exceptions import (
     InvalidWeights,
     NonpositiveFisher,
     NumericalOverflow,
+    check_eta,
 )
 from .fock_core import FockTruncation
-from .states import ecs_normalization, ecs_scalars
+from .states import ecs_normalization, ecs_sector_weights
 
 CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
@@ -60,9 +61,6 @@ class QFIResult:
             raise NumericalOverflow(f"QFI is {self.value!r}: inputs beyond double precision")
         if self.value < 0.0:
             raise ValueError(f"QFI must be nonnegative, got {self.value}")
-
-    def sensitivity(self, repetitions: int = 1) -> float:
-        return sensitivity(self.value, repetitions)
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,17 @@ class EcsLossySpectrum:
 
 
 def _in_double_range(closed_form):
-    """Report a float overflow inside closed_form as NumericalOverflow."""
+    """Report a float overflow inside closed_form as NumericalOverflow.
+
+    A division by a quantity that underflowed to zero (1 - p^2 once
+    eta |alpha|^2 is below the smallest double) is the same overflow.
+    """
 
     @functools.wraps(closed_form)
     def checked(*args, **kwargs):
         try:
             return closed_form(*args, **kwargs)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             raise NumericalOverflow(
                 f"{closed_form.__name__} overflows double precision at {args or kwargs}: {exc}"
             ) from exc
@@ -106,7 +108,7 @@ def _in_double_range(closed_form):
 @_in_double_range
 def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     """Sector-resolved QFI of the lossy ECS without a reference beam."""
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
@@ -121,11 +123,11 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
     Each total-photon sector n contributes weight(n) * n^2 eta^n; the sum
     telescopes into qfi_ecs_noref, which the tests pin to 1e-10.
     """
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
-    weights = ecs_scalars(alpha, trunc).noon_weights
+    weights = ecs_sector_weights(alpha, trunc)
     n = np.arange(len(weights), dtype=float)
     value = float(np.sum(weights * n * n * eta**n))
     return QFIResult(value, CLOSED_FORM)
@@ -134,7 +136,7 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
 @_in_double_range
 def qfi_noon(n: int, eta: float) -> QFIResult:
     """F = n^2 eta^n for the lossy NOON probe, Heisenberg-limited at eta = 1."""
-    _check_eta(eta)
+    check_eta(eta)
     if n < 1:
         raise ValueError(f"NOON index must be >= 1, got {n}")
     return QFIResult(n * n * eta**n, CLOSED_FORM)
@@ -147,7 +149,7 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
     exact logarithm matters once N is large enough that (eta - 1) N would
     misplace the decay.
     """
-    _check_eta(eta)
+    check_eta(eta)
     if n_mean <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {n_mean}")
     if eta == 0.0:
@@ -164,7 +166,7 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     same radical). The numeric two-level eigensolve in qfi_oracle arbitrates
     this choice.
     """
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0:
         raise ValueError("spectrum undefined at alpha = 0")
@@ -258,7 +260,7 @@ def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     <Psi_i|G^2|Psi_i> = (eta |alpha|^2 + eta^2 |alpha|^4)/4, with both cross
     matrix elements zero; everything else comes from sigma_spectrum.
     """
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
@@ -283,7 +285,7 @@ def qfi_ecs_ref_reduced(alpha: complex, eta: float) -> float:
     with x = eta |alpha|^2. Tests assert agreement with the spectral route
     at 1e-12; any divergence means one of the two transcriptions drifted.
     """
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return 0.0
@@ -296,7 +298,7 @@ def qfi_ecs_ref_reduced(alpha: complex, eta: float) -> float:
 @_in_double_range
 def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     """Large-field limit of qfi_ecs_ref, valid once p = e^{-eta |alpha|^2} is negligible."""
-    _check_eta(eta)
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, ASYMPTOTIC)
@@ -312,8 +314,3 @@ def sensitivity(fisher: float, repetitions: int = 1) -> float:
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     return 1.0 / math.sqrt(repetitions * fisher)
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidEta(f"transmittance must lie in [0, 1], got {eta}")

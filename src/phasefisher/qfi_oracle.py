@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    SINGLE_ARM,
     TWO_ARM,
+    PhaseGenerator,
     apply_loss,
     apply_loss_via_bs,
     phase_average,
     single_arm_generator,
     two_arm_generator,
-    PhaseGenerator,
 )
 from .exceptions import (
     DimensionMismatch,
@@ -74,12 +73,18 @@ WITHOUT_REFERENCE = "without"
 # sectors lighter than this cannot move any tested tolerance
 SECTOR_WEIGHT_FLOOR = 1e-14
 
+# eigenvalues below EIGENVALUE_FLOOR count as exact zeros; eigenvalue pairs
+# whose sum is below PAIR_SKIP_THRESHOLD are formally 0/0 and skipped
+EIGENVALUE_FLOOR = 1e-12
+PAIR_SKIP_THRESHOLD = 1e-12
+
 # largest complex amplitude vector over the two-mode basis the oracle builds
 # (n_max <= 2047); the probe and its per-basis-state arrays all scale with it
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 DEFAULT_GRID_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_GRID_ETAS = (0.6, 0.9, 0.99, 1.0)
+NOON_ORDERS = (1, 2, 3, 5)
 
 # e^{-eta alpha^2} < 1e-8 at each, where the asymptotic form is in regime
 ASYMPTOTIC_POINTS = ((5.0, 0.9), (4.5, 0.99), (5.0, 0.99))
@@ -89,22 +94,17 @@ _CHECK_ERRORS = (PhaseFisherError, ValueError, np.linalg.LinAlgError)
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Numerical knobs of the brute-force QFI.
+    """The Fock cutoff a probe is built on.
 
     truncation = None lets each probe pick its own default cutoff
-    (default_truncation for ECS, the minimal space for NOON). Eigenvalues
-    below eigenvalue_floor are treated as exact zeros; eigenvalue pairs
-    whose sum is below pair_skip_threshold are formally 0/0 and skipped.
+    (default_truncation for ECS, the minimal space for NOON); tail_tol is
+    the coherent tail weight the ECS probe may lose at that cutoff.
     """
 
     truncation: FockTruncation | None = None
-    eigenvalue_floor: float = 1e-12
-    pair_skip_threshold: float = 1e-12
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        if self.eigenvalue_floor <= 0.0 or self.pair_skip_threshold <= 0.0:
-            raise ValueError("floors must be positive")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail tolerance must be in (0, 1), got {self.tail_tol}")
 
@@ -112,9 +112,16 @@ class OracleConfig:
 _DEFAULT_CFG = OracleConfig()
 
 
-def qfi_numeric(
-    rho: DensityOperator, generator: PhaseGenerator, cfg: OracleConfig = _DEFAULT_CFG
-) -> QFIResult:
+def cutoff_config(alpha: complex, tail_tol: float) -> OracleConfig:
+    """The smallest cutoff whose coherent tail at alpha is below tail_tol, plus 2.
+
+    The margin keeps the probe's own tail check from flipping at the boundary.
+    """
+    base = truncation_for_tolerance(alpha, tail_tol)
+    return OracleConfig(FockTruncation(base.n_max + 2), tail_tol)
+
+
+def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
     """Spectral QFI sum over the eigenpairs of rho.
 
     The sum is evaluated on the support of rho only. For a diagonal
@@ -131,37 +138,32 @@ def qfi_numeric(
     g = generator.diagonal[rho.support]
 
     w, v = np.linalg.eigh(rho.block)
-    if w.min() < -cfg.eigenvalue_floor:
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{cfg.eigenvalue_floor}")
+    if w.min() < -EIGENVALUE_FLOOR:
+        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{EIGENVALUE_FLOOR}")
     w = np.clip(w, 0.0, None)
-    w[w < cfg.eigenvalue_floor] = 0.0
+    w[w < EIGENVALUE_FLOOR] = 0.0
 
     gt = v.conj().T @ (g[:, None] * v)
     num = (w[:, None] - w[None, :]) ** 2
     den = w[:, None] + w[None, :]
     ratio = np.zeros_like(den)
-    np.divide(num, den, out=ratio, where=den > cfg.pair_skip_threshold)
+    np.divide(num, den, out=ratio, where=den > PAIR_SKIP_THRESHOLD)
     value = float(np.sum(2.0 * ratio * np.abs(gt) ** 2))
     return QFIResult(value, NUMERIC, generator.kind)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A weighted ensemble of density operators sharing one phase generator kind.
+    """A weighted ensemble of density operators.
 
     Reference-beam scenarios hold a single unit-weight component; the
     reference-free scenario holds one component per surviving total-photon
     sector, all on the probe cutoff.
     """
 
-    probe: ProbeSpec
-    reference: str
     components: tuple[tuple[float, DensityOperator], ...]
-    generator_kind: str = TWO_ARM
 
     def __post_init__(self) -> None:
-        if self.reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
-            raise ValueError(f"reference must be 'with' or 'without', got {self.reference!r}")
         if not self.components:
             raise InvalidWeights("scenario needs at least one component")
         total = 0.0
@@ -239,26 +241,15 @@ def build_scenario(
         components = ((1.0, apply_loss(psi.density(), probe.eta)),)
     else:
         components = _sector_components(psi, probe.eta)
-    return Scenario(probe=probe, reference=reference, components=components)
+    return Scenario(components)
 
 
-def scenario_qfi(
-    scenario: Scenario,
-    cfg: OracleConfig = _DEFAULT_CFG,
-    generator_kind: str | None = None,
-) -> QFIResult:
-    """Weighted sum of per-component QFI values."""
-    kind = generator_kind or scenario.generator_kind
+def scenario_qfi(scenario: Scenario) -> QFIResult:
+    """Weighted sum of per-component QFI values under the two-arm generator."""
     total = 0.0
     for weight, rho in scenario.components:
-        if kind == TWO_ARM:
-            gen = two_arm_generator(rho.truncation)
-        elif kind == SINGLE_ARM:
-            gen = single_arm_generator(rho.truncation)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        total += weight * qfi_numeric(rho, gen, cfg).value
-    return QFIResult(total, NUMERIC, kind)
+        total += weight * qfi_numeric(rho, two_arm_generator(rho.truncation)).value
+    return QFIResult(total, NUMERIC, TWO_ARM)
 
 
 def scenario_mixture(
@@ -386,10 +377,8 @@ def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
 
 def verify_all(
     grid: list[tuple[float, float]] | None = None,
-    cfg: OracleConfig | None = None,
     *,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    noon_orders: tuple[int, ...] = (1, 2, 3, 5),
     spectrum_fn=sigma_spectrum,
     basis_matrix_fn=basis_overlap_matrix,
 ) -> VerificationReport:
@@ -411,17 +400,9 @@ def verify_all(
         ProbeSpec("ecs", eta, alpha=alpha)  # the alpha and eta domain of `point`
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
-    floors = cfg if cfg is not None else _DEFAULT_CFG
 
     def cfg_for(alpha: float) -> OracleConfig:
-        # +2 margin so the probe's own tail check cannot flip at the boundary
-        base = truncation_for_tolerance(alpha, tail_tol)
-        return OracleConfig(
-            truncation=FockTruncation(base.n_max + 2),
-            eigenvalue_floor=floors.eigenvalue_floor,
-            pair_skip_threshold=floors.pair_skip_threshold,
-            tail_tol=tail_tol,
-        )
+        return cutoff_config(alpha, tail_tol)
 
     alphas = sorted({a for a, _ in grid})
     etas = sorted({e for _, e in grid})
@@ -463,14 +444,14 @@ def verify_all(
 
     def noon_body():
         worst = 0.0
-        for n in noon_orders:
+        for n in NOON_ORDERS:
             for eta in etas:
                 probe = ProbeSpec("noon", eta, n=n)
                 closed = qfi_noon(n, eta).value
                 for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-                    oracle = scenario_qfi(build_scenario(probe, reference, floors))
+                    oracle = scenario_qfi(build_scenario(probe, reference))
                     worst = max(worst, _rel(oracle.value, closed))
-        return worst, f"orders {noon_orders}, both references"
+        return worst, f"orders {NOON_ORDERS}, both references"
 
     def asymptotic_body():
         worst = 0.0
@@ -561,8 +542,8 @@ def verify_all(
             local = cfg_for(alpha)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             mix = scenario_mixture(build_scenario(probe, WITHOUT_REFERENCE, local), local.truncation)
-            two = qfi_numeric(mix, two_arm_generator(local.truncation), local).value
-            one = qfi_numeric(mix, single_arm_generator(local.truncation), local).value
+            two = qfi_numeric(mix, two_arm_generator(local.truncation)).value
+            one = qfi_numeric(mix, single_arm_generator(local.truncation)).value
             worst = max(worst, abs(one - two) / max(two, 1e-300))
         return worst, f"{len(grid)} points, single-arm vs two-arm"
 
@@ -570,12 +551,7 @@ def verify_all(
         worst = 0.0
         for alpha, eta in grid:
             local = cfg_for(alpha)
-            doubled = OracleConfig(
-                truncation=FockTruncation(2 * local.truncation.n_max),
-                eigenvalue_floor=local.eigenvalue_floor,
-                pair_skip_threshold=local.pair_skip_threshold,
-                tail_tol=tail_tol,
-            )
+            doubled = OracleConfig(FockTruncation(2 * local.truncation.n_max), tail_tol)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
                 base = scenario_qfi(build_scenario(probe, reference, local)).value

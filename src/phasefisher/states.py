@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidEta, NoConvergence, TruncationTooSmall
+from .exceptions import NoConvergence, TruncationTooSmall, check_eta
 from .fock_core import (
     DEFAULT_TAIL_TOL,
     FockTruncation,
@@ -43,27 +43,11 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.family not in ("ecs", "noon"):
             raise ValueError(f"family must be 'ecs' or 'noon', got {self.family!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise InvalidEta(f"eta must lie in [0, 1], got {self.eta}")
+        check_eta(self.eta)
         if self.family == "ecs" and not 0.0 < abs(self.alpha) < math.inf:
             raise ValueError(f"ECS probe needs finite |alpha| > 0, got {self.alpha}")
         if self.family == "noon" and self.n < 1:
             raise ValueError(f"NOON probe needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class EcsScalars:
-    """Normalization, mean photon number, and sector weights of an ECS.
-
-    noon_weights[n] is the trace of the total-photon-n block of the
-    dephased ECS. The vacuum component appears in both branches of the
-    superposition, so noon_weights[0] = 4 N^2 |c_0|^2 while every n >= 1
-    carries 2 N^2 |c_n|^2.
-    """
-
-    norm_coeff: float
-    mean_photons: float
-    noon_weights: np.ndarray
 
 
 def ecs_normalization(alpha: complex) -> float:
@@ -104,18 +88,18 @@ def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
     return StateVector(amp, trunc)
 
 
-def ecs_scalars(
+def ecs_sector_weights(
     alpha: complex, trunc: FockTruncation, tail_tol: float = DEFAULT_TAIL_TOL
-) -> EcsScalars:
+) -> np.ndarray:
+    """weights[n] is the trace of the total-photon-n block of the dephased ECS.
+
+    The vacuum component appears in both branches of the superposition, so
+    weights[0] = 4 N^2 |c_0|^2 while every n >= 1 carries 2 N^2 |c_n|^2.
+    """
     c2 = np.abs(coherent_vector(alpha, trunc, tail_tol)) ** 2
-    nsq = ecs_normalization(alpha) ** 2
-    weights = 2.0 * nsq * c2
+    weights = 2.0 * ecs_normalization(alpha) ** 2 * c2
     weights[0] *= 2.0  # both branches hit vacuum; their amplitudes add coherently
-    return EcsScalars(
-        norm_coeff=math.sqrt(nsq),
-        mean_photons=mean_photon_number(alpha),
-        noon_weights=weights,
-    )
+    return weights
 
 
 def _mean_photon_and_slope(a: float) -> tuple[float, float]:
@@ -126,12 +110,12 @@ def _mean_photon_and_slope(a: float) -> tuple[float, float]:
     return value, slope
 
 
-def alpha_for_mean_photon(target_n: float, atol: float = ALPHA_SOLVE_ATOL) -> float:
+def alpha_for_mean_photon(target_n: float) -> float:
     """Real alpha >= 0 with mean_photon_number(alpha) = target_n.
 
     The mean photon number is strictly increasing in alpha and bounded by
     alpha^2, so the root lies in [0, sqrt(target_n) + 2]. Bisection gets
-    close, a few Newton steps polish to atol.
+    close, a few Newton steps polish to ALPHA_SOLVE_ATOL.
     """
     if target_n <= 0.0:
         raise ValueError(f"target mean photon number must be positive, got {target_n}")
@@ -147,10 +131,10 @@ def alpha_for_mean_photon(target_n: float, atol: float = ALPHA_SOLVE_ATOL) -> fl
     a = 0.5 * (lo + hi)
     for _ in range(_MAX_SOLVE_ITERATIONS):
         value, slope = _mean_photon_and_slope(a)
-        if abs(value - target_n) <= atol:
+        if abs(value - target_n) <= ALPHA_SOLVE_ATOL:
             return a
         step = (value - target_n) / slope
         a -= step
         if a < lo or a > hi:  # Newton overshot the bracket; fall back to its midpoint
             a = 0.5 * (lo + hi)
-    raise NoConvergence(f"alpha solve for target {target_n} did not reach {atol}")
+    raise NoConvergence(f"alpha solve for target {target_n} did not reach {ALPHA_SOLVE_ATOL}")

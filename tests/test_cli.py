@@ -5,9 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from phasefisher.cli import (
     CSV_HEADER,
@@ -219,6 +222,22 @@ class TestSweep:
         assert err.startswith("error:")
         assert "underflows to 0 at N = " in err
 
+    @pytest.mark.parametrize(
+        "bound, value", [("n_max", "inf"), ("n_min", "nan"), ("n_max", "nan"), ("n_min", "-inf")]
+    )
+    def test_non_finite_range_exits_two_without_file(self, tmp_path, capsys, bound, value):
+        out = tmp_path / "never.csv"
+        flag = "--" + bound.replace("_", "-")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", "--eta", "0.9", "--output", str(out), f"{flag}={value}"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bound} must be finite"), err
+        assert "Warning" not in err
+        assert not caught, [str(w.message) for w in caught]
+
     def test_matches_golden_csv(self, tmp_path):
         """The default sweep against the committed tests/data/sweep_eta0.9.csv.
 
@@ -328,6 +347,63 @@ class TestVerify:
 
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
+
+
+# every float a flag can carry, with the edges drawn often
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300, 1e-300,
+                     5e-324, 1.0]),
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+EDGE_INTS = st.one_of(st.integers(-3, 60), st.sampled_from([10**6, 10**30, 10**400]))
+
+
+def _flag(name: str, value) -> str:
+    # `--flag=value` keeps argparse from reading a negative number as an option
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """argv for `point` without --oracle, `crossings`, or `sweep` of at most 50 points."""
+    command = draw(st.sampled_from(["point-ecs", "point-noon", "crossings", "sweep"]))
+    eta = _flag("eta", draw(EDGE_FLOATS))
+    if command == "point-ecs":
+        reference = draw(st.sampled_from(["with", "without"]))
+        return ["point", "--family", "ecs", _flag("alpha", draw(EDGE_FLOATS)), eta,
+                "--reference", reference]
+    if command == "point-noon":
+        return ["point", "--family", "noon", _flag("n", draw(EDGE_INTS)), eta]
+    if command == "crossings":
+        return ["crossings", eta, _flag("tol", draw(EDGE_FLOATS))]
+    return ["sweep", eta, _flag("n-min", draw(EDGE_FLOATS)), _flag("n-max", draw(EDGE_FLOATS)),
+            _flag("points", draw(st.integers(-2, 50))),
+            "--spacing", draw(st.sampled_from(["log", "linear"])), "--output", "SWEEP"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+# eta |alpha|^2 below the smallest double: 1 - p^2 underflows to 0 inside sigma_spectrum
+@example(argv=["crossings", "--eta=5e-324", "--tol=1e-06"])
+@example(argv=["sweep", "--eta=5e-324", "--points=5", "--output", "SWEEP"])
+@example(argv=["point", "--family", "ecs", "--alpha=1e-160", "--eta=1e-300", "--reference", "with"])
+def test_main_survives_arbitrary_numbers(tmp_path, capsys, argv):
+    """Exit 0 or 2, never a traceback, never a printed nan, F finite on success."""
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    argv = [str(out) if a == "SWEEP" else a for a in argv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    stdout = captured.out.replace(str(out), "")
+    assert rc in (0, 2), (argv, captured)
+    assert "Traceback" not in captured.err, (argv, captured.err)
+    assert "nan" not in stdout, (argv, stdout)
+    if argv[0] == "point" and rc == 0:
+        assert math.isfinite(_stdout_value(stdout, "F    =")), (argv, stdout)
+    if argv[0] == "sweep":
+        assert out.exists() == (rc == 0), (argv, captured)
 
 
 NOON_POINT = ["point", "--family", "noon", "--n", "2", "--eta", "0.5"]

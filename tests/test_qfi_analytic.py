@@ -265,9 +265,6 @@ class TestSensitivity:
         assert sensitivity(4.0) == pytest.approx(0.5)
         assert sensitivity(4.0, repetitions=4) == pytest.approx(0.25)
 
-    def test_through_result(self):
-        assert QFIResult(9.0, CLOSED_FORM).sensitivity() == pytest.approx(1.0 / 3.0)
-
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveFisher):
             sensitivity(0.0)

@@ -13,7 +13,7 @@ from phasefisher.states import (
     ProbeSpec,
     alpha_for_mean_photon,
     ecs_normalization,
-    ecs_scalars,
+    ecs_sector_weights,
     ecs_vector,
     mean_photon_number,
     noon_vector,
@@ -87,22 +87,21 @@ def test_ecs_overlap_with_noon_sectors():
 def test_sector_weights_structure():
     alpha = 1.1
     trunc = default_truncation(alpha)
-    scalars = ecs_scalars(alpha, trunc)
+    weights = ecs_sector_weights(alpha, trunc)
     nsq = ecs_normalization(alpha) ** 2
     c2 = np.abs(coherent_vector(alpha, trunc)) ** 2
-    assert scalars.noon_weights[0] == pytest.approx(4.0 * nsq * c2[0], rel=1e-14)
+    assert weights[0] == pytest.approx(4.0 * nsq * c2[0], rel=1e-14)
     for n in (1, 2, 5):
-        assert scalars.noon_weights[n] == pytest.approx(2.0 * nsq * c2[n], rel=1e-14)
-    assert float(np.sum(scalars.noon_weights)) == pytest.approx(1.0, abs=1e-11)
+        assert weights[n] == pytest.approx(2.0 * nsq * c2[n], rel=1e-14)
+    assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_sector_weights_first_moment_is_mean_photon_number():
     alpha = 1.4
     trunc = default_truncation(alpha)
-    scalars = ecs_scalars(alpha, trunc)
     n = np.arange(trunc.dim_single, dtype=float)
-    first_moment = float(np.sum(n * scalars.noon_weights))
-    assert first_moment == pytest.approx(scalars.mean_photons, rel=1e-12)
+    first_moment = float(np.sum(n * ecs_sector_weights(alpha, trunc)))
+    assert first_moment == pytest.approx(mean_photon_number(alpha), rel=1e-12)
 
 
 def test_noon_vector_amplitudes():
