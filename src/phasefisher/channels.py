@@ -37,9 +37,6 @@ from .fock_core import DensityOperator, FockTruncation
 TWO_ARM = "two_arm"
 SINGLE_ARM = "single_arm"
 
-# rank cutoff when feeding mixed states through the beam-splitter model
-_EIGENVALUE_RANK_TOL = 1e-14
-
 # Kraus-sum terms apply_loss evaluates at once (more only if one row of a pair is longer)
 LOSS_CHUNK_TERMS = 1 << 16
 
@@ -190,57 +187,52 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.support, np.where(mask, rho.block, 0.0), rho.truncation)
 
 
-def bs_pair_unitary(d_signal: int, d_env: int, eta: float) -> np.ndarray:
-    """exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(eta).
+def bs_pair_unitary(d: int, eta: float) -> np.ndarray:
+    """exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(eta), both modes on d states.
 
     Acts on (signal, env) with the signal index major. Sends |alpha>|0> to
-    |sqrt(eta) alpha>|-sqrt(1-eta) alpha> up to cutoff leakage.
+    |sqrt(eta) alpha>|-sqrt(1-eta) alpha> up to cutoff leakage. The
+    generator conserves the total photon number, also after truncation (the
+    SU(2) structure of the lossless beam splitter; Campos, Saleh and Teich,
+    Phys. Rev. A 40, 1371 (1989)), so each total-number block is exp(-iH)
+    for the Hermitian H = i theta (a^dag b - a b^dag) on it, from one eigh.
     """
-    # scipy is imported here so that only the beam-splitter cross-check pays for it
-    import scipy.linalg
-
     check_eta(eta)
-    a_sig = np.diag(np.sqrt(np.arange(1.0, d_signal)), 1)
-    a_env = np.diag(np.sqrt(np.arange(1.0, d_env)), 1)
-    theta = np.arccos(np.sqrt(eta))
-    coupling = np.kron(a_sig.T, a_env) - np.kron(a_sig, a_env.T)
-    return scipy.linalg.expm(theta * coupling)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    h = 1j * np.arccos(np.sqrt(eta)) * (np.kron(a.T, a) - np.kron(a, a.T))
+    totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for n in range(2 * d - 1):
+        block = np.ix_(totals == n, totals == n)
+        w, v = np.linalg.eigh(h[block])
+        u[block] = (v * np.exp(-1j * w)) @ v.conj().T
+    return u
 
 
 def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     """Loss through explicit vacuum environments, then a partial trace.
 
-    Each signal mode is coupled to its own environment mode by
-    bs_pair_unitary, and the environments are traced out. The environment
-    shares the signal cutoff, which is exact: a mode holding at most n_max
-    photons can lose at most n_max. A trace deficit beyond 1e-9 (roundoff
-    only) raises TruncationTooSmall.
+    Each signal mode is coupled to its own vacuum environment by
+    bs_pair_unitary, whose vacuum-environment column gives the Kraus
+    operators K_e[a, n] = <a, e|U|n, 0> of one mode. Tracing the environment
+    out is the one-mode channel (a, a') <- (n, n') = sum_e K_e x conj(K_e),
+    applied to both modes as two products on rho regrouped so that rows are
+    (n1, n1') and columns (n2, n2'). The environment shares the signal
+    cutoff, which is exact: a mode holding at most n_max photons can lose
+    at most n_max. A trace deficit beyond 1e-9 (roundoff only) raises
+    TruncationTooSmall.
     """
     check_eta(eta)
     trunc = rho.truncation
     d = trunc.dim_single
-    v = bs_pair_unitary(d, d, eta)
+    kraus = bs_pair_unitary(d, eta)[:, ::d].reshape(d, d, d)  # axes (a, e, n)
+    channel = np.einsum("aen,bem->abnm", kraus, kraus.conj()).reshape(d * d, d * d)
 
-    # eigenvectors of the block, embedded on the support, are those of the full operator
-    w, vecs = np.linalg.eigh(rho.block)
-    out = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for i in range(len(w)):
-        if w[i] < _EIGENVALUE_RANK_TOL:
-            continue
-        vec = np.zeros(trunc.dim, dtype=complex)
-        vec[rho.support] = vecs[:, i]
-        four = np.zeros((d, d, d, d), dtype=complex)
-        four[:, :, 0, 0] = vec.reshape(d, d)
-        # couple mode 1 to env 3: bring axes to (n1, n3 | n2, n4)
-        four = four.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        four = (v @ four).reshape(d, d, d, d)
-        # couple mode 2 to env 4: axes currently (n1, n3, n2, n4)
-        four = four.transpose(2, 3, 0, 1).reshape(d * d, d * d)
-        four = (v @ four).reshape(d, d, d, d)
-        # axes now (n2, n4, n1, n3); regroup to (signal pair, env pair)
-        signal_env = four.transpose(2, 0, 3, 1).reshape(d * d, d * d)
-        out += w[i] * (signal_env @ signal_env.conj().T)
+    def regroup(m: np.ndarray) -> np.ndarray:
+        # (n1, n2 | n1', n2') <-> (n1, n1' | n2, n2'); its own inverse
+        return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
+    out = regroup(channel @ regroup(rho.matrix) @ channel.T)
     deficit = abs(float(np.trace(out).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(

@@ -168,9 +168,11 @@ def sweep_rows(cfg: SweepConfig) -> list[str]:
         f_asym = qfi_ecs_ref_asymptotic(alpha, cfg.eta).value
         f_noon = qfi_noon_continuous(nm, cfg.eta)
         if min(f_noref, f_ref, f_noon) == 0.0:
+            # F grows with N below 1 and decays as eta^N above it
+            bound = "raise --n-min" if nm < 1.0 else "lower --n-max"
             raise NonpositiveFisher(
                 f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {cfg.eta:g}), "
-                "so its sensitivity is undefined; lower --n-max"
+                f"so its sensitivity is undefined; {bound}"
             )
         integer_n = "true" if abs(nm - round(nm)) < INTEGER_N_ATOL else "false"
         values = (

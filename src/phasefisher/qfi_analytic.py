@@ -157,6 +157,7 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
     return n_mean * n_mean * math.exp(n_mean * math.log(eta))
 
 
+@_in_double_range
 def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     """Exact spectral data of the lossy ECS under a reference beam.
 

@@ -37,12 +37,12 @@ from .channels import (
     two_arm_generator,
 )
 from .exceptions import (
+    DegenerateSpectrum,
     DimensionMismatch,
     InvalidWeights,
     NegativeEigenvalue,
     OracleTooLarge,
     PhaseFisherError,
-    TruncationTooSmall,
 )
 from .fock_core import (
     DEFAULT_TAIL_TOL,
@@ -158,7 +158,7 @@ class Scenario:
 
     Reference-beam scenarios hold a single unit-weight component; the
     reference-free scenario holds one component per surviving total-photon
-    sector, all on the probe cutoff.
+    sector. Every component sits on the same cutoff, the probe's.
     """
 
     components: tuple[tuple[float, DensityOperator], ...]
@@ -173,6 +173,9 @@ class Scenario:
             total += weight
         if total > 1.0 + 1e-10:
             raise InvalidWeights(f"component weights sum to {total} > 1")
+        cutoffs = {rho.truncation.n_max for _, rho in self.components}
+        if len(cutoffs) > 1:
+            raise DimensionMismatch(f"components on different cutoffs n_max={sorted(cutoffs)}")
 
 
 def _require_oracle_size(trunc: FockTruncation) -> None:
@@ -252,33 +255,19 @@ def scenario_qfi(scenario: Scenario) -> QFIResult:
     return QFIResult(total, NUMERIC, TWO_ARM)
 
 
-def scenario_mixture(
-    scenario: Scenario, trunc: FockTruncation | None = None
-) -> DensityOperator:
+def scenario_mixture(scenario: Scenario) -> DensityOperator:
     """Forget the component labels: the plain weighted sum as one operator.
 
     For the reference-free ECS this equals dephasing followed by loss of
     the full probe, and its QFI drops below the ensemble value once loss
     couples neighboring sectors.
     """
-    target = trunc
-    if target is None:
-        target = max((rho.truncation for _, rho in scenario.components), key=lambda t: t.n_max)
-    placed = []
-    for weight, rho in scenario.components:
-        small = rho.truncation
-        if small.n_max > target.n_max:
-            raise TruncationTooSmall(
-                f"component cutoff {small.n_max} exceeds target {target.n_max}"
-            )
-        n1, n2 = np.divmod(rho.support, small.dim_single)
-        placed.append((weight, n1 * target.dim_single + n2, rho.block))
-    support = functools.reduce(np.union1d, (idx for _, idx, _ in placed))
+    support = functools.reduce(np.union1d, (rho.support for _, rho in scenario.components))
     acc = np.zeros((support.size, support.size), dtype=complex)
-    for weight, idx, block in placed:
-        pos = np.searchsorted(support, idx)
-        acc[np.ix_(pos, pos)] += weight * block
-    return DensityOperator(support, acc, target)
+    for weight, rho in scenario.components:
+        pos = np.searchsorted(support, rho.support)
+        acc[np.ix_(pos, pos)] += weight * rho.block
+    return DensityOperator(support, acc, scenario.components[0][1].truncation)
 
 
 def two_level_matrix_numeric(
@@ -304,8 +293,13 @@ def two_level_matrix_numeric(
     psi1 = np.kron(c, vac)
     psi2 = np.kron(vac, c)
     p = float(np.vdot(psi1, psi2).real)
+    one_minus_p2 = 1.0 - p * p
+    if not one_minus_p2 > 0.0:
+        raise DegenerateSpectrum(
+            f"the two lossy branches coincide in double precision (1 - p^2 = {one_minus_p2!r})"
+        )
     e1 = psi1
-    e2 = (psi2 - p * e1) / math.sqrt(1.0 - p * p)
+    e2 = (psi2 - p * e1) / math.sqrt(one_minus_p2)
     basis = (e1[sigma.support], e2[sigma.support])
     m = np.empty((2, 2))
     for i in range(2):
@@ -357,15 +351,26 @@ class VerificationReport:
 
 
 def _run_check(name: str, tolerance: float, body) -> CheckResult:
-    """Failures never escape: any numerical error becomes a failed row."""
+    """Failures never escape: any numerical error becomes a failed row.
+
+    body returns its errors and a detail; the row reports the worst, and a
+    NaN among them is the worst (np.max propagates it, and NaN <= tolerance
+    is false).
+    """
     try:
-        err, detail = body()
+        errs, detail = body()
     except _CHECK_ERRORS as exc:
         return CheckResult(name, False, math.inf, tolerance, f"error: {exc}")
-    return CheckResult(name, bool(err <= tolerance), float(err), tolerance, detail)
+    err = float(np.max(errs, initial=0.0))
+    return CheckResult(name, bool(err <= tolerance), err, tolerance, detail)
 
 
 def _rel(value: float, reference: float) -> float:
+    """Relative error: 0 when the two are equal (both 0 included), inf when only reference is 0."""
+    if value == reference:
+        return 0.0
+    if reference == 0.0:
+        return math.inf
     return abs(value - reference) / abs(reference)
 
 
@@ -408,147 +413,137 @@ def verify_all(
     etas = sorted({e for _, e in grid})
 
     def noref_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             oracle = scenario_qfi(build_scenario(probe, WITHOUT_REFERENCE, cfg_for(alpha)))
-            worst = max(worst, _rel(oracle.value, qfi_ecs_noref(alpha, eta).value))
-        return worst, f"{len(grid)} points"
+            errs.append(_rel(oracle.value, qfi_ecs_noref(alpha, eta).value))
+        return errs, f"{len(grid)} points"
 
     def ref_body():
-        worst = 0.0
-        used = 0
+        errs = []
         for alpha, eta in grid:
-            if sigma_spectrum(alpha, eta).gamma_minus < GAMMA_MINUS_FLOOR:
+            if eta > 0.0 and sigma_spectrum(alpha, eta).gamma_minus < GAMMA_MINUS_FLOOR:
                 continue  # minor eigenvalue underflows; covered by lossless_equivalence
-            used += 1
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             oracle = scenario_qfi(build_scenario(probe, WITH_REFERENCE, cfg_for(alpha)))
-            worst = max(worst, _rel(oracle.value, qfi_ecs_ref(alpha, eta).value))
-        return worst, f"{used} points"
+            errs.append(_rel(oracle.value, qfi_ecs_ref(alpha, eta).value))
+        return errs, f"{len(errs)} points"
 
     def lossless_body():
-        worst = 0.0
-        for alpha in alphas:
-            worst = max(
-                worst, _rel(qfi_ecs_ref(alpha, 1.0).value, qfi_ecs_noref(alpha, 1.0).value)
-            )
-        return worst, f"{len(alphas)} points at eta=1"
+        errs = [_rel(qfi_ecs_ref(a, 1.0).value, qfi_ecs_noref(a, 1.0).value) for a in alphas]
+        return errs, f"{len(alphas)} points at eta=1"
 
     def sector_sum_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             block = qfi_ecs_noref_blocksum(alpha, eta, default_truncation(alpha))
-            worst = max(worst, _rel(block.value, qfi_ecs_noref(alpha, eta).value))
-        return worst, f"{len(grid)} points"
+            errs.append(_rel(block.value, qfi_ecs_noref(alpha, eta).value))
+        return errs, f"{len(grid)} points"
 
     def noon_body():
-        worst = 0.0
+        errs = []
         for n in NOON_ORDERS:
             for eta in etas:
                 probe = ProbeSpec("noon", eta, n=n)
                 closed = qfi_noon(n, eta).value
                 for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
                     oracle = scenario_qfi(build_scenario(probe, reference))
-                    worst = max(worst, _rel(oracle.value, closed))
-        return worst, f"orders {NOON_ORDERS}, both references"
+                    errs.append(_rel(oracle.value, closed))
+        return errs, f"orders {NOON_ORDERS}, both references"
 
     def asymptotic_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in ASYMPTOTIC_POINTS:
             if math.exp(-eta * alpha * alpha) >= 1e-8:
                 continue  # outside the regime the approximation claims
-            worst = max(
-                worst,
-                _rel(qfi_ecs_ref_asymptotic(alpha, eta).value, qfi_ecs_ref(alpha, eta).value),
+            errs.append(
+                _rel(qfi_ecs_ref_asymptotic(alpha, eta).value, qfi_ecs_ref(alpha, eta).value)
             )
-        return worst, f"{len(ASYMPTOTIC_POINTS)} large-field points"
+        return errs, f"{len(ASYMPTOTIC_POINTS)} large-field points"
 
     def shot_noise_body():
         eta = 0.9
         n_mean = 100.0
         alpha = alpha_for_mean_photon(n_mean)
         ratio = qfi_ecs_ref(alpha, eta).value / (eta * n_mean)
-        return abs(ratio - 1.0), f"F/(eta N) at N={n_mean:g}, eta={eta:g}"
+        return [abs(ratio - 1.0)], f"F/(eta N) at N={n_mean:g}, eta={eta:g}"
 
     def bs_body():
-        worst = 0.0
-        used = 0
+        errs = []
         for alpha in alphas:
             if alpha > 1.5:
                 continue  # four-mode route gets heavy; small fields settle the equality
             for eta in (0.6, 0.9):
-                used += 1
                 trunc = cfg_for(alpha).truncation
                 rho = ecs_vector(alpha, trunc, tail_tol).density()
                 via_kraus = apply_loss(rho, eta)
                 via_bs = apply_loss_via_bs(rho, eta)
-                worst = max(worst, _max_entry_gap(via_kraus, via_bs))
-        return worst, f"{used} points, entrywise"
+                errs.append(_max_entry_gap(via_kraus, via_bs))
+        return errs, f"{len(errs)} points, entrywise"
 
     def spectrum_eigen_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             if eta == 0.0:
                 continue
             s = spectrum_fn(alpha, eta)
             m = two_level_matrix_numeric(alpha, eta, cfg_for(alpha).truncation, tail_tol)
             lo, hi = np.linalg.eigvalsh(m)
-            worst = max(worst, abs(s.gamma_plus - hi), abs(s.gamma_minus - lo))
-        return worst, f"{len(grid)} points vs 2x2 eigensolve"
+            errs += [abs(s.gamma_plus - hi), abs(s.gamma_minus - lo)]
+        return errs, f"{len(grid)} points vs 2x2 eigensolve"
 
     def spectrum_invariant_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
+            if eta == 0.0:
+                continue
             s = spectrum_fn(alpha, eta)
-            worst = max(
-                worst,
+            errs += [
                 abs(s.gamma_plus + s.gamma_minus - 1.0),
                 abs(s.gamma_plus * s.gamma_minus - s.det_sigma),
-            )
-        return worst, "trace and determinant identities"
+            ]
+        return errs, "trace and determinant identities"
 
     def basis_matrix_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             if eta == 0.0:
                 continue
             delta = basis_matrix_fn(alpha, eta) - two_level_matrix_numeric(
                 alpha, eta, cfg_for(alpha).truncation, tail_tol
             )
-            worst = max(worst, float(np.max(np.abs(delta))))
-        return worst, f"{len(grid)} points, entrywise"
+            errs.append(float(np.max(np.abs(delta))))
+        return errs, f"{len(grid)} points, entrywise"
 
     def pipeline_body():
-        worst = 0.0
-        used = 0
+        errs = []
         for alpha, eta in grid:
             if alpha > 1.5:
                 continue
-            used += 1
             local = cfg_for(alpha)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             ensemble = build_scenario(probe, WITHOUT_REFERENCE, local)
-            merged = scenario_mixture(ensemble, local.truncation)
+            merged = scenario_mixture(ensemble)
             direct = phase_average(
                 apply_loss(ecs_vector(alpha, local.truncation, tail_tol).density(), eta)
             )
-            worst = max(worst, _max_entry_gap(merged, direct))
-        return worst, f"{used} points: sector merge equals dephase-then-lose"
+            errs.append(_max_entry_gap(merged, direct))
+        return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
 
     def generator_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             local = cfg_for(alpha)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
-            mix = scenario_mixture(build_scenario(probe, WITHOUT_REFERENCE, local), local.truncation)
+            mix = scenario_mixture(build_scenario(probe, WITHOUT_REFERENCE, local))
             two = qfi_numeric(mix, two_arm_generator(local.truncation)).value
             one = qfi_numeric(mix, single_arm_generator(local.truncation)).value
-            worst = max(worst, abs(one - two) / max(two, 1e-300))
-        return worst, f"{len(grid)} points, single-arm vs two-arm"
+            errs.append(abs(one - two) / max(two, 1e-300))
+        return errs, f"{len(grid)} points, single-arm vs two-arm"
 
     def stability_body():
-        worst = 0.0
+        errs = []
         for alpha, eta in grid:
             local = cfg_for(alpha)
             doubled = OracleConfig(FockTruncation(2 * local.truncation.n_max), tail_tol)
@@ -556,8 +551,8 @@ def verify_all(
             for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
                 base = scenario_qfi(build_scenario(probe, reference, local)).value
                 wide = scenario_qfi(build_scenario(probe, reference, doubled)).value
-                worst = max(worst, _rel(base, wide))
-        return worst, f"{len(grid)} points, cutoff doubled"
+                errs.append(_rel(base, wide))
+        return errs, f"{len(grid)} points, cutoff doubled"
 
     checks = (
         _run_check("noref_closed_vs_oracle", 1e-6, noref_body),

@@ -315,8 +315,15 @@ class TestGenerators:
 
 class TestBeamSplitterRoute:
     def test_pair_unitary_is_unitary(self):
-        v = bs_pair_unitary(5, 5, 0.6)
+        v = bs_pair_unitary(5, 0.6)
         assert np.allclose(v @ v.conj().T, np.eye(25), atol=1e-12)
+
+    def test_pair_unitary_conserves_total_number(self):
+        # exponentiated block by block, it couples no two states of different n + e
+        d = 6
+        totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
+        v = bs_pair_unitary(d, 0.3)
+        assert np.all(v[totals[:, None] != totals[None, :]] == 0.0)
 
     def test_pair_unitary_splits_coherent(self):
         # |alpha>|0> -> |sqrt(eta) alpha>|-sqrt(1-eta) alpha>
@@ -325,7 +332,7 @@ class TestBeamSplitterRoute:
         trunc = FockTruncation(d - 1)
         vac = np.zeros(d, dtype=complex)
         vac[0] = 1.0
-        out = bs_pair_unitary(d, d, eta) @ np.kron(coherent_vector(alpha, trunc), vac)
+        out = bs_pair_unitary(d, eta) @ np.kron(coherent_vector(alpha, trunc), vac)
         want = np.kron(
             coherent_vector(math.sqrt(eta) * alpha, trunc),
             coherent_vector(-math.sqrt(1.0 - eta) * alpha, trunc),

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,12 @@ from phasefisher.channels import (
     two_arm_generator,
 )
 from phasefisher.exceptions import (
+    DegenerateSpectrum,
     DimensionMismatch,
     InvalidEta,
     InvalidWeights,
     NegativeEigenvalue,
     OracleTooLarge,
-    TruncationTooSmall,
 )
 from phasefisher.fock_core import (
     DEFAULT_TAIL_TOL,
@@ -49,6 +50,7 @@ from phasefisher.qfi_oracle import (
     WITHOUT_REFERENCE,
     OracleConfig,
     Scenario,
+    _rel,
     build_scenario,
     qfi_numeric,
     scenario_mixture,
@@ -285,7 +287,7 @@ class TestScenarioMixture:
         trunc = default_truncation(alpha)
         cfg = OracleConfig(truncation=trunc)
         scenario = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE, cfg)
-        merged = scenario_mixture(scenario, trunc)
+        merged = scenario_mixture(scenario)
         direct = phase_average(apply_loss(ecs_vector(alpha, trunc).density(), eta))
         assert np.allclose(merged.matrix, direct.matrix, atol=1e-13)
 
@@ -305,16 +307,25 @@ class TestScenarioMixture:
         ensemble_qfi = scenario_qfi(scenario).value
         assert mixture_qfi < ensemble_qfi
 
-    def test_target_truncation_must_hold_components(self):
-        scenario = build_scenario(ProbeSpec("ecs", 0.9, alpha=1.0), WITHOUT_REFERENCE)
-        with pytest.raises(TruncationTooSmall):
-            scenario_mixture(scenario, FockTruncation(1))
+    def test_components_must_share_a_cutoff(self):
+        # the mixture is taken on the components' one cutoff, so a scenario has only one
+        small = noon_vector(1, FockTruncation(1)).density()
+        large = noon_vector(1, FockTruncation(2)).density()
+        with pytest.raises(DimensionMismatch):
+            Scenario(((0.5, small), (0.5, large)))
 
 
 class TestTwoLevelNumeric:
     def test_matches_closed_basis_matrix(self):
         m = two_level_matrix_numeric(1.3, 0.7)
         assert np.allclose(m, basis_overlap_matrix(1.3, 0.7), atol=1e-12)
+
+    def test_coincident_branches_raise_typed_error(self):
+        # at eta 1e-300 both lossy branches are the vacuum in double precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpectrum):
+                two_level_matrix_numeric(1.0, 1e-300)
 
     def test_eigenvalues_match_spectrum(self):
         s = sigma_spectrum(1.3, 0.7)
@@ -337,6 +348,25 @@ def _basis_with_spurious_coherence_factor(alpha: float, eta: float):
 
 
 class TestVerifyAll:
+    def test_relative_error_at_zero_reference(self):
+        assert _rel(0.0, 0.0) == 0.0
+        assert _rel(1e-300, 0.0) == math.inf
+        assert _rel(2.0, 1.0) == 1.0
+        assert math.isnan(_rel(math.nan, 1.0))
+
+    def test_nan_error_fails_its_row(self):
+        # a NaN at a later grid point must not be folded away by an earlier finite error
+        def spectrum_nan_at_second_point(alpha, eta):
+            s = sigma_spectrum(alpha, eta)
+            return dataclasses.replace(s, gamma_plus=math.nan) if alpha > 0.6 else s
+
+        report = verify_all([(0.5, 0.9), (0.8, 0.9)], spectrum_fn=spectrum_nan_at_second_point)
+        rows = {c.name: c for c in report.checks}
+        for name in ("spectrum_eigenvalues", "spectrum_invariants"):
+            assert not rows[name].passed
+            assert math.isnan(rows[name].max_err)
+        assert rows["basis_matrix_vs_numeric"].passed
+
     def test_single_point_grid_passes(self):
         report = verify_all([(0.5, 1.0)])
         assert report.passed, report.render()
