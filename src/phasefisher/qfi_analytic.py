@@ -11,10 +11,14 @@ and collapses to the compact form
 With a reference beam the lossy ECS stays a rank-two mixture of the
 nonorthogonal pair |Psi_1> = |sqrt(eta) alpha, 0>, |Psi_2> = |0, sqrt(eta)
 alpha>. Its spectrum is worked out exactly in a Gram-Schmidt basis (overlap
-p = e^{-eta |alpha|^2}, coherence p_perp = e^{-(1-eta)|alpha|^2}) and fed to
-the two-level mixed-state QFI formula
+p = e^{-eta |alpha|^2}, coherence p_perp = e^{-(1-eta)|alpha|^2}). Fed to
+the two-level mixed-state QFI formula (Liu et al., J. Phys. A 53, 023001
+(2020))
 
-    F = 4 (g+ Var+ + g- Var- - 4 g+ g- |<g+|G|g->|^2).
+    F = 4 (g+ Var+ + g- Var- - 4 g+ g- |<g+|G|g->|^2),
+
+it reduces to a closed form with no subtraction; the tests keep the
+spectral route as its reference.
 
 Every quantity here is validated against the brute-force oracle in
 qfi_oracle; the spectral coefficients additionally against a numeric
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    DegenerateSpectrum,
     InvalidEta,
     InvalidWeights,
     NonpositiveFisher,
@@ -161,11 +164,13 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
 def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     """Exact spectral data of the lossy ECS under a reference beam.
 
-    Eigenvalues are gamma_pm = (1 +/- sqrt(1 - 4 det)) / 2; the radicand
-    carries the factor 4 required by the trace-one determinant relation of
-    a 2x2 density matrix (and by the zeta coefficients below, which use the
-    same radical). The numeric two-level eigensolve in qfi_oracle arbitrates
-    this choice.
+    With q = p p_perp = e^{-|alpha|^2}, the trace-one determinant relation
+    of a 2x2 density matrix gives 1 - 4 det = r^2 for r = (p + p_perp)/(1 + q),
+    because (1 + q)^2 - (1 - p^2)(1 - p_perp^2) = (p + p_perp)^2. So
+    gamma_pm = (1 +/- r)/2, with gamma_minus = (1 - p)(1 - p_perp)/(2 (1 + q)),
+    and the eigenvector weights collapse to zeta_pm = sqrt((1 +/- p)/2); no
+    value is a difference of nearly equal terms. The numeric two-level
+    eigensolve in qfi_oracle arbitrates these forms.
     """
     check_eta(eta)
     a2 = abs(alpha) ** 2
@@ -176,36 +181,25 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     nsq = ecs_normalization(alpha) ** 2
     p = math.exp(-eta * a2)
     p_perp = math.exp(-(1.0 - eta) * a2)
-    one_minus_p2 = -math.expm1(-2.0 * eta * a2)  # 1 - p^2 without cancellation
-    det = nsq * nsq * one_minus_p2 * (-math.expm1(-2.0 * (1.0 - eta) * a2))
-    radicand = 1.0 - 4.0 * det
-    if radicand < -1e-12:
-        raise DegenerateSpectrum(f"1 - 4 det = {radicand!r} below tolerance")
-    r = math.sqrt(max(radicand, 0.0))
-    gamma_plus = 0.5 * (1.0 + r)
-    # algebraically (1 - r)/2, rewritten to survive det -> 0
-    gamma_minus = 2.0 * det / (1.0 + r)
-    sigma3 = 1.0 - 2.0 * nsq * one_minus_p2
-    zeta_plus = math.sqrt((r + sigma3) / (2.0 * r))
-    zeta_minus = math.sqrt((r - sigma3) / (2.0 * r))
-    root = math.sqrt(one_minus_p2)
-    d_minus = zeta_minus / root
-    d_plus = zeta_plus / root
-    c_plus = zeta_plus - p * d_minus
-    c_minus = -zeta_minus - p * d_plus
+    one_plus_q = 1.0 + math.exp(-a2)
+    one_minus_p = -math.expm1(-eta * a2)
+    det = nsq * nsq * -math.expm1(-2.0 * eta * a2) * -math.expm1(-2.0 * (1.0 - eta) * a2)
+    r = (p + p_perp) / one_plus_q
+    d_minus = 1.0 / math.sqrt(2.0 * (1.0 + p))
+    d_plus = 1.0 / math.sqrt(2.0 * one_minus_p)
     return EcsLossySpectrum(
         p=p,
         p_perp=p_perp,
         det_sigma=det,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        zeta_plus=zeta_plus,
-        zeta_minus=zeta_minus,
-        c_plus=c_plus,
-        c_minus=c_minus,
+        gamma_plus=0.5 * (1.0 + r),
+        gamma_minus=one_minus_p * -math.expm1(-(1.0 - eta) * a2) / (2.0 * one_plus_q),
+        zeta_plus=math.sqrt(0.5 * (1.0 + p)),
+        zeta_minus=math.sqrt(0.5 * one_minus_p),
+        c_plus=d_minus,
+        c_minus=-d_plus,
         d_plus=d_plus,
         d_minus=d_minus,
-        sigma3_expect=sigma3,
+        sigma3_expect=p * r,
     )
 
 
@@ -256,44 +250,25 @@ def qfi_two_level(
 def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     """QFI of the lossy ECS when a reference beam fixes the sum phase.
 
-    Expectation values of the two-arm generator over the nonorthogonal pair
-    are <Psi_1|G|Psi_1> = -<Psi_2|G|Psi_2> = eta |alpha|^2 / 2 and
-    <Psi_i|G^2|Psi_i> = (eta |alpha|^2 + eta^2 |alpha|^4)/4, with both cross
-    matrix elements zero; everything else comes from sigma_spectrum.
+    The two-level formula over sigma_spectrum, with the generator moments
+    <Psi_1|G|Psi_1> = -<Psi_2|G|Psi_2> = x/2 and <Psi_i|G^2|Psi_i> =
+    (x + x^2)/4 of the nonorthogonal pair (x = eta |alpha|^2, both cross
+    matrix elements zero), reduces exactly to
+
+        F = x/(1 + q) + x^2 (q + p_perp^2)/(1 + q)^2,    q = e^{-|alpha|^2}.
+
+    Every term is positive, so F keeps full precision wherever it fits in a
+    double; x^2 is never formed alone, so it cannot overflow before F does.
     """
     check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
-    s = sigma_spectrum(alpha, eta)
     x = eta * a2
-    g1 = 0.5 * x
-    g2 = 0.25 * (x + x * x)
-    var_plus = (s.c_plus**2 + s.d_minus**2) * g2 - ((s.c_plus**2 - s.d_minus**2) * g1) ** 2
-    var_minus = (s.c_minus**2 + s.d_plus**2) * g2 - ((s.c_minus**2 - s.d_plus**2) * g1) ** 2
-    cross = (s.c_plus * s.c_minus - s.d_minus * s.d_plus) * g1
-    value = qfi_two_level(s.gamma_plus, s.gamma_minus, var_plus, var_minus, cross * cross)
+    q = math.exp(-a2)
+    p_perp2 = math.exp(-2.0 * (1.0 - eta) * a2)
+    value = x / (1.0 + q) + x * (x * (q + p_perp2)) / (1.0 + q) ** 2
     return QFIResult(value, CLOSED_FORM)
-
-
-def qfi_ecs_ref_reduced(alpha: complex, eta: float) -> float:
-    """Algebraic reduction of qfi_ecs_ref, kept as an internal cross-check.
-
-    Substituting the exact coefficient values collapses the spectral route to
-
-        F = (x + x^2)/(1 + p p_perp) - x^2 (1 - p_perp^2)/(1 + p p_perp)^2
-
-    with x = eta |alpha|^2. Tests assert agreement with the spectral route
-    at 1e-12; any divergence means one of the two transcriptions drifted.
-    """
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0 or eta == 0.0:
-        return 0.0
-    x = eta * a2
-    pp = math.exp(-eta * a2) * math.exp(-(1.0 - eta) * a2)
-    denominator = 1.0 + pp
-    return (x + x * x) / denominator - x * x * (-math.expm1(-2.0 * (1.0 - eta) * a2)) / denominator**2
 
 
 @_in_double_range

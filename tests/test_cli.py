@@ -97,14 +97,23 @@ class TestPoint:
 
     @pytest.mark.parametrize("reference", ["with", "without"])
     def test_alpha_beyond_double_range_exits_two(self, capsys, reference):
-        # with reference the closed form overflows; without, it would be 0 * inf
-        rc = main(["point", "--family", "ecs", "--alpha", "1e100", "--eta", "0.9",
+        # |alpha|^2 itself overflows at alpha = 1e200
+        rc = main(["point", "--family", "ecs", "--alpha", "1e200", "--eta", "0.9",
                    "--reference", reference])
         assert rc == 2
         captured = capsys.readouterr()
         assert "nan" not in captured.out
-        assert captured.err.startswith("error:")
+        closed_form = "qfi_ecs_ref" if reference == "with" else "qfi_ecs_noref"
+        assert captured.err.startswith(f"error: {closed_form} overflows double precision")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("alpha, exact", [("1e50", 9e99), ("1e100", 9e199)])
+    def test_reference_beam_exact_at_huge_alpha(self, capsys, alpha, exact):
+        # there F = 0.9 |alpha|^2: the x^2 term of the closed form is 0, and x^2 alone overflows
+        rc = main(["point", "--family", "ecs", "--alpha", alpha, "--eta", "0.9",
+                   "--reference", "with"])
+        assert rc == 0
+        assert _stdout_value(capsys.readouterr().out, "F") == pytest.approx(exact, rel=1e-15)
 
     def test_oversized_oracle_exits_two(self, capsys):
         rc = main(["point", "--family", "noon", "--n", "100000", "--eta", "0.9", "--oracle"])
@@ -428,7 +437,7 @@ def _cli_argv(draw) -> list[str]:
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_cli_argv())
-# eta |alpha|^2 below the smallest double: 1 - p^2 underflows to 0 inside sigma_spectrum
+# eta |alpha|^2 below the smallest double: the true F underflows, so F = 0.0 and exit 0
 @example(argv=["crossings", "--eta=5e-324", "--tol=1e-06"])
 @example(argv=["sweep", "--eta=5e-324", "--points=5", "--output", "SWEEP"])
 @example(argv=["point", "--family", "ecs", "--alpha=1e-160", "--eta=1e-300", "--reference", "with"])
@@ -447,6 +456,49 @@ def test_main_survives_arbitrary_numbers(tmp_path, capsys, argv):
         assert math.isfinite(_stdout_value(stdout, "F    =")), (argv, stdout)
     if argv[0] == "sweep":
         assert out.exists() == (rc == 0), (argv, captured)
+
+
+ORACLE_ALPHAS = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, 5e-324, 1e-3, 1.5]),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+TRUNC_TOLS = st.one_of(st.none(), st.sampled_from([math.nan, 0.0, 2.0, 1e-2, 1e-12]))
+
+
+@st.composite
+def _oracle_argv(draw) -> list[str]:
+    """argv for `point --oracle` (ECS alpha <= 1.5, NOON n <= 40) or `verify --grid single`."""
+    command = draw(st.sampled_from(["point-ecs", "point-noon", "verify"]))
+    eta = _flag("eta", draw(EDGE_FLOATS))
+    trunc_tol = draw(TRUNC_TOLS)
+    tail = [] if trunc_tol is None else [_flag("trunc-tol", trunc_tol)]
+    if command == "verify":
+        return ["verify", "--grid", "single", _flag("alpha", draw(ORACLE_ALPHAS)), eta, *tail]
+    if command == "point-ecs":
+        reference = draw(st.sampled_from(["with", "without"]))
+        return ["point", "--family", "ecs", _flag("alpha", draw(ORACLE_ALPHAS)), eta,
+                "--reference", reference, "--oracle", *tail]
+    return ["point", "--family", "noon", _flag("n", draw(st.integers(-3, 40))), eta,
+            "--oracle", *tail]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_oracle_argv())
+def test_oracle_commands_survive_arbitrary_numbers(capsys, argv):
+    """`point --oracle` exits 0, 2 or 3 and `verify` 0, 1 or 2: no traceback, nan or warning.
+
+    Exit 3 and exit 1 include the oracle's false breaches near alpha = 1e-3,
+    which come from its absolute eigenvalue and pair floors.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc in ((0, 1, 2) if argv[0] == "verify" else (0, 2, 3)), (argv, captured)
+    assert "Traceback" not in captured.err, (argv, captured.err)
+    assert "nan" not in captured.out.split(), (argv, captured.out)  # "determinant" has one
+    assert not caught, (argv, [str(w.message) for w in caught])
 
 
 NOON_POINT = ["point", "--family", "noon", "--n", "2", "--eta", "0.5"]

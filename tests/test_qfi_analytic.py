@@ -1,11 +1,15 @@
 """Closed-form QFI values, spectral data identities, and their internal consistency."""
 
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
+
+from perfbench.reference import f_noon, f_noref, f_ref
 
 from phasefisher.exceptions import (
     InvalidEta,
@@ -24,7 +28,6 @@ from phasefisher.qfi_analytic import (
     qfi_ecs_noref_blocksum,
     qfi_ecs_ref,
     qfi_ecs_ref_asymptotic,
-    qfi_ecs_ref_reduced,
     qfi_noon,
     qfi_noon_continuous,
     qfi_two_level,
@@ -79,10 +82,23 @@ class TestRef:
 
     @given(alpha=st.floats(0.1, 3.0), eta=st.floats(0.05, 1.0))
     @settings(max_examples=200, deadline=None)
-    def test_spectral_route_equals_reduced_form(self, alpha, eta):
-        spectral = qfi_ecs_ref(alpha, eta).value
-        reduced = qfi_ecs_ref_reduced(alpha, eta)
-        assert abs(spectral - reduced) <= 1e-12 * max(abs(reduced), 1.0)
+    def test_closed_form_equals_spectral_route(self, alpha, eta):
+        """The paper's route: generator variances in the two eigenstates, their cross term, qfi_two_level.
+
+        Over the nonorthogonal pair <Psi_1|G|Psi_1> = -<Psi_2|G|Psi_2> =
+        x/2 and <Psi_i|G^2|Psi_i> = (x + x^2)/4 with x = eta |alpha|^2;
+        both cross matrix elements vanish.
+        """
+        s = sigma_spectrum(alpha, eta)
+        x = eta * alpha * alpha
+        g1 = 0.5 * x
+        g2 = 0.25 * (x + x * x)
+        var_plus = (s.c_plus**2 + s.d_minus**2) * g2 - ((s.c_plus**2 - s.d_minus**2) * g1) ** 2
+        var_minus = (s.c_minus**2 + s.d_plus**2) * g2 - ((s.c_minus**2 - s.d_plus**2) * g1) ** 2
+        cross = (s.c_plus * s.c_minus - s.d_minus * s.d_plus) * g1
+        spectral = qfi_two_level(s.gamma_plus, s.gamma_minus, var_plus, var_minus, cross * cross)
+        closed = qfi_ecs_ref(alpha, eta).value
+        assert abs(closed - spectral) <= 1e-12 * max(abs(spectral), 1.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_lossless_limit_closes_the_scenario_gap(self, alpha):
@@ -143,7 +159,9 @@ class TestSpectrum:
         rebuilt = s.gamma_plus * np.outer(v_plus, v_plus) + s.gamma_minus * np.outer(
             v_minus, v_minus
         )
-        assert np.allclose(rebuilt, basis_overlap_matrix(alpha, eta), atol=1e-12)
+        m = basis_overlap_matrix(alpha, eta)
+        assert np.allclose(rebuilt, m, atol=1e-12)
+        assert s.sigma3_expect == pytest.approx(m[0, 0] - m[1, 1], abs=1e-12)
 
     def test_invariants_on_dense_grid(self):
         worst_trace = worst_det = worst_gram = 0.0
@@ -288,7 +306,110 @@ def test_result_rejects_non_finite_value(value):
 
 
 def test_closed_form_overflow_is_typed():
+    # |alpha|^2 itself overflows at alpha = 1e200
     with pytest.raises(NumericalOverflow, match="qfi_ecs_ref"):
-        qfi_ecs_ref(1e100, 0.9)
+        qfi_ecs_ref(1e200, 0.9)
     with pytest.raises(NumericalOverflow, match="qfi_noon"):
         qfi_noon(n=10**200, eta=0.9)
+
+
+EPS = sys.float_info.epsilon
+SMALLEST_NORMAL = sys.float_info.min
+SMALLEST_SUBNORMAL = SMALLEST_NORMAL * EPS
+
+
+def _spectrum_reference(a2, eta) -> dict:
+    """EcsLossySpectrum in mpmath from the same closed forms; TestSpectrum ties them to the paper."""
+    x, u = eta * a2, (1 - eta) * a2
+    p, p_perp, q = mp.exp(-x), mp.exp(-u), mp.exp(-a2)
+    one_minus_p, one_minus_p_perp = -mp.expm1(-x), -mp.expm1(-u)
+    r = (p + p_perp) / (1 + q)
+    d_minus, d_plus = 1 / mp.sqrt(2 * (1 + p)), 1 / mp.sqrt(2 * one_minus_p)
+    return {
+        "p": p,
+        "p_perp": p_perp,
+        "det_sigma": one_minus_p * (1 + p) * one_minus_p_perp * (1 + p_perp) / (4 * (1 + q) ** 2),
+        "gamma_plus": (1 + r) / 2,
+        "gamma_minus": one_minus_p * one_minus_p_perp / (2 * (1 + q)),
+        "zeta_plus": mp.sqrt((1 + p) / 2),
+        "zeta_minus": mp.sqrt(one_minus_p / 2),
+        "c_plus": d_minus,
+        "c_minus": -d_plus,
+        "d_plus": d_plus,
+        "d_minus": d_minus,
+        "sigma3_expect": p * r,
+    }
+
+
+def _input_spread(f, a2, eta) -> float:
+    """Summed relative change of f(a2, eta) when |alpha|^2, eta or 1 - eta moves by one epsilon.
+
+    This is the condition number times epsilon: the error a double-precision
+    evaluation cannot avoid, because it rounds exactly these three inputs.
+    eta also moves by one subnormal step in eta |alpha|^2, the spacing that
+    product has once it is below the normal range.
+    """
+    base = f(a2, eta)
+    if base == 0:
+        return 0.0
+    moved = (
+        f(a2 * (1 + EPS), eta),
+        f(a2, eta * (1 + EPS) + SMALLEST_SUBNORMAL / a2),
+        f(a2, 1 - (1 - eta) * (1 + EPS)),
+    )
+    return float(sum(abs(m / base - 1) for m in moved))
+
+
+def _assert_near(name, compute, f, a2, eta):
+    """compute() against the 50-digit f(a2, eta): see test_closed_forms_match_50_digit_reference."""
+    ref = f(a2, eta)
+    try:
+        got = compute()
+    except NumericalOverflow:
+        assert abs(ref) > sys.float_info.max, (name, ref)
+        return
+    tol = (4 * EPS + 2 * _input_spread(f, a2, eta)) * abs(ref) + SMALLEST_NORMAL
+    assert abs(mp.mpf(got) - ref) <= tol, (name, got, ref)
+
+
+@given(
+    alpha=st.floats(-4.0, 8.0).map(lambda k: 10.0**k),
+    eta=st.floats(0.0, 1.0),
+    n=st.integers(1, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+@example(alpha=1e8, eta=0.9, n=1)
+@example(alpha=12.0, eta=0.9, n=40)
+@example(alpha=1e-4, eta=5e-324, n=10**6)
+def test_closed_forms_match_50_digit_reference(alpha, eta, n):
+    """Every closed form and EcsLossySpectrum field is exact to double precision.
+
+    The reference is the 50-digit mpmath value at the same double inputs.
+    A value passes when |got - ref| <= (4 eps + 2 s) |ref| + 2.2e-308, with
+    eps = 2.2e-16 and s the spread of the reference under the roundings of
+    |alpha|^2, eta and 1 - eta that no double evaluation avoids (see
+    _input_spread). The absolute 2.2e-308, the smallest normal double,
+    counts 0 as correct where the true value underflows. NumericalOverflow
+    passes only where the true value leaves double range: F above the
+    largest double, or 1 - p so small that it rounds to 0, where d_plus =
+    1/sqrt(2 (1 - p)) has no double left to be computed from; there it is
+    required.
+    """
+    a2, eta_mp = mp.mpf(alpha) ** 2, mp.mpf(eta)
+
+    def at(f):
+        return lambda a2, eta: f(mp.sqrt(a2), eta)
+
+    _assert_near("qfi_ecs_ref", lambda: qfi_ecs_ref(alpha, eta).value, at(f_ref), a2, eta_mp)
+    _assert_near("qfi_ecs_noref", lambda: qfi_ecs_noref(alpha, eta).value, at(f_noref), a2, eta_mp)
+    _assert_near("qfi_noon", lambda: qfi_noon(n, eta).value, lambda _, e: f_noon(n, e), a2, eta_mp)
+    if eta == 0.0:
+        return  # the spectrum is undefined there
+    if -2 * mp.expm1(-eta_mp * a2) < SMALLEST_SUBNORMAL:
+        with pytest.raises(NumericalOverflow):
+            sigma_spectrum(alpha, eta)
+        return
+    s = sigma_spectrum(alpha, eta)
+    for name in _spectrum_reference(a2, eta_mp):
+        field = lambda a2, eta, name=name: _spectrum_reference(a2, eta)[name]
+        _assert_near(name, lambda: getattr(s, name), field, a2, eta_mp)
