@@ -43,9 +43,7 @@ from .qfi_analytic import (
 from .qfi_oracle import (
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
-    OracleConfig,
     build_scenario,
-    cutoff_config,
     scenario_qfi,
     verify_all,
 )
@@ -98,7 +96,9 @@ class SweepConfig:
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
-            return np.geomspace(self.n_min, self.n_max, self.points)
+            # near the largest double, geomspace overflows in the power it then overwrites
+            with np.errstate(over="ignore"):
+                return np.geomspace(self.n_min, self.n_max, self.points)
         return np.linspace(self.n_min, self.n_max, self.points)
 
 
@@ -116,6 +116,9 @@ def cmd_point(
     use_oracle: bool = False,
     trunc_tol: float | None = None,
 ) -> int:
+    # the tail tolerance picks the ECS oracle's cutoff; a NOON probe's is its n
+    if trunc_tol is not None and (family != "ecs" or not use_oracle):
+        raise ValueError("--trunc-tol applies only to --family ecs with --oracle")
     if family == "ecs":
         if alpha is None:
             raise ValueError("--alpha is required for the ecs family")
@@ -141,13 +144,8 @@ def cmd_point(
 
     if not use_oracle:
         return 0
-    if trunc_tol is None:
-        cfg = OracleConfig()
-    elif family == "ecs":
-        cfg = cutoff_config(probe.alpha, trunc_tol)
-    else:
-        cfg = OracleConfig(tail_tol=trunc_tol)
-    numeric = scenario_qfi(build_scenario(probe, reference, cfg))
+    tail_tol = DEFAULT_TAIL_TOL if trunc_tol is None else trunc_tol
+    numeric = scenario_qfi(build_scenario(probe, reference, tail_tol=tail_tol))
     scale = abs(result.value) if result.value != 0.0 else 1.0
     deviation = abs(numeric.value - result.value) / scale
     tolerance = ORACLE_POINT_TOL[(family, reference)]
@@ -167,8 +165,8 @@ def sweep_rows(cfg: SweepConfig) -> list[str]:
         f_ref = qfi_ecs_ref(alpha, cfg.eta).value
         f_asym = qfi_ecs_ref_asymptotic(alpha, cfg.eta).value
         f_noon = qfi_noon_continuous(nm, cfg.eta)
-        if min(f_noref, f_ref, f_noon) == 0.0:
-            # F grows with N below 1 and decays as eta^N above it
+        if min(f_noref, f_ref, f_noon, cfg.eta * nm) == 0.0:
+            # F grows with N below 1 and decays as eta^N above it; eta N is the shot-noise F
             bound = "raise --n-min" if nm < 1.0 else "lower --n-max"
             raise NonpositiveFisher(
                 f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {cfg.eta:g}), "
@@ -240,7 +238,8 @@ def find_crossings(
         if gaps[i] == 0.0:
             roots.append(float(ns[i]))
             continue
-        if gaps[i] * gaps[i + 1] >= 0.0:
+        # compare signs, not a product: two tiny gaps multiply to -0.0
+        if gaps[i + 1] == 0.0 or (gaps[i] > 0.0) == (gaps[i + 1] > 0.0):
             continue
         lo, hi, glo = float(ns[i]), float(ns[i + 1]), gaps[i]
         for _ in range(200):
@@ -286,14 +285,17 @@ def cmd_crossings(eta: float, tolerance: float = 1e-6) -> int:
 
 def cmd_verify(
     grid_mode: str = "full",
-    alpha: float = 0.5,
-    eta: float = 1.0,
+    alpha: float | None = None,
+    eta: float | None = None,
     trunc_tol: float = DEFAULT_TAIL_TOL,
     output: str | None = None,
 ) -> int:
-    # --alpha and --eta follow the domain of `point`, even where the full grid ignores them
-    ProbeSpec("ecs", eta, alpha=alpha)
-    grid = [(alpha, eta)] if grid_mode == "single" else None
+    if grid_mode == "single":
+        grid = [(0.5 if alpha is None else alpha, 1.0 if eta is None else eta)]
+    elif alpha is not None or eta is not None:
+        raise ValueError("--alpha and --eta apply only to --grid single")
+    else:
+        grid = None
     report = verify_all(grid, tail_tol=trunc_tol)
     print(report.render())
     if output is not None:
@@ -316,7 +318,10 @@ def build_parser() -> ArgumentParser:
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--reference", choices=(WITH_REFERENCE, WITHOUT_REFERENCE))
     point.add_argument("--oracle", action="store_true", help="cross-check against the numeric oracle")
-    point.add_argument("--trunc-tol", type=float, default=None, dest="trunc_tol")
+    point.add_argument(
+        "--trunc-tol", type=float, default=None, dest="trunc_tol",
+        help=f"coherent tail weight the ECS oracle may drop (default {DEFAULT_TAIL_TOL:g})",
+    )
 
     sweep = sub.add_parser("sweep", help="write a sensitivity-vs-N CSV")
     sweep.add_argument("--eta", type=float, required=True)
@@ -332,8 +337,8 @@ def build_parser() -> ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the closed-form-vs-oracle suite")
     verify.add_argument("--grid", choices=("full", "single"), default="full")
-    verify.add_argument("--alpha", type=float, default=0.5)
-    verify.add_argument("--eta", type=float, default=1.0)
+    verify.add_argument("--alpha", type=float, help="with --grid single (default 0.5)")
+    verify.add_argument("--eta", type=float, help="with --grid single (default 1.0)")
     verify.add_argument("--trunc-tol", type=float, default=DEFAULT_TAIL_TOL, dest="trunc_tol")
     verify.add_argument("--output", default=None)
     return parser

@@ -17,25 +17,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotHermitian, TruncationTooSmall
+from .exceptions import (
+    DimensionMismatch,
+    NotHermitian,
+    NumericalOverflow,
+    OracleTooLarge,
+    TruncationTooSmall,
+)
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# Coherent tail weight sum_{n > n_max} |c_n|^2 guaranteed by the default policy.
+# Coherent tail weight sum_{n > n_max} |c_n|^2 the oracle's cutoffs default to.
 DEFAULT_TAIL_TOL = 1e-12
+
+# largest complex amplitude vector over the two-mode basis (n_max <= 2047); the
+# oracle's probes and their per-basis-state arrays all scale with it
+MAX_STATE_VECTOR_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Per-mode Fock cutoff. Two-mode dimension is (n_max + 1)**2."""
+    """Per-mode Fock cutoff. Two-mode dimension is (n_max + 1)**2.
+
+    n_max above 2047 raises OracleTooLarge: one amplitude vector over the
+    two-mode basis would pass MAX_STATE_VECTOR_BYTES.
+    """
 
     n_max: int
 
     def __post_init__(self) -> None:
         if self.n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        # every oversized cutoff is refused here, before anything is allocated
+        need = 16 * self.dim
+        if need > MAX_STATE_VECTOR_BYTES:
+            raise OracleTooLarge(
+                f"cutoff n_max={self.n_max} needs {need / 2**30:.3g} GiB per state vector; "
+                f"the oracle allows {MAX_STATE_VECTOR_BYTES / 2**20:g} MiB"
+            )
 
     @property
     def dim_single(self) -> int:
@@ -61,36 +82,44 @@ class FockTruncation:
         return n1 + n2
 
 
-def default_truncation(alpha: complex) -> FockTruncation:
-    # Poisson tail decay makes every reported digit truncation-insensitive
-    # at this margin; see truncation_for_tolerance for the adaptive variant.
-    a = abs(alpha)
-    return FockTruncation(math.ceil(a * a + 10.0 * a + 20.0))
-
-
 def truncation_for_tolerance(alpha: complex, tail_tol: float) -> FockTruncation:
     """Smallest cutoff whose coherent tail weight is below tail_tol.
 
     The tail is sum_{n > n_max} |c_n|^2 for the coherent amplitudes of
-    strength |alpha|; it bounds the weight any state built here can lose.
+    strength |alpha|, the Poisson tail P(N > n_max) at mean |alpha|^2; it
+    bounds the weight any state built here can lose. The tail is summed
+    from the top down with each term taken in log space, so neither an
+    underflowing e^{-|alpha|^2} nor the roundoff of 1 - P(N <= n_max) moves
+    the cutoff. A cutoff past the size ceiling raises OracleTooLarge.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
-    lam = abs(alpha) ** 2
+    lam = abs(alpha) * abs(alpha)  # inf past double range, where ** raises OverflowError
     if lam == 0.0:
         return FockTruncation(0)
-    # walk the Poisson pmf until the remaining mass drops below tolerance
-    term = math.exp(-lam)
-    cumulative = term
-    n = 0
-    while 1.0 - cumulative > tail_tol:
+    if not lam < math.inf:
+        raise NumericalOverflow(f"|alpha|^2 overflows double precision at alpha={alpha}")
+    log_lam = math.log(lam)
+
+    def log_term(k: int) -> float:
+        return k * log_lam - lam - math.lgamma(k + 1)
+
+    # P(N >= floor(lam)) >= 1/2, so every tail_tol below 1/2 needs a cutoff of at
+    # least floor(lam): the walk starts there, and a mean past the size ceiling
+    # is refused before it
+    n = FockTruncation(math.floor(lam)).n_max
+    # climb until the terms are negligible against tail_tol ...
+    negligible = math.log(tail_tol) - 40.0
+    while log_term(n) > negligible:
         n += 1
-        term *= lam / n
-        cumulative += term
-        if n > 100000:
-            raise TruncationTooSmall(
-                f"no cutoff below 100000 reaches tail {tail_tol} for alpha={alpha}"
-            )
+    # ... then lower the cutoff while the weight above it stays within tail_tol
+    tail = 0.0
+    while n > 0:
+        term = math.exp(log_term(n))
+        if tail + term > tail_tol:
+            break
+        tail += term
+        n -= 1
     return FockTruncation(n)
 
 

@@ -138,11 +138,14 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
 
 @_in_double_range
 def qfi_noon(n: int, eta: float) -> QFIResult:
-    """F = n^2 eta^n for the lossy NOON probe, Heisenberg-limited at eta = 1."""
+    """F = n^2 eta^n for the lossy NOON probe, Heisenberg-limited at eta = 1.
+
+    Squared from n eta^{n/2}, so a subnormal eta^n cannot cut F's digits.
+    """
     check_eta(eta)
     if n < 1:
         raise ValueError(f"NOON index must be >= 1, got {n}")
-    return QFIResult(n * n * eta**n, CLOSED_FORM)
+    return QFIResult((n * eta ** (n / 2)) ** 2, CLOSED_FORM)
 
 
 def qfi_noon_continuous(n_mean: float, eta: float) -> float:

@@ -41,7 +41,6 @@ from .exceptions import (
     DimensionMismatch,
     InvalidWeights,
     NegativeEigenvalue,
-    OracleTooLarge,
     PhaseFisherError,
 )
 from .fock_core import (
@@ -50,7 +49,6 @@ from .fock_core import (
     FockTruncation,
     StateVector,
     coherent_vector,
-    default_truncation,
     truncation_for_tolerance,
 )
 from .qfi_analytic import (
@@ -78,10 +76,6 @@ SECTOR_WEIGHT_FLOOR = 1e-14
 EIGENVALUE_FLOOR = 1e-12
 PAIR_SKIP_THRESHOLD = 1e-12
 
-# largest complex amplitude vector over the two-mode basis the oracle builds
-# (n_max <= 2047); the probe and its per-basis-state arrays all scale with it
-MAX_STATE_VECTOR_BYTES = 1 << 26
-
 DEFAULT_GRID_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_GRID_ETAS = (0.6, 0.9, 0.99, 1.0)
 NOON_ORDERS = (1, 2, 3, 5)
@@ -92,33 +86,12 @@ ASYMPTOTIC_POINTS = ((5.0, 0.9), (4.5, 0.99), (5.0, 0.99))
 _CHECK_ERRORS = (PhaseFisherError, ValueError, np.linalg.LinAlgError)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """The Fock cutoff a probe is built on.
-
-    truncation = None lets each probe pick its own default cutoff
-    (default_truncation for ECS, the minimal space for NOON); tail_tol is
-    the coherent tail weight the ECS probe may lose at that cutoff.
-    """
-
-    truncation: FockTruncation | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError(f"tail tolerance must be in (0, 1), got {self.tail_tol}")
-
-
-_DEFAULT_CFG = OracleConfig()
-
-
-def cutoff_config(alpha: complex, tail_tol: float) -> OracleConfig:
+def _ecs_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockTruncation:
     """The smallest cutoff whose coherent tail at alpha is below tail_tol, plus 2.
 
     The margin keeps the probe's own tail check from flipping at the boundary.
     """
-    base = truncation_for_tolerance(alpha, tail_tol)
-    return OracleConfig(FockTruncation(base.n_max + 2), tail_tol)
+    return FockTruncation(truncation_for_tolerance(alpha, tail_tol).n_max + 2)
 
 
 def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
@@ -178,24 +151,6 @@ class Scenario:
             raise DimensionMismatch(f"components on different cutoffs n_max={sorted(cutoffs)}")
 
 
-def _require_oracle_size(trunc: FockTruncation) -> None:
-    """Refuse, before allocating anything, a cutoff past MAX_STATE_VECTOR_BYTES."""
-    need = 16 * trunc.dim
-    if need > MAX_STATE_VECTOR_BYTES:
-        raise OracleTooLarge(
-            f"cutoff n_max={trunc.n_max} needs {need / 2**30:.3g} GiB per state vector; "
-            f"the oracle allows {MAX_STATE_VECTOR_BYTES / 2**20:g} MiB"
-        )
-
-
-def _probe_truncation(probe: ProbeSpec, cfg: OracleConfig) -> FockTruncation:
-    if cfg.truncation is not None:
-        return cfg.truncation
-    if probe.family == "noon":
-        return FockTruncation(probe.n)
-    return default_truncation(probe.alpha)
-
-
 def _probe_vector(probe: ProbeSpec, trunc: FockTruncation, tail_tol: float) -> StateVector:
     if probe.family == "noon":
         return noon_vector(probe.n, trunc)
@@ -226,7 +181,10 @@ def _sector_components(
 
 
 def build_scenario(
-    probe: ProbeSpec, reference: str, cfg: OracleConfig = _DEFAULT_CFG
+    probe: ProbeSpec,
+    reference: str,
+    truncation: FockTruncation | None = None,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Scenario:
     """Assemble the numeric state(s) seen by the estimator.
 
@@ -234,12 +192,19 @@ def build_scenario(
     "without": the sector label from the input number readout is kept, so
     the result is an ensemble rather than the label-free mixture (see the
     module docstring; scenario_mixture gives the label-free state).
+
+    truncation = None builds a NOON probe on the smallest space that holds
+    it and an ECS probe on _ecs_cutoff(alpha, tail_tol); tail_tol is the
+    coherent tail weight the ECS probe may lose at its cutoff.
     """
     if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
         raise ValueError(f"reference must be 'with' or 'without', got {reference!r}")
-    trunc = _probe_truncation(probe, cfg)
-    _require_oracle_size(trunc)
-    psi = _probe_vector(probe, trunc, cfg.tail_tol)
+    if truncation is None:
+        if probe.family == "noon":
+            truncation = FockTruncation(probe.n)
+        else:
+            truncation = _ecs_cutoff(probe.alpha, tail_tol)
+    psi = _probe_vector(probe, truncation, tail_tol)
     if reference == WITH_REFERENCE:
         components = ((1.0, apply_loss(psi.density(), probe.eta)),)
     else:
@@ -271,20 +236,15 @@ def scenario_mixture(scenario: Scenario) -> DensityOperator:
 
 
 def two_level_matrix_numeric(
-    alpha: complex,
-    eta: float,
-    trunc: FockTruncation | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    alpha: complex, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> np.ndarray:
-    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis.
+    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on _ecs_cutoff.
 
     Built entirely from vectors and the Kraus channel; arbitrates the
     closed-form spectrum and basis matrix (and in particular their two
     easy-to-mistranscribe coefficients) without sharing any algebra.
     """
-    if trunc is None:
-        trunc = default_truncation(alpha)
-    _require_oracle_size(trunc)
+    trunc = _ecs_cutoff(alpha, tail_tol)
     sigma = apply_loss(ecs_vector(alpha, trunc, tail_tol).density(), eta)
     d = trunc.dim_single
     vac = np.zeros(d, dtype=complex)
@@ -394,8 +354,8 @@ def verify_all(
     coherent-tail criterion, so loosening it degrades the oracle and the
     truncation-stability row catches that. spectrum_fn / basis_matrix_fn
     are injection seams for negative-control tests that feed deliberately
-    corrupted closed forms. A grid point or tail_tol outside the domain
-    `point` accepts raises before any check runs.
+    corrupted closed forms. A grid point, tail_tol or cutoff that `point
+    --oracle` would refuse raises before any check runs.
     """
     if grid is None:
         grid = [(a, e) for a in DEFAULT_GRID_ALPHAS for e in DEFAULT_GRID_ETAS]
@@ -403,20 +363,18 @@ def verify_all(
         raise ValueError("verification grid must be nonempty")
     for alpha, eta in grid:
         ProbeSpec("ecs", eta, alpha=alpha)  # the alpha and eta domain of `point`
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
+    cutoff = {alpha: _ecs_cutoff(alpha, tail_tol) for alpha, _ in grid}
 
-    def cfg_for(alpha: float) -> OracleConfig:
-        return cutoff_config(alpha, tail_tol)
-
-    alphas = sorted({a for a, _ in grid})
+    alphas = sorted(cutoff)
     etas = sorted({e for _, e in grid})
 
     def noref_body():
         errs = []
         for alpha, eta in grid:
             probe = ProbeSpec("ecs", eta, alpha=alpha)
-            oracle = scenario_qfi(build_scenario(probe, WITHOUT_REFERENCE, cfg_for(alpha)))
+            oracle = scenario_qfi(
+                build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
+            )
             errs.append(_rel(oracle.value, qfi_ecs_noref(alpha, eta).value))
         return errs, f"{len(grid)} points"
 
@@ -426,7 +384,7 @@ def verify_all(
             if eta > 0.0 and sigma_spectrum(alpha, eta).gamma_minus < GAMMA_MINUS_FLOOR:
                 continue  # minor eigenvalue underflows; covered by lossless_equivalence
             probe = ProbeSpec("ecs", eta, alpha=alpha)
-            oracle = scenario_qfi(build_scenario(probe, WITH_REFERENCE, cfg_for(alpha)))
+            oracle = scenario_qfi(build_scenario(probe, WITH_REFERENCE, cutoff[alpha], tail_tol))
             errs.append(_rel(oracle.value, qfi_ecs_ref(alpha, eta).value))
         return errs, f"{len(errs)} points"
 
@@ -437,7 +395,7 @@ def verify_all(
     def sector_sum_body():
         errs = []
         for alpha, eta in grid:
-            block = qfi_ecs_noref_blocksum(alpha, eta, default_truncation(alpha))
+            block = qfi_ecs_noref_blocksum(alpha, eta, cutoff[alpha])
             errs.append(_rel(block.value, qfi_ecs_noref(alpha, eta).value))
         return errs, f"{len(grid)} points"
 
@@ -475,8 +433,7 @@ def verify_all(
             if alpha > 1.5:
                 continue  # four-mode route gets heavy; small fields settle the equality
             for eta in (0.6, 0.9):
-                trunc = cfg_for(alpha).truncation
-                rho = ecs_vector(alpha, trunc, tail_tol).density()
+                rho = ecs_vector(alpha, cutoff[alpha], tail_tol).density()
                 via_kraus = apply_loss(rho, eta)
                 via_bs = apply_loss_via_bs(rho, eta)
                 errs.append(_max_entry_gap(via_kraus, via_bs))
@@ -488,7 +445,7 @@ def verify_all(
             if eta == 0.0:
                 continue
             s = spectrum_fn(alpha, eta)
-            m = two_level_matrix_numeric(alpha, eta, cfg_for(alpha).truncation, tail_tol)
+            m = two_level_matrix_numeric(alpha, eta, tail_tol)
             lo, hi = np.linalg.eigvalsh(m)
             errs += [abs(s.gamma_plus - hi), abs(s.gamma_minus - lo)]
         return errs, f"{len(grid)} points vs 2x2 eigensolve"
@@ -510,9 +467,7 @@ def verify_all(
         for alpha, eta in grid:
             if eta == 0.0:
                 continue
-            delta = basis_matrix_fn(alpha, eta) - two_level_matrix_numeric(
-                alpha, eta, cfg_for(alpha).truncation, tail_tol
-            )
+            delta = basis_matrix_fn(alpha, eta) - two_level_matrix_numeric(alpha, eta, tail_tol)
             errs.append(float(np.max(np.abs(delta))))
         return errs, f"{len(grid)} points, entrywise"
 
@@ -521,12 +476,11 @@ def verify_all(
         for alpha, eta in grid:
             if alpha > 1.5:
                 continue
-            local = cfg_for(alpha)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
-            ensemble = build_scenario(probe, WITHOUT_REFERENCE, local)
+            ensemble = build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
             merged = scenario_mixture(ensemble)
             direct = phase_average(
-                apply_loss(ecs_vector(alpha, local.truncation, tail_tol).density(), eta)
+                apply_loss(ecs_vector(alpha, cutoff[alpha], tail_tol).density(), eta)
             )
             errs.append(_max_entry_gap(merged, direct))
         return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
@@ -534,23 +488,22 @@ def verify_all(
     def generator_body():
         errs = []
         for alpha, eta in grid:
-            local = cfg_for(alpha)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
-            mix = scenario_mixture(build_scenario(probe, WITHOUT_REFERENCE, local))
-            two = qfi_numeric(mix, two_arm_generator(local.truncation)).value
-            one = qfi_numeric(mix, single_arm_generator(local.truncation)).value
+            ensemble = build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
+            mix = scenario_mixture(ensemble)
+            two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
+            one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
             errs.append(abs(one - two) / max(two, 1e-300))
         return errs, f"{len(grid)} points, single-arm vs two-arm"
 
     def stability_body():
         errs = []
         for alpha, eta in grid:
-            local = cfg_for(alpha)
-            doubled = OracleConfig(FockTruncation(2 * local.truncation.n_max), tail_tol)
+            doubled = FockTruncation(2 * cutoff[alpha].n_max)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-                base = scenario_qfi(build_scenario(probe, reference, local)).value
-                wide = scenario_qfi(build_scenario(probe, reference, doubled)).value
+                base = scenario_qfi(build_scenario(probe, reference, cutoff[alpha], tail_tol)).value
+                wide = scenario_qfi(build_scenario(probe, reference, doubled, tail_tol)).value
                 errs.append(_rel(base, wide))
         return errs, f"{len(grid)} points, cutoff doubled"
 

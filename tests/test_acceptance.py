@@ -18,7 +18,7 @@ from phasefisher.channels import (
     two_arm_generator,
 )
 from phasefisher.cli import CSV_HEADER, find_crossings, main, qfi_ecs_ref_at_mean_photons
-from phasefisher.fock_core import FockTruncation, default_truncation, truncation_for_tolerance
+from phasefisher.fock_core import FockTruncation, truncation_for_tolerance
 from phasefisher.qfi_analytic import (
     GAMMA_MINUS_FLOOR,
     basis_overlap_matrix,
@@ -33,6 +33,7 @@ from phasefisher.qfi_oracle import (
     ASYMPTOTIC_POINTS,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
+    _ecs_cutoff,
     build_scenario,
     qfi_numeric,
     scenario_mixture,
@@ -147,7 +148,7 @@ def test_a05_reference_beam_strictly_helps_under_loss():
 def test_a06_sector_sum_reproduces_compact_form():
     worst = 0.0
     for alpha, eta in GRID:
-        block = qfi_ecs_noref_blocksum(alpha, eta, default_truncation(alpha)).value
+        block = qfi_ecs_noref_blocksum(alpha, eta, _ecs_cutoff(alpha)).value
         closed = qfi_ecs_noref(alpha, eta).value
         worst = max(worst, abs(block - closed) / closed)
     ok = worst <= 1e-10

@@ -35,8 +35,8 @@ from phasefisher.fock_core import (
     FockTruncation,
     StateVector,
     coherent_vector,
-    default_truncation,
 )
+from phasefisher.qfi_oracle import _ecs_cutoff
 from phasefisher.states import ecs_normalization, ecs_vector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -177,7 +177,7 @@ class TestLossMatchesPairLoop:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
     def test_ecs_and_its_sectors(self, alpha):
-        trunc = default_truncation(alpha)
+        trunc = _ecs_cutoff(alpha)
         psi = ecs_vector(alpha, trunc)
         _assert_matches_loop(psi.density(), 0.9)
         totals = trunc.totals()
@@ -205,7 +205,8 @@ class TestApplyLoss:
 
     def test_coherent_stays_coherent(self):
         alpha, eta = 1.2, 0.6
-        trunc = default_truncation(alpha)
+        # far past the coherent tail, so the truncated tail cannot show at 1e-12
+        trunc = FockTruncation(34)
         rho = apply_loss(_coherent_vacuum_product(alpha, trunc).density(), eta)
         out = _coherent_vacuum_product(math.sqrt(eta) * alpha, trunc)
         assert np.allclose(rho.matrix, out.density().matrix, atol=1e-12)
@@ -233,7 +234,7 @@ class TestApplyLoss:
     def test_commutes_with_dephasing(self):
         # loss moves weight within and between sectors but never creates
         # coherence between totals, so the order cannot matter
-        psi = ecs_vector(1.0, default_truncation(1.0))
+        psi = ecs_vector(1.0, _ecs_cutoff(1.0))
         eta = 0.7
         lose_then_dephase = phase_average(apply_loss(psi.density(), eta))
         dephase_then_lose = apply_loss(phase_average(psi.density()), eta)
@@ -243,7 +244,7 @@ class TestApplyLoss:
         # The branches stay coherent states at sqrt(eta) alpha; only their
         # mutual coherence pays, suppressed by exp(-(1-eta)|alpha|^2).
         alpha, eta = 1.0, 0.9
-        trunc = default_truncation(alpha)
+        trunc = FockTruncation(31)  # far past the coherent tail, as above
         rho = apply_loss(ecs_vector(alpha, trunc).density(), eta)
         kept = coherent_vector(math.sqrt(eta) * alpha, trunc)
         vac = np.zeros(trunc.dim_single, dtype=complex)
@@ -282,7 +283,7 @@ class TestPhaseAverage:
     def test_dephased_state_ignores_the_sum_phase(self):
         # Within each total-photon block the sum-phase factors cancel to an
         # ulp, which is why that phase carries no information here.
-        trunc = default_truncation(1.0)
+        trunc = _ecs_cutoff(1.0)
         rho = phase_average(apply_loss(ecs_vector(1.0, trunc).density(), 0.8))
         u = np.exp(-1j * 0.73 * 0.5 * trunc.totals()[rho.support])
         rotated = np.outer(u, u.conj()) * rho.block

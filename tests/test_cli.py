@@ -123,6 +123,39 @@ class TestPoint:
         assert captured.err.startswith("error:") and "n_max=100000" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_oversized_ecs_oracle_exits_two(self, capsys):
+        rc = main(["point", "--family", "ecs", "--alpha", "1e8", "--eta", "0.9",
+                   "--reference", "with", "--oracle"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "oracle =" not in captured.out
+        assert captured.err.startswith("error: cutoff n_max=")
+        assert "the oracle allows" in captured.err
+
+    @pytest.mark.parametrize("reference", ["with", "without"])
+    def test_trunc_tol_defaults_to_the_oracle_cutoff(self, capsys, reference):
+        argv = ["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9",
+                "--reference", reference, "--oracle"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--trunc-tol", "1e-12"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "noon", "--n", "3", "--eta", "0.9", "--oracle"],
+            ["--family", "ecs", "--alpha", "1", "--eta", "0.9", "--reference", "with"],
+        ],
+        ids=["noon-oracle", "ecs-closed-form"],
+    )
+    def test_trunc_tol_needs_the_ecs_oracle(self, capsys, argv):
+        rc = main(["point", *argv, "--trunc-tol", "0.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--trunc-tol" in captured.err
+
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
             return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value, CLOSED_FORM)
@@ -311,6 +344,14 @@ class TestCrossings:
         assert "nan" not in captured.out
         assert "tolerance" in captured.err
 
+    def test_subnormal_eta_finds_its_root(self, capsys):
+        # the gaps around the root are subnormal, and their product underflows to -0.0
+        rc = main(["crossings", "--eta", "5e-324"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "found 1 crossing(s)" in out
+        assert 0.98 <= _stdout_value(out, "N1") <= 1.03
+
     def test_no_sign_change_raises(self):
         # strictly inside the crossing pair the noon curve stays on top
         with pytest.raises(NoCrossingFound):
@@ -349,9 +390,10 @@ class TestVerify:
         [
             ["--trunc-tol", "0"],
             ["--grid", "single", "--alpha", "nan", "--eta", "0.9"],
+            ["--grid", "single", "--alpha", "1e155", "--eta", "0.9"],
             ["--eta", "1.5"],
         ],
-        ids=["trunc-tol-0", "alpha-nan", "eta-1.5"],
+        ids=["trunc-tol-0", "alpha-nan", "alpha-squared-overflows", "eta-1.5"],
     )
     def test_domain_error_exits_two_before_any_check(self, capsys, argv):
         rc = main(["verify", *argv])
@@ -359,6 +401,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--alpha", "7", "--eta", "0.3"], ["--alpha", "0.5"], ["--grid", "full", "--eta", "1"]],
+        ids=["both", "alpha", "eta"],
+    )
+    def test_point_flags_need_the_single_grid(self, capsys, argv):
+        rc = main(["verify", *argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--grid single" in captured.err
 
     @pytest.mark.parametrize("alpha", ["0.5", "1", "2"])
     def test_eta_zero_passes(self, capsys, alpha):
@@ -441,6 +495,12 @@ def _cli_argv(draw) -> list[str]:
 @example(argv=["crossings", "--eta=5e-324", "--tol=1e-06"])
 @example(argv=["sweep", "--eta=5e-324", "--points=5", "--output", "SWEEP"])
 @example(argv=["point", "--family", "ecs", "--alpha=1e-160", "--eta=1e-300", "--reference", "with"])
+# eta N, the shot-noise Fisher information, underflows while the other three do not
+@example(argv=["sweep", "--eta=1e-300", "--n-min=3.655655236072348e-25", "--n-max=1.0",
+               "--points=2", "--output", "SWEEP"])
+# geomspace overflows on its way to a stop next to the largest double
+@example(argv=["sweep", "--eta=1e-300", "--n-min=1e+300", "--n-max=1.7976931348622103e+308",
+               "--points=2", "--output", "SWEEP"])
 def test_main_survives_arbitrary_numbers(tmp_path, capsys, argv):
     """Exit 0 or 2, never a traceback, never a printed nan, F finite on success."""
     out = tmp_path / "fuzz.csv"

@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from phasefisher.exceptions import DimensionMismatch, NotHermitian, TruncationTooSmall
+from phasefisher.exceptions import (
+    DimensionMismatch,
+    NotHermitian,
+    OracleTooLarge,
+    TruncationTooSmall,
+)
 from phasefisher.fock_core import (
+    MAX_STATE_VECTOR_BYTES,
     DensityOperator,
     FockTruncation,
     StateVector,
     coherent_vector,
-    default_truncation,
     truncation_for_tolerance,
 )
+from phasefisher.qfi_oracle import _ecs_cutoff
 
 
 class TestTruncation:
@@ -47,10 +53,11 @@ class TestTruncation:
         t = FockTruncation(2)
         assert list(t.totals()) == [0, 1, 2, 1, 2, 3, 2, 3, 4]
 
-    def test_default_truncation_value(self):
-        # ceil(|a|^2 + 10 |a| + 20), generous on purpose
-        assert default_truncation(2.0).n_max == 44
-        assert default_truncation(0.0).n_max == 20
+    def test_size_ceiling(self):
+        # the largest cutoff whose two-mode amplitude vector fits MAX_STATE_VECTOR_BYTES
+        assert 16 * FockTruncation(2047).dim == MAX_STATE_VECTOR_BYTES
+        with pytest.raises(OracleTooLarge, match="n_max=2048"):
+            FockTruncation(2048)
 
     def test_truncation_for_tolerance_is_minimal(self):
         tol = 1e-8
@@ -63,6 +70,21 @@ class TestTruncation:
     def test_truncation_for_tolerance_vacuum(self):
         assert truncation_for_tolerance(0.0, 1e-12).n_max == 0
 
+    def test_truncation_for_tolerance_past_underflowing_vacuum_weight(self):
+        # e^{-900} underflows, so a walk up the Poisson pmf from n = 0 finds no cutoff here
+        t = truncation_for_tolerance(30.0, 1e-12)
+        c = coherent_vector(30.0, t, 1e-12)
+        assert abs(float(np.vdot(c, c).real) - 1.0) <= 1e-12
+
+    def test_truncation_for_tolerance_never_falls_as_alpha_rises(self):
+        cutoffs = [truncation_for_tolerance(a, 1e-12).n_max for a in np.arange(0.05, 37.5, 0.01)]
+        assert np.all(np.diff(cutoffs) >= 0)
+
+    @pytest.mark.parametrize("alpha", [46.0, 1e8])
+    def test_truncation_for_tolerance_refuses_oversized_cutoffs(self, alpha):
+        with pytest.raises(OracleTooLarge):
+            truncation_for_tolerance(alpha, 1e-12)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 2.0])
     def test_truncation_for_tolerance_rejects_bad_tol(self, bad):
         with pytest.raises(ValueError):
@@ -73,7 +95,7 @@ class TestCoherent:
     @given(alpha=st.floats(0.1, 2.5))
     @settings(max_examples=50, deadline=None)
     def test_norm_and_mean_photon(self, alpha):
-        trunc = default_truncation(alpha)
+        trunc = _ecs_cutoff(alpha)
         c = coherent_vector(alpha, trunc)
         norm = float(np.vdot(c, c).real)
         assert abs(norm - 1.0) <= 1e-12

@@ -17,7 +17,6 @@ from phasefisher.exceptions import (
     NonpositiveFisher,
     NumericalOverflow,
 )
-from phasefisher.fock_core import default_truncation
 from phasefisher.qfi_analytic import (
     ASYMPTOTIC,
     CLOSED_FORM,
@@ -34,6 +33,7 @@ from phasefisher.qfi_analytic import (
     sensitivity,
     sigma_spectrum,
 )
+from phasefisher.qfi_oracle import _ecs_cutoff
 from phasefisher.states import ecs_normalization
 
 # Frozen on first evaluation and cross-checked against the numeric oracle;
@@ -67,7 +67,7 @@ class TestNoRef:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta", [0.6, 0.9, 1.0])
     def test_blocksum_matches_closed_form(self, alpha, eta):
-        block = qfi_ecs_noref_blocksum(alpha, eta, default_truncation(alpha))
+        block = qfi_ecs_noref_blocksum(alpha, eta, _ecs_cutoff(alpha))
         closed = qfi_ecs_noref(alpha, eta)
         assert abs(block.value - closed.value) / closed.value <= 1e-10
 
@@ -221,6 +221,18 @@ class TestNoon:
     def test_closed_form(self, n, eta):
         assert qfi_noon(n, eta).value == pytest.approx(n * n * eta**n, rel=1e-15)
 
+    @pytest.mark.parametrize("n, eta", [(1000, 0.49), (100000, 0.99288)])
+    def test_exact_where_eta_to_the_n_is_subnormal(self, n, eta):
+        # F is a normal double at both points, but eta^n alone is not
+        assert eta**n < sys.float_info.min
+        with mp.workdps(50):
+            exact = mp.mpf(n) ** 2 * mp.mpf(eta) ** n
+            assert abs(qfi_noon(n, eta).value - exact) <= 4 * sys.float_info.epsilon * exact
+
+    def test_underflow_is_zero(self):
+        # the true F is of order 10^(-4.6e198); test_closed_form_overflow_is_typed takes eta = 1
+        assert qfi_noon(10**200, 0.9).value == 0.0
+
     def test_continuous_agrees_at_integers(self):
         for n in (1, 2, 7):
             assert qfi_noon_continuous(float(n), 0.8) == pytest.approx(
@@ -310,7 +322,7 @@ def test_closed_form_overflow_is_typed():
     with pytest.raises(NumericalOverflow, match="qfi_ecs_ref"):
         qfi_ecs_ref(1e200, 0.9)
     with pytest.raises(NumericalOverflow, match="qfi_noon"):
-        qfi_noon(n=10**200, eta=0.9)
+        qfi_noon(n=10**200, eta=1.0)
 
 
 EPS = sys.float_info.epsilon

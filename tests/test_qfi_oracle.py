@@ -33,10 +33,9 @@ from phasefisher.exceptions import (
 )
 from phasefisher.fock_core import (
     DEFAULT_TAIL_TOL,
+    MAX_STATE_VECTOR_BYTES,
     DensityOperator,
     FockTruncation,
-    default_truncation,
-    truncation_for_tolerance,
 )
 from phasefisher.qfi_analytic import (
     basis_overlap_matrix,
@@ -45,11 +44,10 @@ from phasefisher.qfi_analytic import (
     sigma_spectrum,
 )
 from phasefisher.qfi_oracle import (
-    MAX_STATE_VECTOR_BYTES,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
-    OracleConfig,
     Scenario,
+    _ecs_cutoff,
     _rel,
     build_scenario,
     qfi_numeric,
@@ -81,7 +79,7 @@ class TestQfiNumeric:
 
     def test_pure_state_equals_four_variances(self):
         alpha, eta = 0.9, 1.0
-        trunc = default_truncation(alpha)
+        trunc = _ecs_cutoff(alpha)
         psi = ecs_vector(alpha, trunc)
         gen = two_arm_generator(trunc)
         p = np.abs(psi.amplitudes) ** 2
@@ -102,7 +100,7 @@ class TestQfiNumeric:
         assert got.value == pytest.approx(0.3 * 1.0 + 0.7 * 9.0, rel=1e-12)
 
     def test_invariant_under_commuting_unitary(self):
-        trunc = default_truncation(0.8)
+        trunc = _ecs_cutoff(0.8)
         rho = apply_loss(ecs_vector(0.8, trunc).density(), 0.7)
         gen = two_arm_generator(trunc)
         u = np.exp(-1j * 0.37 * single_arm_generator(trunc).diagonal[rho.support])
@@ -111,7 +109,7 @@ class TestQfiNumeric:
         assert qfi_numeric(rotated, gen).value == pytest.approx(base, rel=1e-10)
 
     def test_invariant_under_generator_shift(self):
-        trunc = default_truncation(0.8)
+        trunc = _ecs_cutoff(0.8)
         rho = apply_loss(ecs_vector(0.8, trunc).density(), 0.7)
         gen = two_arm_generator(trunc)
         shifted = PhaseGenerator(TWO_ARM, gen.diagonal + 0.7, trunc)
@@ -143,10 +141,11 @@ class TestQfiNumeric:
 
 class TestConfigAndScenarioValidation:
     def test_tail_tol_range(self):
+        probe = ProbeSpec("ecs", 0.9, alpha=1.0)
         with pytest.raises(ValueError):
-            OracleConfig(tail_tol=0.0)
+            build_scenario(probe, WITH_REFERENCE, tail_tol=0.0)
         with pytest.raises(ValueError):
-            OracleConfig(tail_tol=1.5)
+            build_scenario(probe, WITH_REFERENCE, tail_tol=1.5)
 
     def test_scenario_needs_components(self):
         with pytest.raises(InvalidWeights):
@@ -162,6 +161,17 @@ class TestConfigAndScenarioValidation:
     def test_build_scenario_reference_label(self):
         with pytest.raises(ValueError):
             build_scenario(ProbeSpec("noon", 0.9, n=1), "sometimes")
+
+
+def _peak_bytes_while_refused(probe: ProbeSpec, cutoff: str) -> int:
+    """Traced peak of a build_scenario call that must raise OracleTooLarge naming cutoff."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleTooLarge, match=cutoff):
+            build_scenario(probe, WITH_REFERENCE)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuildScenario:
@@ -185,7 +195,7 @@ class TestBuildScenario:
         assert sum(weights) == pytest.approx(1.0, abs=1e-10)
         # vacuum sector first, supported on the vacuum alone
         assert list(scenario.components[0][1].support) == [0]
-        expected = ecs_sector_weights(alpha, default_truncation(alpha))
+        expected = ecs_sector_weights(alpha, _ecs_cutoff(alpha))
         assert weights[0] == pytest.approx(float(expected[0]), rel=1e-12)
         assert weights[1] == pytest.approx(float(expected[1]), rel=1e-12)
 
@@ -193,13 +203,13 @@ class TestBuildScenario:
         """Loss keeps |n, 0> + |0, m> states on their axes: 2 n_max + 1 basis states."""
         probe = ProbeSpec("ecs", 0.9, alpha=4.0)
         (_, rho), = build_scenario(probe, WITH_REFERENCE).components
-        n_max = default_truncation(4.0).n_max
-        assert rho.support.size == 2 * n_max + 1 == 153
+        n_max = _ecs_cutoff(4.0).n_max
+        assert rho.support.size == 2 * n_max + 1 == 107
 
     def test_large_field_oracle_stays_small(self):
-        """alpha = 4 on a 77-state-per-mode cutoff: both references, traced peak below 64 MB.
+        """alpha = 4 on a 54-state-per-mode cutoff: both references, traced peak below 64 MB.
 
-        A dense (n_max + 1)^2 x (n_max + 1)^2 operator alone would take 536 MiB here.
+        A dense (n_max + 1)^2 x (n_max + 1)^2 operator alone would take 130 MiB here.
         """
         alpha, eta = 4.0, 0.9
         probe = ProbeSpec("ecs", eta, alpha=alpha)
@@ -217,21 +227,19 @@ class TestBuildScenario:
     def test_oversized_cutoff_refused_before_allocating(self):
         """n = 100000 would need a 149 GiB amplitude vector; nothing large may be allocated."""
         probe = ProbeSpec("noon", 0.9, n=100000)
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleTooLarge, match="n_max=100000"):
-                build_scenario(probe, WITH_REFERENCE)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert _peak_bytes_while_refused(probe, "n_max=100000") < 2**20
+
+    def test_oversized_ecs_cutoff_refused_before_allocating(self):
+        # at alpha = 1e8 the mean photon number alone is past the ceiling
+        probe = ProbeSpec("ecs", 0.9, alpha=1e8)
+        assert _peak_bytes_while_refused(probe, "n_max=10000000000000000") < 2**20
 
     def test_size_ceiling_admits_every_cutoff_in_use(self):
         # the largest: `verify --alpha 12` doubles its tail cutoff for the stability row
-        doubled = 2 * (truncation_for_tolerance(12.0, DEFAULT_TAIL_TOL).n_max + 2)
-        for n_max in (default_truncation(12.0).n_max, doubled, 2047):
-            assert 16 * FockTruncation(n_max).dim <= MAX_STATE_VECTOR_BYTES
-        assert 16 * FockTruncation(2048).dim > MAX_STATE_VECTOR_BYTES
+        doubled = FockTruncation(2 * _ecs_cutoff(12.0).n_max)
+        assert 16 * doubled.dim <= MAX_STATE_VECTOR_BYTES
+        with pytest.raises(OracleTooLarge):
+            FockTruncation(2048)
 
     def test_full_loss_yields_zero_information(self):
         probe = ProbeSpec("ecs", 0.0, alpha=1.0)
@@ -262,10 +270,12 @@ class TestScenarioQfi:
         """Oracle values on the default grid and the NOON orders, to 1e-12 relative.
 
         tests/data/oracle_grid.csv holds scenario_qfi(build_scenario(...))
-        with the default OracleConfig for the 16-point (alpha, eta) grid and
-        NOON orders 1, 2, 3 and 5, both references, as computed by the
-        per-pair loss loop. The closed-form gates (1e-6 to 1e-9) would miss
-        a drift this small in the oracle's own digits.
+        on the default cutoffs for the 16-point (alpha, eta) grid and NOON
+        orders 1, 2, 3 and 5, both references, as computed by the per-pair
+        loss loop on the earlier, wider ECS cutoff ceil(a^2 + 10 a + 20). The
+        coherent-tail cutoff the oracle uses now stays within 9.7e-13 of it
+        (alpha 1.5, eta 0.6, with reference). The closed-form gates (1e-6 to
+        1e-9) would miss a drift this small in the oracle's own digits.
         """
         with GOLDEN_ORACLE.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -284,9 +294,8 @@ class TestScenarioQfi:
 class TestScenarioMixture:
     def test_equals_dephase_then_lose(self):
         alpha, eta = 1.0, 0.9
-        trunc = default_truncation(alpha)
-        cfg = OracleConfig(truncation=trunc)
-        scenario = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE, cfg)
+        trunc = _ecs_cutoff(alpha)
+        scenario = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE, trunc)
         merged = scenario_mixture(scenario)
         direct = phase_average(apply_loss(ecs_vector(alpha, trunc).density(), eta))
         assert np.allclose(merged.matrix, direct.matrix, atol=1e-13)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from phasefisher.exceptions import InvalidEta, TruncationTooSmall
-from phasefisher.fock_core import FockTruncation, coherent_vector, default_truncation
+from phasefisher.fock_core import FockTruncation, coherent_vector
+from phasefisher.qfi_oracle import _ecs_cutoff
 from phasefisher.states import (
     ProbeSpec,
     alpha_for_mean_photon,
@@ -52,14 +53,14 @@ def test_mean_photon_strictly_increasing():
 
 
 def test_ecs_vector_norm_within_tail():
-    psi = ecs_vector(2.0, default_truncation(2.0))
+    psi = ecs_vector(2.0, _ecs_cutoff(2.0))
     norm = float(np.vdot(psi.amplitudes, psi.amplitudes).real)
     assert abs(norm - 1.0) <= 2e-12
 
 
 def test_ecs_vector_amplitudes():
     alpha = 1.3
-    trunc = default_truncation(alpha)
+    trunc = _ecs_cutoff(alpha)
     psi = ecs_vector(alpha, trunc)
     c = coherent_vector(alpha, trunc)
     nrm = ecs_normalization(alpha)
@@ -75,7 +76,7 @@ def test_ecs_vector_amplitudes():
 def test_ecs_overlap_with_noon_sectors():
     """<noon_n|ECS> = sqrt(2) N c_n, the amplitude behind the sector weights."""
     alpha = 1.3
-    trunc = default_truncation(alpha)
+    trunc = _ecs_cutoff(alpha)
     psi = ecs_vector(alpha, trunc)
     c = coherent_vector(alpha, trunc)
     nrm = ecs_normalization(alpha)
@@ -86,7 +87,7 @@ def test_ecs_overlap_with_noon_sectors():
 
 def test_sector_weights_structure():
     alpha = 1.1
-    trunc = default_truncation(alpha)
+    trunc = _ecs_cutoff(alpha)
     weights = ecs_sector_weights(alpha, trunc)
     nsq = ecs_normalization(alpha) ** 2
     c2 = np.abs(coherent_vector(alpha, trunc)) ** 2
@@ -98,7 +99,7 @@ def test_sector_weights_structure():
 
 def test_sector_weights_first_moment_is_mean_photon_number():
     alpha = 1.4
-    trunc = default_truncation(alpha)
+    trunc = _ecs_cutoff(alpha)
     n = np.arange(trunc.dim_single, dtype=float)
     first_moment = float(np.sum(n * ecs_sector_weights(alpha, trunc)))
     assert first_moment == pytest.approx(mean_photon_number(alpha), rel=1e-12)
