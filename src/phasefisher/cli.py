@@ -32,8 +32,12 @@ from .exceptions import (
     NonpositiveFisher,
     PhaseFisherError,
 )
-from .fock_core import DEFAULT_TAIL_TOL
+from .fock_core import DEFAULT_TAIL_TOL, check_tail_tol
 from .qfi_analytic import (
+    _noon,
+    _noref,
+    _ref,
+    _ref_asymptotic,
     qfi_ecs_noref,
     qfi_ecs_ref,
     qfi_ecs_ref_asymptotic,
@@ -47,7 +51,7 @@ from .qfi_oracle import (
     scenario_qfi,
     verify_all,
 )
-from .states import ProbeSpec, alpha_for_mean_photon
+from .states import ProbeSpec, _libm, alpha_for_mean_photon, solve_alpha
 
 CSV_HEADER = (
     "n_mean,eta,alpha,f_ecs_noref,f_ecs_ref,f_ecs_ref_asym,f_noon,"
@@ -66,6 +70,10 @@ INTEGER_N_ATOL = 1e-9
 
 DEFAULT_SWEEP_POINTS = 200
 DEFAULT_SWEEP_RANGE = (0.1, 200.0)
+
+# sweep rows go through numpy this many at a time; whole columns raise a
+# 40,000-row sweep's peak RSS from 48 to 61 MB and save no time
+SWEEP_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -117,8 +125,10 @@ def cmd_point(
     trunc_tol: float | None = None,
 ) -> int:
     # the tail tolerance picks the ECS oracle's cutoff; a NOON probe's is its n
-    if trunc_tol is not None and (family != "ecs" or not use_oracle):
-        raise ValueError("--trunc-tol applies only to --family ecs with --oracle")
+    if trunc_tol is not None:
+        if family != "ecs" or not use_oracle:
+            raise ValueError("--trunc-tol applies only to --family ecs with --oracle")
+        check_tail_tol(trunc_tol)  # before the closed form prints anything
     if family == "ecs":
         if alpha is None:
             raise ValueError("--alpha is required for the ecs family")
@@ -157,37 +167,68 @@ def cmd_point(
 
 
 def sweep_rows(cfg: SweepConfig) -> list[str]:
+    grid = cfg.grid()
     rows = [CSV_HEADER]
-    for n_mean in cfg.grid():
-        nm = float(n_mean)
+    for start in range(0, grid.size, SWEEP_BLOCK_ROWS):
+        rows += _block_rows(grid[start : start + SWEEP_BLOCK_ROWS], cfg.eta)
+    return rows
+
+
+def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
+    """CSV rows of one block of the grid, bit for bit those of the scalar functions.
+
+    The closed forms run once on the whole block. If a row fails to solve,
+    overflows or underflows, the block is re-run row by row through the
+    public functions, which raise the first failing row's error.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            alpha, converged = solve_alpha(n_mean)
+            a2 = _libm(pow, alpha, 2)
+            values = np.stack(
+                [alpha, _noref(a2, eta), _ref(a2, eta), _ref_asymptotic(a2, eta), _noon(n_mean, eta)]
+            )
+            # the failures of the scalar path: QFIResult refuses a non-finite or
+            # negative F, and the sensitivity needs F > 0
+            underflow = np.minimum.reduce([values[1], values[2], values[4], eta * n_mean]) == 0.0
+            ok = (
+                converged.all()
+                and np.isfinite(values).all()
+                and (values >= 0.0).all()
+                and not underflow.any()
+            )
+    except OverflowError:
+        ok = False
+    if not ok:
+        values = _scalar_block(n_mean, eta)
+    _, f_noref, f_ref, _, f_noon = values
+    dphi = [_libm(pow, f, -0.5) for f in (f_noref, f_ref, f_noon)]
+    columns = [n_mean, np.full(n_mean.size, eta), *values, *dphi, 1.0 / np.sqrt(eta * n_mean)]
+    integer_n = (np.abs(n_mean - np.rint(n_mean)) < INTEGER_N_ATOL).tolist()
+    return [
+        ",".join(map(repr, cells)) + (",true" if flag else ",false")
+        for cells, flag in zip(zip(*(c.tolist() for c in columns)), integer_n)
+    ]
+
+
+def _scalar_block(n_mean: np.ndarray, eta: float) -> np.ndarray:
+    """alpha and the four F columns of a block from the public scalar functions."""
+    rows = []
+    for nm in n_mean.tolist():
         alpha = alpha_for_mean_photon(nm)
-        f_noref = qfi_ecs_noref(alpha, cfg.eta).value
-        f_ref = qfi_ecs_ref(alpha, cfg.eta).value
-        f_asym = qfi_ecs_ref_asymptotic(alpha, cfg.eta).value
-        f_noon = qfi_noon_continuous(nm, cfg.eta)
-        if min(f_noref, f_ref, f_noon, cfg.eta * nm) == 0.0:
+        f_noref = qfi_ecs_noref(alpha, eta).value
+        f_ref = qfi_ecs_ref(alpha, eta).value
+        f_asym = qfi_ecs_ref_asymptotic(alpha, eta).value
+        f_noon = qfi_noon_continuous(nm, eta)
+        if min(f_noref, f_ref, f_noon, eta * nm) == 0.0:
             # F grows with N below 1 and decays as eta^N above it; eta N is the shot-noise F
             bound = "raise --n-min" if nm < 1.0 else "lower --n-max"
             raise NonpositiveFisher(
-                f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {cfg.eta:g}), "
+                f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {eta:g}), "
                 f"so its sensitivity is undefined; {bound}"
             )
-        integer_n = "true" if abs(nm - round(nm)) < INTEGER_N_ATOL else "false"
-        values = (
-            nm,
-            cfg.eta,
-            alpha,
-            f_noref,
-            f_ref,
-            f_asym,
-            f_noon,
-            f_noref**-0.5,
-            f_ref**-0.5,
-            f_noon**-0.5,
-            1.0 / math.sqrt(cfg.eta * nm),
-        )
-        rows.append(",".join(_fmt(v) for v in values) + f",{integer_n}")
-    return rows
+        rows.append((alpha, f_noref, f_ref, f_asym, f_noon))
+    return np.array(rows).T
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
@@ -232,7 +273,14 @@ def find_crossings(
         return qfi_noon_continuous(nm, eta) - qfi_ecs_ref_at_mean_photons(nm, eta)
 
     ns = np.geomspace(n_min, n_max, points)
-    gaps = [gap(float(x)) for x in ns]
+    with np.errstate(all="ignore"):
+        alpha, converged = solve_alpha(ns)
+        gaps = _noon(ns, eta) - _ref(_libm(pow, alpha, 2), eta)
+    if converged.all() and np.isfinite(gaps).all():
+        gaps = gaps.tolist()
+    else:
+        # the scalar functions raise the first failing grid point's error
+        gaps = [gap(x) for x in ns.tolist()]
     roots: list[float] = []
     for i in range(points - 1):
         if gaps[i] == 0.0:

@@ -82,6 +82,11 @@ class FockTruncation:
         return n1 + n2
 
 
+def check_tail_tol(tail_tol: float) -> None:
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
+
+
 def truncation_for_tolerance(alpha: complex, tail_tol: float) -> FockTruncation:
     """Smallest cutoff whose coherent tail weight is below tail_tol.
 
@@ -92,8 +97,7 @@ def truncation_for_tolerance(alpha: complex, tail_tol: float) -> FockTruncation:
     underflowing e^{-|alpha|^2} nor the roundoff of 1 - P(N <= n_max) moves
     the cutoff. A cutoff past the size ceiling raises OracleTooLarge.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
+    check_tail_tol(tail_tol)
     lam = abs(alpha) * abs(alpha)  # inf past double range, where ** raises OverflowError
     if lam == 0.0:
         return FockTruncation(0)

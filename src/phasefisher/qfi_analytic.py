@@ -41,7 +41,7 @@ from .exceptions import (
     check_eta,
 )
 from .fock_core import FockTruncation
-from .states import ecs_normalization, ecs_sector_weights
+from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights
 
 CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
@@ -115,9 +115,13 @@ def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
-    nsq = ecs_normalization(alpha) ** 2
-    value = 2.0 * nsq * math.exp(-a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + a2 * eta)
-    return QFIResult(value, CLOSED_FORM)
+    return QFIResult(_noref(a2, eta), CLOSED_FORM)
+
+
+def _noref(a2, eta):
+    # qfi_ecs_noref at |alpha|^2 = a2 > 0, a float or an array
+    nsq = _libm(pow, _normalization(a2), 2)
+    return 2.0 * nsq * _libm(math.exp, -a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + a2 * eta)
 
 
 def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) -> QFIResult:
@@ -160,7 +164,12 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
         raise ValueError(f"mean photon number must be positive, got {n_mean}")
     if eta == 0.0:
         return 0.0
-    return n_mean * n_mean * math.exp(n_mean * math.log(eta))
+    return _noon(n_mean, eta)
+
+
+def _noon(n_mean, eta):
+    # qfi_noon_continuous at eta > 0 for a float or an array of n_mean
+    return n_mean * n_mean * _libm(math.exp, n_mean * math.log(eta))
 
 
 @_in_double_range
@@ -267,11 +276,15 @@ def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, CLOSED_FORM)
+    return QFIResult(_ref(a2, eta), CLOSED_FORM)
+
+
+def _ref(a2, eta):
+    # qfi_ecs_ref at |alpha|^2 = a2, a float or an array
     x = eta * a2
-    q = math.exp(-a2)
-    p_perp2 = math.exp(-2.0 * (1.0 - eta) * a2)
-    value = x / (1.0 + q) + x * (x * (q + p_perp2)) / (1.0 + q) ** 2
-    return QFIResult(value, CLOSED_FORM)
+    q = _libm(math.exp, -a2)
+    p_perp2 = _libm(math.exp, -2.0 * (1.0 - eta) * a2)
+    return x / (1.0 + q) + x * (x * (q + p_perp2)) / _libm(pow, 1.0 + q, 2)
 
 
 @_in_double_range
@@ -281,9 +294,13 @@ def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0, ASYMPTOTIC)
-    nsq = ecs_normalization(alpha) ** 2
-    value = 2.0 * nsq * (math.exp(-2.0 * a2 * (1.0 - eta)) * a2 * a2 * eta * eta + a2 * eta)
-    return QFIResult(value, ASYMPTOTIC)
+    return QFIResult(_ref_asymptotic(a2, eta), ASYMPTOTIC)
+
+
+def _ref_asymptotic(a2, eta):
+    # qfi_ecs_ref_asymptotic at |alpha|^2 = a2 > 0, a float or an array
+    nsq = _libm(pow, _normalization(a2), 2)
+    return 2.0 * nsq * (_libm(math.exp, -2.0 * a2 * (1.0 - eta)) * a2 * a2 * eta * eta + a2 * eta)
 
 
 def sensitivity(fisher: float, repetitions: int = 1) -> float:

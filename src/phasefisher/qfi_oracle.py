@@ -355,7 +355,8 @@ def verify_all(
     truncation-stability row catches that. spectrum_fn / basis_matrix_fn
     are injection seams for negative-control tests that feed deliberately
     corrupted closed forms. A grid point, tail_tol or cutoff that `point
-    --oracle` would refuse raises before any check runs.
+    --oracle` would refuse, or a doubled cutoff past the size ceiling,
+    raises before any check runs.
     """
     if grid is None:
         grid = [(a, e) for a in DEFAULT_GRID_ALPHAS for e in DEFAULT_GRID_ETAS]
@@ -364,6 +365,7 @@ def verify_all(
     for alpha, eta in grid:
         ProbeSpec("ecs", eta, alpha=alpha)  # the alpha and eta domain of `point`
     cutoff = {alpha: _ecs_cutoff(alpha, tail_tol) for alpha, _ in grid}
+    doubled = {alpha: FockTruncation(2 * trunc.n_max) for alpha, trunc in cutoff.items()}
 
     alphas = sorted(cutoff)
     etas = sorted({e for _, e in grid})
@@ -499,11 +501,10 @@ def verify_all(
     def stability_body():
         errs = []
         for alpha, eta in grid:
-            doubled = FockTruncation(2 * cutoff[alpha].n_max)
             probe = ProbeSpec("ecs", eta, alpha=alpha)
             for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
                 base = scenario_qfi(build_scenario(probe, reference, cutoff[alpha], tail_tol)).value
-                wide = scenario_qfi(build_scenario(probe, reference, doubled, tail_tol)).value
+                wide = scenario_qfi(build_scenario(probe, reference, doubled[alpha], tail_tol)).value
                 errs.append(_rel(base, wide))
         return errs, f"{len(grid)} points, cutoff doubled"
 

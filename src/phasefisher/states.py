@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +30,20 @@ from .fock_core import (
 
 ALPHA_SOLVE_ATOL = 1e-10
 _MAX_SOLVE_ITERATIONS = 200
+
+
+def _libm(fn, x, *args):
+    """fn(x, *args) for a float, and element by element for a 1-D array.
+
+    fn is a math function or the float pow, so an array element gets the
+    bits the float code gets. numpy's exp, log and power round differently
+    from glibc's math.exp, math.log and pow in up to a few percent of
+    inputs, which would move the last digit of sweep CSV cells; numpy is
+    used only for + - * / and sqrt, which are correctly rounded in both.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+    return fn(x, *args)
 
 
 @dataclass(frozen=True)
@@ -51,7 +66,12 @@ class ProbeSpec:
 
 
 def ecs_normalization(alpha: complex) -> float:
-    return 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-(abs(alpha) ** 2))))
+    return _normalization(abs(alpha) ** 2)
+
+
+def _normalization(a2):
+    # N as a function of |alpha|^2, a float or an array
+    return 1.0 / _libm(math.sqrt, 2.0 * (1.0 + _libm(math.exp, -a2)))
 
 
 def mean_photon_number(alpha: complex) -> float:
@@ -102,39 +122,66 @@ def ecs_sector_weights(
     return weights
 
 
-def _mean_photon_and_slope(a: float) -> tuple[float, float]:
-    # s is a logistic in a^2, so the slope has the closed form below
-    s = 1.0 / (1.0 + math.exp(-(a * a)))
-    value = a * a * s
-    slope = 2.0 * a * s * (1.0 + a * a * (1.0 - s))
-    return value, slope
+def _mean_photon_and_logistic(a):
+    # mean_photon_number(a) = a^2 s for the logistic s = 1/(1 + e^{-a^2})
+    a2 = a * a
+    s = 1.0 / (1.0 + _libm(math.exp, -a2))
+    return a2 * s, s
+
+
+def _solve_tolerance(targets):
+    # the doubles around a target past 2^17 are coarser than ALPHA_SOLVE_ATOL
+    return np.maximum(ALPHA_SOLVE_ATOL, 4.0 * _libm(math.ulp, targets))
+
+
+def solve_alpha(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real alpha >= 0 with mean_photon_number(alpha) = target, for each target.
+
+    The mean photon number is strictly increasing in alpha and bounded by
+    alpha^2, so the root lies in [0, sqrt(target) + 2]. Bisection gets
+    within 1e-6, then Newton steps polish until the mean photon number is
+    within max(ALPHA_SOLVE_ATOL, 4 ulp(target)) of the target; a step out
+    of the bracket falls back to its midpoint. Each row stops on its own,
+    so every row takes the steps it would take alone.
+
+    Returns (alpha, converged); converged is False where a target is not
+    positive or the polish did not reach the tolerance.
+    """
+    targets = np.asarray(targets, dtype=float)
+    with np.errstate(all="ignore"):
+        lo = np.zeros_like(targets)
+        hi = np.sqrt(targets) + 2.0
+        active = np.ones(targets.shape, dtype=bool)
+        for _ in range(_MAX_SOLVE_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            below = _mean_photon_and_logistic(mid)[0] < targets
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+            active &= ~(hi - lo < 1e-6)
+            if not np.count_nonzero(active):
+                break
+        tol = _solve_tolerance(targets)
+        a = 0.5 * (lo + hi)
+        active = targets > 0.0
+        for _ in range(_MAX_SOLVE_ITERATIONS):
+            value, s = _mean_photon_and_logistic(a)
+            active &= ~(np.abs(value - targets) <= tol)
+            if not np.count_nonzero(active):
+                break
+            slope = 2.0 * a * s * (1.0 + a * a * (1.0 - s))
+            step = a - (value - targets) / slope
+            # Newton overshot the bracket; fall back to its midpoint
+            step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
+            a = np.where(active, step, a)
+    return a, ~active & (targets > 0.0)
 
 
 def alpha_for_mean_photon(target_n: float) -> float:
-    """Real alpha >= 0 with mean_photon_number(alpha) = target_n.
-
-    The mean photon number is strictly increasing in alpha and bounded by
-    alpha^2, so the root lies in [0, sqrt(target_n) + 2]. Bisection gets
-    close, a few Newton steps polish to ALPHA_SOLVE_ATOL.
-    """
+    """Real alpha >= 0 with mean_photon_number(alpha) = target_n; see solve_alpha."""
     if target_n <= 0.0:
         raise ValueError(f"target mean photon number must be positive, got {target_n}")
-    lo, hi = 0.0, math.sqrt(target_n) + 2.0
-    for _ in range(_MAX_SOLVE_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if _mean_photon_and_slope(mid)[0] < target_n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    a = 0.5 * (lo + hi)
-    for _ in range(_MAX_SOLVE_ITERATIONS):
-        value, slope = _mean_photon_and_slope(a)
-        if abs(value - target_n) <= ALPHA_SOLVE_ATOL:
-            return a
-        step = (value - target_n) / slope
-        a -= step
-        if a < lo or a > hi:  # Newton overshot the bracket; fall back to its midpoint
-            a = 0.5 * (lo + hi)
-    raise NoConvergence(f"alpha solve for target {target_n} did not reach {ALPHA_SOLVE_ATOL}")
+    alpha, converged = solve_alpha(np.array([target_n]))
+    if not converged[0]:
+        tol = float(_solve_tolerance(target_n))
+        raise NoConvergence(f"alpha solve for target {target_n} did not reach {tol}")
+    return float(alpha[0])

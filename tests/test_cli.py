@@ -12,8 +12,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from perfbench.reference import f_noon, f_noref, f_ref, f_ref_asym, mean_photons
 from phasefisher.cli import (
     CSV_HEADER,
+    SWEEP_BLOCK_ROWS,
     SweepConfig,
     find_crossings,
     main,
@@ -25,8 +27,11 @@ from phasefisher.qfi_analytic import (
     CLOSED_FORM,
     QFIResult,
     qfi_ecs_noref,
+    qfi_ecs_ref,
+    qfi_ecs_ref_asymptotic,
     qfi_noon_continuous,
 )
+from phasefisher.states import alpha_for_mean_photon
 
 
 def _stdout_value(out: str, key: str) -> float:
@@ -156,6 +161,15 @@ class TestPoint:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "--trunc-tol" in captured.err
 
+    @pytest.mark.parametrize("trunc_tol", ["0", "nan", "2.0"])
+    def test_bad_trunc_tol_exits_two_before_printing(self, capsys, trunc_tol):
+        rc = main(["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9",
+                   "--reference", "with", "--oracle", "--trunc-tol", trunc_tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tail tolerance must be in (0, 1)")
+
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
             return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value, CLOSED_FORM)
@@ -265,6 +279,20 @@ class TestSweep:
         assert "underflows to 0 at N = " in err
         assert err.rstrip().endswith("lower --n-max")
 
+    def test_underflow_past_the_first_block_names_its_row(self, tmp_path, capsys):
+        # grid row 1455 is the first to underflow, in the second block
+        cfg = SweepConfig(eta=0.9, n_max=1e9, points=3000)
+        assert SWEEP_BLOCK_ROWS < 1455 and cfg.grid()[1455] == 7105.869146093529
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--eta", "0.9", "--n-max", "1e9", "--points", "3000",
+                   "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: Fisher information underflows to 0 at N = 7105.869146093529 (eta = 0.9), "
+            "so its sensitivity is undefined; lower --n-max\n"
+        )
+
     def test_underflow_below_one_photon_names_n_min(self, tmp_path, capsys):
         # F vanishes with N at the low end, so only a larger --n-min helps
         out = tmp_path / "never.csv"
@@ -313,6 +341,45 @@ class TestSweep:
                     f"row {i} {col}: {a} != {b}"
                 )
 
+    @pytest.mark.parametrize(
+        "eta, spacing, n_min, n_max, points",
+        [
+            (0.9, "log", 0.1, 200.0, SWEEP_BLOCK_ROWS + 300),
+            (0.55, "linear", 1.0, 400.0, 200),
+            (0.987654, "log", 1e-3, 1e4, SWEEP_BLOCK_ROWS),
+        ],
+        ids=["log-two-blocks", "linear-part-block", "log-one-block"],
+    )
+    def test_rows_equal_the_scalar_functions(self, eta, spacing, n_min, n_max, points):
+        """Blocked rows are, byte for byte, rows built from the public scalar functions."""
+        cfg = SweepConfig(eta=eta, n_min=n_min, n_max=n_max, points=points, spacing=spacing)
+        want = [CSV_HEADER]
+        for nm in cfg.grid().tolist():
+            alpha = alpha_for_mean_photon(nm)
+            f_noref = qfi_ecs_noref(alpha, eta).value
+            f_ref = qfi_ecs_ref(alpha, eta).value
+            f_noon = qfi_noon_continuous(nm, eta)
+            values = (nm, eta, alpha, f_noref, f_ref, qfi_ecs_ref_asymptotic(alpha, eta).value,
+                      f_noon, f_noref**-0.5, f_ref**-0.5, f_noon**-0.5, 1.0 / math.sqrt(eta * nm))
+            flag = "true" if abs(nm - round(nm)) < 1e-9 else "false"
+            want.append(",".join(map(repr, values)) + "," + flag)
+        assert sweep_rows(cfg) == want
+
+    def test_large_mean_photon_numbers(self, tmp_path):
+        # above N = 2^17 the alpha solve stops at 4 ulps of N, not at 1e-10 absolute
+        out = tmp_path / "large.csv"
+        rc = main(["sweep", "--eta", "0.999999", "--n-min", "1e5", "--n-max", "1e7",
+                   "--points", "50", "--output", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 51
+        for line in lines[1:]:
+            nm, eta, alpha, *fisher = (float(c) for c in line.split(",")[:7])
+            assert abs(mean_photons(alpha) - nm) <= 4 * math.ulp(nm), line
+            refs = (f_noref(alpha, eta), f_ref(alpha, eta), f_ref_asym(alpha, eta), f_noon(nm, eta))
+            for got, ref in zip(fisher, refs):
+                assert abs(got - ref) <= 1e-13 * ref, line
+
     def test_snl_column(self):
         rows = sweep_rows(SweepConfig(eta=0.25, n_min=4.0, n_max=8.0, points=2))
         cells = rows[1].split(",")
@@ -328,6 +395,8 @@ class TestCrossings:
         n2 = _stdout_value(out, "N2")
         assert 0.1 < n1 < n2 < 200.0
         assert "noon probe carries more information" in out
+        # the grid gaps come from one array call, bit for bit the scalar gaps
+        assert (n1, n2) == (3.325871748277586, 34.226161748707064)
         for root in (n1, n2):
             gap = qfi_noon_continuous(root, 0.9) - qfi_ecs_ref_at_mean_photons(root, 0.9)
             assert abs(gap) <= 1e-6
@@ -391,9 +460,12 @@ class TestVerify:
             ["--trunc-tol", "0"],
             ["--grid", "single", "--alpha", "nan", "--eta", "0.9"],
             ["--grid", "single", "--alpha", "1e155", "--eta", "0.9"],
+            # the cutoff (n_max 1039) fits, the stability row's doubled one (2078) does not
+            ["--grid", "single", "--alpha", "28.75", "--eta", "0.9"],
             ["--eta", "1.5"],
         ],
-        ids=["trunc-tol-0", "alpha-nan", "alpha-squared-overflows", "eta-1.5"],
+        ids=["trunc-tol-0", "alpha-nan", "alpha-squared-overflows", "doubled-cutoff-too-large",
+             "eta-1.5"],
     )
     def test_domain_error_exits_two_before_any_check(self, capsys, argv):
         rc = main(["verify", *argv])

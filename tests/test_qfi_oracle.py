@@ -240,6 +240,8 @@ class TestBuildScenario:
         assert 16 * doubled.dim <= MAX_STATE_VECTOR_BYTES
         with pytest.raises(OracleTooLarge):
             FockTruncation(2048)
+        # alpha 28.5 is the largest `verify` amplitude whose doubled cutoff fits
+        assert FockTruncation(2 * _ecs_cutoff(28.5).n_max).n_max == 2046
 
     def test_full_loss_yields_zero_information(self):
         probe = ProbeSpec("ecs", 0.0, alpha=1.0)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from phasefisher.exceptions import InvalidEta, TruncationTooSmall
+from phasefisher.exceptions import InvalidEta, NoConvergence, TruncationTooSmall
 from phasefisher.fock_core import FockTruncation, coherent_vector
 from phasefisher.qfi_oracle import _ecs_cutoff
 from phasefisher.states import (
+    ALPHA_SOLVE_ATOL,
     ProbeSpec,
     alpha_for_mean_photon,
     ecs_normalization,
@@ -18,6 +19,7 @@ from phasefisher.states import (
     ecs_vector,
     mean_photon_number,
     noon_vector,
+    solve_alpha,
 )
 
 # frozen at first light against direct evaluation of the defining formulas
@@ -137,6 +139,62 @@ class TestAlphaSolve:
     def test_rejects_nonpositive_target(self, bad):
         with pytest.raises(ValueError):
             alpha_for_mean_photon(bad)
+
+    @given(targets=st.lists(
+        st.one_of(st.floats(1e-12, 1e300), st.floats(0.05, 300.0)), min_size=1, max_size=40
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_array_solve_equals_scalar_loop(self, targets):
+        """Each row of solve_alpha is the scalar bisection and Newton loop, bit for bit."""
+        alpha, converged = solve_alpha(np.array(targets))
+        for target, a, ok in zip(targets, alpha.tolist(), converged.tolist()):
+            want = _scalar_alpha_solve(target)
+            assert ok == (want is not None), target
+            if ok:
+                assert a == want == alpha_for_mean_photon(target), target
+            else:
+                with pytest.raises(NoConvergence):
+                    alpha_for_mean_photon(target)
+
+    def test_converges_where_doubles_are_coarser_than_the_tolerance(self):
+        # above N = 2^17 four ulps of N exceed ALPHA_SOLVE_ATOL; 1e-10 absolute cannot be met
+        targets = np.concatenate([np.geomspace(1e5, 1e12, 2000), np.geomspace(1e12, 1e300, 4000)])
+        alpha, converged = solve_alpha(targets)
+        assert converged.all()
+        value = np.array([mean_photon_number(a) for a in alpha.tolist()])
+        assert np.all(np.abs(value - targets) <= 1e-14 * targets)
+
+    def test_nonpositive_rows_do_not_converge(self):
+        alpha, converged = solve_alpha(np.array([-1.0, 0.0, math.nan, 2.0]))
+        assert converged.tolist() == [False, False, False, True]
+        assert alpha[3] == alpha_for_mean_photon(2.0)
+
+
+def _scalar_alpha_solve(target_n: float) -> float | None:
+    """The scalar solver that solve_alpha replaced, kept as its reference; None if it fails."""
+    def value_and_slope(a):
+        s = 1.0 / (1.0 + math.exp(-(a * a)))
+        return a * a * s, 2.0 * a * s * (1.0 + a * a * (1.0 - s))
+
+    lo, hi = 0.0, math.sqrt(target_n) + 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if value_and_slope(mid)[0] < target_n:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-6:
+            break
+    tol = max(ALPHA_SOLVE_ATOL, 4.0 * math.ulp(target_n))
+    a = 0.5 * (lo + hi)
+    for _ in range(200):
+        value, slope = value_and_slope(a)
+        if abs(value - target_n) <= tol:
+            return a
+        a -= (value - target_n) / slope
+        if a < lo or a > hi:
+            a = 0.5 * (lo + hi)
+    return None
 
 
 class TestProbeSpec:
