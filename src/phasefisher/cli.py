@@ -177,13 +177,13 @@ def sweep_rows(cfg: SweepConfig) -> list[str]:
 def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     """CSV rows of one block of the grid, bit for bit those of the scalar functions.
 
-    The closed forms run once on the whole block. If a row fails to solve,
-    overflows or underflows, the block is re-run row by row through the
-    public functions, which raise the first failing row's error.
+    The closed forms run once on the whole block. If a row overflows or
+    underflows, the block is re-run row by row through the public
+    functions, which raise the first failing row's error.
     """
     try:
         with np.errstate(all="ignore"):
-            alpha, converged = solve_alpha(n_mean)
+            alpha = solve_alpha(n_mean)
             a2 = _libm(pow, alpha, 2)
             values = np.stack(
                 [alpha, _noref(a2, eta), _ref(a2, eta), _ref_asymptotic(a2, eta), _noon(n_mean, eta)]
@@ -191,12 +191,7 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
             # the failures of the scalar path: QFIResult refuses a non-finite or
             # negative F, and the sensitivity needs F > 0
             underflow = np.minimum.reduce([values[1], values[2], values[4], eta * n_mean]) == 0.0
-            ok = (
-                converged.all()
-                and np.isfinite(values).all()
-                and (values >= 0.0).all()
-                and not underflow.any()
-            )
+            ok = np.isfinite(values).all() and (values >= 0.0).all() and not underflow.any()
     except OverflowError:
         ok = False
     if not ok:
@@ -204,7 +199,9 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     _, f_noref, f_ref, _, f_noon = values
     dphi = [_libm(pow, f, -0.5) for f in (f_noref, f_ref, f_noon)]
     columns = [n_mean, np.full(n_mean.size, eta), *values, *dphi, 1.0 / np.sqrt(eta * n_mean)]
-    integer_n = (np.abs(n_mean - np.rint(n_mean)) < INTEGER_N_ATOL).tolist()
+    # no NOON state has n = 0, so an N that rounds to 0 is not an integer N
+    nearest = np.rint(n_mean)
+    integer_n = ((nearest >= 1.0) & (np.abs(n_mean - nearest) < INTEGER_N_ATOL)).tolist()
     return [
         ",".join(map(repr, cells)) + (",true" if flag else ",false")
         for cells, flag in zip(zip(*(c.tolist() for c in columns)), integer_n)
@@ -274,9 +271,8 @@ def find_crossings(
 
     ns = np.geomspace(n_min, n_max, points)
     with np.errstate(all="ignore"):
-        alpha, converged = solve_alpha(ns)
-        gaps = _noon(ns, eta) - _ref(_libm(pow, alpha, 2), eta)
-    if converged.all() and np.isfinite(gaps).all():
+        gaps = _noon(ns, eta) - _ref(_libm(pow, solve_alpha(ns), 2), eta)
+    if np.isfinite(gaps).all():
         gaps = gaps.tolist()
     else:
         # the scalar functions raise the first failing grid point's error

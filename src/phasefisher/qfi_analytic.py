@@ -35,7 +35,6 @@ import numpy as np
 
 from .exceptions import (
     InvalidEta,
-    InvalidWeights,
     NonpositiveFisher,
     NumericalOverflow,
     check_eta,
@@ -71,8 +70,7 @@ class EcsLossySpectrum:
     """Exact two-level spectral data of the lossy ECS with a reference beam.
 
     p is the overlap <Psi_1|Psi_2>, p_perp the surviving coherence weight.
-    The eigenstates expand as |g+> = c_plus |Psi_1> + d_minus |Psi_2> and
-    |g-> = c_minus |Psi_1> + d_plus |Psi_2> over the nonorthogonal pair.
+    gamma_plus >= gamma_minus are the eigenvalues, det_sigma their product.
     """
 
     p: float
@@ -80,27 +78,16 @@ class EcsLossySpectrum:
     det_sigma: float
     gamma_plus: float
     gamma_minus: float
-    zeta_plus: float
-    zeta_minus: float
-    c_plus: float
-    c_minus: float
-    d_plus: float
-    d_minus: float
-    sigma3_expect: float
 
 
 def _in_double_range(closed_form):
-    """Report a float overflow inside closed_form as NumericalOverflow.
-
-    A division by a quantity that underflowed to zero (1 - p^2 once
-    eta |alpha|^2 is below the smallest double) is the same overflow.
-    """
+    """Report a float overflow inside closed_form as NumericalOverflow."""
 
     @functools.wraps(closed_form)
     def checked(*args, **kwargs):
         try:
             return closed_form(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
+        except OverflowError as exc:
             raise NumericalOverflow(
                 f"{closed_form.__name__} overflows double precision at {args or kwargs}: {exc}"
             ) from exc
@@ -179,9 +166,8 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     With q = p p_perp = e^{-|alpha|^2}, the trace-one determinant relation
     of a 2x2 density matrix gives 1 - 4 det = r^2 for r = (p + p_perp)/(1 + q),
     because (1 + q)^2 - (1 - p^2)(1 - p_perp^2) = (p + p_perp)^2. So
-    gamma_pm = (1 +/- r)/2, with gamma_minus = (1 - p)(1 - p_perp)/(2 (1 + q)),
-    and the eigenvector weights collapse to zeta_pm = sqrt((1 +/- p)/2); no
-    value is a difference of nearly equal terms. The numeric two-level
+    gamma_pm = (1 +/- r)/2, with gamma_minus = (1 - p)(1 - p_perp)/(2 (1 + q));
+    no value is a difference of nearly equal terms. The numeric two-level
     eigensolve in qfi_oracle arbitrates these forms.
     """
     check_eta(eta)
@@ -197,21 +183,12 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     one_minus_p = -math.expm1(-eta * a2)
     det = nsq * nsq * -math.expm1(-2.0 * eta * a2) * -math.expm1(-2.0 * (1.0 - eta) * a2)
     r = (p + p_perp) / one_plus_q
-    d_minus = 1.0 / math.sqrt(2.0 * (1.0 + p))
-    d_plus = 1.0 / math.sqrt(2.0 * one_minus_p)
     return EcsLossySpectrum(
         p=p,
         p_perp=p_perp,
         det_sigma=det,
         gamma_plus=0.5 * (1.0 + r),
         gamma_minus=one_minus_p * -math.expm1(-(1.0 - eta) * a2) / (2.0 * one_plus_q),
-        zeta_plus=math.sqrt(0.5 * (1.0 + p)),
-        zeta_minus=math.sqrt(0.5 * one_minus_p),
-        c_plus=d_minus,
-        c_minus=-d_plus,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        sigma3_expect=p * r,
     )
 
 
@@ -234,28 +211,6 @@ def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
             [off, -math.expm1(-2.0 * eta * a2)],
         ]
     )
-
-
-def qfi_two_level(
-    gamma_plus: float,
-    gamma_minus: float,
-    variance_plus: float,
-    variance_minus: float,
-    cross_term_sq: float,
-) -> float:
-    """Mixed-state QFI of a rank-two state with the given spectral data.
-
-    F = 4 (g+ Var+ + g- Var- - 4 g+ g- |cross|^2). Variances are taken in
-    the full space, so leakage of G out of the rank-two support is already
-    inside Var+/-. When the minor weight is below GAMMA_MINUS_FLOOR the
-    cross term is dropped rather than multiplied out, avoiding 0 * inf.
-    """
-    if gamma_plus < 0.0 or gamma_minus < 0.0 or gamma_plus + gamma_minus > 1.0 + 1e-12:
-        raise InvalidWeights(f"weights ({gamma_plus}, {gamma_minus}) invalid")
-    value = 4.0 * (gamma_plus * variance_plus + gamma_minus * variance_minus)
-    if gamma_minus >= GAMMA_MINUS_FLOOR:
-        value -= 16.0 * gamma_plus * gamma_minus * cross_term_sq
-    return value
 
 
 @_in_double_range

@@ -20,16 +20,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .exceptions import NoConvergence, TruncationTooSmall, check_eta
+from .exceptions import TruncationTooSmall, check_eta
 from .fock_core import (
     DEFAULT_TAIL_TOL,
     FockTruncation,
     StateVector,
     coherent_vector,
 )
-
-ALPHA_SOLVE_ATOL = 1e-10
-_MAX_SOLVE_ITERATIONS = 200
 
 
 def _libm(fn, x, *args):
@@ -122,66 +119,46 @@ def ecs_sector_weights(
     return weights
 
 
-def _mean_photon_and_logistic(a):
-    # mean_photon_number(a) = a^2 s for the logistic s = 1/(1 + e^{-a^2})
-    a2 = a * a
-    s = 1.0 / (1.0 + _libm(math.exp, -a2))
-    return a2 * s, s
-
-
-def _solve_tolerance(targets):
-    # the doubles around a target past 2^17 are coarser than ALPHA_SOLVE_ATOL
-    return np.maximum(ALPHA_SOLVE_ATOL, 4.0 * _libm(math.ulp, targets))
-
-
-def solve_alpha(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_alpha(targets: np.ndarray) -> np.ndarray:
     """Real alpha >= 0 with mean_photon_number(alpha) = target, for each target.
 
-    The mean photon number is strictly increasing in alpha and bounded by
-    alpha^2, so the root lies in [0, sqrt(target) + 2]. Bisection gets
-    within 1e-6, then Newton steps polish until the mean photon number is
-    within max(ALPHA_SOLVE_ATOL, 4 ulp(target)) of the target; a step out
-    of the bracket falls back to its midpoint. Each row stops on its own,
-    so every row takes the steps it would take alone.
+    Solved for u = |alpha|^2: the mean photon number is N(u) = u/(1 + e^{-u}),
+    so u - N = N e^{-u} puts the root in the bracket (N, 2N] at every scale.
+    Newton steps on u start from N (1 + e^{-N}); a step that leaves the
+    bracket falls back to its midpoint, and the bracket closes in on the
+    side the sign of N(u) - N shows. A row stops once N(u) - N is 0 or its
+    next iterate equals the current one, so every row takes the steps it
+    would take alone. The bracket shrinks at every step that does not stop,
+    so every row stops.
 
-    Returns (alpha, converged); converged is False where a target is not
-    positive or the polish did not reach the tolerance.
+    Raises ValueError unless every target is positive and finite.
     """
     targets = np.asarray(targets, dtype=float)
-    with np.errstate(all="ignore"):
-        lo = np.zeros_like(targets)
-        hi = np.sqrt(targets) + 2.0
+    bad = ~((targets > 0.0) & (targets < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"target mean photon number must be positive and finite, got {targets[bad][0]}"
+        )
+    # past 8.99e307 the bracket's top overflows, but e^{-N} = 0 there and u = N stops at once
+    with np.errstate(over="ignore"):
+        lo, hi = targets, 2.0 * targets
+        u = targets * (1.0 + _libm(math.exp, -targets))
         active = np.ones(targets.shape, dtype=bool)
-        for _ in range(_MAX_SOLVE_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            below = _mean_photon_and_logistic(mid)[0] < targets
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active &= ~(hi - lo < 1e-6)
-            if not np.count_nonzero(active):
-                break
-        tol = _solve_tolerance(targets)
-        a = 0.5 * (lo + hi)
-        active = targets > 0.0
-        for _ in range(_MAX_SOLVE_ITERATIONS):
-            value, s = _mean_photon_and_logistic(a)
-            active &= ~(np.abs(value - targets) <= tol)
-            if not np.count_nonzero(active):
-                break
-            slope = 2.0 * a * s * (1.0 + a * a * (1.0 - s))
-            step = a - (value - targets) / slope
-            # Newton overshot the bracket; fall back to its midpoint
-            step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
-            a = np.where(active, step, a)
-    return a, ~active & (targets > 0.0)
+        while active.any():
+            e = _libm(math.exp, -u)
+            d = 1.0 + e
+            # N(u) - N = ((u - N) - N e)/d, and u - N is exact on the bracket
+            miss = ((u - targets) - targets * e) / d
+            lo = np.where(miss < 0.0, u, lo)
+            hi = np.where(miss > 0.0, u, hi)
+            newton = u - miss * d * d / (d + u * e)
+            inside = ((lo < newton) & (newton < hi)) | (newton == u)
+            step = np.where(inside, newton, 0.5 * (lo + hi))
+            active &= (miss != 0.0) & (step != u)
+            u = np.where(active, step, u)
+    return np.sqrt(u)
 
 
 def alpha_for_mean_photon(target_n: float) -> float:
     """Real alpha >= 0 with mean_photon_number(alpha) = target_n; see solve_alpha."""
-    if target_n <= 0.0:
-        raise ValueError(f"target mean photon number must be positive, got {target_n}")
-    alpha, converged = solve_alpha(np.array([target_n]))
-    if not converged[0]:
-        tol = float(_solve_tolerance(target_n))
-        raise NoConvergence(f"alpha solve for target {target_n} did not reach {tol}")
-    return float(alpha[0])
+    return float(solve_alpha(np.array([target_n]))[0])

@@ -366,24 +366,35 @@ class TestSweep:
         assert sweep_rows(cfg) == want
 
     def test_large_mean_photon_numbers(self, tmp_path):
-        # above N = 2^17 the alpha solve stops at 4 ulps of N, not at 1e-10 absolute
-        out = tmp_path / "large.csv"
-        rc = main(["sweep", "--eta", "0.999999", "--n-min", "1e5", "--n-max", "1e7",
-                   "--points", "50", "--output", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 51
-        for line in lines[1:]:
-            nm, eta, alpha, *fisher = (float(c) for c in line.split(",")[:7])
-            assert abs(mean_photons(alpha) - nm) <= 4 * math.ulp(nm), line
-            refs = (f_noref(alpha, eta), f_ref(alpha, eta), f_ref_asym(alpha, eta), f_noon(nm, eta))
-            for got, ref in zip(fisher, refs):
-                assert abs(got - ref) <= 1e-13 * ref, line
+        # past N = 2^17 the doubles around N are coarser than 1e-10
+        _assert_sweep_matches_reference(tmp_path, "0.999999", "1e5", "1e7", 50)
+
+    def test_tiny_mean_photon_numbers(self, tmp_path):
+        # far below one photon, where N rounds to 0 but no NOON state has n = 0
+        flags = _assert_sweep_matches_reference(tmp_path, "0.9", "1e-12", "1e-9", 3)
+        assert flags == ["false"] * 3
 
     def test_snl_column(self):
         rows = sweep_rows(SweepConfig(eta=0.25, n_min=4.0, n_max=8.0, points=2))
         cells = rows[1].split(",")
         assert float(cells[10]) == pytest.approx(1.0 / math.sqrt(0.25 * 4.0), rel=1e-14)
+
+
+def _assert_sweep_matches_reference(tmp_path, eta, n_min, n_max, points) -> list[str]:
+    """Each row's alpha hits its N to 4 ulps and each F is the 50-digit value; returns the flags."""
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--eta", eta, "--n-min", n_min, "--n-max", n_max,
+               "--points", str(points), "--output", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == points + 1
+    for line in lines[1:]:
+        nm, eta, alpha, *fisher = (float(c) for c in line.split(",")[:7])
+        assert abs(mean_photons(alpha) - nm) <= 4 * math.ulp(nm), line
+        refs = (f_noref(alpha, eta), f_ref(alpha, eta), f_ref_asym(alpha, eta), f_noon(nm, eta))
+        for got, ref in zip(fisher, refs):
+            assert abs(got - ref) <= 1e-13 * ref, line
+    return [line.split(",")[-1] for line in lines[1:]]
 
 
 class TestCrossings:
