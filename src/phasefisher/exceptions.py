@@ -17,7 +17,7 @@ class NotHermitian(PhaseFisherError):
 
 
 class NegativeEigenvalue(PhaseFisherError):
-    """A density operator has an eigenvalue below the roundoff floor."""
+    """A density operator has an eigenvalue further below 0 than roundoff explains."""
 
 
 class DimensionMismatch(PhaseFisherError):

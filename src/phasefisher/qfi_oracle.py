@@ -71,11 +71,6 @@ WITHOUT_REFERENCE = "without"
 # sectors lighter than this cannot move any tested tolerance
 SECTOR_WEIGHT_FLOOR = 1e-14
 
-# eigenvalues below EIGENVALUE_FLOOR count as exact zeros; eigenvalue pairs
-# whose sum is below PAIR_SKIP_THRESHOLD are formally 0/0 and skipped
-EIGENVALUE_FLOOR = 1e-12
-PAIR_SKIP_THRESHOLD = 1e-12
-
 DEFAULT_GRID_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_GRID_ETAS = (0.6, 0.9, 0.99, 1.0)
 NOON_ORDERS = (1, 2, 3, 5)
@@ -95,34 +90,66 @@ def _ecs_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockTrunc
 
 
 def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
-    """Spectral QFI sum over the eigenpairs of rho.
+    """Spectral QFI sum over the eigenpairs of rho, one connected component at a time.
 
     The sum is evaluated on the support of rho only. For a diagonal
     generator this restriction is exact: every basis state outside the
     support is a zero-weight eigenvector of rho and an eigenvector of G, so
     its pair contributions vanish identically (the support-restricted QFI;
-    Liu et al., J. Phys. A 53, 023001 (2020)). Support restriction is what
-    keeps rank-two states on large cutoffs cheap.
+    Liu et al., J. Phys. A 53, 023001 (2020)). By the same argument the QFI
+    is the sum over the connected components of rho's exact nonzeros, the
+    only zero rule. Each component is scaled exactly by a power of two to a
+    trace in [1/2, 1) for its eigensolve: an eigenvalue below -1e-12 there
+    raises NegativeEigenvalue, a larger negative one is clipped to 0, and
+    every pair with p_i + p_j > 0 counts.
     """
     if rho.truncation != generator.truncation:
         raise DimensionMismatch(
             f"state cutoff {rho.truncation} vs generator cutoff {generator.truncation}"
         )
     g = generator.diagonal[rho.support]
-
-    w, v = np.linalg.eigh(rho.block)
-    if w.min() < -EIGENVALUE_FLOOR:
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{EIGENVALUE_FLOOR}")
-    w = np.clip(w, 0.0, None)
-    w[w < EIGENVALUE_FLOOR] = 0.0
-
-    gt = v.conj().T @ (g[:, None] * v)
-    num = (w[:, None] - w[None, :]) ** 2
-    den = w[:, None] + w[None, :]
-    ratio = np.zeros_like(den)
-    np.divide(num, den, out=ratio, where=den > PAIR_SKIP_THRESHOLD)
-    value = float(np.sum(2.0 * ratio * np.abs(gt) ** 2))
+    value = 0.0
+    for members in _components(rho.block):  # a stack of equal-size components
+        if members.shape[1] == 1:  # one state: its entry's frexp mantissa, and no pair
+            w, v = np.frexp(rho.block[members[:, 0], members[:, 0]].real)[0], None
+        else:
+            blocks = rho.block[members[:, :, None], members[:, None, :]]
+            _, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
+            shift = -exponent[:, None, None]
+            w, v = np.linalg.eigh(np.ldexp(blocks.real, shift) + 1j * np.ldexp(blocks.imag, shift))
+        if w.min() < -1e-12:
+            raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} of a trace-scaled component")
+        if v is None:
+            continue
+        w = np.clip(w, 0.0, None)
+        gt = v.conj().transpose(0, 2, 1) @ (g[members][:, :, None] * v)
+        num = (w[:, :, None] - w[:, None, :]) ** 2
+        den = w[:, :, None] + w[:, None, :]
+        ratio = np.zeros_like(den)
+        np.divide(num, den, out=ratio, where=den > 0.0)
+        value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
     return QFIResult(value, NUMERIC, generator.kind)
+
+
+def _components(block: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the exact nonzeros, as one (count, size) index array per size.
+
+    Each row takes the smallest label among its nonzero entries, then that
+    label's label, until no label moves.
+    """
+    linked = block != 0
+    if linked.all():
+        return [np.arange(block.shape[0])[None]]
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    labels, previous = np.arange(block.shape[0]), None
+    while not np.array_equal(labels, previous):
+        previous = labels
+        labels = np.where(linked, labels, block.shape[0]).min(axis=1)
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)[labels[order]]
+    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -473,26 +500,22 @@ def verify_all(
             errs.append(float(np.max(np.abs(delta))))
         return errs, f"{len(grid)} points, entrywise"
 
+    @functools.cache
+    def label_free_mixture(alpha: float, eta: float) -> DensityOperator:
+        probe = ProbeSpec("ecs", eta, alpha=alpha)
+        return scenario_mixture(build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol))
+
     def pipeline_body():
         errs = []
         for alpha, eta in grid:
-            if alpha > 1.5:
-                continue
-            probe = ProbeSpec("ecs", eta, alpha=alpha)
-            ensemble = build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
-            merged = scenario_mixture(ensemble)
-            direct = phase_average(
-                apply_loss(ecs_vector(alpha, cutoff[alpha], tail_tol).density(), eta)
-            )
-            errs.append(_max_entry_gap(merged, direct))
+            direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha], tail_tol).density(), eta))
+            errs.append(_max_entry_gap(label_free_mixture(alpha, eta), direct))
         return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
 
     def generator_body():
         errs = []
         for alpha, eta in grid:
-            probe = ProbeSpec("ecs", eta, alpha=alpha)
-            ensemble = build_scenario(probe, WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
-            mix = scenario_mixture(ensemble)
+            mix = label_free_mixture(alpha, eta)
             two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
             one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
             errs.append(abs(one - two) / max(two, 1e-300))

@@ -91,13 +91,21 @@ class TestQfiNumeric:
     def test_mixture_of_orthogonal_pure_states_is_additive(self):
         # diagonal generator, disjoint supports: no cross contributions
         trunc = FockTruncation(3)
+        gen = two_arm_generator(trunc)
         rho = DensityOperator.from_dense(
             0.3 * noon_vector(1, trunc).density().matrix
             + 0.7 * noon_vector(3, trunc).density().matrix,
             trunc,
         )
-        got = qfi_numeric(rho, two_arm_generator(trunc))
-        assert got.value == pytest.approx(0.3 * 1.0 + 0.7 * 9.0, rel=1e-12)
+        assert qfi_numeric(rho, gen).value == pytest.approx(0.3 * 1.0 + 0.7 * 9.0, rel=1e-12)
+        # all the information in an eigenvalue of 1e-13: (1 - w)|0,0><0,0| + w NOON(1)
+        w = 1e-13
+        vacuum = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+        vacuum[0, 0] = 1.0
+        rho = DensityOperator.from_dense(
+            (1.0 - w) * vacuum + w * noon_vector(1, trunc).density().matrix, trunc
+        )
+        assert qfi_numeric(rho, gen).value == pytest.approx(w, rel=1e-12, abs=0.0)
 
     def test_invariant_under_commuting_unitary(self):
         trunc = _ecs_cutoff(0.8)
