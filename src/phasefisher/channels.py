@@ -81,10 +81,12 @@ def _loss_table(eta: float, d: int) -> np.ndarray:
     return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
 
 
-def _downward_closure(occ: np.ndarray) -> np.ndarray:
-    """States reachable from occ by removing photons from either mode."""
+def _downward_closure(n1: np.ndarray, n2: np.ndarray, d: int) -> np.ndarray:
+    """Basis indices reachable from the states |n1, n2> by removing photons from either mode."""
+    occ = np.zeros((d, d), dtype=bool)
+    occ[n1, n2] = True
     c = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
-    return np.logical_or.accumulate(c[:, ::-1], axis=1)[:, ::-1]
+    return np.flatnonzero(np.logical_or.accumulate(c[:, ::-1], axis=1)[:, ::-1])
 
 
 def _incidences(
@@ -168,9 +170,7 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     trunc = rho.truncation
     d = trunc.dim_single
     n1, n2 = np.divmod(rho.support, d)
-    occ = np.zeros((d, d), dtype=bool)
-    occ[n1, n2] = True
-    out_support = np.flatnonzero(_downward_closure(occ))
+    out_support = _downward_closure(n1, n2, d)
     acc = _kraus_sum(rho.block, n1, n2, d, out_support, eta)
     return DensityOperator(out_support, acc, trunc)
 
@@ -187,55 +187,56 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.support, np.where(mask, rho.block, 0.0), rho.truncation)
 
 
-def bs_pair_unitary(d: int, eta: float) -> np.ndarray:
-    """exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(eta), both modes on d states.
+def _bs_bands(eta: float, d: int) -> np.ndarray:
+    """bands[e, a] = <a, e|U|a + e, 0> for a + e < d, the vacuum-environment columns of U.
 
-    Acts on (signal, env) with the signal index major. Sends |alpha>|0> to
-    |sqrt(eta) alpha>|-sqrt(1-eta) alpha> up to cutoff leakage. The
-    generator conserves the total photon number, also after truncation (the
-    SU(2) structure of the lossless beam splitter; Campos, Saleh and Teich,
-    Phys. Rev. A 40, 1371 (1989)), so each total-number block is exp(-iH)
-    for the Hermitian H = i theta (a^dag b - a b^dag) on it, from one eigh.
+    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(eta), couples a mode
+    to its environment b and conserves the total photon number (the SU(2)
+    structure of the lossless beam splitter; Campos, Saleh and Teich, Phys.
+    Rev. A 40, 1371 (1989)). On the block |n - e, e>, e = 0 .. n, it is
+    exp(-iH) for the tridiagonal H = i theta (a^dag b - a b^dag), from one
+    eigh; column |n, 0> is summed elementwise, so no BLAS product rounds it.
     """
-    check_eta(eta)
-    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
-    h = 1j * np.arccos(np.sqrt(eta)) * (np.kron(a.T, a) - np.kron(a, a.T))
-    totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for n in range(2 * d - 1):
-        block = np.ix_(totals == n, totals == n)
-        w, v = np.linalg.eigh(h[block])
-        u[block] = (v * np.exp(-1j * w)) @ v.conj().T
-    return u
+    theta = np.arccos(np.sqrt(eta))
+    bands = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        # <n - e - 1, e + 1|H|n - e, e> = -i theta sqrt((n - e)(e + 1))
+        off = -1j * theta * np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1))
+        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off.conj(), 1))
+        e = np.arange(n + 1)
+        bands[e, n - e] = (v * (np.exp(-1j * w) * v[0].conj())).sum(axis=1)
+    return bands
 
 
 def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     """Loss through explicit vacuum environments, then a partial trace.
 
-    Each signal mode is coupled to its own vacuum environment by
-    bs_pair_unitary, whose vacuum-environment column gives the Kraus
-    operators K_e[a, n] = <a, e|U|n, 0> of one mode. Tracing the environment
-    out is the one-mode channel (a, a') <- (n, n') = sum_e K_e x conj(K_e),
-    applied to both modes as two products on rho regrouped so that rows are
-    (n1, n1') and columns (n2, n2'). The environment shares the signal
-    cutoff, which is exact: a mode holding at most n_max photons can lose
-    at most n_max. A trace deficit beyond 1e-9 (roundoff only) raises
-    TruncationTooSmall.
+    Each mode gets its own vacuum environment; the beam splitter's columns
+    from _bs_bands are the one-mode Kraus operators K_e[a, a + e] =
+    bands[e, a], and tracing the environments out sums the pairs (e1, e2).
+    As in apply_loss, the pairs that move an occupied state are the downward
+    closure of the support, which is also the output support. Each pair adds
+    w w^dag times its source block, elementwise, in row-major pair order.
+    The environment shares the signal cutoff, which is exact: a mode holding
+    at most n_max photons can lose at most n_max. A trace deficit beyond
+    1e-9 (roundoff only) raises TruncationTooSmall.
     """
     check_eta(eta)
     trunc = rho.truncation
     d = trunc.dim_single
-    kraus = bs_pair_unitary(d, eta)[:, ::d].reshape(d, d, d)  # axes (a, e, n)
-    channel = np.einsum("aen,bem->abnm", kraus, kraus.conj()).reshape(d * d, d * d)
-
-    def regroup(m: np.ndarray) -> np.ndarray:
-        # (n1, n2 | n1', n2') <-> (n1, n1' | n2, n2'); its own inverse
-        return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-    out = regroup(channel @ regroup(rho.matrix) @ channel.T)
-    deficit = abs(float(np.trace(out).real) - 1.0)
+    bands = _bs_bands(eta, d)
+    n1, n2 = np.divmod(rho.support, d)
+    closure = _downward_closure(n1, n2, d)
+    acc = np.zeros((closure.size, closure.size), dtype=complex)
+    for e1, e2 in zip(*np.divmod(closure, d)):
+        src = np.flatnonzero((n1 >= e1) & (n2 >= e2))
+        a1, a2 = n1[src] - e1, n2[src] - e2
+        w = bands[e1, a1] * bands[e2, a2]
+        dst = np.searchsorted(closure, a1 * d + a2)
+        acc[np.ix_(dst, dst)] += np.outer(w, w.conj()) * rho.block[np.ix_(src, src)]
+    deficit = abs(float(np.trace(acc).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(
             f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}"
         )
-    return DensityOperator.from_dense(out, trunc)
+    return DensityOperator(closure, acc, trunc)

@@ -12,7 +12,8 @@ order, no timestamps. Closed-form output (`point` without `--oracle`,
 `sweep`, `crossings`) uses no linear algebra. Oracle values and `verify`
 errors come from LAPACK eigensolves and BLAS products: they were checked
 to be the same at one and two BLAS threads (a subprocess test pins the
-beam-splitter check), but another BLAS library may move their last digits.
+beam-splitter route's output bytes, CI the default `verify` report), but
+another BLAS library may move their last digits.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ from phasefisher.channels import (
     SINGLE_ARM,
     TWO_ARM,
     PhaseGenerator,
+    _bs_bands,
     _loss_table,
     apply_loss,
     apply_loss_via_bs,
-    bs_pair_unitary,
     phase_average,
     single_arm_generator,
     two_arm_generator,
@@ -315,30 +315,36 @@ class TestGenerators:
 
 
 class TestBeamSplitterRoute:
-    def test_pair_unitary_is_unitary(self):
-        v = bs_pair_unitary(5, 0.6)
-        assert np.allclose(v @ v.conj().T, np.eye(25), atol=1e-12)
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 1.0])
+    def test_bands_columns_have_unit_norm(self, eta):
+        # column |n, 0> of the unitary lies in the block |n - e, e>, e = 0 .. n
+        d = 20
+        bands = _bs_bands(eta, d)
+        for n in range(d):
+            column = bands[np.arange(n + 1), n - np.arange(n + 1)]
+            assert float(np.sum(np.abs(column) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_pair_unitary_conserves_total_number(self):
-        # exponentiated block by block, it couples no two states of different n + e
-        d = 6
-        totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
-        v = bs_pair_unitary(d, 0.3)
-        assert np.all(v[totals[:, None] != totals[None, :]] == 0.0)
-
-    def test_pair_unitary_splits_coherent(self):
+    def test_bands_split_coherent(self):
         # |alpha>|0> -> |sqrt(eta) alpha>|-sqrt(1-eta) alpha>
         alpha, eta = 0.7, 0.6
         d = 18
         trunc = FockTruncation(d - 1)
-        vac = np.zeros(d, dtype=complex)
-        vac[0] = 1.0
-        out = bs_pair_unitary(d, eta) @ np.kron(coherent_vector(alpha, trunc), vac)
-        want = np.kron(
+        c = coherent_vector(alpha, trunc)
+        a, e = np.ogrid[:d, :d]
+        # <a, e|U|alpha, 0> = c_{a+e} bands[e, a], and bands is 0 wherever a + e >= d
+        out = c[np.minimum(a + e, d - 1)] * _bs_bands(eta, d).T
+        want = np.outer(
             coherent_vector(math.sqrt(eta) * alpha, trunc),
             coherent_vector(-math.sqrt(1.0 - eta) * alpha, trunc),
         )
         assert np.allclose(out, want, atol=1e-10)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    def test_bands_magnitudes_equal_the_loss_table(self, eta):
+        d = 25
+        inside = np.add.outer(np.arange(d), np.arange(d)) < d
+        gap = np.abs(np.abs(_bs_bands(eta, d)) - _loss_table(eta, d))
+        assert float(gap[inside].max()) <= 1e-13
 
     @pytest.mark.parametrize("eta", [0.3, 0.8])
     def test_matches_kraus_on_mixed_state(self, eta):
@@ -354,22 +360,26 @@ class TestBeamSplitterRoute:
         assert np.allclose(via_bs.matrix, apply_loss(rho, 0.7).matrix, atol=1e-11)
 
     def test_check_value_independent_of_blas_threads(self):
-        """The largest Kraus-vs-beam-splitter entry gap, bit for bit at 1 and 2 BLAS threads.
+        """The beam-splitter route's output and Kraus gap, bit for bit at 1 and 2 BLAS threads.
 
-        This is the value `verify` reports in its bs_vs_kraus_channel row at
-        alpha = 1.5. The route's output itself still moves in the last bits
-        with the thread count, since threaded products round differently.
+        The gap is the value `verify` reports in its bs_vs_kraus_channel row.
+        The route's output bytes are hashed too: its sums are elementwise and
+        its eigensolves small, so no thread count moves their last bits.
         """
         code = (
+            "import hashlib\n"
             "import numpy as np\n"
             "from phasefisher.channels import apply_loss, apply_loss_via_bs\n"
             "from phasefisher.fock_core import FockTruncation, truncation_for_tolerance\n"
             "from phasefisher.states import ecs_vector\n"
-            "trunc = FockTruncation(truncation_for_tolerance(1.5, 1e-12).n_max + 2)\n"
-            "rho = ecs_vector(1.5, trunc).density()\n"
-            "for eta in (0.6, 0.9):\n"
-            "    gap = np.abs(apply_loss(rho, eta).matrix - apply_loss_via_bs(rho, eta).matrix)\n"
-            "    print(repr(float(gap.max())))\n"
+            "for alpha in (1.5, 2.0):\n"
+            "    trunc = FockTruncation(truncation_for_tolerance(alpha, 1e-12).n_max + 2)\n"
+            "    rho = ecs_vector(alpha, trunc).density()\n"
+            "    for eta in (0.6, 0.9):\n"
+            "        out = apply_loss_via_bs(rho, eta)\n"
+            "        gap = np.abs(apply_loss(rho, eta).matrix - out.matrix)\n"
+            "        raw = out.support.tobytes() + out.block.tobytes()\n"
+            "        print(repr(float(gap.max())), hashlib.sha256(raw).hexdigest())\n"
         )
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         if (cpus or 1) < 2:

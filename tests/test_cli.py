@@ -527,14 +527,16 @@ class TestVerify:
     def test_subnormal_eta_fails_without_traceback_or_warning(self, capsys, alpha, eta):
         """Below double range the two-level rows fail with a typed error, never PASS on NaN.
 
-        At eta 1e-300 the oracle rows pass: each component's eigensolve is
-        relative to its own trace, so a Fisher information of order eta is
-        kept. At eta 5e-324 the noon row fails with a relative error of 1:
-        the lossy NOON(1) state's one-photon entries, eta/2 exactly, lie
-        between 0 and the smallest subnormal, so the oracle's two routes round
-        them to 0 (with a reference, F = 0) and to 5e-324 each (without one,
-        F = 1e-323) against the closed form's 5e-324. The state itself holds
-        no bit of eta there; the noref closed form and oracle are both 0.
+        At eta 1e-300 the noref and noon oracle rows pass: each component's
+        eigensolve is relative to its own trace, so a Fisher information of
+        order eta is kept (the ref row fails there; see
+        test_ref_row_compares_every_point). At eta 5e-324 the noon row fails
+        with a relative error of 1: the lossy NOON(1) state's one-photon
+        entries, eta/2 exactly, lie between 0 and the smallest subnormal, so
+        the oracle's two routes round them to 0 (with a reference, F = 0) and
+        to 5e-324 each (without one, F = 1e-323) against the closed form's
+        5e-324. The state itself holds no bit of eta there; the noref closed
+        form and oracle are both 0.
         """
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -548,6 +550,23 @@ class TestVerify:
         assert rows["basis_matrix_vs_numeric"] == "FAIL"
         assert rows["noref_closed_vs_oracle"] == "PASS"
         assert rows["noon_closed_vs_oracle"] == ("PASS" if eta == "1e-300" else "FAIL")
+
+    @pytest.mark.parametrize(
+        "argv, rc, status",
+        [([], 0, "PASS"), (["--alpha", "1", "--eta", "1e-300"], 1, "FAIL")],
+        ids=["default", "eta-1e-300"],
+    )
+    def test_ref_row_compares_every_point(self, capsys, argv, rc, status):
+        """The ref row skips no point, also where the minor eigenvalue is tiny.
+
+        At alpha 1, eta 1e-300 (gamma_minus below GAMMA_MINUS_FLOOR) the
+        oracle gives 5.0e-301 against the closed form's 7.31e-301, a relative
+        error of 3.2e-1; at eta 1e-100 the two agree to 5.4e-14.
+        """
+        assert main(["verify", "--grid", "single", *argv]) == rc
+        rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+        assert rows["ref_closed_vs_oracle"][1] == status
+        assert rows["ref_closed_vs_oracle"][4:] == ["1", "points"]
 
     def test_loose_truncation_fails_honestly(self, capsys):
         rc = main(["verify", "--grid", "single", "--alpha", "0.5", "--eta", "0.9",
