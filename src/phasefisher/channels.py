@@ -167,12 +167,11 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     check_eta(eta)
     if eta == 1.0:
         return rho
-    trunc = rho.truncation
-    d = trunc.dim_single
+    d = rho.truncation.dim_single
     n1, n2 = np.divmod(rho.support, d)
     out_support = _downward_closure(n1, n2, d)
-    acc = _kraus_sum(rho.block, n1, n2, d, out_support, eta)
-    return DensityOperator(out_support, acc, trunc)
+    acc = _kraus_sum(rho.on(rho.support), n1, n2, d, out_support, eta)
+    return DensityOperator(out_support, acc, rho.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:
@@ -184,7 +183,7 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     """
     tot = rho.truncation.totals()[rho.support]
     mask = tot[:, None] == tot[None, :]
-    return DensityOperator(rho.support, np.where(mask, rho.block, 0.0), rho.truncation)
+    return DensityOperator(rho.support, np.where(mask, rho.on(rho.support), 0.0), rho.truncation)
 
 
 def _bs_bands(eta: float, d: int) -> np.ndarray:
@@ -227,13 +226,14 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     bands = _bs_bands(eta, d)
     n1, n2 = np.divmod(rho.support, d)
     closure = _downward_closure(n1, n2, d)
+    block = rho.on(rho.support)
     acc = np.zeros((closure.size, closure.size), dtype=complex)
     for e1, e2 in zip(*np.divmod(closure, d)):
         src = np.flatnonzero((n1 >= e1) & (n2 >= e2))
         a1, a2 = n1[src] - e1, n2[src] - e2
         w = bands[e1, a1] * bands[e2, a2]
         dst = np.searchsorted(closure, a1 * d + a2)
-        acc[np.ix_(dst, dst)] += np.outer(w, w.conj()) * rho.block[np.ix_(src, src)]
+        acc[np.ix_(dst, dst)] += np.outer(w, w.conj()) * block[np.ix_(src, src)]
     deficit = abs(float(np.trace(acc).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(

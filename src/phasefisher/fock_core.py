@@ -4,16 +4,17 @@ States and operators live on the product basis |n1, n2> with 0 <= ni <= n_max,
 ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
 
-Pure states are dense complex128 amplitude vectors. Density operators keep
-only the basis states they occupy plus the dense block over them. Values are
-treated as immutable after construction; the wrappers mark their buffers
-read-only.
+Pure states are dense complex128 amplitude vectors. A density operator is
+built from the basis states it occupies and the dense block over them, and
+keeps only the block's connected components of exact nonzeros, found once
+at construction. Values are treated as immutable after construction; the
+wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -157,36 +158,37 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, trace-one operator over the two-mode basis, stored on its support.
+    """Hermitian, trace-one operator over the two-mode basis, stored as its exact-zero components.
 
     support is a strictly increasing array of basis indices and block the
     dense operator over them; every entry outside support x support is
-    exactly zero. Hermiticity and trace are enforced on the block at
-    construction; positivity is enforced where spectra are actually taken
-    (the QFI eigensolve clips roundoff-negative eigenvalues and rejects
-    anything worse).
+    exactly zero. Hermiticity and trace are enforced on the block, which is
+    then kept only as parts, its connected components of exact nonzeros;
+    positivity is enforced where spectra are taken (the QFI eigensolve
+    clips roundoff-negative eigenvalues and rejects anything worse).
     """
 
     support: np.ndarray
-    block: np.ndarray
+    block: InitVar[np.ndarray]
     truncation: FockTruncation
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, block: np.ndarray) -> None:
         s, d = self.support, self.truncation.dim
         if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
             s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
         ):
             raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
-        if self.block.shape != (s.size, s.size):
-            raise DimensionMismatch(f"block shape {self.block.shape} for support size {s.size}")
-        dev = float(np.abs(self.block - self.block.conj().T).max(initial=0.0))
+        if block.shape != (s.size, s.size):
+            raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
+        dev = float(np.abs(block - block.conj().T).max(initial=0.0))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
-        tr = complex(np.trace(self.block))
+        tr = complex(np.trace(block))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
         _read_only(s)
-        _read_only(self.block)
+        object.__setattr__(self, "parts", _components(block))
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, truncation: FockTruncation) -> "DensityOperator":
@@ -201,8 +203,9 @@ class DensityOperator:
     def on(self, support: np.ndarray) -> np.ndarray:
         """The operator as a dense array over a strictly increasing superset of its support."""
         pos = np.searchsorted(support, self.support)
-        out = np.zeros((support.size, support.size), dtype=self.block.dtype)
-        out[np.ix_(pos, pos)] = self.block
+        out = np.zeros((support.size, support.size), dtype=complex)
+        for members, blocks in self.parts:
+            out[pos[members][:, :, None], pos[members][:, None, :]] = blocks
         return out
 
     @property
@@ -211,20 +214,56 @@ class DensityOperator:
         return _read_only(self.on(np.arange(self.truncation.dim)))
 
 
+def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The connected components of the exact nonzeros, as one (members, blocks) stack per size.
+
+    Sizes increase; members (count, size) indexes the block, rows increasing
+    and ordered by first entry. Each position takes the smallest label among
+    its nonzero entries, then that label's label, until no label moves.
+    """
+    linked = block != 0
+    if linked.all():
+        return ((_read_only(np.arange(block.shape[0])[None]), _read_only(block)[None]),)
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    labels, previous = np.arange(block.shape[0]), None
+    while not np.array_equal(labels, previous):
+        previous = labels
+        labels = np.where(linked, labels, block.shape[0]).min(axis=1)
+        labels = labels[labels]
+    order = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)[labels[order]]
+    members = (order[size == s].reshape(-1, s) for s in sorted(set(size.tolist())))
+    return tuple((_read_only(m), _read_only(block[m[:, :, None], m[:, None, :]])) for m in members)
+
+
 def coherent_vector(
     alpha: complex, trunc: FockTruncation, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> np.ndarray:
     """Single-mode coherent amplitudes c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
+    The recurrence c_n = c_{n-1} alpha / sqrt(n) is carried as a mantissa
+    times a power of two, so no amplitude passes through a subnormal on its
+    way to the peak. It starts from e^{-lam/2} = 2^{-k} e^{k ln 2 - lam/2},
+    lam = |alpha|^2, with k = 0 (the plain start) while e^{-lam/2} >= 2^-1000
+    and k <= 2000: the start stays at least 2^-1000 up to lam = 4159, past
+    every cutoff the size ceiling allows, and decays to 0 beyond, where the
+    tail check fails.
+
     Raises TruncationTooSmall when the weight beyond the cutoff exceeds
     tail_tol, so downstream norms are trustworthy to that tolerance.
     """
-    d = trunc.dim_single
-    c = np.zeros(d, dtype=complex)
-    c[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, d):
-        # recurrence avoids overflowing alpha**n / sqrt(n!) separately
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    lam = abs(alpha) ** 2
+    k = min(max(0, math.ceil(lam / (2.0 * math.log(2.0))) - 1000), 2000)
+    m = complex(math.exp(k * math.log(2.0) - lam / 2.0))
+    mantissas, shifts = [m], [-k]
+    for r in (1.0 / np.sqrt(np.arange(1.0, trunc.dim_single))).tolist():
+        m = m * alpha * r
+        shift = math.frexp(abs(m))[1]
+        m = complex(math.ldexp(m.real, -shift), math.ldexp(m.imag, -shift))
+        mantissas.append(m)
+        shifts.append(shift)
+    c = np.array(mantissas) * np.ldexp(1.0, np.cumsum(shifts))
     tail = 1.0 - float(np.vdot(c, c).real)
     if tail > tail_tol:
         raise TruncationTooSmall(

@@ -89,15 +89,15 @@ def _ecs_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockTrunc
 
 
 def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
-    """Spectral QFI sum over the eigenpairs of rho, one connected component at a time.
+    """Spectral QFI sum over the eigenpairs of rho, one stored component at a time.
 
     The sum is evaluated on the support of rho only. For a diagonal
     generator this restriction is exact: every basis state outside the
     support is a zero-weight eigenvector of rho and an eigenvector of G, so
     its pair contributions vanish identically (the support-restricted QFI;
     Liu et al., J. Phys. A 53, 023001 (2020)). By the same argument the QFI
-    is the sum over the connected components of rho's exact nonzeros, the
-    only zero rule. Each component is scaled exactly by a power of two to a
+    is the sum over rho.parts, the connected components of its exact
+    nonzeros. Each component is scaled exactly by a power of two to a
     trace in [1/2, 1) for its eigensolve: an eigenvalue below -1e-12 there
     raises NegativeEigenvalue, a larger negative one is clipped to 0, and
     every pair with p_i + p_j > 0 counts.
@@ -108,11 +108,10 @@ def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
         )
     g = generator.diagonal[rho.support]
     value = 0.0
-    for members in _components(rho.block):  # a stack of equal-size components
+    for members, blocks in rho.parts:  # a stack of equal-size components
         if members.shape[1] == 1:  # one state: its entry's frexp mantissa, and no pair
-            w, v = np.frexp(rho.block[members[:, 0], members[:, 0]].real)[0], None
+            w, v = np.frexp(blocks[:, 0, 0].real)[0], None
         else:
-            blocks = rho.block[members[:, :, None], members[:, None, :]]
             _, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
             shift = -exponent[:, None, None]
             w, v = np.linalg.eigh(np.ldexp(blocks.real, shift) + 1j * np.ldexp(blocks.imag, shift))
@@ -128,27 +127,6 @@ def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
         np.divide(num, den, out=ratio, where=den > 0.0)
         value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
     return QFIResult(value, NUMERIC, generator.kind)
-
-
-def _components(block: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the exact nonzeros, as one (count, size) index array per size.
-
-    Each row takes the smallest label among its nonzero entries, then that
-    label's label, until no label moves.
-    """
-    linked = block != 0
-    if linked.all():
-        return [np.arange(block.shape[0])[None]]
-    linked |= linked.T
-    np.fill_diagonal(linked, True)
-    labels, previous = np.arange(block.shape[0]), None
-    while not np.array_equal(labels, previous):
-        previous = labels
-        labels = np.where(linked, labels, block.shape[0]).min(axis=1)
-        labels = labels[labels]
-    order = np.argsort(labels, kind="stable")
-    size = np.bincount(labels)[labels[order]]
-    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -189,7 +167,9 @@ def _sector_components(
     """Split a pure state into total-photon sectors, then lose photons per sector.
 
     Only the occupied basis states are visited, so a sector costs its own
-    support rather than a pass over the whole two-mode basis.
+    support rather than a pass over the whole two-mode basis. Each lossy
+    sector is stored as its exact-zero components: for an ECS sector n, one
+    coherence pair |0, n>, |n, 0> and 2n - 1 one-state components.
     """
     amp = psi.amplitudes
     occupied = np.flatnonzero(amp)
@@ -254,10 +234,7 @@ def scenario_mixture(scenario: Scenario) -> DensityOperator:
     couples neighboring sectors.
     """
     support = functools.reduce(np.union1d, (rho.support for _, rho in scenario.components))
-    acc = np.zeros((support.size, support.size), dtype=complex)
-    for weight, rho in scenario.components:
-        pos = np.searchsorted(support, rho.support)
-        acc[np.ix_(pos, pos)] += weight * rho.block
+    acc = sum(weight * rho.on(support) for weight, rho in scenario.components)
     return DensityOperator(support, acc, scenario.components[0][1].truncation)
 
 
@@ -286,11 +263,11 @@ def two_level_matrix_numeric(
         )
     e1 = psi1
     e2 = (psi2 - p * e1) / math.sqrt(one_minus_p2)
-    basis = (e1[sigma.support], e2[sigma.support])
+    basis, block = (e1[sigma.support], e2[sigma.support]), sigma.on(sigma.support)
     m = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            m[i, j] = float(np.vdot(basis[i], sigma.block @ basis[j]).real)
+            m[i, j] = float(np.vdot(basis[i], block @ basis[j]).real)
     return m
 
 

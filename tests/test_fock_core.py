@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from phasefisher.channels import apply_loss
 from phasefisher.exceptions import (
     DimensionMismatch,
     NotHermitian,
@@ -117,6 +119,31 @@ class TestCoherent:
         with pytest.raises(TruncationTooSmall):
             coherent_vector(2.0, FockTruncation(4))
 
+    @pytest.mark.parametrize("alpha, n_max", [(50.0, 2047), (1e10, 50), (1e150, 50)])
+    def test_tail_gate_trips_past_the_size_ceiling(self, alpha, n_max):
+        # far past the ceiling the start underflows to 0, and neither exp nor an exponent overflows
+        with pytest.raises(TruncationTooSmall):
+            coherent_vector(alpha, FockTruncation(n_max))
+
+    @pytest.mark.parametrize(
+        "alpha", [0.5, 12.0, 38.0, 38.6, 40.0, 41.7, 40.0 * complex(math.cos(0.3), math.sin(0.3))]
+    )
+    def test_matches_mpmath_up_to_the_size_ceiling(self, alpha):
+        # e^{-|alpha|^2/2} is subnormal from alpha 37.6 and 0 from 38.6; the amplitudes
+        # must not pass through it. No TruncationTooSmall at the probe cutoff.
+        trunc = _ecs_cutoff(alpha)
+        c = coherent_vector(alpha, trunc)
+        with mp.workdps(50):
+            a = mp.mpc(alpha)
+            ref = mp.exp(-abs(a) ** 2 / 2)
+            worst = 0.0
+            for n in range(trunc.dim_single):
+                if n:
+                    ref = ref * a / mp.sqrt(n)
+                if abs(ref) > mp.mpf("1e-300"):
+                    worst = max(worst, float(abs(mp.mpc(c[n]) - ref) / abs(ref)))
+        assert worst <= 1e-12
+
 
 class TestStateWrappers:
     def test_state_vector_rejects_bad_norm(self):
@@ -183,10 +210,68 @@ class TestStateWrappers:
         m[i, i], m[j, j], m[i, j], m[j, i] = 0.25, 0.75, 0.1j, -0.1j
         rho = DensityOperator.from_dense(m, t)
         assert list(rho.support) == [i, j]
-        assert np.array_equal(rho.block, [[0.25, 0.1j], [-0.1j, 0.75]])
+        assert np.array_equal(rho.on(rho.support), [[0.25, 0.1j], [-0.1j, 0.75]])
         assert np.array_equal(rho.matrix, m)
         with pytest.raises(ValueError):
             rho.matrix[i, i] = 0.0
+
+    def test_stored_as_exact_zero_components(self):
+        # a lossy ECS sector n keeps its one coherence pair |0, n>, |n, 0> and 2n - 1 lone states
+        t = FockTruncation(12)
+        n = 7
+        amp = np.zeros(t.dim, dtype=complex)
+        amp[t.index(n, 0)] = amp[t.index(0, n)] = 1.0 / math.sqrt(2.0)
+        rho = apply_loss(StateVector(amp, t).density(), 0.8)
+        assert rho.support.size == 2 * n + 1
+        (lone, lone_blocks), (pair, pair_blocks) = rho.parts
+        assert lone.shape == (2 * n - 1, 1) and lone_blocks.shape == (2 * n - 1, 1, 1)
+        assert pair.shape == (1, 2) and pair_blocks.shape == (1, 2, 2)
+        assert list(rho.support[pair[0]]) == [t.index(0, n), t.index(n, 0)]
+        assert np.all(np.diff(lone[:, 0]) > 0)
+        again = DensityOperator.from_dense(rho.matrix, t)
+        assert np.array_equal(again.support, rho.support)
+        assert np.array_equal(again.matrix, rho.matrix)
+        for (m1, b1), (m2, b2) in zip(again.parts, rho.parts, strict=True):
+            assert np.array_equal(m1, m2) and np.array_equal(b1, b2)
+
+    def test_parts_cover_every_exact_nonzero(self):
+        # a chain 0-2-4 and a pair 1-3, given in interleaved order, plus the lone state 5
+        t = FockTruncation(2)
+        m = np.zeros((6, 6), dtype=complex)
+        for i in range(6):
+            m[i, i] = 1.0 / 6.0
+        for i, j in [(0, 2), (2, 4), (1, 3)]:
+            m[i, j] = m[j, i] = 0.01
+        rho = DensityOperator(np.arange(6), m, t)
+        assert [members.tolist() for members, _ in rho.parts] == [[[5]], [[1, 3]], [[0, 2, 4]]]
+        assert np.array_equal(rho.on(rho.support), m)
+        assert all(not b.flags.writeable for _, b in rho.parts)
+
+    def test_parts_match_a_search_over_the_nonzeros(self):
+        # sizes increasing, each component increasing, components ordered by first state
+        t = FockTruncation(7)
+        rng = np.random.default_rng(5)
+        m = np.eye(40, dtype=complex) / 40.0
+        for i, j in rng.integers(0, 40, (12, 2)):
+            m[i, j] = m[j, i] = 1e-3
+        m[3, 30] = 1e-13  # within the hermiticity tolerance, so linked one way only
+        linked = (m != 0) | (m != 0).T
+        seen, found = set(), []
+        for start in range(40):
+            if start not in seen:
+                todo, comp = [start], set()
+                while todo:
+                    i = todo.pop()
+                    if i not in comp:
+                        comp.add(i)
+                        todo += np.flatnonzero(linked[i]).tolist()
+                seen |= comp
+                found.append(sorted(comp))
+        found.sort(key=lambda c: (len(c), c[0]))
+        rho = DensityOperator(np.arange(40), m, t)
+        assert [c for members, _ in rho.parts for c in members.tolist()] == found
+        for members, blocks in rho.parts:
+            assert np.array_equal(blocks, m[members[:, :, None], members[:, None, :]])
 
     def test_buffers_are_read_only(self):
         t = FockTruncation(1)

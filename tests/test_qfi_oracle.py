@@ -112,7 +112,7 @@ class TestQfiNumeric:
         rho = apply_loss(ecs_vector(0.8, trunc).density(), 0.7)
         gen = two_arm_generator(trunc)
         u = np.exp(-1j * 0.37 * single_arm_generator(trunc).diagonal[rho.support])
-        rotated = DensityOperator(rho.support, np.outer(u, u.conj()) * rho.block, trunc)
+        rotated = DensityOperator(rho.support, np.outer(u, u.conj()) * rho.on(rho.support), trunc)
         base = qfi_numeric(rho, gen).value
         assert qfi_numeric(rotated, gen).value == pytest.approx(base, rel=1e-10)
 
@@ -213,6 +213,19 @@ class TestBuildScenario:
         (_, rho), = build_scenario(probe, WITH_REFERENCE).components
         n_max = _ecs_cutoff(4.0).n_max
         assert rho.support.size == 2 * n_max + 1 == 107
+
+    def test_reference_free_sectors_store_only_their_nonzeros(self):
+        """Each lossy sector n keeps 2n + 3 entries (2n + 1 diagonals, one coherence pair).
+
+        Its dense block over the loss closure would hold (2n + 1)^2: 939,919 entries here.
+        """
+        scenario = build_scenario(ProbeSpec("ecs", 0.9, alpha=6.0), WITHOUT_REFERENCE)
+        stored = sum(b.size for _, rho in scenario.components for _, b in rho.parts)
+        nonzero = sum(
+            int(np.count_nonzero(b)) for _, rho in scenario.components for _, b in rho.parts
+        )
+        assert stored <= 10_000
+        assert stored == nonzero
 
     def test_large_field_oracle_stays_small(self):
         """alpha = 4 on a 54-state-per-mode cutoff: both references, traced peak below 64 MB.
