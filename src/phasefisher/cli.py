@@ -12,7 +12,8 @@ order, no timestamps. Closed-form output (`point` without `--oracle`,
 `sweep`, `crossings`) uses no linear algebra. Oracle values and `verify`
 errors come from LAPACK eigensolves and BLAS products: they were checked
 to be the same at one and two BLAS threads (a subprocess test pins the
-beam-splitter route's output bytes, CI the default `verify` report), but
+beam-splitter route's output bytes; CI pins the default `verify` report and
+its `--output` CSV, which carries every max error in full repr), but
 another BLAS library may move their last digits.
 """
 

@@ -47,7 +47,7 @@ class NonpositiveFisher(PhaseFisherError):
 
 
 class NumericalOverflow(PhaseFisherError):
-    """A closed form leaves the double-precision range for the given inputs."""
+    """A closed form leaves the double-precision range, or an operator holds a non-finite entry."""
 
 
 class OracleTooLarge(PhaseFisherError):

@@ -162,10 +162,11 @@ class DensityOperator:
 
     support is a strictly increasing array of basis indices and block the
     dense operator over them; every entry outside support x support is
-    exactly zero. Hermiticity and trace are enforced on the block, which is
-    then kept only as parts, its connected components of exact nonzeros;
-    positivity is enforced where spectra are taken (the QFI eigensolve
-    clips roundoff-negative eigenvalues and rejects anything worse).
+    exactly zero. Finite entries, hermiticity and trace are enforced on the
+    block, which is then kept only as parts, its connected components of
+    exact nonzeros; positivity is enforced where spectra are taken (the QFI
+    eigensolve clips roundoff-negative eigenvalues and rejects anything
+    worse).
     """
 
     support: np.ndarray
@@ -181,6 +182,11 @@ class DensityOperator:
             raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
         if block.shape != (s.size, s.size):
             raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
+        if not np.isfinite(block).all():
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            raise NumericalOverflow(
+                f"non-finite entry {complex(block[i, j])} at basis indices ({s[i]}, {s[j]})"
+            )
         dev = float(np.abs(block - block.conj().T).max(initial=0.0))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")

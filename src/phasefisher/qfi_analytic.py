@@ -46,7 +46,8 @@ CLOSED_FORM = "closed_form"
 ASYMPTOTIC = "asymptotic"
 NUMERIC = "numeric"
 
-# below this weight the minor eigenvalue carries no cross term worth keeping
+# No code in the package reads this. It is the minor-eigenvalue weight below which
+# acceptance gate a02 skips a point and the spectral-route tests drop the cross term.
 GAMMA_MINUS_FLOOR = 1e-14
 
 

@@ -372,23 +372,37 @@ def verify_all(
 
     alphas = sorted(cutoff)
     etas = sorted({e for _, e in grid})
+    lossy = [(a, e) for a, e in grid if e != 0.0]  # the spectrum rows skip eta 0
+
+    # Rows share oracle values through these caches; only floats, 2x2 matrices
+    # and the label-free mixtures are held. functools.cache stores no exception,
+    # so a value that raises fails again in each row that needs it, and no other.
+    @functools.cache
+    def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
+        return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc, tail_tol)).value
+
+    @functools.cache
+    def two_level(alpha: float, eta: float) -> np.ndarray:
+        return two_level_matrix_numeric(alpha, eta, tail_tol)
+
+    @functools.cache
+    def label_free_mixture(alpha: float, eta: float) -> DensityOperator:
+        return scenario_mixture(
+            build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
+        )
 
     def noref_body():
-        errs = []
-        for alpha, eta in grid:
-            oracle = scenario_qfi(
-                build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
-            )
-            errs.append(_rel(oracle.value, qfi_ecs_noref(alpha, eta).value))
+        errs = [
+            _rel(oracle(a, e, WITHOUT_REFERENCE, cutoff[a]), qfi_ecs_noref(a, e).value)
+            for a, e in grid
+        ]
         return errs, f"{len(grid)} points"
 
     def ref_body():
-        errs = []
-        for alpha, eta in grid:
-            oracle = scenario_qfi(
-                build_scenario(probes[alpha, eta], WITH_REFERENCE, cutoff[alpha], tail_tol)
-            )
-            errs.append(_rel(oracle.value, qfi_ecs_ref(alpha, eta).value))
+        errs = [
+            _rel(oracle(a, e, WITH_REFERENCE, cutoff[a]), qfi_ecs_ref(a, e).value)
+            for a, e in grid
+        ]
         return errs, f"{len(grid)} points"
 
     def lossless_body():
@@ -409,8 +423,7 @@ def verify_all(
                 probe = ProbeSpec("noon", eta, n=n)
                 closed = qfi_noon(n, eta).value
                 for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-                    oracle = scenario_qfi(build_scenario(probe, reference))
-                    errs.append(_rel(oracle.value, closed))
+                    errs.append(_rel(scenario_qfi(build_scenario(probe, reference)).value, closed))
         return errs, f"orders {NOON_ORDERS}, both references"
 
     def asymptotic_body():
@@ -442,20 +455,15 @@ def verify_all(
 
     def spectrum_eigen_body():
         errs = []
-        for alpha, eta in grid:
-            if eta == 0.0:
-                continue
+        for alpha, eta in lossy:
             s = spectrum_fn(alpha, eta)
-            m = two_level_matrix_numeric(alpha, eta, tail_tol)
-            lo, hi = np.linalg.eigvalsh(m)
+            lo, hi = np.linalg.eigvalsh(two_level(alpha, eta))
             errs += [abs(s.gamma_plus - hi), abs(s.gamma_minus - lo)]
         return errs, f"{len(grid)} points vs 2x2 eigensolve"
 
     def spectrum_invariant_body():
         errs = []
-        for alpha, eta in grid:
-            if eta == 0.0:
-                continue
+        for alpha, eta in lossy:
             s = spectrum_fn(alpha, eta)
             errs += [
                 abs(s.gamma_plus + s.gamma_minus - 1.0),
@@ -464,19 +472,8 @@ def verify_all(
         return errs, "trace and determinant identities"
 
     def basis_matrix_body():
-        errs = []
-        for alpha, eta in grid:
-            if eta == 0.0:
-                continue
-            delta = basis_matrix_fn(alpha, eta) - two_level_matrix_numeric(alpha, eta, tail_tol)
-            errs.append(float(np.max(np.abs(delta))))
+        errs = [float(np.max(np.abs(basis_matrix_fn(a, e) - two_level(a, e)))) for a, e in lossy]
         return errs, f"{len(grid)} points, entrywise"
-
-    @functools.cache
-    def label_free_mixture(alpha: float, eta: float) -> DensityOperator:
-        return scenario_mixture(
-            build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
-        )
 
     def pipeline_body():
         errs = []
@@ -495,13 +492,11 @@ def verify_all(
         return errs, f"{len(grid)} points, single-arm vs two-arm"
 
     def stability_body():
-        errs = []
-        for alpha, eta in grid:
-            probe = probes[alpha, eta]
-            for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-                base = scenario_qfi(build_scenario(probe, reference, cutoff[alpha], tail_tol)).value
-                wide = scenario_qfi(build_scenario(probe, reference, doubled[alpha], tail_tol)).value
-                errs.append(_rel(base, wide))
+        errs = [
+            _rel(oracle(a, e, reference, cutoff[a]), oracle(a, e, reference, doubled[a]))
+            for a, e in grid
+            for reference in (WITH_REFERENCE, WITHOUT_REFERENCE)
+        ]
         return errs, f"{len(grid)} points, cutoff doubled"
 
     checks = (

@@ -1,6 +1,7 @@
 """Basis bookkeeping, coherent amplitudes, and the state wrappers underneath everything else."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from phasefisher.channels import apply_loss
 from phasefisher.exceptions import (
     DimensionMismatch,
     NotHermitian,
+    NumericalOverflow,
     OracleTooLarge,
     TruncationTooSmall,
 )
@@ -172,6 +174,20 @@ class TestStateWrappers:
         t = FockTruncation(1)
         with pytest.raises(ValueError):
             DensityOperator.from_dense(np.eye(t.dim, dtype=complex), t)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[0.5, math.nan], [math.nan, 0.5]],
+            [[0.5, math.inf], [math.inf, 0.5]],
+            [[math.nan, 0.0], [0.0, 1.0]],  # trace nan, no off-diagonal entry
+        ],
+    )
+    def test_density_rejects_non_finite_entries(self, block):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow, match="non-finite entry"):
+                DensityOperator(np.array([1, 2]), np.array(block, dtype=complex), FockTruncation(1))
 
     def test_density_rejects_bad_shape(self):
         t = FockTruncation(2)

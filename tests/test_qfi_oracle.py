@@ -5,6 +5,7 @@ controls at the bottom corrupt the closed forms on purpose and demand the
 verification suite notices.
 """
 
+import collections
 import csv
 import dataclasses
 import math
@@ -30,6 +31,7 @@ from phasefisher.exceptions import (
     InvalidWeights,
     NegativeEigenvalue,
     OracleTooLarge,
+    TruncationTooSmall,
 )
 from phasefisher.fock_core import (
     DEFAULT_TAIL_TOL,
@@ -43,6 +45,7 @@ from phasefisher.qfi_analytic import (
     qfi_ecs_ref,
     sigma_spectrum,
 )
+from phasefisher import qfi_oracle
 from phasefisher.qfi_oracle import (
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
@@ -398,6 +401,73 @@ class TestVerifyAll:
             assert not rows[name].passed
             assert math.isnan(rows[name].max_err)
         assert rows["basis_matrix_vs_numeric"].passed
+
+    def test_rows_share_each_oracle_value(self, monkeypatch):
+        """One default run takes each ECS scenario QFI and each two-level matrix once.
+
+        The 64 ECS keys are 16 points x 2 references x 2 cutoffs (base and
+        doubled); without sharing, truncation_stability takes the 32 base
+        values again and the two spectrum rows build every matrix twice.
+        """
+        build = qfi_oracle.build_scenario
+        qfi = qfi_oracle.scenario_qfi
+        two_level = qfi_oracle.two_level_matrix_numeric
+        built = {}  # id -> (scenario, key); the scenario is held so its id is not reused
+        qfi_calls, two_level_calls = collections.Counter(), collections.Counter()
+
+        def counting_build(probe, reference, truncation=None, tail_tol=DEFAULT_TAIL_TOL):
+            scenario = build(probe, reference, truncation, tail_tol)
+            if probe.family == "ecs":
+                key = (probe.alpha, probe.eta, reference, truncation.n_max)
+                built[id(scenario)] = (scenario, key)
+            return scenario
+
+        def counting_qfi(scenario):
+            if id(scenario) in built:
+                qfi_calls[built[id(scenario)][1]] += 1
+            return qfi(scenario)
+
+        def counting_two_level(alpha, eta, tail_tol=DEFAULT_TAIL_TOL):
+            two_level_calls[alpha, eta] += 1
+            return two_level(alpha, eta, tail_tol)
+
+        monkeypatch.setattr(qfi_oracle, "build_scenario", counting_build)
+        monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
+        monkeypatch.setattr(qfi_oracle, "two_level_matrix_numeric", counting_two_level)
+        report = verify_all()
+        assert report.passed, report.render()
+        assert len(qfi_calls) == 64
+        assert sum(qfi_calls.values()) == 64
+        assert len(two_level_calls) == 16
+        assert sum(two_level_calls.values()) == 16
+
+    def test_a_failing_shared_value_fails_only_the_rows_that_need_it(self, monkeypatch):
+        # a cached value is never an exception, so every row that needs it fails on its own
+        build = qfi_oracle.build_scenario
+
+        def build_without_reference_fails(probe, reference, *args):
+            if probe.family == "ecs" and reference == WITHOUT_REFERENCE:
+                raise TruncationTooSmall("injected reference-free failure")
+            return build(probe, reference, *args)
+
+        monkeypatch.setattr(qfi_oracle, "build_scenario", build_without_reference_fails)
+        rows = {c.name: c for c in verify_all().checks}
+        for name in (
+            "noref_closed_vs_oracle",
+            "truncation_stability",
+            "dephased_pipeline_consistency",
+            "generator_equivalence",
+        ):
+            assert not rows[name].passed
+            assert rows[name].detail == "error: injected reference-free failure"
+        for name in (
+            "ref_closed_vs_oracle",
+            "bs_vs_kraus_channel",
+            "spectrum_eigenvalues",
+            "basis_matrix_vs_numeric",
+            "noon_closed_vs_oracle",
+        ):
+            assert rows[name].passed, rows[name]
 
     def test_single_point_grid_passes(self):
         report = verify_all([(0.5, 1.0)])
