@@ -8,14 +8,13 @@ attenuation Kraus family
 truncated exactly at the cutoff (a^k annihilates everything above it). The
 implementation exploits the band structure of K_k: each two-mode Kraus pair
 maps basis state |n1, n2> to the single state |n1 - k1, n2 - k2>, so the
-channel only ever moves weight downward. apply_loss maps the support of its
-input to the downward closure of that support and works on the block over
-it, which keeps the dominant inputs here (states supported on a few hundred
-basis states) cheap without any state-specific assumptions. The Kraus sum
-is evaluated for all (k1, k2) pairs at once, in bounded chunks of
-consecutive terms; every output entry still receives its terms in the
-row-major (k1, k2) order of the plain double loop over pairs, so the result
-is the loop's to the bit, whatever the chunking.
+channel only ever moves weight downward, onto the downward closure of the
+input support. Which output states a pair's terms link is known from the
+input support alone, so the output is built per component: only the
+blocks of its connected components are summed, without any state-specific
+assumption. Every output entry receives its terms in the row-major
+(k1, k2) order of the plain double loop over pairs, so the result is the
+loop's to the bit.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import DensityOperator, FockTruncation
+from .fock_core import DensityOperator, FockTruncation, _grouped
 
 TWO_ARM = "two_arm"
 SINGLE_ARM = "single_arm"
@@ -89,89 +88,99 @@ def _downward_closure(n1: np.ndarray, n2: np.ndarray, d: int) -> np.ndarray:
     return np.flatnonzero(np.logical_or.accumulate(c[:, ::-1], axis=1)[:, ::-1])
 
 
-def _incidences(
-    n1: np.ndarray, n2: np.ndarray, d: int, out_support: np.ndarray, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (pair, source) incidence of the Kraus sum, grouped pair by pair.
+def _kraus_loss(
+    inputs: list[tuple[np.ndarray, np.ndarray]], eta: float, trunc: FockTruncation
+) -> list[DensityOperator]:
+    """Loss on each (support, dense block) input, written straight into its output's components.
 
-    Source s (occupations n1[s], n2[s]) is moved by every pair k1 <= n1[s],
-    k2 <= n2[s]. A stable sort on the pair's basis index puts the pairs in
-    row-major (k1, k2) order and keeps the sources ascending within a pair.
-    Returns per incidence: source position, Kraus weight, output position,
-    the pair's source count, and the position of the pair's first incidence.
-    Kept apart from _kraus_sum so that its temporaries are freed before the
-    terms are accumulated.
+    Pair (k1, k2) moves a source |n1, n2> of an input with n1 >= k1 and
+    n2 >= k2 to |n1 - k1, n2 - k2>, and its terms link the images of one
+    (input, pair) group. The images are the output support, the downward
+    closure of the input's, and their connected unions are its components;
+    only their blocks are laid out, in fock_core._grouped order, and summed.
+    Term (r, c) of a group adds (w_r w_c) block[r, c], in the order of a
+    double loop over the pairs, in chunks of at most LOSS_CHUNK_TERMS terms
+    (or one row of a group, if longer). At eta = 1 inputs come back as they are.
     """
+    if eta == 1.0:
+        return [DensityOperator(support, block, trunc) for support, block in inputs]
+    d = trunc.dim_single
+    sizes = np.array([support.size for support, _ in inputs])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    n1, n2 = np.divmod(np.concatenate([support for support, _ in inputs]), d)
+    # every (source, pair) incidence, grouped by (input, pair) in row-major pair
+    # order by a stable sort, which keeps the sources ascending within a group
     per_src = (n1 + 1) * (n2 + 1)
     src = np.repeat(np.arange(n1.size), per_src)
-    local = np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src)
-    k1, k2 = np.divmod(local, n2[src] + 1)
-    order = np.argsort(k1 * d + k2, kind="stable")
+    k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
+    order = np.argsort((owner[src] * d + k1) * d + k2, kind="stable")
     src, k1, k2 = src[order], k1[order], k2[order]
-    a1, a2 = n1[src] - k1, n2[src] - k2
-    # no pair or output state reaches past the largest occupation in the support
+    first = np.flatnonzero(np.diff((owner[src] * d + k1) * d + k2, prepend=-1) != 0)
+    # no pair or image reaches past the largest occupation of any input
     table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)
-    pair = np.searchsorted(out_support, k1 * d + k2)
-    group = np.bincount(pair)
-    return (
-        src,
-        table[k1, a1] * table[k2, a2],
-        np.searchsorted(out_support, a1 * d + a2),
-        group[pair],
-        (np.cumsum(group) - group)[pair],
-    )
-
-
-def _kraus_sum(
-    block: np.ndarray,
-    n1: np.ndarray,
-    n2: np.ndarray,
-    d: int,
-    out_support: np.ndarray,
-    eta: float,
-) -> np.ndarray:
-    """Accumulate every term of the Kraus sum into the block over the output support.
-
-    Incidence i is the row of one term per incidence of its pair: term t of
-    incidence i pairs it with incidence t - skip[i]. np.add.at adds the
-    terms in array order, so each output entry receives them pair by pair.
-    """
-    src, w, dst, size, first = _incidences(n1, n2, d, out_support, eta)
+    w = table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
+    # the output states, (input, basis index) ascending, and each incidence's among them
+    image = (owner[src] * d + n1[src] - k1) * d + n2[src] - k2
+    order = np.argsort(image)
+    fresh = np.diff(image[order], prepend=-1) != 0
+    out, dst = image[order][fresh], np.empty_like(order)
+    dst[order] = np.cumsum(fresh) - 1
+    del order, k1, k2, image, fresh  # freed before the terms are summed
+    # link each group's images until each output state holds its union's first position
+    size = np.diff(first, append=src.size)
+    labels, previous = np.arange(out.size), None
+    while not np.array_equal(labels, previous):
+        previous = labels.copy()
+        np.minimum.at(labels, dst, np.repeat(np.minimum.reduceat(labels[dst], first), size))
+        labels = labels[labels]
+    # each output's components, one slice of acc per stack: output state q is
+    # column col[q] of the row that starts at row[q]
+    acc = np.zeros(int(np.bincount(labels)[labels].sum()), dtype=complex)
+    bounds = np.searchsorted(out, np.arange(sizes.size + 1) * d * d)
+    row, col, outputs, used = np.empty_like(labels), np.empty_like(labels), [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        outputs.append((out[lo:hi] % (d * d), []))
+        for members in _grouped(labels[lo:hi] - lo):
+            count, s = members.shape
+            row[members + lo] = used + (np.arange(count)[:, None] * s + np.arange(s)) * s
+            col[members + lo] = np.arange(s)
+            outputs[-1][1].append((members, acc[used : used + count * s * s].reshape(count, s, s)))
+            used += count * s * s
+    # per incidence, where its row starts and which column it is, in acc and in the inputs
+    out_row, out_col = row[dst], col[dst]
+    in_col = src - np.repeat(np.cumsum(sizes) - sizes, sizes)[src]
+    in_row = (np.cumsum(sizes * sizes) - sizes * sizes)[owner[src]] + in_col * sizes[owner[src]]
+    flat = inputs[0][1].ravel() if len(inputs) == 1 else np.concatenate([b.ravel() for _, b in inputs])
+    # incidence i is the row of one term per incidence of its group: term t of
+    # incidence i pairs it with incidence t - skip[i]; np.add.at adds in array order
+    group = np.repeat(np.arange(first.size), size)
+    size = size[group]
     ends = np.cumsum(size)
-    skip = ends - size - first
-    n_out = out_support.size
-    acc = np.zeros((n_out, n_out), dtype=complex)
-    flat = acc.reshape(-1)
+    skip = ends - size - first[group]
+    del src, dst, group
     start = 0
-    while start < src.size:
+    while start < size.size:
         done = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, done + LOSS_CHUNK_TERMS, side="right")), start + 1)
-        row = np.repeat(np.arange(start, stop), size[start:stop])
-        col = np.arange(done, ends[stop - 1]) - skip[row]
-        np.add.at(flat, dst[row] * n_out + dst[col], (w[row] * w[col]) * block[src[row], src[col]])
+        r = np.repeat(np.arange(start, stop), size[start:stop])
+        c = np.arange(done, ends[stop - 1]) - skip[r]
+        np.add.at(acc, out_row[r] + out_col[c], (w[r] * w[c]) * flat[in_row[r] + in_col[c]])
         start = stop
-    return acc
+    del w, out_row, out_col, in_row, in_col, size, ends, skip  # freed before the checks
+    return [DensityOperator(support, tuple(parts), trunc) for support, parts in outputs]
 
 
 def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     """Equal transmittance eta on both modes, trace preserving and completely positive.
 
-    The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag. Pair
-    (k1, k2) moves every occupied state with n1 >= k1 and n2 >= k2, so the
-    pairs that move anything are the downward closure of the support,
-    which is also the output support. Each term (pair, source row, source
-    column) gets its weight and output index, and the terms are accumulated
-    in the order of a double loop over the pairs, in chunks of at most
-    LOSS_CHUNK_TERMS terms (or one row of a pair, if longer).
+    The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag, built
+    straight into its components by _kraus_loss on the block over the
+    support; its support is the downward closure of rho's.
     """
     check_eta(eta)
     if eta == 1.0:
         return rho
-    d = rho.truncation.dim_single
-    n1, n2 = np.divmod(rho.support, d)
-    out_support = _downward_closure(n1, n2, d)
-    acc = _kraus_sum(rho.on(rho.support), n1, n2, d, out_support, eta)
-    return DensityOperator(out_support, acc, rho.truncation)
+    return _kraus_loss([(rho.support, rho.on(rho.support))], eta, rho.truncation)[0]
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

@@ -5,10 +5,10 @@ ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
 
 Pure states are dense complex128 amplitude vectors. A density operator is
-built from the basis states it occupies and the dense block over them, and
-keeps only the block's connected components of exact nonzeros, found once
-at construction. Values are treated as immutable after construction; the
-wrappers mark their buffers read-only.
+built from the basis states it occupies and the dense block over them, or
+predicted components of it, and keeps only the connected components of its
+exact nonzeros, found once at construction. Values are treated as immutable
+after construction; the wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
@@ -160,51 +160,52 @@ class StateVector:
 class DensityOperator:
     """Hermitian, trace-one operator over the two-mode basis, stored as its exact-zero components.
 
-    support is a strictly increasing array of basis indices and block the
-    dense operator over them; every entry outside support x support is
-    exactly zero. Finite entries, hermiticity and trace are enforced on the
-    block, which is then kept only as parts, its connected components of
-    exact nonzeros; positivity is enforced where spectra are taken (the QFI
-    eigensolve clips roundoff-negative eigenvalues and rejects anything
-    worse).
+    support is a strictly increasing array of basis indices; every entry
+    outside support x support is exactly zero. block is the dense block over
+    support, or predicted parts: stacks as in `parts` whose components cover
+    every exact nonzero. Finite entries, hermiticity and trace are enforced
+    on them, and _components splits any that holds an exact zero, so parts
+    are always the connected components of the exact nonzeros. Positivity is
+    enforced where spectra are taken (the QFI eigensolve clips
+    roundoff-negative eigenvalues and rejects anything worse).
     """
 
     support: np.ndarray
-    block: InitVar[np.ndarray]
+    block: InitVar[np.ndarray | tuple[tuple[np.ndarray, np.ndarray], ...]]
     truncation: FockTruncation
     parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
-    def __post_init__(self, block: np.ndarray) -> None:
+    def __post_init__(self, block) -> None:
         s, d = self.support, self.truncation.dim
         if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
             s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
         ):
             raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
-        if block.shape != (s.size, s.size):
-            raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
-        if not np.isfinite(block).all():
-            i, j = np.argwhere(~np.isfinite(block))[0]
-            raise NumericalOverflow(
-                f"non-finite entry {complex(block[i, j])} at basis indices ({s[i]}, {s[j]})"
-            )
-        dev = float(np.abs(block - block.conj().T).max(initial=0.0))
+        if not isinstance(block, tuple):
+            if block.shape != (s.size, s.size):
+                raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
+            block = ((np.arange(s.size)[None], block[None]),)
+        dev = 0.0
+        for members, blocks in block:
+            if not np.isfinite(blocks).all():
+                k, i, j = np.argwhere(~np.isfinite(blocks))[0]
+                raise NumericalOverflow(
+                    f"non-finite entry {complex(blocks[k, i, j])} "
+                    f"at basis indices ({s[members[k, i]]}, {s[members[k, j]]})"
+                )
+            gap = blocks.conj().transpose(0, 2, 1)
+            gap -= blocks  # in place, so a large block is copied once
+            dev = max(dev, float(np.abs(gap).max(initial=0.0)))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
-        tr = complex(np.trace(block))
+        tr = sum(complex(np.trace(b, axis1=1, axis2=2).sum()) for _, b in block)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
+        object.__setattr__(self, "parts", block)
+        if not all(b.all() for _, b in block):  # a predicted component holds an exact zero
+            block = _components(self.on(s))
+        object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in block))
         _read_only(s)
-        object.__setattr__(self, "parts", _components(block))
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, truncation: FockTruncation) -> "DensityOperator":
-        """Compress a dense (dim, dim) operator onto the rows and columns with any exact nonzero."""
-        d = truncation.dim
-        if matrix.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {matrix.shape} for dim {d}")
-        nz = matrix != 0
-        support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
-        return cls(support, matrix[np.ix_(support, support)], truncation)
 
     def on(self, support: np.ndarray) -> np.ndarray:
         """The operator as a dense array over a strictly increasing superset of its support."""
@@ -221,15 +222,12 @@ class DensityOperator:
 
 
 def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The connected components of the exact nonzeros, as one (members, blocks) stack per size.
+    """The connected components of a dense block's exact nonzeros, stacked as by _grouped.
 
-    Sizes increase; members (count, size) indexes the block, rows increasing
-    and ordered by first entry. Each position takes the smallest label among
-    its nonzero entries, then that label's label, until no label moves.
+    Each position takes the smallest label among its nonzero entries, then
+    that label's label, until no label moves.
     """
     linked = block != 0
-    if linked.all():
-        return ((_read_only(np.arange(block.shape[0])[None]), _read_only(block)[None]),)
     linked |= linked.T
     np.fill_diagonal(linked, True)
     labels, previous = np.arange(block.shape[0]), None
@@ -237,10 +235,18 @@ def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         previous = labels
         labels = np.where(linked, labels, block.shape[0]).min(axis=1)
         labels = labels[labels]
+    return tuple((m, block[m[:, :, None], m[:, None, :]]) for m in _grouped(labels))
+
+
+def _grouped(labels: np.ndarray) -> list[np.ndarray]:
+    """The components that labels names, as one (count, size) members stack per size.
+
+    labels[i] is the smallest position in i's component. Sizes increase;
+    rows increase and are ordered by first entry.
+    """
     order = np.argsort(labels, kind="stable")
     size = np.bincount(labels)[labels[order]]
-    members = (order[size == s].reshape(-1, s) for s in sorted(set(size.tolist())))
-    return tuple((_read_only(m), _read_only(block[m[:, :, None], m[:, None, :]])) for m in members)
+    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
 def coherent_vector(

@@ -30,6 +30,7 @@ import numpy as np
 from .channels import (
     TWO_ARM,
     PhaseGenerator,
+    _kraus_loss,
     apply_loss,
     apply_loss_via_bs,
     phase_average,
@@ -121,11 +122,12 @@ def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
             continue
         w = np.clip(w, 0.0, None)
         gt = v.conj().transpose(0, 2, 1) @ (g[members][:, :, None] * v)
-        num = (w[:, :, None] - w[:, None, :]) ** 2
+        diff = w[:, :, None] - w[:, None, :]
         den = w[:, :, None] + w[:, None, :]
         ratio = np.zeros_like(den)
-        np.divide(num, den, out=ratio, where=den > 0.0)
-        value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
+        # the ratio first, then the difference: (w_i - w_j)^2 would underflow
+        np.divide(diff, den, out=ratio, where=den > 0.0)
+        value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * diff * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
     return QFIResult(value, NUMERIC, generator.kind)
 
 
@@ -161,29 +163,26 @@ def _probe_vector(probe: ProbeSpec, trunc: FockTruncation, tail_tol: float) -> S
     return ecs_vector(probe.alpha, trunc, tail_tol)
 
 
-def _sector_components(
-    psi: StateVector, eta: float
-) -> tuple[tuple[float, DensityOperator], ...]:
-    """Split a pure state into total-photon sectors, then lose photons per sector.
+def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
+    """A pure state's total-photon sectors: their weights and normalized (support, block) pairs.
 
     Only the occupied basis states are visited, so a sector costs its own
-    support rather than a pass over the whole two-mode basis. Each lossy
-    sector is stored as its exact-zero components: for an ECS sector n, one
-    coherence pair |0, n>, |n, 0> and 2n - 1 one-state components.
+    support rather than a pass over the whole two-mode basis. Sectors no
+    heavier than SECTOR_WEIGHT_FLOOR are dropped.
     """
     amp = psi.amplitudes
     occupied = np.flatnonzero(amp)
     totals = psi.truncation.totals()[occupied]
-    components = []
+    weights, sectors = [], []
     for n in range(int(totals.max()) + 1):
         support = occupied[totals == n]
         weight = float(np.sum(np.abs(amp[support]) ** 2))
         if weight <= SECTOR_WEIGHT_FLOOR:
             continue
         sector = amp[support] / math.sqrt(weight)
-        rho = DensityOperator(support, np.outer(sector, sector.conj()), psi.truncation)
-        components.append((weight, apply_loss(rho, eta)))
-    return tuple(components)
+        weights.append(weight)
+        sectors.append((support, np.outer(sector, sector.conj())))
+    return weights, sectors
 
 
 def build_scenario(
@@ -212,10 +211,13 @@ def build_scenario(
             truncation = _ecs_cutoff(probe.alpha, tail_tol)
     psi = _probe_vector(probe, truncation, tail_tol)
     if reference == WITH_REFERENCE:
-        components = ((1.0, apply_loss(psi.density(), probe.eta)),)
+        support = np.flatnonzero(psi.amplitudes)
+        amp = psi.amplitudes[support]
+        weights, inputs = [1.0], [(support, np.outer(amp, amp.conj()))]
     else:
-        components = _sector_components(psi, probe.eta)
-    return Scenario(components)
+        weights, inputs = _sectors(psi)
+    # one Kraus pass over every input; no input is built as an operator
+    return Scenario(tuple(zip(weights, _kraus_loss(inputs, probe.eta, truncation))))
 
 
 def scenario_qfi(scenario: Scenario) -> QFIResult:
@@ -376,20 +378,22 @@ def verify_all(
 
     # Rows share oracle values through these caches; only floats, 2x2 matrices
     # and the label-free mixtures are held. functools.cache stores no exception,
-    # so a value that raises fails again in each row that needs it, and no other.
+    # so a value that raises fails again in each row that needs it, and no other;
+    # the reference-free base build yields two values, and its failure fails both.
+    @functools.cache
+    def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
+        scenario = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
+        return scenario_qfi(scenario).value, scenario_mixture(scenario)
+
     @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
+        if reference == WITHOUT_REFERENCE and trunc == cutoff[alpha]:
+            return label_free(alpha, eta)[0]
         return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc, tail_tol)).value
 
     @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
         return two_level_matrix_numeric(alpha, eta, tail_tol)
-
-    @functools.cache
-    def label_free_mixture(alpha: float, eta: float) -> DensityOperator:
-        return scenario_mixture(
-            build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
-        )
 
     def noref_body():
         errs = [
@@ -479,13 +483,13 @@ def verify_all(
         errs = []
         for alpha, eta in grid:
             direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha], tail_tol).density(), eta))
-            errs.append(_max_entry_gap(label_free_mixture(alpha, eta), direct))
+            errs.append(_max_entry_gap(label_free(alpha, eta)[1], direct))
         return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
 
     def generator_body():
         errs = []
         for alpha, eta in grid:
-            mix = label_free_mixture(alpha, eta)
+            mix = label_free(alpha, eta)[1]
             two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
             one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
             errs.append(abs(one - two) / max(two, 1e-300))

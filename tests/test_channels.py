@@ -36,8 +36,13 @@ from phasefisher.fock_core import (
     StateVector,
     coherent_vector,
 )
-from phasefisher.qfi_oracle import _ecs_cutoff
-from phasefisher.states import ecs_normalization, ecs_vector
+from phasefisher.qfi_oracle import (
+    SECTOR_WEIGHT_FLOOR,
+    WITHOUT_REFERENCE,
+    _ecs_cutoff,
+    build_scenario,
+)
+from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,7 +52,7 @@ def _random_density(n_max: int, seed: int) -> DensityOperator:
     trunc = FockTruncation(n_max)
     a = rng.normal(size=(trunc.dim, trunc.dim)) + 1j * rng.normal(size=(trunc.dim, trunc.dim))
     m = a @ a.conj().T
-    return DensityOperator.from_dense(m / np.trace(m), trunc)
+    return DensityOperator(np.arange(trunc.dim), m / np.trace(m), trunc)
 
 
 def _irregular_density(seed: int) -> DensityOperator:
@@ -186,6 +191,31 @@ class TestLossMatchesPairLoop:
             weight = float(np.sum(np.abs(psi.amplitudes[mask]) ** 2))
             sector = StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc)
             _assert_matches_loop(sector.density(), 0.6)
+
+
+class TestSectorFold:
+    """build_scenario without a reference loses photons from every sector in one Kraus pass."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 0.9])
+    def test_each_component_equals_the_pair_loop_on_its_sector(self, alpha, eta):
+        trunc = _ecs_cutoff(alpha)
+        amp = ecs_vector(alpha, trunc).amplitudes
+        totals = trunc.totals()
+        want = []
+        for n in range(2 * trunc.n_max + 1):
+            support = np.flatnonzero((totals == n) & (amp != 0))
+            weight = float(np.sum(np.abs(amp[support]) ** 2))
+            if weight > SECTOR_WEIGHT_FLOOR:
+                sector = amp[support] / math.sqrt(weight)
+                rho = DensityOperator(support, np.outer(sector, sector.conj()), trunc)
+                want.append((weight, *_loop_loss(rho, eta)))
+        got = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE).components
+        assert len(got) == len(want)
+        for (weight, rho), (want_weight, support, block) in zip(got, want):
+            assert weight == want_weight
+            assert np.array_equal(rho.support, support)
+            assert np.array_equal(rho.on(rho.support), block)
 
 
 class TestApplyLoss:

@@ -25,7 +25,33 @@ from phasefisher.fock_core import (
     coherent_vector,
     truncation_for_tolerance,
 )
-from phasefisher.qfi_oracle import _ecs_cutoff
+from phasefisher.qfi_oracle import WITH_REFERENCE, WITHOUT_REFERENCE, _ecs_cutoff, build_scenario
+from phasefisher.states import ProbeSpec
+
+
+def _assert_parts_match_a_search(rho: DensityOperator) -> None:
+    """rho.parts are the components a search over the exact nonzeros finds, in their order.
+
+    Sizes increase, each component increases, and components of one size
+    are ordered by first state; each stored block is the dense block's.
+    """
+    m = rho.on(rho.support)
+    linked = (m != 0) | (m != 0).T
+    seen, found = set(), []
+    for start in range(m.shape[0]):
+        if start not in seen:
+            todo, comp = [start], set()
+            while todo:
+                i = todo.pop()
+                if i not in comp:
+                    comp.add(i)
+                    todo += np.flatnonzero(linked[i]).tolist()
+            seen |= comp
+            found.append(sorted(comp))
+    found.sort(key=lambda c: (len(c), c[0]))
+    assert [c for members, _ in rho.parts for c in members.tolist()] == found
+    for members, blocks in rho.parts:
+        assert np.array_equal(blocks, m[members[:, :, None], members[:, None, :]])
 
 
 class TestTruncation:
@@ -165,7 +191,7 @@ class TestStateWrappers:
         m = np.eye(t.dim, dtype=complex) / t.dim
         m[0, 1] = 0.1
         with pytest.raises(NotHermitian):
-            DensityOperator.from_dense(m, t)
+            DensityOperator(np.arange(t.dim), m, t)
         block = np.array([[0.5, 0.1j], [0.1j, 0.5]])
         with pytest.raises(NotHermitian):
             DensityOperator(np.array([0, 3]), block, t)
@@ -173,7 +199,7 @@ class TestStateWrappers:
     def test_density_rejects_bad_trace(self):
         t = FockTruncation(1)
         with pytest.raises(ValueError):
-            DensityOperator.from_dense(np.eye(t.dim, dtype=complex), t)
+            DensityOperator(np.arange(t.dim), np.eye(t.dim, dtype=complex), t)
 
     @pytest.mark.parametrize(
         "block",
@@ -191,8 +217,6 @@ class TestStateWrappers:
 
     def test_density_rejects_bad_shape(self):
         t = FockTruncation(2)
-        with pytest.raises(DimensionMismatch):
-            DensityOperator.from_dense(np.eye(3, dtype=complex) / 3.0, t)
         half = np.eye(2, dtype=complex) / 2.0
         bad = [
             (np.array([0, 1]), np.eye(3, dtype=complex) / 3.0),  # block does not match support
@@ -219,13 +243,12 @@ class TestStateWrappers:
         overlap = abs(np.vdot(v[:, -1], amp))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    def test_from_dense_round_trips_the_matrix(self):
+    def test_matrix_round_trips_the_block(self):
         t = FockTruncation(2)
         m = np.zeros((t.dim, t.dim), dtype=complex)
         i, j = t.index(0, 2), t.index(2, 1)
         m[i, i], m[j, j], m[i, j], m[j, i] = 0.25, 0.75, 0.1j, -0.1j
-        rho = DensityOperator.from_dense(m, t)
-        assert list(rho.support) == [i, j]
+        rho = DensityOperator(np.array([i, j]), m[np.ix_([i, j], [i, j])], t)
         assert np.array_equal(rho.on(rho.support), [[0.25, 0.1j], [-0.1j, 0.75]])
         assert np.array_equal(rho.matrix, m)
         with pytest.raises(ValueError):
@@ -244,7 +267,8 @@ class TestStateWrappers:
         assert pair.shape == (1, 2) and pair_blocks.shape == (1, 2, 2)
         assert list(rho.support[pair[0]]) == [t.index(0, n), t.index(n, 0)]
         assert np.all(np.diff(lone[:, 0]) > 0)
-        again = DensityOperator.from_dense(rho.matrix, t)
+        # labelling the dense block finds the components the loss predicted
+        again = DensityOperator(rho.support, rho.on(rho.support), t)
         assert np.array_equal(again.support, rho.support)
         assert np.array_equal(again.matrix, rho.matrix)
         for (m1, b1), (m2, b2) in zip(again.parts, rho.parts, strict=True):
@@ -271,23 +295,21 @@ class TestStateWrappers:
         for i, j in rng.integers(0, 40, (12, 2)):
             m[i, j] = m[j, i] = 1e-3
         m[3, 30] = 1e-13  # within the hermiticity tolerance, so linked one way only
-        linked = (m != 0) | (m != 0).T
-        seen, found = set(), []
-        for start in range(40):
-            if start not in seen:
-                todo, comp = [start], set()
-                while todo:
-                    i = todo.pop()
-                    if i not in comp:
-                        comp.add(i)
-                        todo += np.flatnonzero(linked[i]).tolist()
-                seen |= comp
-                found.append(sorted(comp))
-        found.sort(key=lambda c: (len(c), c[0]))
-        rho = DensityOperator(np.arange(40), m, t)
-        assert [c for members, _ in rho.parts for c in members.tolist()] == found
-        for members, blocks in rho.parts:
-            assert np.array_equal(blocks, m[members[:, :, None], members[:, None, :]])
+        _assert_parts_match_a_search(DensityOperator(np.arange(40), m, t))
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-300, 0.45])
+    def test_loss_parts_match_a_search_over_the_nonzeros(self, eta):
+        # the loss predicts its output's components; exact zeros (eta 0, underflow) split them
+        rng = np.random.default_rng(6)
+        t = FockTruncation(4)
+        a = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
+        mixed = DensityOperator(np.arange(t.dim), a @ a.conj().T / np.trace(a @ a.conj().T), t)
+        outputs = [apply_loss(mixed, eta)]
+        for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
+            scenario = build_scenario(ProbeSpec("ecs", eta, alpha=2.0), reference)
+            outputs += [rho for _, rho in scenario.components]
+        for rho in outputs:
+            _assert_parts_match_a_search(rho)
 
     def test_buffers_are_read_only(self):
         t = FockTruncation(1)

@@ -13,8 +13,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from phasefisher.channels import (
     TWO_ARM,
@@ -46,6 +48,7 @@ from phasefisher.qfi_analytic import (
     sigma_spectrum,
 )
 from phasefisher import qfi_oracle
+from phasefisher.cli import ORACLE_POINT_TOL
 from phasefisher.qfi_oracle import (
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
@@ -65,12 +68,19 @@ from phasefisher.states import ProbeSpec, ecs_sector_weights, ecs_vector, noon_v
 GOLDEN_ORACLE = Path(__file__).resolve().parent / "data" / "oracle_grid.csv"
 
 
+def _from_dense(matrix: np.ndarray, trunc: FockTruncation) -> DensityOperator:
+    """The operator on the rows and columns of a dense (dim, dim) matrix with any exact nonzero."""
+    nz = matrix != 0
+    support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+    return DensityOperator(support, matrix[np.ix_(support, support)], trunc)
+
+
 def _embed(rho: DensityOperator, target: FockTruncation) -> DensityOperator:
     n1s, n2s = rho.truncation.occupations()
     idx = n1s * (target.n_max + 1) + n2s
     acc = np.zeros((target.dim, target.dim), dtype=complex)
     acc[np.ix_(idx, idx)] = rho.matrix
-    return DensityOperator.from_dense(acc, target)
+    return _from_dense(acc, target)
 
 
 class TestQfiNumeric:
@@ -95,7 +105,7 @@ class TestQfiNumeric:
         # diagonal generator, disjoint supports: no cross contributions
         trunc = FockTruncation(3)
         gen = two_arm_generator(trunc)
-        rho = DensityOperator.from_dense(
+        rho = _from_dense(
             0.3 * noon_vector(1, trunc).density().matrix
             + 0.7 * noon_vector(3, trunc).density().matrix,
             trunc,
@@ -105,7 +115,7 @@ class TestQfiNumeric:
         w = 1e-13
         vacuum = np.zeros((trunc.dim, trunc.dim), dtype=complex)
         vacuum[0, 0] = 1.0
-        rho = DensityOperator.from_dense(
+        rho = _from_dense(
             (1.0 - w) * vacuum + w * noon_vector(1, trunc).density().matrix, trunc
         )
         assert qfi_numeric(rho, gen).value == pytest.approx(w, rel=1e-12, abs=0.0)
@@ -145,7 +155,7 @@ class TestQfiNumeric:
         trunc = FockTruncation(1)
         diag = np.zeros(trunc.dim)
         diag[0], diag[1] = 1.3, -0.3
-        rho = DensityOperator.from_dense(np.diag(diag.astype(complex)), trunc)
+        rho = _from_dense(np.diag(diag.astype(complex)), trunc)
         with pytest.raises(NegativeEigenvalue):
             qfi_numeric(rho, two_arm_generator(trunc))
 
@@ -274,6 +284,29 @@ class TestBuildScenario:
             assert value == pytest.approx(0.0, abs=1e-14)
 
 
+class TestSectorFold:
+    def test_reference_free_build_is_one_kraus_pass(self, monkeypatch):
+        # every sector goes to the Kraus routine in one call, and the only
+        # operators built are the lossy sectors it returns
+        kraus, post_init = qfi_oracle._kraus_loss, DensityOperator.__post_init__
+        calls, built = [], []
+
+        def counting_kraus(inputs, eta, trunc):
+            calls.append(len(inputs))
+            return kraus(inputs, eta, trunc)
+
+        def recording_post_init(self, block):
+            built.append(self.support)
+            post_init(self, block)
+
+        monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
+        monkeypatch.setattr(DensityOperator, "__post_init__", recording_post_init)
+        scenario = build_scenario(ProbeSpec("ecs", 0.9, alpha=2.0), WITHOUT_REFERENCE)
+        assert len(scenario.components) > 10
+        assert calls == [len(scenario.components)]
+        assert [id(s) for s in built] == [id(rho.support) for _, rho in scenario.components]
+
+
 class TestScenarioQfi:
     def test_noref_matches_closed_form(self):
         probe = ProbeSpec("ecs", 0.9, alpha=1.0)
@@ -286,6 +319,21 @@ class TestScenarioQfi:
         oracle = scenario_qfi(build_scenario(probe, WITH_REFERENCE))
         closed = qfi_ecs_ref(1.0, 0.9).value
         assert abs(oracle.value - closed) / closed <= 1e-8
+
+    @given(alpha=st.floats(1e-3, 3.0), eta=st.floats(-300.0, 0.0).map(lambda e: 10.0**e))
+    @example(alpha=1.0, eta=1e-300)
+    @settings(max_examples=30, deadline=None)
+    def test_ecs_matches_closed_forms_down_to_tiny_eta(self, alpha, eta):
+        # a squared eigenvalue difference underflowed below eta 5.7e-157 with a reference
+        probe = ProbeSpec("ecs", eta, alpha=alpha)
+        for reference, closed_form in (
+            (WITH_REFERENCE, qfi_ecs_ref),
+            (WITHOUT_REFERENCE, qfi_ecs_noref),
+        ):
+            oracle = scenario_qfi(build_scenario(probe, reference)).value
+            closed = closed_form(alpha, eta).value
+            deviation = abs(oracle - closed) / (abs(closed) if closed != 0.0 else 1.0)
+            assert deviation <= ORACLE_POINT_TOL["ecs", reference], (reference, oracle, closed)
 
     def test_noon_matches_closed_form(self):
         probe = ProbeSpec("noon", 0.7, n=3)
@@ -403,23 +451,25 @@ class TestVerifyAll:
         assert rows["basis_matrix_vs_numeric"].passed
 
     def test_rows_share_each_oracle_value(self, monkeypatch):
-        """One default run takes each ECS scenario QFI and each two-level matrix once.
+        """One default run builds each ECS scenario and each two-level matrix once.
 
         The 64 ECS keys are 16 points x 2 references x 2 cutoffs (base and
         doubled); without sharing, truncation_stability takes the 32 base
-        values again and the two spectrum rows build every matrix twice.
+        values again, the two mixture rows build the 16 reference-free base
+        scenarios again, and the two spectrum rows build every matrix twice.
         """
         build = qfi_oracle.build_scenario
         qfi = qfi_oracle.scenario_qfi
         two_level = qfi_oracle.two_level_matrix_numeric
         built = {}  # id -> (scenario, key); the scenario is held so its id is not reused
-        qfi_calls, two_level_calls = collections.Counter(), collections.Counter()
+        builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(3))
 
         def counting_build(probe, reference, truncation=None, tail_tol=DEFAULT_TAIL_TOL):
             scenario = build(probe, reference, truncation, tail_tol)
             if probe.family == "ecs":
                 key = (probe.alpha, probe.eta, reference, truncation.n_max)
                 built[id(scenario)] = (scenario, key)
+                builds[key] += 1
             return scenario
 
         def counting_qfi(scenario):
@@ -436,6 +486,8 @@ class TestVerifyAll:
         monkeypatch.setattr(qfi_oracle, "two_level_matrix_numeric", counting_two_level)
         report = verify_all()
         assert report.passed, report.render()
+        assert len(builds) == 64
+        assert sum(builds.values()) == 64
         assert len(qfi_calls) == 64
         assert sum(qfi_calls.values()) == 64
         assert len(two_level_calls) == 16
