@@ -10,11 +10,12 @@ All output is deterministic for fixed flags on a fixed numpy build:
 floats are rendered with repr (shortest round-trip digits), rows in input
 order, no timestamps. Closed-form output (`point` without `--oracle`,
 `sweep`, `crossings`) uses no linear algebra. Oracle values and `verify`
-errors come from LAPACK eigensolves and BLAS products: they were checked
-to be the same at one and two BLAS threads (a subprocess test pins the
-beam-splitter route's output bytes; CI pins the default `verify` report and
-its `--output` CSV, which carries every max error in full repr), but
-another BLAS library may move their last digits.
+errors come from LAPACK eigensolves and BLAS products. CI pins the default
+`verify` report and its `--output` CSV, which carries every max error in
+full repr, at one and two BLAS threads, and a subprocess test pins the
+beam-splitter route's output bytes at alpha 1.5 and 2; a larger eigensolve
+may thread (at alpha 12 that route's bytes move), and another BLAS library
+may move last digits.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ from .qfi_analytic import (
     qfi_noon_continuous,
 )
 from .qfi_oracle import (
+    ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
+    _ecs_cutoff,
     build_scenario,
     scenario_qfi,
     verify_all,
@@ -59,14 +62,6 @@ CSV_HEADER = (
     "n_mean,eta,alpha,f_ecs_noref,f_ecs_ref,f_ecs_ref_asym,f_noon,"
     "dphi_ecs_noref,dphi_ecs_ref,dphi_noon,dphi_snl,is_integer_n"
 )
-
-# closed forms must match the oracle at least this tightly in `point --oracle`
-ORACLE_POINT_TOL = {
-    ("ecs", WITHOUT_REFERENCE): 1e-6,
-    ("ecs", WITH_REFERENCE): 1e-8,
-    ("noon", WITH_REFERENCE): 1e-9,
-    ("noon", WITHOUT_REFERENCE): 1e-9,
-}
 
 INTEGER_N_ATOL = 1e-9
 
@@ -156,8 +151,8 @@ def cmd_point(
 
     if not use_oracle:
         return 0
-    tail_tol = DEFAULT_TAIL_TOL if trunc_tol is None else trunc_tol
-    numeric = scenario_qfi(build_scenario(probe, reference, tail_tol=tail_tol))
+    truncation = None if trunc_tol is None else _ecs_cutoff(alpha, trunc_tol)
+    numeric = scenario_qfi(build_scenario(probe, reference, truncation))
     scale = abs(result.value) if result.value != 0.0 else 1.0
     deviation = abs(numeric.value - result.value) / scale
     tolerance = ORACLE_POINT_TOL[(family, reference)]
@@ -364,10 +359,8 @@ def build_parser() -> ArgumentParser:
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--reference", choices=(WITH_REFERENCE, WITHOUT_REFERENCE))
     point.add_argument("--oracle", action="store_true", help="cross-check against the numeric oracle")
-    point.add_argument(
-        "--trunc-tol", type=float, default=None, dest="trunc_tol",
-        help=f"coherent tail weight the ECS oracle may drop (default {DEFAULT_TAIL_TOL:g})",
-    )
+    trunc_tol_help = f"coherent tail weight the ECS oracle's cutoff may drop (default {DEFAULT_TAIL_TOL:g})"
+    point.add_argument("--trunc-tol", type=float, default=None, dest="trunc_tol", help=trunc_tol_help)
 
     sweep = sub.add_parser("sweep", help="write a sensitivity-vs-N CSV")
     sweep.add_argument("--eta", type=float, required=True)
@@ -385,7 +378,9 @@ def build_parser() -> ArgumentParser:
     verify.add_argument("--grid", choices=("full", "single"), default="full")
     verify.add_argument("--alpha", type=float, help="with --grid single (default 0.5)")
     verify.add_argument("--eta", type=float, help="with --grid single (default 1.0)")
-    verify.add_argument("--trunc-tol", type=float, default=DEFAULT_TAIL_TOL, dest="trunc_tol")
+    verify.add_argument(
+        "--trunc-tol", type=float, default=DEFAULT_TAIL_TOL, dest="trunc_tol", help=trunc_tol_help
+    )
     verify.add_argument("--output", default=None)
     return parser
 

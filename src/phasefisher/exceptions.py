@@ -9,7 +9,7 @@ class PhaseFisherError(Exception):
 
 
 class TruncationTooSmall(PhaseFisherError):
-    """The Fock cutoff cannot hold the requested state at the configured tail tolerance."""
+    """The Fock cutoff is too small to hold the requested state within tolerance."""
 
 
 class NotHermitian(PhaseFisherError):

@@ -249,9 +249,7 @@ def _grouped(labels: np.ndarray) -> list[np.ndarray]:
     return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
-def coherent_vector(
-    alpha: complex, trunc: FockTruncation, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
+def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """Single-mode coherent amplitudes c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
     The recurrence c_n = c_{n-1} alpha / sqrt(n) is carried as a mantissa
@@ -262,8 +260,9 @@ def coherent_vector(
     every cutoff the size ceiling allows, and decays to 0 beyond, where the
     tail check fails.
 
-    Raises TruncationTooSmall when the weight beyond the cutoff exceeds
-    tail_tol, so downstream norms are trustworthy to that tolerance.
+    Raises TruncationTooSmall when the dropped tail 1 - ||c||^2 exceeds
+    NORM_ATOL, the bound StateVector puts on every pure state: the one tail
+    rule. A tail tolerance only picks cutoffs (truncation_for_tolerance).
     """
     lam = abs(alpha) ** 2
     k = min(max(0, math.ceil(lam / (2.0 * math.log(2.0))) - 1000), 2000)
@@ -277,8 +276,8 @@ def coherent_vector(
         shifts.append(shift)
     c = np.array(mantissas) * np.ldexp(1.0, np.cumsum(shifts))
     tail = 1.0 - float(np.vdot(c, c).real)
-    if tail > tail_tol:
+    if tail > NORM_ATOL:
         raise TruncationTooSmall(
-            f"coherent tail {tail:.3e} at n_max={trunc.n_max} exceeds {tail_tol} for alpha={alpha}"
+            f"coherent tail {tail:.3e} at n_max={trunc.n_max} exceeds {NORM_ATOL} for alpha={alpha}"
         )
     return c

@@ -68,6 +68,15 @@ from .states import ProbeSpec, alpha_for_mean_photon, ecs_vector, noon_vector
 WITH_REFERENCE = "with"
 WITHOUT_REFERENCE = "without"
 
+# closed forms must match the oracle at least this tightly, at each point of
+# `point --oracle` and of the three oracle rows of verify_all
+ORACLE_POINT_TOL = {
+    ("ecs", WITHOUT_REFERENCE): 1e-6,
+    ("ecs", WITH_REFERENCE): 1e-8,
+    ("noon", WITH_REFERENCE): 1e-9,
+    ("noon", WITHOUT_REFERENCE): 1e-9,
+}
+
 # sectors lighter than this cannot move any tested tolerance
 SECTOR_WEIGHT_FLOOR = 1e-14
 
@@ -84,7 +93,9 @@ _CHECK_ERRORS = (PhaseFisherError, ValueError, np.linalg.LinAlgError)
 def _ecs_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockTruncation:
     """The smallest cutoff whose coherent tail at alpha is below tail_tol, plus 2.
 
-    The margin keeps the probe's own tail check from flipping at the boundary.
+    tail_tol only picks the cutoff: every state built on it is held to the one
+    tail rule, a tail of at most NORM_ATOL (coherent_vector's gate), so a
+    loose tail_tol raises TruncationTooSmall there unless the margin covers it.
     """
     return FockTruncation(truncation_for_tolerance(alpha, tail_tol).n_max + 2)
 
@@ -157,10 +168,10 @@ class Scenario:
             raise DimensionMismatch(f"components on different cutoffs n_max={sorted(cutoffs)}")
 
 
-def _probe_vector(probe: ProbeSpec, trunc: FockTruncation, tail_tol: float) -> StateVector:
+def _probe_vector(probe: ProbeSpec, trunc: FockTruncation) -> StateVector:
     if probe.family == "noon":
         return noon_vector(probe.n, trunc)
-    return ecs_vector(probe.alpha, trunc, tail_tol)
+    return ecs_vector(probe.alpha, trunc)
 
 
 def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
@@ -186,10 +197,7 @@ def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.n
 
 
 def build_scenario(
-    probe: ProbeSpec,
-    reference: str,
-    truncation: FockTruncation | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    probe: ProbeSpec, reference: str, truncation: FockTruncation | None = None
 ) -> Scenario:
     """Assemble the numeric state(s) seen by the estimator.
 
@@ -199,17 +207,13 @@ def build_scenario(
     module docstring; scenario_mixture gives the label-free state).
 
     truncation = None builds a NOON probe on the smallest space that holds
-    it and an ECS probe on _ecs_cutoff(alpha, tail_tol); tail_tol is the
-    coherent tail weight the ECS probe may lose at its cutoff.
+    it and an ECS probe on _ecs_cutoff(alpha).
     """
     if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
         raise ValueError(f"reference must be 'with' or 'without', got {reference!r}")
     if truncation is None:
-        if probe.family == "noon":
-            truncation = FockTruncation(probe.n)
-        else:
-            truncation = _ecs_cutoff(probe.alpha, tail_tol)
-    psi = _probe_vector(probe, truncation, tail_tol)
+        truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
+    psi = _probe_vector(probe, truncation)
     if reference == WITH_REFERENCE:
         support = np.flatnonzero(psi.amplitudes)
         amp = psi.amplitudes[support]
@@ -241,20 +245,21 @@ def scenario_mixture(scenario: Scenario) -> DensityOperator:
 
 
 def two_level_matrix_numeric(
-    alpha: complex, eta: float, tail_tol: float = DEFAULT_TAIL_TOL
+    alpha: complex, eta: float, trunc: FockTruncation | None = None
 ) -> np.ndarray:
-    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on _ecs_cutoff.
+    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on trunc.
 
-    Built entirely from vectors and the Kraus channel; arbitrates the
-    closed-form spectrum and basis matrix (and in particular their two
-    easy-to-mistranscribe coefficients) without sharing any algebra.
+    trunc defaults to _ecs_cutoff(alpha). Built entirely from vectors and
+    the Kraus channel; arbitrates the closed-form spectrum and basis matrix
+    (and in particular their two easy-to-mistranscribe coefficients)
+    without sharing any algebra.
     """
-    trunc = _ecs_cutoff(alpha, tail_tol)
-    sigma = apply_loss(ecs_vector(alpha, trunc, tail_tol).density(), eta)
+    trunc = _ecs_cutoff(alpha) if trunc is None else trunc
+    sigma = apply_loss(ecs_vector(alpha, trunc).density(), eta)
     d = trunc.dim_single
     vac = np.zeros(d, dtype=complex)
     vac[0] = 1.0
-    c = coherent_vector(math.sqrt(eta) * alpha, trunc, tail_tol)
+    c = coherent_vector(math.sqrt(eta) * alpha, trunc)
     psi1 = np.kron(c, vac)
     psi2 = np.kron(vac, c)
     p = float(np.vdot(psi1, psi2).real)
@@ -355,13 +360,13 @@ def verify_all(
     """Run every closed-form-vs-oracle comparison and invariant check.
 
     grid entries are (alpha, eta) points; the default covers the standard
-    validation grid. tail_tol picks each point's cutoff through the
-    coherent-tail criterion, so loosening it degrades the oracle and the
-    truncation-stability row catches that. spectrum_fn / basis_matrix_fn
-    are injection seams for negative-control tests that feed deliberately
-    corrupted closed forms. A grid point, tail_tol or cutoff that `point
-    --oracle` would refuse, or a doubled cutoff past the size ceiling,
-    raises before any check runs.
+    validation grid. tail_tol only picks each point's cutoff (see
+    _ecs_cutoff), so one too loose for the tail rule fails the rows that
+    build states on it. spectrum_fn / basis_matrix_fn are injection seams
+    for negative-control tests that feed deliberately corrupted closed
+    forms. A grid point, tail_tol or cutoff that `point --oracle` would
+    refuse, or a doubled cutoff past the size ceiling, raises before any
+    check runs.
     """
     if grid is None:
         grid = [(a, e) for a in DEFAULT_GRID_ALPHAS for e in DEFAULT_GRID_ETAS]
@@ -382,18 +387,18 @@ def verify_all(
     # the reference-free base build yields two values, and its failure fails both.
     @functools.cache
     def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
-        scenario = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha], tail_tol)
+        scenario = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha])
         return scenario_qfi(scenario).value, scenario_mixture(scenario)
 
     @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
         if reference == WITHOUT_REFERENCE and trunc == cutoff[alpha]:
             return label_free(alpha, eta)[0]
-        return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc, tail_tol)).value
+        return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc)).value
 
     @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
-        return two_level_matrix_numeric(alpha, eta, tail_tol)
+        return two_level_matrix_numeric(alpha, eta, cutoff[alpha])
 
     def noref_body():
         errs = [
@@ -451,7 +456,7 @@ def verify_all(
         errs = []
         for alpha in alphas:
             for eta in (0.6, 0.9):
-                rho = ecs_vector(alpha, cutoff[alpha], tail_tol).density()
+                rho = ecs_vector(alpha, cutoff[alpha]).density()
                 via_kraus = apply_loss(rho, eta)
                 via_bs = apply_loss_via_bs(rho, eta)
                 errs.append(_max_entry_gap(via_kraus, via_bs))
@@ -482,7 +487,7 @@ def verify_all(
     def pipeline_body():
         errs = []
         for alpha, eta in grid:
-            direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha], tail_tol).density(), eta))
+            direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha]).density(), eta))
             errs.append(_max_entry_gap(label_free(alpha, eta)[1], direct))
         return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
 
@@ -504,11 +509,11 @@ def verify_all(
         return errs, f"{len(grid)} points, cutoff doubled"
 
     checks = (
-        _run_check("noref_closed_vs_oracle", 1e-6, noref_body),
-        _run_check("ref_closed_vs_oracle", 1e-8, ref_body),
+        _run_check("noref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITHOUT_REFERENCE], noref_body),
+        _run_check("ref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITH_REFERENCE], ref_body),
         _run_check("lossless_equivalence", 1e-9, lossless_body),
         _run_check("sector_sum_identity", 1e-10, sector_sum_body),
-        _run_check("noon_closed_vs_oracle", 1e-9, noon_body),
+        _run_check("noon_closed_vs_oracle", ORACLE_POINT_TOL["noon", WITH_REFERENCE], noon_body),
         _run_check("asymptotic_regime", 5e-3, asymptotic_body),
         _run_check("shot_noise_approach", 5e-2, shot_noise_body),
         _run_check("bs_vs_kraus_channel", 1e-9, bs_body),

@@ -8,8 +8,8 @@ a path superposition of one coherent pulse against vacuum. Projected onto
 total-photon sectors it is a weighted family of NOON states
 (|n>|0> + |0>|n>)/sqrt(2), which is what makes the NOON benchmark the natural
 comparison. All closed forms downstream depend on alpha only through
-|alpha|^2; the CLI restricts alpha to real nonnegative values while the
-library accepts complex amplitudes.
+|alpha|^2: the CLI takes any real alpha with 0 < |alpha| < inf (a negative
+one gives the numbers of -alpha), and the library complex amplitudes too.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import (
-    DEFAULT_TAIL_TOL,
-    FockTruncation,
-    StateVector,
-    coherent_vector,
-)
+from .fock_core import FockTruncation, StateVector, coherent_vector
 
 
 def _libm(fn, x, *args):
@@ -76,16 +71,14 @@ def mean_photon_number(alpha: complex) -> float:
     return 2.0 * ecs_normalization(alpha) ** 2 * abs(alpha) ** 2
 
 
-def ecs_vector(
-    alpha: complex, trunc: FockTruncation, tail_tol: float = DEFAULT_TAIL_TOL
-) -> StateVector:
+def ecs_vector(alpha: complex, trunc: FockTruncation) -> StateVector:
     """Two-mode ECS amplitudes at the given cutoff.
 
     Uses the analytic normalization rather than renormalizing numerically,
     so overlaps with NOON states equal sqrt(2) N c_n exactly; the norm
-    deficit is bounded by the coherent tail tolerance.
+    deficit is bounded by coherent_vector's tail gate.
     """
-    c = coherent_vector(alpha, trunc, tail_tol)
+    c = coherent_vector(alpha, trunc)
     vac = np.zeros(trunc.dim_single, dtype=complex)
     vac[0] = 1.0
     amp = ecs_normalization(alpha) * (np.kron(c, vac) + np.kron(vac, c))
@@ -105,15 +98,13 @@ def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
     return StateVector(amp, trunc)
 
 
-def ecs_sector_weights(
-    alpha: complex, trunc: FockTruncation, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
+def ecs_sector_weights(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """weights[n] is the trace of the total-photon-n block of the dephased ECS.
 
     The vacuum component appears in both branches of the superposition, so
     weights[0] = 4 N^2 |c_0|^2 while every n >= 1 carries 2 N^2 |c_n|^2.
     """
-    c2 = np.abs(coherent_vector(alpha, trunc, tail_tol)) ** 2
+    c2 = np.abs(coherent_vector(alpha, trunc)) ** 2
     weights = 2.0 * ecs_normalization(alpha) ** 2 * c2
     weights[0] *= 2.0  # both branches hit vacuum; their amplitudes add coherently
     return weights

@@ -394,7 +394,8 @@ class TestBeamSplitterRoute:
 
         The gap is the value `verify` reports in its bs_vs_kraus_channel row.
         The route's output bytes are hashed too: its sums are elementwise and
-        its eigensolves small, so no thread count moves their last bits.
+        its eigensolves small here, so no thread count moves their last bits.
+        At alpha 12 they do move: the 239-state block's eigh runs threaded.
         """
         code = (
             "import hashlib\n"

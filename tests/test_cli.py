@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, example, given, settings
 from perfbench.reference import f_noon, f_noref, f_ref, f_ref_asym, mean_photons
 from phasefisher.cli import (
     CSV_HEADER,
-    ORACLE_POINT_TOL,
     SWEEP_BLOCK_ROWS,
     SweepConfig,
     find_crossings,
@@ -32,6 +31,7 @@ from phasefisher.qfi_analytic import (
     qfi_ecs_ref_asymptotic,
     qfi_noon_continuous,
 )
+from phasefisher.qfi_oracle import ORACLE_POINT_TOL
 from phasefisher.states import alpha_for_mean_photon
 
 
@@ -188,6 +188,17 @@ class TestPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: tail tolerance must be in (0, 1)")
+
+    @pytest.mark.parametrize("reference", ["with", "without"])
+    def test_loose_trunc_tol_exits_two_with_the_tail_error(self, capsys, reference):
+        # the cutoff tail_tol 1e-7 picks drops more than the 1e-10 every state is held to
+        rc = main(["point", "--family", "ecs", "--alpha", "2", "--eta", "0.9",
+                   "--reference", reference, "--oracle", "--trunc-tol", "1e-7"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "oracle =" not in captured.out
+        assert captured.err.startswith("error: coherent tail ")
+        assert "at n_max=20 exceeds 1e-10 for alpha=2.0" in captured.err
 
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
@@ -570,6 +581,23 @@ class TestVerify:
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
         assert rows["ref_closed_vs_oracle"][1] == status
         assert rows["ref_closed_vs_oracle"][4:] == ["1", "points"]
+
+    @pytest.mark.parametrize(
+        "trunc_tol, rc, failing",
+        [("1e-10", 0, set()), ("1e-9", 1, {"sector_sum_identity"})],
+        ids=["1e-10", "1e-9"],
+    )
+    def test_trunc_tol_on_the_default_grid_raises_no_tail_error(self, capsys, trunc_tol, rc, failing):
+        """Every state on the cutoffs these pick, the sector weights' included, holds its tail to 1e-10.
+
+        At 1e-9 the sector sum at alpha 1 (n_max 13) misses 4.5e-10 of the
+        closed form, an honest accuracy failure of its 1e-10 row.
+        """
+        assert main(["verify", "--trunc-tol", trunc_tol]) == rc
+        out = capsys.readouterr().out
+        rows = dict(line.split()[:2] for line in out.splitlines()[2:-1])
+        assert {name for name, status in rows.items() if status == "FAIL"} == failing
+        assert "error:" not in out
 
     def test_loose_truncation_fails_honestly(self, capsys):
         rc = main(["verify", "--grid", "single", "--alpha", "0.5", "--eta", "0.9",

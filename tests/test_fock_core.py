@@ -19,6 +19,7 @@ from phasefisher.exceptions import (
 )
 from phasefisher.fock_core import (
     MAX_STATE_VECTOR_BYTES,
+    NORM_ATOL,
     DensityOperator,
     FockTruncation,
     StateVector,
@@ -92,10 +93,10 @@ class TestTruncation:
     def test_truncation_for_tolerance_is_minimal(self):
         tol = 1e-8
         t = truncation_for_tolerance(1.7, tol)
-        coherent_vector(1.7, t, tol)  # fits at the returned cutoff
-        if t.n_max > 0:
-            with pytest.raises(TruncationTooSmall):
-                coherent_vector(1.7, FockTruncation(t.n_max - 1), tol)
+        # the tail 1 - ||c||^2 at each cutoff, from amplitudes on a cutoff well past it
+        c2 = np.abs(coherent_vector(1.7, _ecs_cutoff(1.7))) ** 2
+        assert 1.0 - float(np.sum(c2[: t.n_max + 1])) <= tol  # fits at the returned cutoff
+        assert t.n_max > 0 and 1.0 - float(np.sum(c2[: t.n_max])) > tol
 
     def test_truncation_for_tolerance_vacuum(self):
         assert truncation_for_tolerance(0.0, 1e-12).n_max == 0
@@ -103,8 +104,8 @@ class TestTruncation:
     def test_truncation_for_tolerance_past_underflowing_vacuum_weight(self):
         # e^{-900} underflows, so a walk up the Poisson pmf from n = 0 finds no cutoff here
         t = truncation_for_tolerance(30.0, 1e-12)
-        c = coherent_vector(30.0, t, 1e-12)
-        assert abs(float(np.vdot(c, c).real) - 1.0) <= 1e-12
+        c = coherent_vector(30.0, t)
+        assert abs(1.0 - float(np.vdot(c, c).real)) <= 1e-12
 
     def test_truncation_for_tolerance_never_falls_as_alpha_rises(self):
         cutoffs = [truncation_for_tolerance(a, 1e-12).n_max for a in np.arange(0.05, 37.5, 0.01)]
@@ -146,6 +147,15 @@ class TestCoherent:
     def test_tail_gate_trips(self):
         with pytest.raises(TruncationTooSmall):
             coherent_vector(2.0, FockTruncation(4))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 12.0])
+    def test_tail_gate_is_the_norm_tolerance(self, alpha):
+        # the one tail rule: a tail up to NORM_ATOL passes, whatever tolerance picked the cutoff
+        t = truncation_for_tolerance(alpha, NORM_ATOL)
+        c = coherent_vector(alpha, t)
+        assert 1e-12 < 1.0 - float(np.vdot(c, c).real) <= NORM_ATOL
+        with pytest.raises(TruncationTooSmall, match="coherent tail"):
+            coherent_vector(alpha, FockTruncation(t.n_max - 1))
 
     @pytest.mark.parametrize("alpha, n_max", [(50.0, 2047), (1e10, 50), (1e150, 50)])
     def test_tail_gate_trips_past_the_size_ceiling(self, alpha, n_max):

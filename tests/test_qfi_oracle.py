@@ -48,8 +48,8 @@ from phasefisher.qfi_analytic import (
     sigma_spectrum,
 )
 from phasefisher import qfi_oracle
-from phasefisher.cli import ORACLE_POINT_TOL
 from phasefisher.qfi_oracle import (
+    ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
     Scenario,
@@ -162,11 +162,10 @@ class TestQfiNumeric:
 
 class TestConfigAndScenarioValidation:
     def test_tail_tol_range(self):
-        probe = ProbeSpec("ecs", 0.9, alpha=1.0)
         with pytest.raises(ValueError):
-            build_scenario(probe, WITH_REFERENCE, tail_tol=0.0)
+            _ecs_cutoff(1.0, 0.0)
         with pytest.raises(ValueError):
-            build_scenario(probe, WITH_REFERENCE, tail_tol=1.5)
+            _ecs_cutoff(1.0, 1.5)
 
     def test_scenario_needs_components(self):
         with pytest.raises(InvalidWeights):
@@ -403,6 +402,14 @@ class TestTwoLevelNumeric:
         m = two_level_matrix_numeric(1.3, 0.7)
         assert np.allclose(m, basis_overlap_matrix(1.3, 0.7), atol=1e-12)
 
+    def test_takes_its_cutoff(self):
+        # a cutoff is passed, never a tolerance; one too small for the tail rule raises
+        doubled = FockTruncation(2 * _ecs_cutoff(1.3).n_max)
+        assert np.allclose(two_level_matrix_numeric(1.3, 0.7, doubled),
+                           basis_overlap_matrix(1.3, 0.7), atol=1e-12)
+        with pytest.raises(TruncationTooSmall, match="coherent tail"):
+            two_level_matrix_numeric(1.3, 0.7, FockTruncation(8))
+
     def test_coincident_branches_raise_typed_error(self):
         # at eta 1e-300 both lossy branches are the vacuum in double precision
         with warnings.catch_warnings():
@@ -464,8 +471,8 @@ class TestVerifyAll:
         built = {}  # id -> (scenario, key); the scenario is held so its id is not reused
         builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(3))
 
-        def counting_build(probe, reference, truncation=None, tail_tol=DEFAULT_TAIL_TOL):
-            scenario = build(probe, reference, truncation, tail_tol)
+        def counting_build(probe, reference, truncation=None):
+            scenario = build(probe, reference, truncation)
             if probe.family == "ecs":
                 key = (probe.alpha, probe.eta, reference, truncation.n_max)
                 built[id(scenario)] = (scenario, key)
@@ -477,9 +484,9 @@ class TestVerifyAll:
                 qfi_calls[built[id(scenario)][1]] += 1
             return qfi(scenario)
 
-        def counting_two_level(alpha, eta, tail_tol=DEFAULT_TAIL_TOL):
+        def counting_two_level(alpha, eta, trunc=None):
             two_level_calls[alpha, eta] += 1
-            return two_level(alpha, eta, tail_tol)
+            return two_level(alpha, eta, trunc)
 
         monkeypatch.setattr(qfi_oracle, "build_scenario", counting_build)
         monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
@@ -543,6 +550,13 @@ class TestVerifyAll:
     def test_domain_rejected_before_any_check(self, grid, tail_tol, error):
         with pytest.raises(error):
             verify_all(grid, tail_tol=tail_tol)
+
+    def test_oracle_rows_read_the_point_tolerances(self):
+        rows = {c.name: c.tolerance for c in verify_all([(0.5, 1.0)]).checks}
+        assert rows["noref_closed_vs_oracle"] == ORACLE_POINT_TOL["ecs", WITHOUT_REFERENCE]
+        assert rows["ref_closed_vs_oracle"] == ORACLE_POINT_TOL["ecs", WITH_REFERENCE]
+        for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
+            assert rows["noon_closed_vs_oracle"] == ORACLE_POINT_TOL["noon", reference]
 
     def test_render_and_csv_shape(self):
         report = verify_all([(0.5, 1.0)])
