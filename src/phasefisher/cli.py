@@ -4,7 +4,9 @@ Four subcommands: `point` evaluates one probe configuration (optionally
 against the brute-force oracle), `sweep` writes a sensitivity-vs-photon-
 number CSV suitable for log-log plotting, `crossings` locates where the
 NOON and reference-beam ECS information curves intersect, and `verify`
-runs the full closed-form-vs-oracle suite.
+runs the full closed-form-vs-oracle suite. The oracle builds a NOON probe
+on the smallest space that holds it and an ECS probe on a cutoff that is a
+rule of alpha alone (qfi_oracle._ecs_cutoff); no flag sets either.
 
 All output is deterministic for fixed flags on a fixed numpy build:
 floats are rendered with repr (shortest round-trip digits), rows in input
@@ -35,7 +37,6 @@ from .exceptions import (
     NonpositiveFisher,
     PhaseFisherError,
 )
-from .fock_core import DEFAULT_TAIL_TOL, check_tail_tol
 from .qfi_analytic import (
     _noon,
     _noref,
@@ -51,7 +52,6 @@ from .qfi_oracle import (
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
-    _ecs_cutoff,
     build_scenario,
     scenario_qfi,
     verify_all,
@@ -119,14 +119,10 @@ def cmd_point(
     n: int | None = None,
     reference: str | None = None,
     use_oracle: bool = False,
-    trunc_tol: float | None = None,
 ) -> int:
-    # the tail tolerance picks the ECS oracle's cutoff; a NOON probe's is its n
-    if trunc_tol is not None:
-        if family != "ecs" or not use_oracle:
-            raise ValueError("--trunc-tol applies only to --family ecs with --oracle")
-        check_tail_tol(trunc_tol)  # before the closed form prints anything
     if family == "ecs":
+        if n is not None:
+            raise ValueError("--n applies only to the noon family")
         if alpha is None:
             raise ValueError("--alpha is required for the ecs family")
         if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
@@ -135,6 +131,8 @@ def cmd_point(
         result = qfi_ecs_ref(alpha, eta) if reference == WITH_REFERENCE else qfi_ecs_noref(alpha, eta)
         label = f"family=ecs alpha={alpha:g} eta={eta:g} reference={reference}"
     elif family == "noon":
+        if alpha is not None:
+            raise ValueError("--alpha applies only to the ecs family")
         if n is None:
             raise ValueError("--n is required for the noon family")
         reference = reference or WITH_REFERENCE
@@ -151,8 +149,7 @@ def cmd_point(
 
     if not use_oracle:
         return 0
-    truncation = None if trunc_tol is None else _ecs_cutoff(alpha, trunc_tol)
-    numeric = scenario_qfi(build_scenario(probe, reference, truncation))
+    numeric = scenario_qfi(build_scenario(probe, reference))
     scale = abs(result.value) if result.value != 0.0 else 1.0
     deviation = abs(numeric.value - result.value) / scale
     tolerance = ORACLE_POINT_TOL[(family, reference)]
@@ -328,7 +325,6 @@ def cmd_verify(
     grid_mode: str = "full",
     alpha: float | None = None,
     eta: float | None = None,
-    trunc_tol: float = DEFAULT_TAIL_TOL,
     output: str | None = None,
 ) -> int:
     if grid_mode == "single":
@@ -337,7 +333,7 @@ def cmd_verify(
         raise ValueError("--alpha and --eta apply only to --grid single")
     else:
         grid = None
-    report = verify_all(grid, tail_tol=trunc_tol)
+    report = verify_all(grid)
     print(report.render())
     if output is not None:
         with open(output, "w", encoding="ascii", newline="") as fh:
@@ -359,8 +355,6 @@ def build_parser() -> ArgumentParser:
     point.add_argument("--eta", type=float, required=True)
     point.add_argument("--reference", choices=(WITH_REFERENCE, WITHOUT_REFERENCE))
     point.add_argument("--oracle", action="store_true", help="cross-check against the numeric oracle")
-    trunc_tol_help = f"coherent tail weight the ECS oracle's cutoff may drop (default {DEFAULT_TAIL_TOL:g})"
-    point.add_argument("--trunc-tol", type=float, default=None, dest="trunc_tol", help=trunc_tol_help)
 
     sweep = sub.add_parser("sweep", help="write a sensitivity-vs-N CSV")
     sweep.add_argument("--eta", type=float, required=True)
@@ -378,9 +372,6 @@ def build_parser() -> ArgumentParser:
     verify.add_argument("--grid", choices=("full", "single"), default="full")
     verify.add_argument("--alpha", type=float, help="with --grid single (default 0.5)")
     verify.add_argument("--eta", type=float, help="with --grid single (default 1.0)")
-    verify.add_argument(
-        "--trunc-tol", type=float, default=DEFAULT_TAIL_TOL, dest="trunc_tol", help=trunc_tol_help
-    )
     verify.add_argument("--output", default=None)
     return parser
 
@@ -400,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
                 n=args.n,
                 reference=args.reference,
                 use_oracle=args.oracle,
-                trunc_tol=args.trunc_tol,
             )
         if args.command == "sweep":
             cfg = SweepConfig(
@@ -418,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
             grid_mode=args.grid,
             alpha=args.alpha,
             eta=args.eta,
-            trunc_tol=args.trunc_tol,
             output=args.output,
         )
     except (PhaseFisherError, ValueError, OSError) as exc:

@@ -30,9 +30,6 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# Coherent tail weight sum_{n > n_max} |c_n|^2 the oracle's cutoffs default to.
-DEFAULT_TAIL_TOL = 1e-12
-
 # largest complex amplitude vector over the two-mode basis (n_max <= 2047); the
 # oracle's probes and their per-basis-state arrays all scale with it
 MAX_STATE_VECTOR_BYTES = 1 << 26
@@ -83,11 +80,6 @@ class FockTruncation:
         return n1 + n2
 
 
-def check_tail_tol(tail_tol: float) -> None:
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
-
-
 def truncation_for_tolerance(alpha: complex, tail_tol: float) -> FockTruncation:
     """Smallest cutoff whose coherent tail weight is below tail_tol.
 
@@ -98,7 +90,8 @@ def truncation_for_tolerance(alpha: complex, tail_tol: float) -> FockTruncation:
     underflowing e^{-|alpha|^2} nor the roundoff of 1 - P(N <= n_max) moves
     the cutoff. A cutoff past the size ceiling raises OracleTooLarge.
     """
-    check_tail_tol(tail_tol)
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
     lam = abs(alpha) * abs(alpha)  # inf past double range, where ** raises OverflowError
     if lam == 0.0:
         return FockTruncation(0)

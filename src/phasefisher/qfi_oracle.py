@@ -45,7 +45,6 @@ from .exceptions import (
     PhaseFisherError,
 )
 from .fock_core import (
-    DEFAULT_TAIL_TOL,
     DensityOperator,
     FockTruncation,
     StateVector,
@@ -89,15 +88,18 @@ ASYMPTOTIC_POINTS = ((5.0, 0.9), (4.5, 0.99), (5.0, 0.99))
 
 _CHECK_ERRORS = (PhaseFisherError, ValueError, np.linalg.LinAlgError)
 
+# coherent tail weight sum_{n > n_max} |c_n|^2 that picks the ECS oracle's cutoff
+ECS_TAIL_TOL = 1e-12
 
-def _ecs_cutoff(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> FockTruncation:
-    """The smallest cutoff whose coherent tail at alpha is below tail_tol, plus 2.
 
-    tail_tol only picks the cutoff: every state built on it is held to the one
-    tail rule, a tail of at most NORM_ATOL (coherent_vector's gate), so a
-    loose tail_tol raises TruncationTooSmall there unless the margin covers it.
+def _ecs_cutoff(alpha: complex) -> FockTruncation:
+    """The smallest cutoff whose coherent tail at alpha is below ECS_TAIL_TOL, plus 2.
+
+    A rule of alpha alone. Every state built on it is held to the one tail
+    rule, a tail of at most NORM_ATOL (coherent_vector's gate), and
+    verify_all's truncation_stability row checks it against its double.
     """
-    return FockTruncation(truncation_for_tolerance(alpha, tail_tol).n_max + 2)
+    return FockTruncation(truncation_for_tolerance(alpha, ECS_TAIL_TOL).n_max + 2)
 
 
 def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
@@ -226,9 +228,11 @@ def build_scenario(
 
 def scenario_qfi(scenario: Scenario) -> QFIResult:
     """Weighted sum of per-component QFI values under the two-arm generator."""
+    # every component sits on the same cutoff, so one generator serves them all
+    generator = two_arm_generator(scenario.components[0][1].truncation)
     total = 0.0
     for weight, rho in scenario.components:
-        total += weight * qfi_numeric(rho, two_arm_generator(rho.truncation)).value
+        total += weight * qfi_numeric(rho, generator).value
     return QFIResult(total, NUMERIC, TWO_ARM)
 
 
@@ -244,17 +248,14 @@ def scenario_mixture(scenario: Scenario) -> DensityOperator:
     return DensityOperator(support, acc, scenario.components[0][1].truncation)
 
 
-def two_level_matrix_numeric(
-    alpha: complex, eta: float, trunc: FockTruncation | None = None
-) -> np.ndarray:
-    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on trunc.
+def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
+    """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on _ecs_cutoff(alpha).
 
-    trunc defaults to _ecs_cutoff(alpha). Built entirely from vectors and
-    the Kraus channel; arbitrates the closed-form spectrum and basis matrix
-    (and in particular their two easy-to-mistranscribe coefficients)
-    without sharing any algebra.
+    Built entirely from vectors and the Kraus channel; arbitrates the
+    closed-form spectrum and basis matrix (and in particular their two
+    easy-to-mistranscribe coefficients) without sharing any algebra.
     """
-    trunc = _ecs_cutoff(alpha) if trunc is None else trunc
+    trunc = _ecs_cutoff(alpha)
     sigma = apply_loss(ecs_vector(alpha, trunc).density(), eta)
     d = trunc.dim_single
     vac = np.zeros(d, dtype=complex)
@@ -353,20 +354,18 @@ def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
 def verify_all(
     grid: list[tuple[float, float]] | None = None,
     *,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     spectrum_fn=sigma_spectrum,
     basis_matrix_fn=basis_overlap_matrix,
 ) -> VerificationReport:
     """Run every closed-form-vs-oracle comparison and invariant check.
 
     grid entries are (alpha, eta) points; the default covers the standard
-    validation grid. tail_tol only picks each point's cutoff (see
-    _ecs_cutoff), so one too loose for the tail rule fails the rows that
-    build states on it. spectrum_fn / basis_matrix_fn are injection seams
-    for negative-control tests that feed deliberately corrupted closed
-    forms. A grid point, tail_tol or cutoff that `point --oracle` would
-    refuse, or a doubled cutoff past the size ceiling, raises before any
-    check runs.
+    validation grid. Each point's states sit on _ecs_cutoff(alpha), and
+    truncation_stability compares them with its double. spectrum_fn /
+    basis_matrix_fn are injection seams for negative-control tests that
+    feed deliberately corrupted closed forms. A grid point or cutoff that
+    `point --oracle` would refuse, or a doubled cutoff past the size
+    ceiling, raises before any check runs.
     """
     if grid is None:
         grid = [(a, e) for a in DEFAULT_GRID_ALPHAS for e in DEFAULT_GRID_ETAS]
@@ -374,7 +373,7 @@ def verify_all(
         raise ValueError("verification grid must be nonempty")
     # the alpha and eta domain of `point`, checked once per point
     probes = {(alpha, eta): ProbeSpec("ecs", eta, alpha=alpha) for alpha, eta in grid}
-    cutoff = {alpha: _ecs_cutoff(alpha, tail_tol) for alpha, _ in grid}
+    cutoff = {alpha: _ecs_cutoff(alpha) for alpha, _ in grid}
     doubled = {alpha: FockTruncation(2 * trunc.n_max) for alpha, trunc in cutoff.items()}
 
     alphas = sorted(cutoff)
@@ -398,7 +397,7 @@ def verify_all(
 
     @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
-        return two_level_matrix_numeric(alpha, eta, cutoff[alpha])
+        return two_level_matrix_numeric(alpha, eta)
 
     def noref_body():
         errs = [

@@ -156,49 +156,22 @@ class TestPoint:
         assert captured.err.startswith("error: cutoff n_max=")
         assert "the oracle allows" in captured.err
 
-    @pytest.mark.parametrize("reference", ["with", "without"])
-    def test_trunc_tol_defaults_to_the_oracle_cutoff(self, capsys, reference):
-        argv = ["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9",
-                "--reference", reference, "--oracle"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main([*argv, "--trunc-tol", "1e-12"]) == 0
-        assert capsys.readouterr().out == default
-
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ["--family", "noon", "--n", "3", "--eta", "0.9", "--oracle"],
-            ["--family", "ecs", "--alpha", "1", "--eta", "0.9", "--reference", "with"],
+            (["--family", "noon", "--n", "5", "--eta", "0.9", "--alpha", "3"], "--alpha"),
+            (["--family", "ecs", "--alpha", "1", "--n", "5", "--eta", "0.9", "--reference", "with"],
+             "--n"),
         ],
-        ids=["noon-oracle", "ecs-closed-form"],
+        ids=["noon-alpha", "ecs-n"],
     )
-    def test_trunc_tol_needs_the_ecs_oracle(self, capsys, argv):
-        rc = main(["point", *argv, "--trunc-tol", "0.5"])
+    def test_other_familys_flag_exits_two_before_printing(self, capsys, argv, flag):
+        # no flag is accepted and then ignored
+        rc = main(["point", *argv])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "--trunc-tol" in captured.err
-
-    @pytest.mark.parametrize("trunc_tol", ["0", "nan", "2.0"])
-    def test_bad_trunc_tol_exits_two_before_printing(self, capsys, trunc_tol):
-        rc = main(["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9",
-                   "--reference", "with", "--oracle", "--trunc-tol", trunc_tol])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: tail tolerance must be in (0, 1)")
-
-    @pytest.mark.parametrize("reference", ["with", "without"])
-    def test_loose_trunc_tol_exits_two_with_the_tail_error(self, capsys, reference):
-        # the cutoff tail_tol 1e-7 picks drops more than the 1e-10 every state is held to
-        rc = main(["point", "--family", "ecs", "--alpha", "2", "--eta", "0.9",
-                   "--reference", reference, "--oracle", "--trunc-tol", "1e-7"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "oracle =" not in captured.out
-        assert captured.err.startswith("error: coherent tail ")
-        assert "at n_max=20 exceeds 1e-10 for alpha=2.0" in captured.err
+        assert captured.err.startswith(f"error: {flag} applies only to the ")
 
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
@@ -283,13 +256,6 @@ class TestSweep:
     def test_invalid_eta_exits_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["sweep", "--eta", "0.0", "--output", str(out)])
-        assert rc == 2
-        assert not out.exists()
-
-    def test_trunc_tol_is_not_a_sweep_flag(self, tmp_path, capsys):
-        # sweeps evaluate closed forms only, so there is no cutoff to tune
-        out = tmp_path / "never.csv"
-        rc = main(["sweep", "--eta", "0.9", "--output", str(out), "--trunc-tol", "1e-3"])
         assert rc == 2
         assert not out.exists()
 
@@ -498,14 +464,13 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--trunc-tol", "0"],
             ["--grid", "single", "--alpha", "nan", "--eta", "0.9"],
             ["--grid", "single", "--alpha", "1e155", "--eta", "0.9"],
             # the cutoff (n_max 1039) fits, the stability row's doubled one (2078) does not
             ["--grid", "single", "--alpha", "28.75", "--eta", "0.9"],
             ["--eta", "1.5"],
         ],
-        ids=["trunc-tol-0", "alpha-nan", "alpha-squared-overflows", "doubled-cutoff-too-large",
+        ids=["alpha-nan", "alpha-squared-overflows", "doubled-cutoff-too-large",
              "eta-1.5"],
     )
     def test_domain_error_exits_two_before_any_check(self, capsys, argv):
@@ -582,32 +547,28 @@ class TestVerify:
         assert rows["ref_closed_vs_oracle"][1] == status
         assert rows["ref_closed_vs_oracle"][4:] == ["1", "points"]
 
-    @pytest.mark.parametrize(
-        "trunc_tol, rc, failing",
-        [("1e-10", 0, set()), ("1e-9", 1, {"sector_sum_identity"})],
-        ids=["1e-10", "1e-9"],
-    )
-    def test_trunc_tol_on_the_default_grid_raises_no_tail_error(self, capsys, trunc_tol, rc, failing):
-        """Every state on the cutoffs these pick, the sector weights' included, holds its tail to 1e-10.
-
-        At 1e-9 the sector sum at alpha 1 (n_max 13) misses 4.5e-10 of the
-        closed form, an honest accuracy failure of its 1e-10 row.
-        """
-        assert main(["verify", "--trunc-tol", trunc_tol]) == rc
-        out = capsys.readouterr().out
-        rows = dict(line.split()[:2] for line in out.splitlines()[2:-1])
-        assert {name for name, status in rows.items() if status == "FAIL"} == failing
-        assert "error:" not in out
-
-    def test_loose_truncation_fails_honestly(self, capsys):
-        rc = main(["verify", "--grid", "single", "--alpha", "0.5", "--eta", "0.9",
-                   "--trunc-tol", "1e-2"])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
 
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--eta", "0.9", "--output", "OUT"],
+        ["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9", "--reference", "with",
+         "--oracle"],
+        ["verify", "--grid", "single", "--output", "OUT"],
+    ],
+    ids=["sweep", "point-oracle", "verify"],
+)
+def test_trunc_tol_is_not_a_flag(tmp_path, capsys, argv):
+    # the oracle's cutoff is a rule of alpha alone, and sweeps have no cutoff
+    out = tmp_path / "never.csv"
+    rc = main([str(out) if a == "OUT" else a for a in argv] + ["--trunc-tol", "1e-3"])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # every float a flag can carry, with the edges drawn often
@@ -677,7 +638,6 @@ ORACLE_ALPHAS = st.one_of(
     st.sampled_from([math.nan, math.inf, 0.0, 5e-324, 1e-3, 1.5]),
     st.floats(min_value=-1.5, max_value=1.5),
 )
-TRUNC_TOLS = st.one_of(st.none(), st.sampled_from([math.nan, 0.0, 2.0, 1e-2, 1e-12]))
 
 
 @st.composite
@@ -685,16 +645,13 @@ def _oracle_argv(draw) -> list[str]:
     """argv for `point --oracle` (ECS alpha <= 1.5, NOON n <= 40) or `verify --grid single`."""
     command = draw(st.sampled_from(["point-ecs", "point-noon", "verify"]))
     eta = _flag("eta", draw(EDGE_FLOATS))
-    trunc_tol = draw(TRUNC_TOLS)
-    tail = [] if trunc_tol is None else [_flag("trunc-tol", trunc_tol)]
     if command == "verify":
-        return ["verify", "--grid", "single", _flag("alpha", draw(ORACLE_ALPHAS)), eta, *tail]
+        return ["verify", "--grid", "single", _flag("alpha", draw(ORACLE_ALPHAS)), eta]
     if command == "point-ecs":
         reference = draw(st.sampled_from(["with", "without"]))
         return ["point", "--family", "ecs", _flag("alpha", draw(ORACLE_ALPHAS)), eta,
-                "--reference", reference, "--oracle", *tail]
-    return ["point", "--family", "noon", _flag("n", draw(st.integers(-3, 40))), eta,
-            "--oracle", *tail]
+                "--reference", reference, "--oracle"]
+    return ["point", "--family", "noon", _flag("n", draw(st.integers(-3, 40))), eta, "--oracle"]
 
 
 @settings(max_examples=50, deadline=None,
@@ -704,8 +661,7 @@ def test_oracle_commands_survive_arbitrary_numbers(capsys, argv):
     """`point --oracle` exits 0, 2 or 3 and `verify` 0, 1 or 2: no traceback, nan or warning.
 
     Exit 3 and exit 1 come from arguments the oracle cannot represent, such
-    as a loose --trunc-tol or an eta whose lossy entries fall below the
-    smallest subnormal.
+    as an eta whose lossy entries fall below the smallest subnormal.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

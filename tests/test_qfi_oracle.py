@@ -9,6 +9,7 @@ import collections
 import csv
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -36,7 +37,6 @@ from phasefisher.exceptions import (
     TruncationTooSmall,
 )
 from phasefisher.fock_core import (
-    DEFAULT_TAIL_TOL,
     MAX_STATE_VECTOR_BYTES,
     DensityOperator,
     FockTruncation,
@@ -45,10 +45,12 @@ from phasefisher.qfi_analytic import (
     basis_overlap_matrix,
     qfi_ecs_noref,
     qfi_ecs_ref,
+    qfi_noon,
     sigma_spectrum,
 )
 from phasefisher import qfi_oracle
 from phasefisher.qfi_oracle import (
+    NOON_ORDERS,
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
@@ -161,12 +163,6 @@ class TestQfiNumeric:
 
 
 class TestConfigAndScenarioValidation:
-    def test_tail_tol_range(self):
-        with pytest.raises(ValueError):
-            _ecs_cutoff(1.0, 0.0)
-        with pytest.raises(ValueError):
-            _ecs_cutoff(1.0, 1.5)
-
     def test_scenario_needs_components(self):
         with pytest.raises(InvalidWeights):
             Scenario(())
@@ -402,14 +398,6 @@ class TestTwoLevelNumeric:
         m = two_level_matrix_numeric(1.3, 0.7)
         assert np.allclose(m, basis_overlap_matrix(1.3, 0.7), atol=1e-12)
 
-    def test_takes_its_cutoff(self):
-        # a cutoff is passed, never a tolerance; one too small for the tail rule raises
-        doubled = FockTruncation(2 * _ecs_cutoff(1.3).n_max)
-        assert np.allclose(two_level_matrix_numeric(1.3, 0.7, doubled),
-                           basis_overlap_matrix(1.3, 0.7), atol=1e-12)
-        with pytest.raises(TruncationTooSmall, match="coherent tail"):
-            two_level_matrix_numeric(1.3, 0.7, FockTruncation(8))
-
     def test_coincident_branches_raise_typed_error(self):
         # at eta 1e-300 both lossy branches are the vacuum in double precision
         with warnings.catch_warnings():
@@ -484,9 +472,9 @@ class TestVerifyAll:
                 qfi_calls[built[id(scenario)][1]] += 1
             return qfi(scenario)
 
-        def counting_two_level(alpha, eta, trunc=None):
+        def counting_two_level(alpha, eta):
             two_level_calls[alpha, eta] += 1
-            return two_level(alpha, eta, trunc)
+            return two_level(alpha, eta)
 
         monkeypatch.setattr(qfi_oracle, "build_scenario", counting_build)
         monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
@@ -537,19 +525,49 @@ class TestVerifyAll:
             verify_all([])
 
     @pytest.mark.parametrize(
-        "grid, tail_tol, error",
+        "grid, error",
         [
-            ([(math.nan, 0.9)], DEFAULT_TAIL_TOL, ValueError),
-            ([(0.0, 0.9)], DEFAULT_TAIL_TOL, ValueError),
-            ([(0.5, 1.5)], DEFAULT_TAIL_TOL, InvalidEta),
-            ([(0.5, math.nan)], DEFAULT_TAIL_TOL, InvalidEta),
-            ([(0.5, 0.9)], 0.0, ValueError),
-            ([(0.5, 0.9)], 1.0, ValueError),
+            ([(math.nan, 0.9)], ValueError),
+            ([(0.0, 0.9)], ValueError),
+            ([(0.5, 1.5)], InvalidEta),
+            ([(0.5, math.nan)], InvalidEta),
         ],
     )
-    def test_domain_rejected_before_any_check(self, grid, tail_tol, error):
+    def test_domain_rejected_before_any_check(self, grid, error):
         with pytest.raises(error):
-            verify_all(grid, tail_tol=tail_tol)
+            verify_all(grid)
+
+    @given(
+        alpha=st.floats(-3.0, math.log10(3.0)).map(lambda u: 10.0**u),
+        eta=st.floats(-300.0, 0.0).map(lambda u: 10.0**u),
+    )
+    # the two-level rows fail on accuracy at eta |alpha|^2 = 3.16e-16, and the
+    # NOON row where NOON(5)'s lossy entries are subnormal at eta 1e-63
+    @example(alpha=1.0, eta=3.16e-16)
+    @example(alpha=1.0, eta=1e-63)
+    @settings(max_examples=30, deadline=None)
+    def test_report_fails_only_where_double_precision_runs_out(self, alpha, eta):
+        """Which rows of a one-point report may fail, as a function of the point alone.
+
+        The two two-level rows need the lossy branches told apart, eta
+        |alpha|^2 >= 1e-12; the NOON row needs every tested order's F and
+        eta^n clear of the subnormal range.
+        """
+        rows = {c.name: c for c in verify_all([(alpha, eta)]).checks}
+        subnormal = any(
+            0.0 < qfi_noon(n, eta).value < 2 * n * n * sys.float_info.min
+            or 0.0 < eta**n < 2 * sys.float_info.min
+            for n in NOON_ORDERS
+        )
+        may_fail = {"spectrum_eigenvalues", "basis_matrix_vs_numeric", "noon_closed_vs_oracle"}
+        for name, row in rows.items():
+            if name not in may_fail:
+                assert row.passed, row
+        if eta * alpha * alpha >= 1e-12:
+            assert rows["spectrum_eigenvalues"].passed, rows["spectrum_eigenvalues"]
+            assert rows["basis_matrix_vs_numeric"].passed, rows["basis_matrix_vs_numeric"]
+        if not subnormal:
+            assert rows["noon_closed_vs_oracle"].passed, rows["noon_closed_vs_oracle"]
 
     def test_oracle_rows_read_the_point_tolerances(self):
         rows = {c.name: c.tolerance for c in verify_all([(0.5, 1.0)]).checks}
