@@ -26,46 +26,25 @@ total-photon-number sectors, implemented by masking rather than quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import DensityOperator, FockTruncation, _grouped
-
-TWO_ARM = "two_arm"
-SINGLE_ARM = "single_arm"
+from .fock_core import DensityOperator, FockTruncation, _grouped, _read_only
 
 # Kraus-sum terms apply_loss evaluates at once (more only if one row of a pair is longer)
 LOSS_CHUNK_TERMS = 1 << 16
 
 
-@dataclass(frozen=True)
-class PhaseGenerator:
-    """Diagonal phase-shift generator on the two-mode space."""
-
-    kind: str
-    diagonal: np.ndarray
-    truncation: FockTruncation
-
-    def __post_init__(self) -> None:
-        if self.kind not in (TWO_ARM, SINGLE_ARM):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.diagonal.shape != (self.truncation.dim,):
-            raise ValueError("generator diagonal does not match the truncation")
-        self.diagonal.setflags(write=False)
-
-
-def two_arm_generator(trunc: FockTruncation) -> PhaseGenerator:
-    """G = (n1 - n2)/2, the antisymmetric phase between the arms."""
+def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
+    """Diagonal of G = (n1 - n2)/2 over the basis, the antisymmetric phase between the arms."""
     n1, n2 = trunc.occupations()
-    return PhaseGenerator(TWO_ARM, (n1 - n2) / 2.0, trunc)
+    return _read_only((n1 - n2) / 2.0)
 
 
-def single_arm_generator(trunc: FockTruncation) -> PhaseGenerator:
-    """G = n1, a phase on one arm only; needs a reference to differ from two_arm."""
+def single_arm_generator(trunc: FockTruncation) -> np.ndarray:
+    """Diagonal of G = n1, a phase on one arm only; needs a reference to differ from two_arm."""
     n1, _ = trunc.occupations()
-    return PhaseGenerator(SINGLE_ARM, n1.astype(float), trunc)
+    return _read_only(n1.astype(float))
 
 
 def _loss_table(eta: float, d: int) -> np.ndarray:
@@ -175,7 +154,8 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
 
     The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag, built
     straight into its components by _kraus_loss on the block over the
-    support; its support is the downward closure of rho's.
+    support, which for a pure input is its stored block, read without a
+    copy; its support is the downward closure of rho's.
     """
     check_eta(eta)
     if eta == 1.0:

@@ -143,7 +143,7 @@ def cmd_point(
         raise ValueError(f"unknown family {family!r}")
 
     print(label)
-    print(f"F    = {_fmt(result.value)}  ({result.method}, {result.generator} generator)")
+    print(f"F    = {_fmt(result.value)}  ({result.method}, two_arm generator)")
     dphi = math.inf if result.value == 0.0 else result.value**-0.5
     print(f"dphi = {_fmt(dphi)}")
 
@@ -242,18 +242,13 @@ def qfi_ecs_ref_at_mean_photons(n_mean: float, eta: float) -> float:
     return qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value
 
 
-def find_crossings(
-    eta: float,
-    tolerance: float = 1e-6,
-    n_min: float = DEFAULT_SWEEP_RANGE[0],
-    n_max: float = DEFAULT_SWEEP_RANGE[1],
-    points: int = DEFAULT_SWEEP_POINTS,
-) -> list[float]:
+def find_crossings(eta: float, tolerance: float = 1e-6) -> list[float]:
     """Mean photon numbers where the NOON and ECS information curves cross.
 
-    Sign changes of F_noon(N) - F_ecs(N) are bracketed on a log grid and
-    each is bisected until the curve gap at the midpoint is within
-    tolerance. Raises NoCrossingFound when the grid shows no sign change.
+    Sign changes of F_noon(N) - F_ecs(N) are bracketed on the default
+    sweep's log grid and each is bisected until the curve gap at the
+    midpoint is within tolerance. Raises NoCrossingFound when the grid shows
+    no sign change.
     """
     if not 0.0 < eta < 1.0:
         raise InvalidEta(f"crossings are defined for 0 < eta < 1, got {eta}")
@@ -263,7 +258,8 @@ def find_crossings(
     def gap(nm: float) -> float:
         return qfi_noon_continuous(nm, eta) - qfi_ecs_ref_at_mean_photons(nm, eta)
 
-    ns = np.geomspace(n_min, n_max, points)
+    n_min, n_max = DEFAULT_SWEEP_RANGE
+    ns = np.geomspace(n_min, n_max, DEFAULT_SWEEP_POINTS)
     with np.errstate(all="ignore"):
         gaps = _noon(ns, eta) - _ref(_libm(pow, solve_alpha(ns), 2), eta)
     if np.isfinite(gaps).all():
@@ -272,7 +268,7 @@ def find_crossings(
         # the scalar functions raise the first failing grid point's error
         gaps = [gap(x) for x in ns.tolist()]
     roots: list[float] = []
-    for i in range(points - 1):
+    for i in range(ns.size - 1):
         if gaps[i] == 0.0:
             roots.append(float(ns[i]))
             continue

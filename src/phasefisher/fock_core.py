@@ -201,7 +201,13 @@ class DensityOperator:
         _read_only(s)
 
     def on(self, support: np.ndarray) -> np.ndarray:
-        """The operator as a dense array over a strictly increasing superset of its support."""
+        """The operator as a dense array over a strictly increasing superset of its support.
+
+        When one component spans support, this is its stored block, read-only.
+        """
+        (members, blocks), *rest = self.parts
+        if not rest and members.shape == (1, support.size):
+            return blocks[0]
         pos = np.searchsorted(support, self.support)
         out = np.zeros((support.size, support.size), dtype=complex)
         for members, blocks in self.parts:

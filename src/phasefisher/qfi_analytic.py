@@ -57,7 +57,6 @@ class QFIResult:
 
     value: float
     method: str
-    generator: str = "two_arm"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):

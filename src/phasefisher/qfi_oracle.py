@@ -28,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    TWO_ARM,
-    PhaseGenerator,
     _kraus_loss,
     apply_loss,
     apply_loss_via_bs,
@@ -102,13 +100,14 @@ def _ecs_cutoff(alpha: complex) -> FockTruncation:
     return FockTruncation(truncation_for_tolerance(alpha, ECS_TAIL_TOL).n_max + 2)
 
 
-def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
+def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     """Spectral QFI sum over the eigenpairs of rho, one stored component at a time.
 
-    The sum is evaluated on the support of rho only. For a diagonal
-    generator this restriction is exact: every basis state outside the
-    support is a zero-weight eigenvector of rho and an eigenvector of G, so
-    its pair contributions vanish identically (the support-restricted QFI;
+    generator is the diagonal of G over the basis of rho's cutoff. The sum
+    is evaluated on the support of rho only, which is exact for a diagonal
+    generator: every basis state outside the support is a zero-weight
+    eigenvector of rho and an eigenvector of G, so its pair contributions
+    vanish identically (the support-restricted QFI;
     Liu et al., J. Phys. A 53, 023001 (2020)). By the same argument the QFI
     is the sum over rho.parts, the connected components of its exact
     nonzeros. Each component is scaled exactly by a power of two to a
@@ -116,11 +115,11 @@ def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
     raises NegativeEigenvalue, a larger negative one is clipped to 0, and
     every pair with p_i + p_j > 0 counts.
     """
-    if rho.truncation != generator.truncation:
+    if len(generator) != rho.truncation.dim:
         raise DimensionMismatch(
-            f"state cutoff {rho.truncation} vs generator cutoff {generator.truncation}"
+            f"generator of length {len(generator)} for a state of dimension {rho.truncation.dim}"
         )
-    g = generator.diagonal[rho.support]
+    g = generator[rho.support]
     value = 0.0
     for members, blocks in rho.parts:  # a stack of equal-size components
         if members.shape[1] == 1:  # one state: its entry's frexp mantissa, and no pair
@@ -141,7 +140,7 @@ def qfi_numeric(rho: DensityOperator, generator: PhaseGenerator) -> QFIResult:
         # the ratio first, then the difference: (w_i - w_j)^2 would underflow
         np.divide(diff, den, out=ratio, where=den > 0.0)
         value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * diff * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
-    return QFIResult(value, NUMERIC, generator.kind)
+    return QFIResult(value, NUMERIC)
 
 
 @dataclass(frozen=True)
@@ -217,13 +216,10 @@ def build_scenario(
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
     psi = _probe_vector(probe, truncation)
     if reference == WITH_REFERENCE:
-        support = np.flatnonzero(psi.amplitudes)
-        amp = psi.amplitudes[support]
-        weights, inputs = [1.0], [(support, np.outer(amp, amp.conj()))]
-    else:
-        weights, inputs = _sectors(psi)
-    # one Kraus pass over every input; no input is built as an operator
-    return Scenario(tuple(zip(weights, _kraus_loss(inputs, probe.eta, truncation))))
+        return Scenario(((1.0, apply_loss(psi.density(), probe.eta)),))
+    weights, sectors = _sectors(psi)
+    # one Kraus pass over every sector; no sector is built as an operator
+    return Scenario(tuple(zip(weights, _kraus_loss(sectors, probe.eta, truncation))))
 
 
 def scenario_qfi(scenario: Scenario) -> QFIResult:
@@ -233,7 +229,7 @@ def scenario_qfi(scenario: Scenario) -> QFIResult:
     total = 0.0
     for weight, rho in scenario.components:
         total += weight * qfi_numeric(rho, generator).value
-    return QFIResult(total, NUMERIC, TWO_ARM)
+    return QFIResult(total, NUMERIC)
 
 
 def scenario_mixture(scenario: Scenario) -> DensityOperator:
@@ -253,7 +249,11 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
 
     Built entirely from vectors and the Kraus channel; arbitrates the
     closed-form spectrum and basis matrix (and in particular their two
-    easy-to-mistranscribe coefficients) without sharing any algebra.
+    easy-to-mistranscribe coefficients) without sharing any algebra. For
+    unit vectors with a real overlap p, 1 - p = ||delta||^2 / 2 with
+    delta = psi2 - psi1 has no cancellation, so the second basis vector
+    (psi2 - p psi1)/sqrt(1 - p^2) = (delta + (1 - p) psi1)/sqrt((1 - p)(1 + p))
+    keeps full precision as p nears 1.
     """
     trunc = _ecs_cutoff(alpha)
     sigma = apply_loss(ecs_vector(alpha, trunc).density(), eta)
@@ -264,13 +264,14 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     psi1 = np.kron(c, vac)
     psi2 = np.kron(vac, c)
     p = float(np.vdot(psi1, psi2).real)
-    one_minus_p2 = 1.0 - p * p
-    if not one_minus_p2 > 0.0:
+    delta = psi2 - psi1
+    one_minus_p = float(np.vdot(delta, delta).real) / 2.0
+    if not one_minus_p > 0.0:
         raise DegenerateSpectrum(
-            f"the two lossy branches coincide in double precision (1 - p^2 = {one_minus_p2!r})"
+            f"the two lossy branches coincide in double precision (1 - p = {one_minus_p!r})"
         )
     e1 = psi1
-    e2 = (psi2 - p * e1) / math.sqrt(one_minus_p2)
+    e2 = (delta + one_minus_p * e1) / math.sqrt(one_minus_p * (1.0 + p))
     basis, block = (e1[sigma.support], e2[sigma.support]), sigma.on(sigma.support)
     m = np.empty((2, 2))
     for i in range(2):

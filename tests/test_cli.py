@@ -429,9 +429,9 @@ class TestCrossings:
         assert 0.98 <= _stdout_value(out, "N1") <= 1.03
 
     def test_no_sign_change_raises(self):
-        # strictly inside the crossing pair the noon curve stays on top
+        # at eta 0.5 the ecs curve stays on top over the whole grid [0.1, 200]
         with pytest.raises(NoCrossingFound):
-            find_crossings(0.9, n_min=5.0, n_max=20.0)
+            find_crossings(0.5)
 
     def test_absence_reported_not_failed(self, capsys, monkeypatch):
         def none_found(eta, tolerance):
@@ -501,35 +501,42 @@ class TestVerify:
 
     @pytest.mark.parametrize("alpha, eta", [("1", "5e-324"), ("1", "1e-300"), ("0.5", "5e-324")])
     def test_subnormal_eta_fails_without_traceback_or_warning(self, capsys, alpha, eta):
-        """Below double range the two-level rows fail with a typed error, never PASS on NaN.
+        """At the bottom of double range a row fails only where eta has left the state.
 
-        At eta 1e-300 the noref and noon oracle rows pass: each component's
-        eigensolve is relative to its own trace, so a Fisher information of
-        order eta is kept (the ref row fails there; see
-        test_ref_row_compares_every_point). At eta 5e-324 the noon row fails
-        with a relative error of 1: the lossy NOON(1) state's one-photon
-        entries, eta/2 exactly, lie between 0 and the smallest subnormal, so
-        the oracle's two routes round them to 0 (with a reference, F = 0) and
-        to 5e-324 each (without one, F = 1e-323) against the closed form's
-        5e-324. The state itself holds no bit of eta there; the noref closed
-        form and oracle are both 0.
+        At eta 1e-300 every row passes: each component's eigensolve is
+        relative to its own trace, so a Fisher information of order eta is
+        kept, and the two-level rows take 1 - p from ||psi2 - psi1||^2 / 2,
+        which does not cancel. At alpha 1, eta 5e-324 the lossy branches
+        still differ (their one-photon weights are 5e-324), so the two-level
+        rows pass; at alpha 0.5 those weights underflow to 0 and both rows
+        fail with the typed "coincide" error, never on NaN. At eta 5e-324
+        the noon row fails with a relative error of 1: the lossy NOON(1)
+        state's one-photon entries, eta/2 exactly, lie between 0 and the
+        smallest subnormal, so the oracle's two routes round them to 0 (with
+        a reference, F = 0) and to 5e-324 each (without one, F = 1e-323)
+        against the closed form's 5e-324. The state itself holds no bit of
+        eta there; the noref closed form and oracle are both 0.
         """
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["verify", "--grid", "single", "--alpha", alpha, "--eta", eta])
-        assert rc == 1
+        assert rc == (0 if eta == "1e-300" else 1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # header, rule, one line per check, overall line
-        rows = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:-1])
+        lines = capsys.readouterr().out.splitlines()[2:-1]
+        rows = dict(line.split()[:2] for line in lines)
         assert len(rows) == 14
-        assert rows["spectrum_eigenvalues"] == "FAIL"
-        assert rows["basis_matrix_vs_numeric"] == "FAIL"
+        two_level = "FAIL" if alpha == "0.5" else "PASS"
+        assert rows["spectrum_eigenvalues"] == two_level
+        assert rows["basis_matrix_vs_numeric"] == two_level
+        if two_level == "FAIL":
+            assert sum("error: the two lossy branches coincide" in line for line in lines) == 2
         assert rows["noref_closed_vs_oracle"] == "PASS"
         assert rows["noon_closed_vs_oracle"] == ("PASS" if eta == "1e-300" else "FAIL")
 
     @pytest.mark.parametrize(
         "argv, rc, status",
-        [([], 0, "PASS"), (["--alpha", "1", "--eta", "1e-300"], 1, "PASS")],
+        [([], 0, "PASS"), (["--alpha", "1", "--eta", "1e-300"], 0, "PASS")],
         ids=["default", "eta-1e-300"],
     )
     def test_ref_row_compares_every_point(self, capsys, argv, rc, status):
@@ -539,8 +546,8 @@ class TestVerify:
         oracle gives 7.310585786299667e-301 against the closed form's
         7.310585786300049e-301, 5.2e-14 apart: qfi_numeric forms each pair's
         (w_i - w_j)/(w_i + w_j) before multiplying by w_i - w_j, so no squared
-        eigenvalue difference underflows. The run still exits 1, from the two
-        spectrum rows, whose lossy branches coincide in double precision there.
+        eigenvalue difference underflows. The run exits 0: the two spectrum
+        rows pass there too.
         """
         assert main(["verify", "--grid", "single", *argv]) == rc
         rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}

@@ -27,7 +27,7 @@ from phasefisher.fock_core import (
     truncation_for_tolerance,
 )
 from phasefisher.qfi_oracle import WITH_REFERENCE, WITHOUT_REFERENCE, _ecs_cutoff, build_scenario
-from phasefisher.states import ProbeSpec
+from phasefisher.states import ProbeSpec, ecs_vector
 
 
 def _assert_parts_match_a_search(rho: DensityOperator) -> None:
@@ -252,6 +252,18 @@ class TestStateWrappers:
         assert np.allclose(w[:-1], 0.0, atol=1e-14)
         overlap = abs(np.vdot(v[:, -1], amp))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    def test_pure_block_is_read_without_a_copy(self):
+        # one component spans a pure state's support, so .on hands out its stored block
+        psi = ecs_vector(1.5, _ecs_cutoff(1.5))
+        rho = psi.density()
+        (_, blocks), = rho.parts
+        block = rho.on(rho.support)
+        assert np.shares_memory(block, blocks) and not block.flags.writeable
+        amp = psi.amplitudes[rho.support]
+        assert np.array_equal(block, np.outer(amp, amp.conj()))
+        # a strict superset of the support still gets a fresh array
+        assert not np.shares_memory(rho.on(np.arange(rho.truncation.dim)), blocks)
 
     def test_matrix_round_trips_the_block(self):
         t = FockTruncation(2)
