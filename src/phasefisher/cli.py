@@ -8,6 +8,11 @@ runs the full closed-form-vs-oracle suite. The oracle builds a NOON probe
 on the smallest space that holds it and an ECS probe on a cutoff that is a
 rule of alpha alone (qfi_oracle._ecs_cutoff); no flag sets either.
 
+`sweep` and `crossings` read one array route from N to F,
+qfi_analytic._curves: each sweep block, the crossing grid and every
+bisection midpoint. A failing sweep row raises its own typed error, the one
+the scalar functions give at that N.
+
 All output is deterministic for fixed flags on a fixed numpy build:
 floats are rendered with repr (shortest round-trip digits), rows in input
 order, no timestamps. Closed-form output (`point` without `--oracle`,
@@ -37,17 +42,7 @@ from .exceptions import (
     NonpositiveFisher,
     PhaseFisherError,
 )
-from .qfi_analytic import (
-    _noon,
-    _noref,
-    _ref,
-    _ref_asymptotic,
-    qfi_ecs_noref,
-    qfi_ecs_ref,
-    qfi_ecs_ref_asymptotic,
-    qfi_noon,
-    qfi_noon_continuous,
-)
+from .qfi_analytic import QFIResult, _curves, qfi_ecs_noref, qfi_ecs_ref, qfi_noon, sensitivity
 from .qfi_oracle import (
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
@@ -56,7 +51,7 @@ from .qfi_oracle import (
     scenario_qfi,
     verify_all,
 )
-from .states import ProbeSpec, _libm, alpha_for_mean_photon, solve_alpha
+from .states import ProbeSpec, _libm, alpha_for_mean_photon
 
 CSV_HEADER = (
     "n_mean,eta,alpha,f_ecs_noref,f_ecs_ref,f_ecs_ref_asym,f_noon,"
@@ -143,8 +138,8 @@ def cmd_point(
         raise ValueError(f"unknown family {family!r}")
 
     print(label)
-    print(f"F    = {_fmt(result.value)}  ({result.method}, two_arm generator)")
-    dphi = math.inf if result.value == 0.0 else result.value**-0.5
+    print(f"F    = {_fmt(result.value)}  (closed_form, two_arm generator)")
+    dphi = math.inf if result.value == 0.0 else sensitivity(result.value)
     print(f"dphi = {_fmt(dphi)}")
 
     if not use_oracle:
@@ -171,26 +166,25 @@ def sweep_rows(cfg: SweepConfig) -> list[str]:
 def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     """CSV rows of one block of the grid, bit for bit those of the scalar functions.
 
-    The closed forms run once on the whole block. If a row overflows or
-    underflows, the block is re-run row by row through the public
-    functions, which raise the first failing row's error.
+    The first failing row raises the error the scalar functions would: a
+    QFIResult check on F_noref, F_ref and F_ref_asym in that order, then
+    NonpositiveFisher where an F or the shot-noise F underflows to 0.
     """
-    try:
-        with np.errstate(all="ignore"):
-            alpha = solve_alpha(n_mean)
-            a2 = _libm(pow, alpha, 2)
-            values = np.stack(
-                [alpha, _noref(a2, eta), _ref(a2, eta), _ref_asymptotic(a2, eta), _noon(n_mean, eta)]
-            )
-            # the failures of the scalar path: QFIResult refuses a non-finite or
-            # negative F, and the sensitivity needs F > 0
-            underflow = np.minimum.reduce([values[1], values[2], values[4], eta * n_mean]) == 0.0
-            ok = np.isfinite(values).all() and (values >= 0.0).all() and not underflow.any()
-    except OverflowError:
-        ok = False
-    if not ok:
-        values = _scalar_block(n_mean, eta)
-    _, f_noref, f_ref, _, f_noon = values
+    values = _curves(n_mean, eta)
+    _, f_noref, f_ref, f_asym, f_noon = values
+    failing = ~((values[1:4] >= 0.0) & (values[1:4] < math.inf)).all(axis=0)
+    failing |= (f_noref == 0.0) | (f_ref == 0.0) | (f_noon == 0.0) | (eta * n_mean == 0.0)
+    if failing.any():
+        row = int(failing.argmax())
+        for f in (f_noref, f_ref, f_asym):
+            QFIResult(f[row].item())
+        nm = n_mean[row].item()
+        # F grows with N below 1 and decays as eta^N above it; eta N is the shot-noise F
+        bound = "raise --n-min" if nm < 1.0 else "lower --n-max"
+        raise NonpositiveFisher(
+            f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {eta:g}), "
+            f"so its sensitivity is undefined; {bound}"
+        )
     dphi = [_libm(pow, f, -0.5) for f in (f_noref, f_ref, f_noon)]
     columns = [n_mean, np.full(n_mean.size, eta), *values, *dphi, 1.0 / np.sqrt(eta * n_mean)]
     # no NOON state has n = 0, so an N that rounds to 0 is not an integer N
@@ -200,26 +194,6 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
         ",".join(map(repr, cells)) + (",true" if flag else ",false")
         for cells, flag in zip(zip(*(c.tolist() for c in columns)), integer_n)
     ]
-
-
-def _scalar_block(n_mean: np.ndarray, eta: float) -> np.ndarray:
-    """alpha and the four F columns of a block from the public scalar functions."""
-    rows = []
-    for nm in n_mean.tolist():
-        alpha = alpha_for_mean_photon(nm)
-        f_noref = qfi_ecs_noref(alpha, eta).value
-        f_ref = qfi_ecs_ref(alpha, eta).value
-        f_asym = qfi_ecs_ref_asymptotic(alpha, eta).value
-        f_noon = qfi_noon_continuous(nm, eta)
-        if min(f_noref, f_ref, f_noon, eta * nm) == 0.0:
-            # F grows with N below 1 and decays as eta^N above it; eta N is the shot-noise F
-            bound = "raise --n-min" if nm < 1.0 else "lower --n-max"
-            raise NonpositiveFisher(
-                f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {eta:g}), "
-                f"so its sensitivity is undefined; {bound}"
-            )
-        rows.append((alpha, f_noref, f_ref, f_asym, f_noon))
-    return np.array(rows).T
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
@@ -242,31 +216,29 @@ def qfi_ecs_ref_at_mean_photons(n_mean: float, eta: float) -> float:
     return qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value
 
 
+def _gap(n_mean: np.ndarray, eta: float) -> list[float]:
+    """F_noon - F_ref along n_mean, finite over the crossing grid's range for 0 < eta < 1."""
+    _, _, f_ref, _, f_noon = _curves(n_mean, eta)
+    return (f_noon - f_ref).tolist()
+
+
 def find_crossings(eta: float, tolerance: float = 1e-6) -> list[float]:
     """Mean photon numbers where the NOON and ECS information curves cross.
 
     Sign changes of F_noon(N) - F_ecs(N) are bracketed on the default
     sweep's log grid and each is bisected until the curve gap at the
-    midpoint is within tolerance. Raises NoCrossingFound when the grid shows
-    no sign change.
+    midpoint is within tolerance; grid and midpoints read the sweep's array
+    route. Raises NoCrossingFound when the grid shows no sign change and
+    NoConvergence when 200 halvings of a bracket leave the gap above tolerance.
     """
     if not 0.0 < eta < 1.0:
         raise InvalidEta(f"crossings are defined for 0 < eta < 1, got {eta}")
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"crossing tolerance must be finite and positive, got {tolerance}")
 
-    def gap(nm: float) -> float:
-        return qfi_noon_continuous(nm, eta) - qfi_ecs_ref_at_mean_photons(nm, eta)
-
     n_min, n_max = DEFAULT_SWEEP_RANGE
     ns = np.geomspace(n_min, n_max, DEFAULT_SWEEP_POINTS)
-    with np.errstate(all="ignore"):
-        gaps = _noon(ns, eta) - _ref(_libm(pow, solve_alpha(ns), 2), eta)
-    if np.isfinite(gaps).all():
-        gaps = gaps.tolist()
-    else:
-        # the scalar functions raise the first failing grid point's error
-        gaps = [gap(x) for x in ns.tolist()]
+    gaps = _gap(ns, eta)
     roots: list[float] = []
     for i in range(ns.size - 1):
         if gaps[i] == 0.0:
@@ -278,7 +250,7 @@ def find_crossings(eta: float, tolerance: float = 1e-6) -> list[float]:
         lo, hi, glo = float(ns[i]), float(ns[i + 1]), gaps[i]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            gm = gap(mid)
+            gm = _gap(np.array([mid]), eta)[0]
             if abs(gm) <= tolerance:
                 roots.append(mid)
                 break
@@ -307,8 +279,7 @@ def cmd_crossings(eta: float, tolerance: float = 1e-6) -> int:
         print(f"eta = {eta:g}: two crossings")
         print(f"N1 = {_fmt(n1)}")
         print(f"N2 = {_fmt(n2)}")
-        mid = math.sqrt(n1 * n2)
-        lead = "noon" if qfi_noon_continuous(mid, eta) > qfi_ecs_ref_at_mean_photons(mid, eta) else "ecs"
+        lead = "noon" if _gap(np.array([math.sqrt(n1 * n2)]), eta)[0] > 0.0 else "ecs"
         print(f"between them the {lead} probe carries more information")
     else:
         print(f"eta = {eta:g}: found {len(roots)} crossing(s), expected 2")

@@ -20,6 +20,10 @@ the two-level mixed-state QFI formula (Liu et al., J. Phys. A 53, 023001
 it reduces to a closed form with no subtraction; the tests keep the
 spectral route as its reference.
 
+Each closed form has one body that takes a float or an array. _curves runs
+them along an array of mean photon numbers, and it is the one route every
+N-curve reads: the sweep's rows, the crossing grid and its bisection.
+
 Every quantity here is validated against the brute-force oracle in
 qfi_oracle; the spectral coefficients additionally against a numeric
 eigensolve of the two-level matrix.
@@ -40,11 +44,7 @@ from .exceptions import (
     check_eta,
 )
 from .fock_core import FockTruncation
-from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights
-
-CLOSED_FORM = "closed_form"
-ASYMPTOTIC = "asymptotic"
-NUMERIC = "numeric"
+from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights, solve_alpha
 
 # No code in the package reads this. It is the minor-eigenvalue weight below which
 # acceptance gate a02 skips a point and the spectral-route tests drop the cross term.
@@ -53,10 +53,9 @@ GAMMA_MINUS_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class QFIResult:
-    """A Fisher information value plus how it was obtained."""
+    """A Fisher information value, checked to be finite and nonnegative."""
 
     value: float
-    method: str
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -101,8 +100,8 @@ def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0, CLOSED_FORM)
-    return QFIResult(_noref(a2, eta), CLOSED_FORM)
+        return QFIResult(0.0)
+    return QFIResult(_noref(a2, eta))
 
 
 def _noref(a2, eta):
@@ -120,11 +119,11 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
     check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0, CLOSED_FORM)
+        return QFIResult(0.0)
     weights = ecs_sector_weights(alpha, trunc)
     n = np.arange(len(weights), dtype=float)
     value = float(np.sum(weights * n * n * eta**n))
-    return QFIResult(value, CLOSED_FORM)
+    return QFIResult(value)
 
 
 @_in_double_range
@@ -136,7 +135,7 @@ def qfi_noon(n: int, eta: float) -> QFIResult:
     check_eta(eta)
     if n < 1:
         raise ValueError(f"NOON index must be >= 1, got {n}")
-    return QFIResult((n * eta ** (n / 2)) ** 2, CLOSED_FORM)
+    return QFIResult((n * eta ** (n / 2)) ** 2)
 
 
 def qfi_noon_continuous(n_mean: float, eta: float) -> float:
@@ -230,8 +229,8 @@ def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0, CLOSED_FORM)
-    return QFIResult(_ref(a2, eta), CLOSED_FORM)
+        return QFIResult(0.0)
+    return QFIResult(_ref(a2, eta))
 
 
 def _ref(a2, eta):
@@ -248,8 +247,8 @@ def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     check_eta(eta)
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0, ASYMPTOTIC)
-    return QFIResult(_ref_asymptotic(a2, eta), ASYMPTOTIC)
+        return QFIResult(0.0)
+    return QFIResult(_ref_asymptotic(a2, eta))
 
 
 def _ref_asymptotic(a2, eta):
@@ -258,10 +257,28 @@ def _ref_asymptotic(a2, eta):
     return 2.0 * nsq * (_libm(math.exp, -2.0 * a2 * (1.0 - eta)) * a2 * a2 * eta * eta + a2 * eta)
 
 
+def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:
+    """Rows alpha, F_noref, F_ref, F_ref_asym and F_noon along an array of N.
+
+    The one array route of every N-curve: sweep rows, the crossing grid and
+    its bisection. Each entry is bit for bit what alpha_for_mean_photon and
+    the public scalar function give at that N, for finite N > 0 and
+    0 < eta <= 1, which are not checked here. No pow or exp in the route can
+    overflow there; a product beyond the double range puts inf or nan in
+    its column, for the caller to report.
+    """
+    with np.errstate(all="ignore"):
+        alpha = solve_alpha(n_mean)
+        a2 = _libm(pow, alpha, 2)
+        return np.stack(
+            [alpha, _noref(a2, eta), _ref(a2, eta), _ref_asymptotic(a2, eta), _noon(n_mean, eta)]
+        )
+
+
 def sensitivity(fisher: float, repetitions: int = 1) -> float:
     """Cramer-Rao phase uncertainty (m F)^{-1/2} in radians."""
     if fisher <= 0.0:
         raise NonpositiveFisher(f"sensitivity needs F > 0, got {fisher}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    return 1.0 / math.sqrt(repetitions * fisher)
+    return (repetitions * fisher) ** -0.5

@@ -24,12 +24,12 @@ from phasefisher.cli import (
 )
 from phasefisher.exceptions import InvalidEta, NoCrossingFound
 from phasefisher.qfi_analytic import (
-    CLOSED_FORM,
     QFIResult,
     qfi_ecs_noref,
     qfi_ecs_ref,
     qfi_ecs_ref_asymptotic,
     qfi_noon_continuous,
+    sensitivity,
 )
 from phasefisher.qfi_oracle import ORACLE_POINT_TOL
 from phasefisher.states import alpha_for_mean_photon
@@ -173,9 +173,22 @@ class TestPoint:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} applies only to the ")
 
+    def test_dphi_is_the_library_sensitivity(self, capsys):
+        # point, sweep and sensitivity print (m F)^{-1/2} from the same pow, to the last bit
+        rc = main(["point", "--family", "ecs", "--alpha", "1.0", "--eta", "0.9",
+                   "--reference", "with"])
+        assert rc == 0
+        dphi = _stdout_value(capsys.readouterr().out, "dphi")
+        assert dphi == sensitivity(qfi_ecs_ref(1.0, 0.9).value) == 0.9238537020429951
+        header = CSV_HEADER.split(",")
+        f_col, dphi_col = header.index("f_ecs_ref"), header.index("dphi_ecs_ref")
+        for line in sweep_rows(SweepConfig(eta=0.9))[1:]:
+            cells = line.split(",")
+            assert float(cells[dphi_col]) == sensitivity(float(cells[f_col])), line
+
     def test_oracle_breach_exits_three(self, capsys, monkeypatch):
         def inflated(alpha, eta):
-            return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value, CLOSED_FORM)
+            return QFIResult(1.2 * qfi_ecs_noref(alpha, eta).value)
 
         monkeypatch.setattr("phasefisher.cli.qfi_ecs_noref", inflated)
         rc = main(["point", "--family", "ecs", "--alpha", "0.8", "--eta", "0.9",
@@ -427,6 +440,16 @@ class TestCrossings:
         out = capsys.readouterr().out
         assert "found 1 crossing(s)" in out
         assert 0.98 <= _stdout_value(out, "N1") <= 1.03
+
+    def test_stalled_bisection_exits_two(self, capsys):
+        # no midpoint's gap gets within 1e-300 before the bracket stops shrinking
+        rc = main(["crossings", "--eta", "0.9", "--tol", "1e-300"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bisection stalled on bracket [")
+        assert captured.err.endswith("] at eta=0.9\n")
+        assert "Traceback" not in captured.err
 
     def test_no_sign_change_raises(self):
         # at eta 0.5 the ecs curve stays on top over the whole grid [0.1, 200]

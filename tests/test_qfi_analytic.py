@@ -19,8 +19,6 @@ from phasefisher.exceptions import (
     NumericalOverflow,
 )
 from phasefisher.qfi_analytic import (
-    ASYMPTOTIC,
-    CLOSED_FORM,
     GAMMA_MINUS_FLOOR,
     QFIResult,
     basis_overlap_matrix,
@@ -324,10 +322,6 @@ class TestAsymptotic:
         approx = qfi_ecs_ref_asymptotic(1.0, 0.9).value
         assert abs(approx - exact) / exact > 1e-3
 
-    def test_method_tag(self):
-        assert qfi_ecs_ref_asymptotic(1.0, 0.9).method == ASYMPTOTIC
-        assert qfi_ecs_ref(1.0, 0.9).method == CLOSED_FORM
-
 
 class TestEtaMonotonicity:
     """Less transmission never adds information, for any of the closed forms."""
@@ -369,13 +363,13 @@ class TestSensitivity:
 
 def test_result_rejects_negative_value():
     with pytest.raises(ValueError):
-        QFIResult(-1e-9, CLOSED_FORM)
+        QFIResult(-1e-9)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_result_rejects_non_finite_value(value):
     with pytest.raises(NumericalOverflow):
-        QFIResult(value, CLOSED_FORM)
+        QFIResult(value)
 
 
 def test_closed_form_overflow_is_typed():

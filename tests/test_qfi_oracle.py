@@ -48,6 +48,7 @@ from phasefisher.qfi_analytic import (
 )
 from phasefisher import qfi_oracle
 from phasefisher.qfi_oracle import (
+    ASYMPTOTIC_POINTS,
     NOON_ORDERS,
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
@@ -429,6 +430,11 @@ class TestVerifyAll:
         assert _rel(1e-300, 0.0) == math.inf
         assert _rel(2.0, 1.0) == 1.0
         assert math.isnan(_rel(math.nan, 1.0))
+
+    def test_asymptotic_points_lie_in_the_regime(self):
+        # asymptotic_regime compares every point; one outside the regime fails here
+        for alpha, eta in ASYMPTOTIC_POINTS:
+            assert math.exp(-eta * alpha * alpha) < 1e-8, (alpha, eta)
 
     def test_nan_error_fails_its_row(self):
         # a NaN at a later grid point must not be folded away by an earlier finite error
