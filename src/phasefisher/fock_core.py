@@ -157,8 +157,9 @@ class DensityOperator:
     outside support x support is exactly zero. block is the dense block over
     support, or predicted parts: stacks as in `parts` whose components cover
     every exact nonzero. Finite entries, hermiticity and trace are enforced
-    on them, and _components splits any that holds an exact zero, so parts
-    are always the connected components of the exact nonzeros. Positivity is
+    on them, and _components splits any of two or more states that holds an
+    exact zero, so parts are always the connected components of the exact
+    nonzeros (a lone state is one, whatever its entry). Positivity is
     enforced where spectra are taken (the QFI eigensolve clips
     roundoff-negative eigenvalues and rejects anything worse).
     """
@@ -186,8 +187,10 @@ class DensityOperator:
                     f"non-finite entry {complex(blocks[k, i, j])} "
                     f"at basis indices ({s[members[k, i]]}, {s[members[k, j]]})"
                 )
-            gap = blocks.conj().transpose(0, 2, 1)
-            gap -= blocks  # in place, so a large block is copied once
+            # a fresh array even for a real block, whose .conj() is the block
+            # itself; subtracting in place then copies a large block once
+            gap = np.conj(blocks.transpose(0, 2, 1))
+            gap -= blocks
             dev = max(dev, float(np.abs(gap).max(initial=0.0)))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
@@ -195,7 +198,8 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
         object.__setattr__(self, "parts", block)
-        if not all(b.all() for _, b in block):  # a predicted component holds an exact zero
+        # a predicted component holds an exact zero; a lone state cannot split
+        if not all(b.all() for m, b in block if m.shape[1] > 1):
             block = _components(self.on(s))
         object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in block))
         _read_only(s)

@@ -73,9 +73,6 @@ ORACLE_POINT_TOL = {
     ("noon", WITHOUT_REFERENCE): 1e-9,
 }
 
-# sectors lighter than this cannot move any tested tolerance
-SECTOR_WEIGHT_FLOOR = 1e-14
-
 DEFAULT_GRID_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_GRID_ETAS = (0.6, 0.9, 0.99, 1.0)
 NOON_ORDERS = (1, 2, 3, 5)
@@ -147,8 +144,8 @@ class Scenario:
     """A weighted ensemble of density operators.
 
     Reference-beam scenarios hold a single unit-weight component; the
-    reference-free scenario holds one component per surviving total-photon
-    sector. Every component sits on the same cutoff, the probe's.
+    reference-free scenario holds one component per total-photon sector of
+    nonzero weight. Every component sits on the same cutoff, the probe's.
     """
 
     components: tuple[tuple[float, DensityOperator], ...]
@@ -178,8 +175,12 @@ def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.n
     """A pure state's total-photon sectors: their weights and normalized (support, block) pairs.
 
     Only the occupied basis states are visited, so a sector costs its own
-    support rather than a pass over the whole two-mode basis. Sectors no
-    heavier than SECTOR_WEIGHT_FLOOR are dropped.
+    support rather than a pass over the whole two-mode basis. Each sector's
+    amplitudes are scaled by a power of two, to a largest modulus in
+    [1/2, 1), before they are squared. The scaling is exact, so a sector
+    whose squares stay normal is normalized as by a plain division by the
+    root of its weight, and one whose squares would be subnormal still gets
+    trace 1. Every sector is kept whose weight is not exactly 0.
     """
     amp = psi.amplitudes
     occupied = np.flatnonzero(amp)
@@ -187,10 +188,14 @@ def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.n
     weights, sectors = [], []
     for n in range(int(totals.max()) + 1):
         support = occupied[totals == n]
-        weight = float(np.sum(np.abs(amp[support]) ** 2))
-        if weight <= SECTOR_WEIGHT_FLOOR:
+        sector = amp[support]
+        _, exponent = math.frexp(float(np.abs(sector).max(initial=0.0)))
+        sector = np.ldexp(sector.real, -exponent) + 1j * np.ldexp(sector.imag, -exponent)
+        norm2 = float(np.sum(np.abs(sector) ** 2))
+        weight = math.ldexp(norm2, 2 * exponent)
+        if weight == 0.0:
             continue
-        sector = amp[support] / math.sqrt(weight)
+        sector /= math.sqrt(norm2)
         weights.append(weight)
         sectors.append((support, np.outer(sector, sector.conj())))
     return weights, sectors
@@ -493,7 +498,7 @@ def verify_all(
             mix = label_free(alpha, eta)[1]
             two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
             one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
-            errs.append(abs(one - two) / max(two, 1e-300))
+            errs.append(_rel(one, two))
         return errs, f"{len(grid)} points, single-arm vs two-arm"
 
     def stability_body():

@@ -34,7 +34,6 @@ from phasefisher.fock_core import (
     coherent_vector,
 )
 from phasefisher.qfi_oracle import (
-    SECTOR_WEIGHT_FLOOR,
     WITHOUT_REFERENCE,
     _ecs_cutoff,
     build_scenario,
@@ -203,7 +202,7 @@ class TestSectorFold:
         for n in range(2 * trunc.n_max + 1):
             support = np.flatnonzero((totals == n) & (amp != 0))
             weight = float(np.sum(np.abs(amp[support]) ** 2))
-            if weight > SECTOR_WEIGHT_FLOOR:
+            if weight > 0.0:  # every sector is kept; no square here is subnormal
                 sector = amp[support] / math.sqrt(weight)
                 rho = DensityOperator(support, np.outer(sector, sector.conj()), trunc)
                 want.append((weight, *_loop_loss(rho, eta)))

@@ -1,6 +1,7 @@
 """Basis bookkeeping, coherent amplitudes, and the state wrappers underneath everything else."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -211,6 +212,16 @@ class TestStateWrappers:
         with pytest.raises(ValueError):
             DensityOperator(np.arange(t.dim), np.eye(t.dim, dtype=complex), t)
 
+    def test_density_accepts_a_real_block_and_leaves_it_unchanged(self):
+        # a float64 block's .conj() is the block itself: the hermiticity check must not write to it
+        t = FockTruncation(1)
+        block = np.array([[0.5, 0.1], [0.1, 0.5]])
+        rho = DensityOperator(np.array([0, 1]), block, t)
+        assert np.array_equal(block, [[0.5, 0.1], [0.1, 0.5]])
+        assert np.array_equal(rho.on(rho.support), block)
+        with pytest.raises(NotHermitian):
+            DensityOperator(np.array([0, 1]), np.array([[0.5, 0.1], [0.0, 0.5]]), t)
+
     @pytest.mark.parametrize(
         "block",
         [
@@ -295,6 +306,27 @@ class TestStateWrappers:
         assert np.array_equal(again.matrix, rho.matrix)
         for (m1, b1), (m2, b2) in zip(again.parts, rho.parts, strict=True):
             assert np.array_equal(m1, m2) and np.array_equal(b1, b2)
+
+    def test_one_state_components_holding_zeros_are_kept_as_predicted(self):
+        # sector n = 400 at eta 0.9: (1 - eta)^k underflows to 0 past k ~ 323, so the lone
+        # states near |0, 0> hold exact zeros; they split no further, and no dense block
+        # over the 801 output states (10 MB) is built to find that out
+        n = 400
+        t = FockTruncation(n)
+        amp = np.zeros(t.dim, dtype=complex)
+        amp[t.index(n, 0)] = amp[t.index(0, n)] = 1.0 / math.sqrt(2.0)
+        rho = StateVector(amp, t).density()
+        tracemalloc.start()
+        try:
+            rho = apply_loss(rho, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (lone, lone_blocks), (pair, _) = rho.parts
+        assert lone.shape == (2 * n - 1, 1) and pair.shape == (1, 2)
+        assert np.count_nonzero(lone_blocks == 0) > 0
+        _assert_parts_match_a_search(rho)
+        assert peak < 5 * 2**20  # the loss table takes 1.3 MB of it
 
     def test_parts_cover_every_exact_nonzero(self):
         # a chain 0-2-4 and a pair 1-3, given in interleaved order, plus the lone state 5

@@ -36,6 +36,7 @@ from phasefisher.exceptions import (
 )
 from phasefisher.fock_core import (
     MAX_STATE_VECTOR_BYTES,
+    TRACE_ATOL,
     DensityOperator,
     FockTruncation,
 )
@@ -56,6 +57,7 @@ from phasefisher.qfi_oracle import (
     Scenario,
     _ecs_cutoff,
     _rel,
+    _sectors,
     build_scenario,
     qfi_numeric,
     scenario_mixture,
@@ -233,6 +235,25 @@ class TestBuildScenario:
         assert stored <= 10_000
         assert stored == nonzero
 
+    @pytest.mark.parametrize("alpha", [12.0, 20.0, 28.5])
+    def test_every_nonzero_sector_is_kept_at_large_fields(self, alpha):
+        """sum_n w_n n^2 eta^n is the closed form to 1e-12, and every sector has trace 1.
+
+        Loss tilts F toward low n, so sectors far too light to matter to the
+        state still carry F: a weight floor of 1e-14 would put this sum
+        6.6e-12, 4.6e-9 and 1.07e-6 from the closed form at these alphas. At
+        alpha 28.5 a sector's squares are subnormal, and a plain division by
+        the root of its weight would leave it a trace of 1.11.
+        """
+        eta = 0.9
+        trunc = _ecs_cutoff(alpha)
+        weights, sectors = _sectors(ecs_vector(alpha, trunc))
+        n = trunc.totals()[[support[0] for support, _ in sectors]].astype(float)
+        value = float(np.sum(np.array(weights) * n**2 * eta**n))
+        assert _rel(value, qfi_ecs_noref(alpha, eta).value) <= 1e-12
+        for _, block in sectors:
+            assert abs(np.trace(block) - 1.0) <= TRACE_ATOL
+
     def test_large_field_oracle_stays_small(self):
         """alpha = 4 on a 54-state-per-mode cutoff: both references, traced peak below 64 MB.
 
@@ -341,8 +362,13 @@ class TestScenarioQfi:
         orders 1, 2, 3 and 5, both references, as computed by the per-pair
         loss loop on the earlier, wider ECS cutoff ceil(a^2 + 10 a + 20). The
         coherent-tail cutoff the oracle uses now stays within 9.7e-13 of it
-        (alpha 1.5, eta 0.6, with reference). The closed-form gates (1e-6 to
-        1e-9) would miss a drift this small in the oracle's own digits.
+        (alpha 1.5, eta 0.6, with reference). The four reference-free alpha 0.5
+        rows were recomputed once every sector of nonzero weight was kept (a
+        1e-14 weight floor had put them up to 1.8e-12 low); each is within
+        7.4e-16 of a 50-digit mpmath sector sum over the same cutoff, and at
+        eta 1 it equals the with-reference oracle bit for bit. The closed-form
+        gates (1e-6 to 1e-9) would miss a drift this small in the oracle's own
+        digits.
         """
         with GOLDEN_ORACLE.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
