@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import sys
 from argparse import ArgumentParser
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .qfi_oracle import (
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
+    _rel,
     build_scenario,
     scenario_qfi,
     verify_all,
@@ -61,6 +63,8 @@ CSV_HEADER = (
 INTEGER_N_ATOL = 1e-9
 
 DEFAULT_SWEEP_POINTS = 200
+# a sweep holds every row in memory, about 450 B each (475 MB peak RSS at this many)
+MAX_SWEEP_POINTS = 1_000_000
 DEFAULT_SWEEP_RANGE = (0.1, 200.0)
 
 # sweep rows go through numpy this many at a time; whole columns raise a
@@ -91,15 +95,18 @@ class SweepConfig:
             raise ValueError(f"need n_max > n_min, got [{self.n_min}, {self.n_max}]")
         if self.points < 2:
             raise ValueError(f"need at least 2 points, got {self.points}")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ValueError(f"at most {MAX_SWEEP_POINTS} points, got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
 
     def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            # near the largest double, geomspace overflows in the power it then overwrites
-            with np.errstate(over="ignore"):
+        # near the largest double, both spacings overflow in the last point, which they then
+        # overwrite with n_max: geomspace in its power, linspace in its product
+        with np.errstate(over="ignore"):
+            if self.spacing == "log":
                 return np.geomspace(self.n_min, self.n_max, self.points)
-        return np.linspace(self.n_min, self.n_max, self.points)
+            return np.linspace(self.n_min, self.n_max, self.points)
 
 
 def _fmt(x: float) -> str:
@@ -145,8 +152,7 @@ def cmd_point(
     if not use_oracle:
         return 0
     numeric = scenario_qfi(build_scenario(probe, reference))
-    scale = abs(result.value) if result.value != 0.0 else 1.0
-    deviation = abs(numeric.value - result.value) / scale
+    deviation = _rel(numeric.value, result.value)
     tolerance = ORACLE_POINT_TOL[(family, reference)]
     print(f"oracle = {_fmt(numeric.value)}  relative deviation {deviation:.3e} (tolerance {tolerance:g})")
     if deviation > tolerance:
@@ -200,11 +206,13 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     # all rows are computed before the file is opened, so a numerical
     # failure can never leave a partial CSV behind
     text = "\n".join(sweep_rows(cfg)) + "\n"
+    fh = open(cfg.output_path, "w", encoding="ascii", newline="")  # a failed open deletes nothing
     try:
-        with open(cfg.output_path, "w", encoding="ascii", newline="") as fh:
+        with fh:
             fh.write(text)
     except OSError:
-        if os.path.exists(cfg.output_path):
+        # a partial CSV goes, but never a symlink, pipe or device the path names
+        if stat.S_ISREG(os.lstat(cfg.output_path).st_mode):
             os.unlink(cfg.output_path)
         raise
     print(f"wrote {cfg.points} rows to {cfg.output_path}")

@@ -292,7 +292,7 @@ class CheckResult:
     passed: bool
     max_err: float
     tolerance: float
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -326,15 +326,16 @@ class VerificationReport:
         return "\n".join(rows) + "\n"
 
 
-def _run_check(name: str, tolerance: float, body) -> CheckResult:
-    """Failures never escape: any numerical error becomes a failed row.
+def _run_check(name: str, tolerance: float, points, error, detail: str) -> CheckResult:
+    """The one loop over a row's points; failures never escape.
 
-    body returns its errors and a detail; the row reports the worst, and a
-    NaN among them is the worst (np.max propagates it, and NaN <= tolerance
-    is false).
+    error(*point) gives one point's error, or a tuple of them. The row's
+    max error is the largest over every point, and a NaN among them is the
+    largest (np.max propagates it, and NaN <= tolerance is false). Any
+    numerical error becomes a failed row whose detail reads "error: ...".
     """
     try:
-        errs, detail = body()
+        errs = [error(*point) for point in points]
     except _CHECK_ERRORS as exc:
         return CheckResult(name, False, math.inf, tolerance, f"error: {exc}")
     err = float(np.max(errs, initial=0.0))
@@ -366,7 +367,9 @@ def verify_all(
 
     grid entries are (alpha, eta) points; the default covers the standard
     validation grid. Each point's states sit on _ecs_cutoff(alpha), and
-    truncation_stability compares them with its double. spectrum_fn /
+    truncation_stability compares them with its double. A row is its name,
+    tolerance, points, the error at one point and its detail; _run_check
+    walks every row's points. spectrum_fn /
     basis_matrix_fn are injection seams for negative-control tests that
     feed deliberately corrupted closed forms. A grid point or cutoff that
     `point --oracle` would refuse, or a doubled cutoff past the size
@@ -404,125 +407,71 @@ def verify_all(
     def two_level(alpha: float, eta: float) -> np.ndarray:
         return two_level_matrix_numeric(alpha, eta)
 
-    def noref_body():
-        errs = [
-            _rel(oracle(a, e, WITHOUT_REFERENCE, cutoff[a]), qfi_ecs_noref(a, e).value)
-            for a, e in grid
-        ]
-        return errs, f"{len(grid)} points"
+    def noon(n: int, eta: float, reference: str) -> float:
+        probe = ProbeSpec("noon", eta, n=n)
+        closed = qfi_noon(n, eta).value
+        return _rel(scenario_qfi(build_scenario(probe, reference)).value, closed)
 
-    def ref_body():
-        errs = [
-            _rel(oracle(a, e, WITH_REFERENCE, cutoff[a]), qfi_ecs_ref(a, e).value)
-            for a, e in grid
-        ]
-        return errs, f"{len(grid)} points"
+    def shot_noise(n_mean: float, eta: float) -> float:
+        return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
-    def lossless_body():
-        errs = [_rel(qfi_ecs_ref(a, 1.0).value, qfi_ecs_noref(a, 1.0).value) for a in alphas]
-        return errs, f"{len(alphas)} points at eta=1"
+    def bs(alpha: float, eta: float) -> float:
+        rho = ecs_vector(alpha, cutoff[alpha]).density()
+        return _max_entry_gap(apply_loss(rho, eta), apply_loss_via_bs(rho, eta))
 
-    def sector_sum_body():
-        errs = []
-        for alpha, eta in grid:
-            block = qfi_ecs_noref_blocksum(alpha, eta, cutoff[alpha])
-            errs.append(_rel(block.value, qfi_ecs_noref(alpha, eta).value))
-        return errs, f"{len(grid)} points"
+    def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
+        s = spectrum_fn(alpha, eta)
+        lo, hi = np.linalg.eigvalsh(two_level(alpha, eta))
+        return abs(s.gamma_plus - hi), abs(s.gamma_minus - lo)
 
-    def noon_body():
-        errs = []
-        for n in NOON_ORDERS:
-            for eta in etas:
-                probe = ProbeSpec("noon", eta, n=n)
-                closed = qfi_noon(n, eta).value
-                for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-                    errs.append(_rel(scenario_qfi(build_scenario(probe, reference)).value, closed))
-        return errs, f"orders {NOON_ORDERS}, both references"
+    def spectrum_invariant(alpha: float, eta: float) -> tuple[float, float]:
+        s = spectrum_fn(alpha, eta)
+        return abs(s.gamma_plus + s.gamma_minus - 1.0), abs(s.gamma_plus * s.gamma_minus - s.det_sigma)
 
-    def asymptotic_body():
-        errs = [
-            _rel(qfi_ecs_ref_asymptotic(alpha, eta).value, qfi_ecs_ref(alpha, eta).value)
-            for alpha, eta in ASYMPTOTIC_POINTS
-        ]
-        return errs, f"{len(ASYMPTOTIC_POINTS)} large-field points"
+    def pipeline(alpha: float, eta: float) -> float:
+        direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha]).density(), eta))
+        return _max_entry_gap(label_free(alpha, eta)[1], direct)
 
-    def shot_noise_body():
-        eta = 0.9
-        n_mean = 100.0
-        alpha = alpha_for_mean_photon(n_mean)
-        ratio = qfi_ecs_ref(alpha, eta).value / (eta * n_mean)
-        return [abs(ratio - 1.0)], f"F/(eta N) at N={n_mean:g}, eta={eta:g}"
+    def generator(alpha: float, eta: float) -> float:
+        mix = label_free(alpha, eta)[1]
+        two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
+        one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
+        return _rel(one, two)
 
-    def bs_body():
-        errs = []
-        for alpha in alphas:
-            for eta in (0.6, 0.9):
-                rho = ecs_vector(alpha, cutoff[alpha]).density()
-                via_kraus = apply_loss(rho, eta)
-                via_bs = apply_loss_via_bs(rho, eta)
-                errs.append(_max_entry_gap(via_kraus, via_bs))
-        return errs, f"{len(errs)} points, entrywise"
-
-    def spectrum_eigen_body():
-        errs = []
-        for alpha, eta in lossy:
-            s = spectrum_fn(alpha, eta)
-            lo, hi = np.linalg.eigvalsh(two_level(alpha, eta))
-            errs += [abs(s.gamma_plus - hi), abs(s.gamma_minus - lo)]
-        return errs, f"{len(grid)} points vs 2x2 eigensolve"
-
-    def spectrum_invariant_body():
-        errs = []
-        for alpha, eta in lossy:
-            s = spectrum_fn(alpha, eta)
-            errs += [
-                abs(s.gamma_plus + s.gamma_minus - 1.0),
-                abs(s.gamma_plus * s.gamma_minus - s.det_sigma),
-            ]
-        return errs, "trace and determinant identities"
-
-    def basis_matrix_body():
-        errs = [float(np.max(np.abs(basis_matrix_fn(a, e) - two_level(a, e)))) for a, e in lossy]
-        return errs, f"{len(grid)} points, entrywise"
-
-    def pipeline_body():
-        errs = []
-        for alpha, eta in grid:
-            direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha]).density(), eta))
-            errs.append(_max_entry_gap(label_free(alpha, eta)[1], direct))
-        return errs, f"{len(errs)} points: sector merge equals dephase-then-lose"
-
-    def generator_body():
-        errs = []
-        for alpha, eta in grid:
-            mix = label_free(alpha, eta)[1]
-            two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
-            one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
-            errs.append(_rel(one, two))
-        return errs, f"{len(grid)} points, single-arm vs two-arm"
-
-    def stability_body():
-        errs = [
-            _rel(oracle(a, e, reference, cutoff[a]), oracle(a, e, reference, doubled[a]))
-            for a, e in grid
-            for reference in (WITH_REFERENCE, WITHOUT_REFERENCE)
-        ]
-        return errs, f"{len(grid)} points, cutoff doubled"
-
-    checks = (
-        _run_check("noref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITHOUT_REFERENCE], noref_body),
-        _run_check("ref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITH_REFERENCE], ref_body),
-        _run_check("lossless_equivalence", 1e-9, lossless_body),
-        _run_check("sector_sum_identity", 1e-10, sector_sum_body),
-        _run_check("noon_closed_vs_oracle", ORACLE_POINT_TOL["noon", WITH_REFERENCE], noon_body),
-        _run_check("asymptotic_regime", 5e-3, asymptotic_body),
-        _run_check("shot_noise_approach", 5e-2, shot_noise_body),
-        _run_check("bs_vs_kraus_channel", 1e-9, bs_body),
-        _run_check("spectrum_eigenvalues", 1e-10, spectrum_eigen_body),
-        _run_check("spectrum_invariants", 1e-12, spectrum_invariant_body),
-        _run_check("basis_matrix_vs_numeric", 1e-10, basis_matrix_body),
-        _run_check("dephased_pipeline_consistency", 1e-12, pipeline_body),
-        _run_check("generator_equivalence", 1e-9, generator_body),
-        _run_check("truncation_stability", 1e-8, stability_body),
+    both = (WITH_REFERENCE, WITHOUT_REFERENCE)
+    noon_points = [(n, eta, reference) for n in NOON_ORDERS for eta in etas for reference in both]
+    bs_points = [(alpha, eta) for alpha in alphas for eta in (0.6, 0.9)]
+    # (name, tolerance, points, error of one point, detail)
+    rows = (
+        ("noref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITHOUT_REFERENCE], grid,
+         lambda a, e: _rel(oracle(a, e, WITHOUT_REFERENCE, cutoff[a]), qfi_ecs_noref(a, e).value),
+         f"{len(grid)} points"),
+        ("ref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITH_REFERENCE], grid,
+         lambda a, e: _rel(oracle(a, e, WITH_REFERENCE, cutoff[a]), qfi_ecs_ref(a, e).value),
+         f"{len(grid)} points"),
+        ("lossless_equivalence", 1e-9, [(a,) for a in alphas],
+         lambda a: _rel(qfi_ecs_ref(a, 1.0).value, qfi_ecs_noref(a, 1.0).value),
+         f"{len(alphas)} points at eta=1"),
+        ("sector_sum_identity", 1e-10, grid,
+         lambda a, e: _rel(qfi_ecs_noref_blocksum(a, e, cutoff[a]).value, qfi_ecs_noref(a, e).value),
+         f"{len(grid)} points"),
+        ("noon_closed_vs_oracle", ORACLE_POINT_TOL["noon", WITH_REFERENCE], noon_points, noon,
+         f"orders {NOON_ORDERS}, both references"),
+        ("asymptotic_regime", 5e-3, ASYMPTOTIC_POINTS,
+         lambda a, e: _rel(qfi_ecs_ref_asymptotic(a, e).value, qfi_ecs_ref(a, e).value),
+         f"{len(ASYMPTOTIC_POINTS)} large-field points"),
+        ("shot_noise_approach", 5e-2, [(100.0, 0.9)], shot_noise, "F/(eta N) at N=100, eta=0.9"),
+        ("bs_vs_kraus_channel", 1e-9, bs_points, bs, f"{len(bs_points)} points, entrywise"),
+        ("spectrum_eigenvalues", 1e-10, lossy, spectrum_eigen, f"{len(lossy)} points vs 2x2 eigensolve"),
+        ("spectrum_invariants", 1e-12, lossy, spectrum_invariant, "trace and determinant identities"),
+        ("basis_matrix_vs_numeric", 1e-10, lossy,
+         lambda a, e: float(np.max(np.abs(basis_matrix_fn(a, e) - two_level(a, e)))),
+         f"{len(lossy)} points, entrywise"),
+        ("dephased_pipeline_consistency", 1e-12, grid, pipeline,
+         f"{len(grid)} points: sector merge equals dephase-then-lose"),
+        ("generator_equivalence", 1e-9, grid, generator, f"{len(grid)} points, single-arm vs two-arm"),
+        ("truncation_stability", 1e-8, [(a, e, r) for a, e in grid for r in both],
+         lambda a, e, r: _rel(oracle(a, e, r, cutoff[a]), oracle(a, e, r, doubled[a])),
+         f"{len(grid)} points, cutoff doubled"),
     )
-    return VerificationReport(checks)
+    return VerificationReport(tuple(_run_check(*row) for row in rows))

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from perfbench.reference import f_noon, f_noref, f_ref, f_ref_asym, mean_photons
 from phasefisher.cli import (
     CSV_HEADER,
+    MAX_SWEEP_POINTS,
     SWEEP_BLOCK_ROWS,
     SweepConfig,
     find_crossings,
@@ -196,6 +197,13 @@ class TestPoint:
         assert rc == 3
         assert "exceeds" in capsys.readouterr().err
 
+    def test_oracle_deviation_is_the_verify_rule(self, capsys, monkeypatch):
+        # verify's relative error: a closed form of 0 against a nonzero oracle is infinitely off
+        monkeypatch.setattr("phasefisher.cli.qfi_noon", lambda n, eta: QFIResult(0.0))
+        rc = main(["point", "--family", "noon", "--n", "1", "--eta", "0.9", "--oracle"])
+        assert rc == 3
+        assert "relative deviation inf (tolerance 1e-09)" in capsys.readouterr().out
+
 
 class TestSweepConfig:
     def test_grid_spacings(self):
@@ -215,6 +223,10 @@ class TestSweepConfig:
             SweepConfig(eta=0.9, points=1)
         with pytest.raises(ValueError):
             SweepConfig(eta=0.9, spacing="geometric")
+        assert SweepConfig(eta=0.9, points=MAX_SWEEP_POINTS).points == MAX_SWEEP_POINTS
+        for points in (MAX_SWEEP_POINTS + 1, 10**13, 10**400):
+            with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_POINTS} points"):
+                SweepConfig(eta=0.9, points=points)
 
 
 class TestSweep:
@@ -277,6 +289,49 @@ class TestSweep:
                    "--n-max", "2", "--output", str(tmp_path / "no" / "dir" / "x.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_refused_open_deletes_nothing(self, tmp_path, capsys, monkeypatch):
+        # as a read-only file refuses a non-root user
+        out = tmp_path / "mine.csv"
+        out.write_text("keep me\n")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("phasefisher.cli.open", refuse, raising=False)
+        rc = main(["sweep", "--eta", "0.9", "--points", "5", "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+        assert out.read_text() == "keep me\n"
+
+    def test_failed_write_removes_only_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        # a reader that went away: the write fails after the open succeeded
+        class ClosedPipe:
+            def __init__(self, path, *args, **kwargs):
+                self.path = path
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, text):
+                Path(self.path).write_text(text[:10])
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("phasefisher.cli.open", ClosedPipe, raising=False)
+        target = tmp_path / "target.csv"
+        target.write_text("keep me\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        regular = tmp_path / "partial.csv"
+        for out in (link, regular):
+            rc = main(["sweep", "--eta", "0.9", "--points", "5", "--output", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert link.is_symlink() and target.is_file()
+        assert not regular.exists()
 
     def test_underflowed_fisher_exits_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -609,6 +664,8 @@ EDGE_FLOATS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
 )
 EDGE_INTS = st.one_of(st.integers(-3, 60), st.sampled_from([10**6, 10**30, 10**400]))
+# the ceiling itself runs a million-row sweep, so TestSweepConfig checks that it is accepted
+OVER_CEILING = st.sampled_from([MAX_SWEEP_POINTS + 1, 10**13, 10**400])
 
 
 def _flag(name: str, value) -> str:
@@ -630,7 +687,7 @@ def _cli_argv(draw) -> list[str]:
     if command == "crossings":
         return ["crossings", eta, _flag("tol", draw(EDGE_FLOATS))]
     return ["sweep", eta, _flag("n-min", draw(EDGE_FLOATS)), _flag("n-max", draw(EDGE_FLOATS)),
-            _flag("points", draw(st.integers(-2, 50))),
+            _flag("points", draw(st.one_of(st.integers(-2, 50), OVER_CEILING))),
             "--spacing", draw(st.sampled_from(["log", "linear"])), "--output", "SWEEP"]
 
 
@@ -640,13 +697,19 @@ def _cli_argv(draw) -> list[str]:
 # eta |alpha|^2 below the smallest double: the true F underflows, so F = 0.0 and exit 0
 @example(argv=["crossings", "--eta=5e-324", "--tol=1e-06"])
 @example(argv=["sweep", "--eta=5e-324", "--points=5", "--output", "SWEEP"])
+# past the points ceiling: numpy's MemoryError, OverflowError or size error without it
+@example(argv=["sweep", "--eta=0.9", f"--points={MAX_SWEEP_POINTS + 1}", "--output", "SWEEP"])
+@example(argv=["sweep", "--eta=0.9", "--points=10000000000000", "--output", "SWEEP"])
+@example(argv=["sweep", "--eta=0.9", f"--points={10**400}", "--output", "SWEEP"])
 @example(argv=["point", "--family", "ecs", "--alpha=1e-160", "--eta=1e-300", "--reference", "with"])
 # eta N, the shot-noise Fisher information, underflows while the other three do not
 @example(argv=["sweep", "--eta=1e-300", "--n-min=3.655655236072348e-25", "--n-max=1.0",
                "--points=2", "--output", "SWEEP"])
-# geomspace overflows on its way to a stop next to the largest double
+# geomspace and linspace overflow on their way to a stop next to the largest double
 @example(argv=["sweep", "--eta=1e-300", "--n-min=1e+300", "--n-max=1.7976931348622103e+308",
                "--points=2", "--output", "SWEEP"])
+@example(argv=["sweep", "--eta=1e-300", "--n-min=1.0", "--n-max=1.7976931348623157e+308",
+               "--points=37", "--spacing", "linear", "--output", "SWEEP"])
 def test_main_survives_arbitrary_numbers(tmp_path, capsys, argv):
     """Exit 0 or 2, never a traceback, never a printed nan, F finite on success."""
     out = tmp_path / "fuzz.csv"

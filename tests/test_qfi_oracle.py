@@ -546,6 +546,12 @@ class TestVerifyAll:
         ):
             assert rows[name].passed, rows[name]
 
+    def test_spectrum_rows_count_the_points_they_check(self):
+        # the three 2x2 rows skip eta 0, and their details say so
+        rows = {c.name: c for c in verify_all([(0.5, 0.0)]).checks}
+        assert rows["spectrum_eigenvalues"].detail == "0 points vs 2x2 eigensolve"
+        assert rows["basis_matrix_vs_numeric"].detail == "0 points, entrywise"
+
     def test_single_point_grid_passes(self):
         report = verify_all([(0.5, 1.0)])
         assert report.passed, report.render()
