@@ -16,7 +16,6 @@ from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
     InvalidEta,
-    InvalidWeights,
     NegativeEigenvalue,
     NoConvergence,
     NoCrossingFound,
@@ -51,7 +50,6 @@ from .qfi_oracle import (
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
     CheckResult,
-    Scenario,
     VerificationReport,
     build_scenario,
     qfi_numeric,
@@ -80,7 +78,6 @@ __all__ = [
     "EcsLossySpectrum",
     "FockTruncation",
     "InvalidEta",
-    "InvalidWeights",
     "NegativeEigenvalue",
     "NoConvergence",
     "NoCrossingFound",
@@ -91,7 +88,6 @@ __all__ = [
     "PhaseFisherError",
     "ProbeSpec",
     "QFIResult",
-    "Scenario",
     "StateVector",
     "TruncationTooSmall",
     "VerificationReport",

@@ -69,27 +69,29 @@ def _downward_closure(n1: np.ndarray, n2: np.ndarray, d: int) -> np.ndarray:
 
 def _kraus_loss(
     inputs: list[tuple[np.ndarray, np.ndarray]], eta: float, trunc: FockTruncation
-) -> list[DensityOperator]:
-    """Loss on each (support, dense block) input, written straight into its output's components.
+) -> DensityOperator:
+    """Loss on each (support, dense block) input, written straight into the components of one operator.
 
-    Pair (k1, k2) moves a source |n1, n2> of an input with n1 >= k1 and
-    n2 >= k2 to |n1 - k1, n2 - k2>, and its terms link the images of one
-    (input, pair) group. The images are the output support, the downward
-    closure of the input's, and their connected unions are its components;
-    only their blocks are laid out, in fock_core._grouped order, and summed.
-    Term (r, c) of a group adds (w_r w_c) block[r, c], in the order of a
-    double loop over the pairs, in chunks of at most LOSS_CHUNK_TERMS terms
-    (or one row of a group, if longer). At eta = 1 inputs come back as they are.
+    The inputs' traces sum to 1; each may be one sector of a state. Pair
+    (k1, k2) moves a source |n1, n2> of an input with n1 >= k1 and n2 >= k2
+    to |n1 - k1, n2 - k2>, and its terms link the images of one (input,
+    pair) group. An input's images are the downward closure of its support,
+    and their connected unions are its lossy components; the components of
+    different inputs are never merged, even where they share basis states.
+    Only their blocks are laid out, in fock_core._grouped order, and
+    summed. Term (r, c) of a group adds (w_r w_c) block[r, c], in the order
+    of a double loop over the pairs, in chunks of at most LOSS_CHUNK_TERMS
+    terms (or one row of a group, if longer). At eta = 1 only pair (0, 0)
+    moves anything, so it is the only pair visited and each input comes
+    back as it is.
     """
-    if eta == 1.0:
-        return [DensityOperator(support, block, trunc) for support, block in inputs]
     d = trunc.dim_single
     sizes = np.array([support.size for support, _ in inputs])
     owner = np.repeat(np.arange(sizes.size), sizes)
     n1, n2 = np.divmod(np.concatenate([support for support, _ in inputs]), d)
     # every (source, pair) incidence, grouped by (input, pair) in row-major pair
     # order by a stable sort, which keeps the sources ascending within a group
-    per_src = (n1 + 1) * (n2 + 1)
+    per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
     k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
     order = np.argsort((owner[src] * d + k1) * d + k2, kind="stable")
@@ -112,19 +114,18 @@ def _kraus_loss(
         previous = labels.copy()
         np.minimum.at(labels, dst, np.repeat(np.minimum.reduceat(labels[dst], first), size))
         labels = labels[labels]
-    # each output's components, one slice of acc per stack: output state q is
-    # column col[q] of the row that starts at row[q]
+    # the components, one slice of acc per stack: output state q is column
+    # col[q] of the row that starts at row[q], and basis state support[pos[q]]
+    support = np.flatnonzero(np.bincount(out % (d * d)))
+    pos = np.searchsorted(support, out % (d * d))
     acc = np.zeros(int(np.bincount(labels)[labels].sum()), dtype=complex)
-    bounds = np.searchsorted(out, np.arange(sizes.size + 1) * d * d)
-    row, col, outputs, used = np.empty_like(labels), np.empty_like(labels), [], 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        outputs.append((out[lo:hi] % (d * d), []))
-        for members in _grouped(labels[lo:hi] - lo):
-            count, s = members.shape
-            row[members + lo] = used + (np.arange(count)[:, None] * s + np.arange(s)) * s
-            col[members + lo] = np.arange(s)
-            outputs[-1][1].append((members, acc[used : used + count * s * s].reshape(count, s, s)))
-            used += count * s * s
+    row, col, parts, used = np.empty_like(labels), np.empty_like(labels), [], 0
+    for members in _grouped(labels):
+        count, s = members.shape
+        row[members] = used + (np.arange(count)[:, None] * s + np.arange(s)) * s
+        col[members] = np.arange(s)
+        parts.append((pos[members], acc[used : used + count * s * s].reshape(count, s, s)))
+        used += count * s * s
     # per incidence, where its row starts and which column it is, in acc and in the inputs
     out_row, out_col = row[dst], col[dst]
     in_col = src - np.repeat(np.cumsum(sizes) - sizes, sizes)[src]
@@ -146,7 +147,7 @@ def _kraus_loss(
         np.add.at(acc, out_row[r] + out_col[c], (w[r] * w[c]) * flat[in_row[r] + in_col[c]])
         start = stop
     del w, out_row, out_col, in_row, in_col, size, ends, skip  # freed before the checks
-    return [DensityOperator(support, tuple(parts), trunc) for support, parts in outputs]
+    return DensityOperator(support, tuple(parts), trunc)
 
 
 def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
@@ -160,7 +161,7 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     check_eta(eta)
     if eta == 1.0:
         return rho
-    return _kraus_loss([(rho.support, rho.on(rho.support))], eta, rho.truncation)[0]
+    return _kraus_loss([(rho.support, rho.on(rho.support))], eta, rho.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

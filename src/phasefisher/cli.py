@@ -205,18 +205,22 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
 def cmd_sweep(cfg: SweepConfig) -> int:
     # all rows are computed before the file is opened, so a numerical
     # failure can never leave a partial CSV behind
-    text = "\n".join(sweep_rows(cfg)) + "\n"
-    fh = open(cfg.output_path, "w", encoding="ascii", newline="")  # a failed open deletes nothing
+    _write_output(cfg.output_path, "\n".join(sweep_rows(cfg)) + "\n")
+    print(f"wrote {cfg.points} rows to {cfg.output_path}")
+    return 0
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write text to path. A failed open deletes nothing, and a failed write removes only a regular file."""
+    fh = open(path, "w", encoding="ascii", newline="")  # a failed open deletes nothing
     try:
         with fh:
             fh.write(text)
     except OSError:
-        # a partial CSV goes, but never a symlink, pipe or device the path names
-        if stat.S_ISREG(os.lstat(cfg.output_path).st_mode):
-            os.unlink(cfg.output_path)
+        # a partial file goes, but never a symlink, pipe or device the path names
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
         raise
-    print(f"wrote {cfg.points} rows to {cfg.output_path}")
-    return 0
 
 
 def qfi_ecs_ref_at_mean_photons(n_mean: float, eta: float) -> float:
@@ -311,8 +315,7 @@ def cmd_verify(
     report = verify_all(grid)
     print(report.render())
     if output is not None:
-        with open(output, "w", encoding="ascii", newline="") as fh:
-            fh.write(report.to_csv())
+        _write_output(output, report.to_csv())
     return 0 if report.passed else 1
 
 
@@ -359,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         if args.command == "point":
-            return cmd_point(
+            code = cmd_point(
                 family=args.family,
                 eta=args.eta,
                 alpha=args.alpha,
@@ -367,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
                 reference=args.reference,
                 use_oracle=args.oracle,
             )
-        if args.command == "sweep":
+        elif args.command == "sweep":
             cfg = SweepConfig(
                 eta=args.eta,
                 n_min=args.n_min,
@@ -376,15 +379,23 @@ def main(argv: list[str] | None = None) -> int:
                 spacing=args.spacing,
                 output_path=args.output,
             )
-            return cmd_sweep(cfg)
-        if args.command == "crossings":
-            return cmd_crossings(args.eta, args.tol)
-        return cmd_verify(
-            grid_mode=args.grid,
-            alpha=args.alpha,
-            eta=args.eta,
-            output=args.output,
-        )
+            code = cmd_sweep(cfg)
+        elif args.command == "crossings":
+            code = cmd_crossings(args.eta, args.tol)
+        else:
+            code = cmd_verify(
+                grid_mode=args.grid,
+                alpha=args.alpha,
+                eta=args.eta,
+                output=args.output,
+            )
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # not a domain error: exit as a shell reports a reader's early close (128 + SIGPIPE),
+        # with stdout on devnull so that the interpreter's last flush finds no pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PhaseFisherError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

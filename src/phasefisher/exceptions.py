@@ -38,10 +38,6 @@ class DegenerateSpectrum(PhaseFisherError):
     """The two-level spectral data is numerically inconsistent."""
 
 
-class InvalidWeights(PhaseFisherError):
-    """Spectral weights are negative or sum beyond one."""
-
-
 class NonpositiveFisher(PhaseFisherError):
     """Sensitivity requested for a nonpositive Fisher information."""
 

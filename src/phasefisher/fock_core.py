@@ -5,10 +5,10 @@ ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
 
 Pure states are dense complex128 amplitude vectors. A density operator is
-built from the basis states it occupies and the dense block over them, or
-predicted components of it, and keeps only the connected components of its
-exact nonzeros, found once at construction. Values are treated as immutable
-after construction; the wrappers mark their buffers read-only.
+the sum of components, each a dense block over a few of the basis states it
+occupies; a component that holds an exact zero is split into the connected
+components of its exact nonzeros once, at construction. Values are treated
+as immutable after construction; the wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
@@ -151,16 +151,19 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, trace-one operator over the two-mode basis, stored as its exact-zero components.
+    """Hermitian, trace-one operator over the two-mode basis, stored as the sum of its components.
 
     support is a strictly increasing array of basis indices; every entry
     outside support x support is exactly zero. block is the dense block over
-    support, or predicted parts: stacks as in `parts` whose components cover
-    every exact nonzero. Finite entries, hermiticity and trace are enforced
-    on them, and _components splits any of two or more states that holds an
-    exact zero, so parts are always the connected components of the exact
-    nonzeros (a lone state is one, whatever its entry). Positivity is
-    enforced where spectra are taken (the QFI eigensolve clips
+    support, one component, or the components themselves: stacks as in
+    `parts`, which may share basis states (the lossy sectors of a
+    reference-free scenario do, and each keeps its own components, so the
+    sector label survives). Finite entries and hermiticity are enforced on
+    each stack and trace one on their sum. A component of two or more
+    states that holds an exact zero is split into the connected components
+    of its exact nonzeros, on its own, and the stacks are then ordered as
+    _grouped orders them; a lone state is a component whatever its entry.
+    Positivity is enforced where spectra are taken (the QFI eigensolve clips
     roundoff-negative eigenvalues and rejects anything worse).
     """
 
@@ -197,15 +200,25 @@ class DensityOperator:
         tr = sum(complex(np.trace(b, axis1=1, axis2=2).sum()) for _, b in block)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        object.__setattr__(self, "parts", block)
-        # a predicted component holds an exact zero; a lone state cannot split
-        if not all(b.all() for m, b in block if m.shape[1] > 1):
-            block = _components(self.on(s))
-        object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in block))
+        stacks, split = [], False
+        for members, blocks in block:
+            # a component of two or more states that holds an exact zero splits, on its own
+            holed = ~blocks.all(axis=(1, 2)) & (members.shape[1] > 1)
+            if holed.any():
+                split = True
+                stacks.append((members[~holed], blocks[~holed]))
+                for k in np.flatnonzero(holed):
+                    stacks += [(members[k][sub], b) for sub, b in _components(blocks[k])]
+            else:
+                stacks.append((members, blocks))
+        if split:
+            sizes = sorted({m.shape[1] for m, _ in stacks if len(m)})
+            stacks = [_stacked([p for p in stacks if p[0].shape[1] == size]) for size in sizes]
+        object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in stacks))
         _read_only(s)
 
     def on(self, support: np.ndarray) -> np.ndarray:
-        """The operator as a dense array over a strictly increasing superset of its support.
+        """The sum of the components as a dense array over a strictly increasing superset of the support.
 
         When one component spans support, this is its stored block, read-only.
         """
@@ -215,7 +228,7 @@ class DensityOperator:
         pos = np.searchsorted(support, self.support)
         out = np.zeros((support.size, support.size), dtype=complex)
         for members, blocks in self.parts:
-            out[pos[members][:, :, None], pos[members][:, None, :]] = blocks
+            np.add.at(out, (pos[members][:, :, None], pos[members][:, None, :]), blocks)
         return out
 
     @property
@@ -239,6 +252,13 @@ def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         labels = np.where(linked, labels, block.shape[0]).min(axis=1)
         labels = labels[labels]
     return tuple((m, block[m[:, :, None], m[:, None, :]]) for m in _grouped(labels))
+
+
+def _stacked(stacks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of one component size as one, its rows stably ordered by first state, as by _grouped."""
+    members = np.concatenate([m for m, _ in stacks])
+    order = np.argsort(members[:, 0], kind="stable")
+    return members[order], np.concatenate([b for _, b in stacks])[order]
 
 
 def _grouped(labels: np.ndarray) -> list[np.ndarray]:

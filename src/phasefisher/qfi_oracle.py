@@ -12,11 +12,13 @@ Scenario semantics. With a reference beam the probe is the lossy ECS
 itself, a single density operator. Without one, the total photon number of
 the input can be read out nondestructively before the interferometer (a
 number measurement needs no phase reference), so the experimenter holds a
-labeled ensemble of fixed-total-photon states and the Fisher information
-averages over the labels. build_scenario keeps the labels as separate
-weighted components; scenario_mixture deliberately discards them, which
-reproduces the plain dephase-then-lose pipeline and strictly less
-information once loss mixes neighboring sectors.
+labeled ensemble of fixed-total-photon states, the classical-quantum state
+sum_n |n><n| x Lambda(P_n psi psi^dag P_n), and the Fisher information is
+the label average. build_scenario returns that state as one operator whose
+components each belong to one sector, so the label is kept;
+scenario_mixture sums the components, which discards it and reproduces the
+plain dephase-then-lose pipeline, with strictly less information once loss
+mixes neighboring sectors.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .channels import (
 from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
-    InvalidWeights,
     NegativeEigenvalue,
     PhaseFisherError,
 )
@@ -105,11 +106,13 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     eigenvector of rho and an eigenvector of G, so its pair contributions
     vanish identically (the support-restricted QFI;
     Liu et al., J. Phys. A 53, 023001 (2020)). By the same argument the QFI
-    is the sum over rho.parts, the connected components of its exact
-    nonzeros. Each component is scaled exactly by a power of two to a
-    trace in [1/2, 1) for its eigensolve: an eigenvalue below -1e-12 there
-    raises NegativeEigenvalue, a larger negative one is clipped to 0, and
-    every pair with p_i + p_j > 0 counts.
+    is the sum over rho.parts, its components, which may be the lossy
+    sectors of a reference-free scenario: the QFI of a classical-quantum
+    state is the sum over its labels. Each component, whatever its own
+    trace, is scaled exactly by a power of two to a trace in [1/2, 1) for
+    its eigensolve: an eigenvalue below -1e-12 there raises
+    NegativeEigenvalue, a larger negative one is clipped to 0, and every
+    pair with p_i + p_j > 0 counts.
     """
     if len(generator) != rho.truncation.dim:
         raise DimensionMismatch(
@@ -139,77 +142,37 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     return QFIResult(value)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A weighted ensemble of density operators.
-
-    Reference-beam scenarios hold a single unit-weight component; the
-    reference-free scenario holds one component per total-photon sector of
-    nonzero weight. Every component sits on the same cutoff, the probe's.
-    """
-
-    components: tuple[tuple[float, DensityOperator], ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise InvalidWeights("scenario needs at least one component")
-        total = 0.0
-        for weight, _ in self.components:
-            if weight <= 0.0:
-                raise InvalidWeights(f"component weight {weight} must be positive")
-            total += weight
-        if total > 1.0 + 1e-10:
-            raise InvalidWeights(f"component weights sum to {total} > 1")
-        cutoffs = {rho.truncation.n_max for _, rho in self.components}
-        if len(cutoffs) > 1:
-            raise DimensionMismatch(f"components on different cutoffs n_max={sorted(cutoffs)}")
-
-
 def _probe_vector(probe: ProbeSpec, trunc: FockTruncation) -> StateVector:
     if probe.family == "noon":
         return noon_vector(probe.n, trunc)
     return ecs_vector(probe.alpha, trunc)
 
 
-def _sectors(psi: StateVector) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray]]]:
-    """A pure state's total-photon sectors: their weights and normalized (support, block) pairs.
+def _sectors(psi: StateVector) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A pure state's occupied total-photon sectors as (support, block) pairs, unnormalized.
 
-    Only the occupied basis states are visited, so a sector costs its own
-    support rather than a pass over the whole two-mode basis. Each sector's
-    amplitudes are scaled by a power of two, to a largest modulus in
-    [1/2, 1), before they are squared. The scaling is exact, so a sector
-    whose squares stay normal is normalized as by a plain division by the
-    root of its weight, and one whose squares would be subnormal still gets
-    trace 1. Every sector is kept whose weight is not exactly 0.
+    Sector n's block is the outer product of its amplitudes, so its trace
+    is the sector's weight. Only the occupied basis states are visited, so
+    a sector costs its own support rather than a pass over the whole
+    two-mode basis.
     """
     amp = psi.amplitudes
     occupied = np.flatnonzero(amp)
     totals = psi.truncation.totals()[occupied]
-    weights, sectors = [], []
-    for n in range(int(totals.max()) + 1):
-        support = occupied[totals == n]
-        sector = amp[support]
-        _, exponent = math.frexp(float(np.abs(sector).max(initial=0.0)))
-        sector = np.ldexp(sector.real, -exponent) + 1j * np.ldexp(sector.imag, -exponent)
-        norm2 = float(np.sum(np.abs(sector) ** 2))
-        weight = math.ldexp(norm2, 2 * exponent)
-        if weight == 0.0:
-            continue
-        sector /= math.sqrt(norm2)
-        weights.append(weight)
-        sectors.append((support, np.outer(sector, sector.conj())))
-    return weights, sectors
+    supports = (occupied[totals == n] for n in np.flatnonzero(np.bincount(totals)))
+    return [(support, np.outer(amp[support], amp[support].conj())) for support in supports]
 
 
 def build_scenario(
     probe: ProbeSpec, reference: str, truncation: FockTruncation | None = None
-) -> Scenario:
-    """Assemble the numeric state(s) seen by the estimator.
+) -> DensityOperator:
+    """The lossy state seen by the estimator, as one operator.
 
     "with": the probe goes through the loss channel intact.
-    "without": the sector label from the input number readout is kept, so
-    the result is an ensemble rather than the label-free mixture (see the
-    module docstring; scenario_mixture gives the label-free state).
+    "without": the sector label from the input number readout is kept:
+    every occupied sector is lost in one Kraus pass, and each lossy
+    component belongs to one sector (see the module docstring;
+    scenario_mixture gives the label-free state).
 
     truncation = None builds a NOON probe on the smallest space that holds
     it and an ECS probe on _ecs_cutoff(alpha).
@@ -220,32 +183,23 @@ def build_scenario(
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
     psi = _probe_vector(probe, truncation)
     if reference == WITH_REFERENCE:
-        return Scenario(((1.0, apply_loss(psi.density(), probe.eta)),))
-    weights, sectors = _sectors(psi)
-    # one Kraus pass over every sector; no sector is built as an operator
-    return Scenario(tuple(zip(weights, _kraus_loss(sectors, probe.eta, truncation))))
+        return apply_loss(psi.density(), probe.eta)
+    return _kraus_loss(_sectors(psi), probe.eta, truncation)
 
 
-def scenario_qfi(scenario: Scenario) -> QFIResult:
-    """Weighted sum of per-component QFI values under the two-arm generator."""
-    # every component sits on the same cutoff, so one generator serves them all
-    generator = two_arm_generator(scenario.components[0][1].truncation)
-    total = 0.0
-    for weight, rho in scenario.components:
-        total += weight * qfi_numeric(rho, generator).value
-    return QFIResult(total)
+def scenario_qfi(rho: DensityOperator) -> QFIResult:
+    """QFI of a scenario under the two-arm generator."""
+    return qfi_numeric(rho, two_arm_generator(rho.truncation))
 
 
-def scenario_mixture(scenario: Scenario) -> DensityOperator:
-    """Forget the component labels: the plain weighted sum as one operator.
+def scenario_mixture(rho: DensityOperator) -> DensityOperator:
+    """Forget the sector label: the sum of the components, stored again as one operator.
 
     For the reference-free ECS this equals dephasing followed by loss of
-    the full probe, and its QFI drops below the ensemble value once loss
+    the full probe, and its QFI drops below the labeled value once loss
     couples neighboring sectors.
     """
-    support = functools.reduce(np.union1d, (rho.support for _, rho in scenario.components))
-    acc = sum(weight * rho.on(support) for weight, rho in scenario.components)
-    return DensityOperator(support, acc, scenario.components[0][1].truncation)
+    return DensityOperator(rho.support, rho.on(rho.support), rho.truncation)
 
 
 def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
@@ -394,8 +348,8 @@ def verify_all(
     # the reference-free base build yields two values, and its failure fails both.
     @functools.cache
     def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
-        scenario = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha])
-        return scenario_qfi(scenario).value, scenario_mixture(scenario)
+        rho = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha])
+        return scenario_qfi(rho).value, scenario_mixture(rho)
 
     @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:

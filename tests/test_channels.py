@@ -39,6 +39,7 @@ from phasefisher.qfi_oracle import (
     build_scenario,
 )
 from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector
+from test_fock_core import _assert_parts_match_a_search
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,10 +71,12 @@ def _loop_bands(eta: float, d: int) -> list[np.ndarray]:
     return bands
 
 
-def _loop_loss(rho: DensityOperator, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Kraus sum as a double loop over (k1, k2) pairs: (support, block)."""
-    d = rho.truncation.dim_single
-    in_n1, in_n2 = np.divmod(rho.support, d)
+def _loop_loss(
+    support: np.ndarray, block: np.ndarray, eta: float, trunc: FockTruncation
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus sum on the block over support as a double loop over (k1, k2) pairs: (support, block)."""
+    d = trunc.dim_single
+    in_n1, in_n2 = np.divmod(support, d)
     occ = np.zeros((d, d), dtype=bool)
     occ[in_n1, in_n2] = True
     # every pair that moves an occupied state lands in the downward closure
@@ -91,7 +94,7 @@ def _loop_loss(rho: DensityOperator, eta: float) -> tuple[np.ndarray, np.ndarray
             src = np.flatnonzero((in_n1 >= k1) & (in_n2 >= k2))
             w = bands[k1][in_n1[src] - k1] * bands[k2][in_n2[src] - k2]
             dst = out_pos[(in_n1[src] - k1) * d + in_n2[src] - k2]
-            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * rho.on(rho.support)[np.ix_(src, src)]
+            acc[np.ix_(dst, dst)] += (w[:, None] * w[None, :]) * block[np.ix_(src, src)]
     return out_support, acc
 
 
@@ -106,7 +109,7 @@ def _loss_terms(rho: DensityOperator) -> int:
 
 
 def _assert_matches_loop(rho: DensityOperator, eta: float) -> None:
-    support, block = _loop_loss(rho, eta)
+    support, block = _loop_loss(rho.support, rho.on(rho.support), eta, rho.truncation)
     got = apply_loss(rho, eta)
     assert np.array_equal(got.support, support)
     assert np.array_equal(got.on(got.support), block)
@@ -190,28 +193,36 @@ class TestLossMatchesPairLoop:
 
 
 class TestSectorFold:
-    """build_scenario without a reference loses photons from every sector in one Kraus pass."""
+    """build_scenario without a reference loses photons from every sector in one Kraus pass.
+
+    The sectors share basis states once lossy, and each keeps its own components.
+    """
+
+    @staticmethod
+    def _assert_components_match_the_sector_loops(alpha: float, eta: float) -> DensityOperator:
+        trunc = _ecs_cutoff(alpha)
+        amp = ecs_vector(alpha, trunc).amplitudes
+        totals = trunc.totals()
+        sectors = []
+        for n in range(2 * trunc.n_max + 1):
+            support = np.flatnonzero((totals == n) & (amp != 0))
+            if support.size:  # every occupied sector, unnormalized
+                block = np.outer(amp[support], amp[support].conj())
+                sectors.append(_loop_loss(support, block, eta, trunc))
+        rho = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
+        _assert_parts_match_a_search(rho, sectors)
+        return rho
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
     @pytest.mark.parametrize("eta", [0.0, 0.6, 0.9])
     def test_each_component_equals_the_pair_loop_on_its_sector(self, alpha, eta):
-        trunc = _ecs_cutoff(alpha)
-        amp = ecs_vector(alpha, trunc).amplitudes
-        totals = trunc.totals()
-        want = []
-        for n in range(2 * trunc.n_max + 1):
-            support = np.flatnonzero((totals == n) & (amp != 0))
-            weight = float(np.sum(np.abs(amp[support]) ** 2))
-            if weight > 0.0:  # every sector is kept; no square here is subnormal
-                sector = amp[support] / math.sqrt(weight)
-                rho = DensityOperator(support, np.outer(sector, sector.conj()), trunc)
-                want.append((weight, *_loop_loss(rho, eta)))
-        got = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE).components
-        assert len(got) == len(want)
-        for (weight, rho), (want_weight, support, block) in zip(got, want):
-            assert weight == want_weight
-            assert np.array_equal(rho.support, support)
-            assert np.array_equal(rho.on(rho.support), block)
+        self._assert_components_match_the_sector_loops(alpha, eta)
+
+    def test_underflowed_coherences_split_within_their_sector(self):
+        # sector n's coherence of |n, 0> and |0, n> is eta^n |c_n|^2 / norm: at eta 1e-300
+        # it is 0 from n = 2 on, so each such pair splits, while every sector reaches |0, 0>
+        rho = self._assert_components_match_the_sector_loops(1.0, 1e-300)
+        assert [members.shape for members, _ in rho.parts][1:] == [(1, 2)]
 
 
 class TestApplyLoss:

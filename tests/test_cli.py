@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import errno
 import math
 import os
 import shutil
@@ -45,6 +46,44 @@ def _stdout_value(out: str, key: str) -> float:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep_eta0.9.csv"
+
+
+def _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv):
+    """argv + [--output, path] exits 2 when the write fails after the open, as on a full disk.
+
+    A partial regular file is removed; a symlink the path names is kept, and so is its target.
+    Returns each run's stdout.
+    """
+    class FullDisk:
+        def __init__(self, path, *args, **kwargs):
+            self.path = path
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            Path(self.path).write_text(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("phasefisher.cli.open", FullDisk, raising=False)
+    target = tmp_path / "target.csv"
+    target.write_text("keep me\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    regular = tmp_path / "partial.csv"
+    outs = []
+    for out in (link, regular):
+        rc = main([*argv, "--output", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        outs.append(captured.out)
+    assert link.is_symlink() and target.is_file()
+    assert not regular.exists()
+    return outs
 
 
 class TestPoint:
@@ -305,33 +344,8 @@ class TestSweep:
         assert out.read_text() == "keep me\n"
 
     def test_failed_write_removes_only_a_regular_file(self, tmp_path, capsys, monkeypatch):
-        # a reader that went away: the write fails after the open succeeded
-        class ClosedPipe:
-            def __init__(self, path, *args, **kwargs):
-                self.path = path
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def write(self, text):
-                Path(self.path).write_text(text[:10])
-                raise BrokenPipeError(32, "Broken pipe")
-
-        monkeypatch.setattr("phasefisher.cli.open", ClosedPipe, raising=False)
-        target = tmp_path / "target.csv"
-        target.write_text("keep me\n")
-        link = tmp_path / "link.csv"
-        link.symlink_to(target)
-        regular = tmp_path / "partial.csv"
-        for out in (link, regular):
-            rc = main(["sweep", "--eta", "0.9", "--points", "5", "--output", str(out)])
-            assert rc == 2
-            assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
-        assert link.is_symlink() and target.is_file()
-        assert not regular.exists()
+        argv = ["sweep", "--eta", "0.9", "--points", "5"]
+        _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv)
 
     def test_underflowed_fisher_exits_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -529,6 +543,12 @@ class TestCrossings:
 
 
 class TestVerify:
+    def test_failed_write_removes_only_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        argv = ["verify", "--grid", "single", "--alpha", "0.5", "--eta", "0.9"]
+        outs = _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv)
+        # the report is printed before the CSV is written
+        assert all("overall: PASS (14/14 checks)" in out for out in outs)
+
     def test_single_point_passes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         rc = main(["verify", "--grid", "single", "--alpha", "0.5", "--eta", "1.0",
@@ -774,6 +794,23 @@ def _checkout_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [NOON_POINT, ["verify", "--grid", "single"], ["sweep", "--eta", "0.9", "--output", "sweep.csv"]],
+    ids=["point", "verify", "sweep"],
+)
+def test_closed_stdout_exits_141_without_a_word(tmp_path, argv):
+    # the reader's end is closed before the child starts, so its first write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "phasefisher.cli", *argv], cwd=tmp_path,
+                              env=_checkout_env(), stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def _assert_noon_point(proc: subprocess.CompletedProcess, what: str) -> None:

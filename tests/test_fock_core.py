@@ -27,17 +27,16 @@ from phasefisher.fock_core import (
     coherent_vector,
     truncation_for_tolerance,
 )
-from phasefisher.qfi_oracle import WITH_REFERENCE, WITHOUT_REFERENCE, _ecs_cutoff, build_scenario
+from phasefisher.qfi_oracle import WITH_REFERENCE, _ecs_cutoff, build_scenario
 from phasefisher.states import ProbeSpec, ecs_vector
 
 
-def _assert_parts_match_a_search(rho: DensityOperator) -> None:
-    """rho.parts are the components a search over the exact nonzeros finds, in their order.
+def _search(support: np.ndarray, m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The components of a dense block's exact nonzeros: (basis states, block) pairs.
 
     Sizes increase, each component increases, and components of one size
-    are ordered by first state; each stored block is the dense block's.
+    are ordered by first state.
     """
-    m = rho.on(rho.support)
     linked = (m != 0) | (m != 0).T
     seen, found = set(), []
     for start in range(m.shape[0]):
@@ -51,9 +50,31 @@ def _assert_parts_match_a_search(rho: DensityOperator) -> None:
             seen |= comp
             found.append(sorted(comp))
     found.sort(key=lambda c: (len(c), c[0]))
-    assert [c for members, _ in rho.parts for c in members.tolist()] == found
-    for members, blocks in rho.parts:
-        assert np.array_equal(blocks, m[members[:, :, None], members[:, None, :]])
+    return [(support[c], m[np.ix_(c, c)]) for c in found]
+
+
+def _assert_parts_match_a_search(
+    rho: DensityOperator, sectors: list[tuple[np.ndarray, np.ndarray]] | None = None
+) -> None:
+    """rho.parts are the components a search over the exact nonzeros finds.
+
+    Without sectors the search runs on rho's own dense block, and the parts
+    must be its components in its order. sectors are (support, dense block)
+    pairs that sum to rho, the lossy sectors of a reference-free operator:
+    each is searched on its own, and the parts must be all their components
+    as a multiset. Each stored block is the searched block's, bit for bit.
+    """
+    stored = [(rho.support[m], b) for members, blocks in rho.parts for m, b in zip(members, blocks)]
+    if sectors is None:
+        want = _search(rho.support, rho.on(rho.support))
+    else:
+        want = [c for support, m in sectors for c in _search(support, m)]
+        for components in (stored, want):
+            components.sort(key=lambda c: (c[0].tolist(), c[1].real.tolist(), c[1].imag.tolist()))
+    assert len(stored) == len(want)
+    for (got_states, got_block), (want_states, want_block) in zip(stored, want):
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got_block, want_block)
 
 
 class TestTruncation:
@@ -358,11 +379,9 @@ class TestStateWrappers:
         t = FockTruncation(4)
         a = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
         mixed = DensityOperator(np.arange(t.dim), a @ a.conj().T / np.trace(a @ a.conj().T), t)
-        outputs = [apply_loss(mixed, eta)]
-        for reference in (WITH_REFERENCE, WITHOUT_REFERENCE):
-            scenario = build_scenario(ProbeSpec("ecs", eta, alpha=2.0), reference)
-            outputs += [rho for _, rho in scenario.components]
-        for rho in outputs:
+        # the reference-free operator is searched sector by sector in test_channels.TestSectorFold
+        with_reference = build_scenario(ProbeSpec("ecs", eta, alpha=2.0), WITH_REFERENCE)
+        for rho in (apply_loss(mixed, eta), with_reference):
             _assert_parts_match_a_search(rho)
 
     def test_buffers_are_read_only(self):

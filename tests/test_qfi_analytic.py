@@ -14,7 +14,6 @@ from perfbench.reference import f_noon, f_noref, f_ref
 
 from phasefisher.exceptions import (
     InvalidEta,
-    InvalidWeights,
     NonpositiveFisher,
     NumericalOverflow,
 )
@@ -99,7 +98,7 @@ def qfi_two_level(
     cross term is dropped rather than multiplied out, avoiding 0 * inf.
     """
     if gamma_plus < 0.0 or gamma_minus < 0.0 or gamma_plus + gamma_minus > 1.0 + 1e-12:
-        raise InvalidWeights(f"weights ({gamma_plus}, {gamma_minus}) invalid")
+        raise ValueError(f"weights ({gamma_plus}, {gamma_minus}) invalid")
     value = 4.0 * (gamma_plus * variance_plus + gamma_minus * variance_minus)
     if gamma_minus >= GAMMA_MINUS_FLOOR:
         value -= 16.0 * gamma_plus * gamma_minus * cross_term_sq
@@ -269,9 +268,9 @@ class TestTwoLevelFormula:
         assert value == pytest.approx(4.0 * ((1.0 - tiny) + tiny * 5.0))
 
     def test_weights_validated(self):
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(ValueError):
             qfi_two_level(-0.1, 0.5, 1.0, 1.0, 0.0)
-        with pytest.raises(InvalidWeights):
+        with pytest.raises(ValueError):
             qfi_two_level(0.8, 0.3, 1.0, 1.0, 0.0)
 
 

@@ -29,14 +29,12 @@ from phasefisher.exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
     InvalidEta,
-    InvalidWeights,
     NegativeEigenvalue,
     OracleTooLarge,
     TruncationTooSmall,
 )
 from phasefisher.fock_core import (
     MAX_STATE_VECTOR_BYTES,
-    TRACE_ATOL,
     DensityOperator,
     FockTruncation,
 )
@@ -54,7 +52,6 @@ from phasefisher.qfi_oracle import (
     ORACLE_POINT_TOL,
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
-    Scenario,
     _ecs_cutoff,
     _rel,
     _sectors,
@@ -163,17 +160,6 @@ class TestQfiNumeric:
 
 
 class TestConfigAndScenarioValidation:
-    def test_scenario_needs_components(self):
-        with pytest.raises(InvalidWeights):
-            Scenario(())
-
-    def test_scenario_weight_signs_and_sum(self):
-        rho = noon_vector(1, FockTruncation(1)).density()
-        with pytest.raises(InvalidWeights):
-            Scenario(((-0.1, rho),))
-        with pytest.raises(InvalidWeights):
-            Scenario(((0.7, rho), (0.7, rho)))
-
     def test_build_scenario_reference_label(self):
         with pytest.raises(ValueError):
             build_scenario(ProbeSpec("noon", 0.9, n=1), "sometimes")
@@ -192,25 +178,24 @@ def _peak_bytes_while_refused(probe: ProbeSpec, cutoff: str) -> int:
 
 class TestBuildScenario:
     def test_noon_is_one_component_either_way(self):
-        """A NOON probe has a sharp total photon number, so dephasing is a no-op."""
+        """A NOON probe has a sharp total photon number: one sector, so the two references agree.
+
+        Its one sector block is the pure state's own, so they agree bit for bit.
+        """
         probe = ProbeSpec("noon", 0.8, n=3)
         with_ref = build_scenario(probe, WITH_REFERENCE)
         without = build_scenario(probe, WITHOUT_REFERENCE)
-        assert len(with_ref.components) == 1
-        assert len(without.components) == 1
-        assert with_ref.components[0][0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(
-            with_ref.components[0][1].matrix, without.components[0][1].matrix, atol=1e-14
-        )
+        assert np.array_equal(with_ref.support, without.support)
+        for (m1, b1), (m2, b2) in zip(with_ref.parts, without.parts, strict=True):
+            assert np.array_equal(m1, m2) and np.array_equal(b1, b2)
 
     def test_ecs_sector_weights(self):
         alpha = 1.0
-        probe = ProbeSpec("ecs", 0.9, alpha=alpha)
-        scenario = build_scenario(probe, WITHOUT_REFERENCE)
-        weights = [w for w, _ in scenario.components]
+        sectors = _sectors(ecs_vector(alpha, _ecs_cutoff(alpha)))
+        weights = [float(np.trace(block).real) for _, block in sectors]
         assert sum(weights) == pytest.approx(1.0, abs=1e-10)
         # vacuum sector first, supported on the vacuum alone
-        assert list(scenario.components[0][1].support) == [0]
+        assert list(sectors[0][0]) == [0]
         expected = ecs_sector_weights(alpha, _ecs_cutoff(alpha))
         assert weights[0] == pytest.approx(float(expected[0]), rel=1e-12)
         assert weights[1] == pytest.approx(float(expected[1]), rel=1e-12)
@@ -218,7 +203,7 @@ class TestBuildScenario:
     def test_with_reference_support_is_the_two_axes(self):
         """Loss keeps |n, 0> + |0, m> states on their axes: 2 n_max + 1 basis states."""
         probe = ProbeSpec("ecs", 0.9, alpha=4.0)
-        (_, rho), = build_scenario(probe, WITH_REFERENCE).components
+        rho = build_scenario(probe, WITH_REFERENCE)
         n_max = _ecs_cutoff(4.0).n_max
         assert rho.support.size == 2 * n_max + 1 == 107
 
@@ -227,32 +212,27 @@ class TestBuildScenario:
 
         Its dense block over the loss closure would hold (2n + 1)^2: 939,919 entries here.
         """
-        scenario = build_scenario(ProbeSpec("ecs", 0.9, alpha=6.0), WITHOUT_REFERENCE)
-        stored = sum(b.size for _, rho in scenario.components for _, b in rho.parts)
-        nonzero = sum(
-            int(np.count_nonzero(b)) for _, rho in scenario.components for _, b in rho.parts
-        )
+        rho = build_scenario(ProbeSpec("ecs", 0.9, alpha=6.0), WITHOUT_REFERENCE)
+        stored = sum(b.size for _, b in rho.parts)
+        nonzero = sum(int(np.count_nonzero(b)) for _, b in rho.parts)
         assert stored <= 10_000
         assert stored == nonzero
 
     @pytest.mark.parametrize("alpha", [12.0, 20.0, 28.5])
     def test_every_nonzero_sector_is_kept_at_large_fields(self, alpha):
-        """sum_n w_n n^2 eta^n is the closed form to 1e-12, and every sector has trace 1.
+        """sum_n w_n n^2 eta^n over the sector traces w_n is the closed form to 1e-12.
 
         Loss tilts F toward low n, so sectors far too light to matter to the
         state still carry F: a weight floor of 1e-14 would put this sum
-        6.6e-12, 4.6e-9 and 1.07e-6 from the closed form at these alphas. At
-        alpha 28.5 a sector's squares are subnormal, and a plain division by
-        the root of its weight would leave it a trace of 1.11.
+        6.6e-12, 4.6e-9 and 1.07e-6 from the closed form at these alphas.
         """
         eta = 0.9
         trunc = _ecs_cutoff(alpha)
-        weights, sectors = _sectors(ecs_vector(alpha, trunc))
+        sectors = _sectors(ecs_vector(alpha, trunc))
+        weights = np.array([np.trace(block).real for _, block in sectors])
         n = trunc.totals()[[support[0] for support, _ in sectors]].astype(float)
-        value = float(np.sum(np.array(weights) * n**2 * eta**n))
+        value = float(np.sum(weights * n**2 * eta**n))
         assert _rel(value, qfi_ecs_noref(alpha, eta).value) <= 1e-12
-        for _, block in sectors:
-            assert abs(np.trace(block) - 1.0) <= TRACE_ATOL
 
     def test_large_field_oracle_stays_small(self):
         """alpha = 4 on a 54-state-per-mode cutoff: both references, traced peak below 64 MB.
@@ -301,7 +281,7 @@ class TestBuildScenario:
 class TestSectorFold:
     def test_reference_free_build_is_one_kraus_pass(self, monkeypatch):
         # every sector goes to the Kraus routine in one call, and the only
-        # operators built are the lossy sectors it returns
+        # operator built is the one it returns
         kraus, post_init = qfi_oracle._kraus_loss, DensityOperator.__post_init__
         calls, built = [], []
 
@@ -310,15 +290,15 @@ class TestSectorFold:
             return kraus(inputs, eta, trunc)
 
         def recording_post_init(self, block):
-            built.append(self.support)
+            built.append(self)
             post_init(self, block)
 
         monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(DensityOperator, "__post_init__", recording_post_init)
-        scenario = build_scenario(ProbeSpec("ecs", 0.9, alpha=2.0), WITHOUT_REFERENCE)
-        assert len(scenario.components) > 10
-        assert calls == [len(scenario.components)]
-        assert [id(s) for s in built] == [id(rho.support) for _, rho in scenario.components]
+        rho = build_scenario(ProbeSpec("ecs", 0.9, alpha=2.0), WITHOUT_REFERENCE)
+        assert calls == [len(_sectors(ecs_vector(2.0, _ecs_cutoff(2.0))))]
+        assert calls[0] > 10
+        assert len(built) == 1 and built[0] is rho
 
 
 class TestScenarioQfi:
@@ -408,13 +388,6 @@ class TestScenarioMixture:
         assert mixture_qfi == pytest.approx(p_perp * qfi_ecs_noref(alpha, eta).value, rel=1e-8)
         ensemble_qfi = scenario_qfi(scenario).value
         assert mixture_qfi < ensemble_qfi
-
-    def test_components_must_share_a_cutoff(self):
-        # the mixture is taken on the components' one cutoff, so a scenario has only one
-        small = noon_vector(1, FockTruncation(1)).density()
-        large = noon_vector(1, FockTruncation(2)).density()
-        with pytest.raises(DimensionMismatch):
-            Scenario(((0.5, small), (0.5, large)))
 
 
 class TestTwoLevelNumeric:
