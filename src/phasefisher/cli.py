@@ -6,7 +6,9 @@ number CSV suitable for log-log plotting, `crossings` locates where the
 NOON and reference-beam ECS information curves intersect, and `verify`
 runs the full closed-form-vs-oracle suite. The oracle builds a NOON probe
 on the smallest space that holds it and an ECS probe on a cutoff that is a
-rule of alpha alone (qfi_oracle._ecs_cutoff); no flag sets either.
+rule of alpha alone (qfi_oracle._ecs_cutoff); no flag sets either. Each
+subparser binds its handler, which reads the parsed flags; main parses,
+runs it and maps its errors to exit codes.
 
 `sweep` and `crossings` read one array route from N to F,
 qfi_analytic._curves: each sweep block, the crossing grid and every
@@ -31,7 +33,7 @@ import math
 import os
 import stat
 import sys
-from argparse import ArgumentParser
+from argparse import ArgumentParser, Namespace
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,9 @@ DEFAULT_SWEEP_POINTS = 200
 # a sweep holds every row in memory, about 450 B each (475 MB peak RSS at this many)
 MAX_SWEEP_POINTS = 1_000_000
 DEFAULT_SWEEP_RANGE = (0.1, 200.0)
+
+# `crossings` stops bisecting once |F_noon - F_ref| at the midpoint is at most this
+DEFAULT_CROSSING_TOL = 1e-6
 
 # sweep rows go through numpy this many at a time; whole columns raise a
 # 40,000-row sweep's peak RSS from 48 to 61 MB and save no time
@@ -114,46 +119,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_point(
-    family: str,
-    eta: float,
-    alpha: float | None = None,
-    n: int | None = None,
-    reference: str | None = None,
-    use_oracle: bool = False,
-) -> int:
-    if family == "ecs":
-        if n is not None:
+def cmd_point(args: Namespace) -> int:
+    reference = args.reference
+    if args.family == "ecs":
+        if args.n is not None:
             raise ValueError("--n applies only to the noon family")
-        if alpha is None:
+        if args.alpha is None:
             raise ValueError("--alpha is required for the ecs family")
-        if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
+        if reference is None:
             raise ValueError("--reference with|without is required for the ecs family")
-        probe = ProbeSpec("ecs", eta, alpha=alpha)
-        result = qfi_ecs_ref(alpha, eta) if reference == WITH_REFERENCE else qfi_ecs_noref(alpha, eta)
-        label = f"family=ecs alpha={alpha:g} eta={eta:g} reference={reference}"
-    elif family == "noon":
-        if alpha is not None:
+        probe = ProbeSpec("ecs", args.eta, alpha=args.alpha)
+        result = (qfi_ecs_ref if reference == WITH_REFERENCE else qfi_ecs_noref)(args.alpha, args.eta)
+        label = f"family=ecs alpha={args.alpha:g} eta={args.eta:g} reference={reference}"
+    else:
+        if args.alpha is not None:
             raise ValueError("--alpha applies only to the ecs family")
-        if n is None:
+        if args.n is None:
             raise ValueError("--n is required for the noon family")
         reference = reference or WITH_REFERENCE
-        probe = ProbeSpec("noon", eta, n=n)
-        result = qfi_noon(n, eta)
-        label = f"family=noon n={n} eta={eta:g}"
-    else:
-        raise ValueError(f"unknown family {family!r}")
+        probe = ProbeSpec("noon", args.eta, n=args.n)
+        result = qfi_noon(args.n, args.eta)
+        label = f"family=noon n={args.n} eta={args.eta:g}"
 
     print(label)
     print(f"F    = {_fmt(result.value)}  (closed_form, two_arm generator)")
     dphi = math.inf if result.value == 0.0 else sensitivity(result.value)
     print(f"dphi = {_fmt(dphi)}")
 
-    if not use_oracle:
+    if not args.oracle:
         return 0
     numeric = scenario_qfi(build_scenario(probe, reference))
     deviation = _rel(numeric.value, result.value)
-    tolerance = ORACLE_POINT_TOL[(family, reference)]
+    tolerance = ORACLE_POINT_TOL[(args.family, reference)]
     print(f"oracle = {_fmt(numeric.value)}  relative deviation {deviation:.3e} (tolerance {tolerance:g})")
     if deviation > tolerance:
         print(f"oracle deviation {deviation:.3e} exceeds {tolerance:g}", file=sys.stderr)
@@ -202,7 +199,8 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     ]
 
 
-def cmd_sweep(cfg: SweepConfig) -> int:
+def cmd_sweep(args: Namespace) -> int:
+    cfg = SweepConfig(args.eta, args.n_min, args.n_max, args.points, args.spacing, args.output)
     # all rows are computed before the file is opened, so a numerical
     # failure can never leave a partial CSV behind
     _write_output(cfg.output_path, "\n".join(sweep_rows(cfg)) + "\n")
@@ -234,7 +232,7 @@ def _gap(n_mean: np.ndarray, eta: float) -> list[float]:
     return (f_noon - f_ref).tolist()
 
 
-def find_crossings(eta: float, tolerance: float = 1e-6) -> list[float]:
+def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[float]:
     """Mean photon numbers where the NOON and ECS information curves cross.
 
     Sign changes of F_noon(N) - F_ecs(N) are bracketed on the default
@@ -279,9 +277,10 @@ def find_crossings(eta: float, tolerance: float = 1e-6) -> list[float]:
     return roots
 
 
-def cmd_crossings(eta: float, tolerance: float = 1e-6) -> int:
+def cmd_crossings(args: Namespace) -> int:
+    eta = args.eta
     try:
-        roots = find_crossings(eta, tolerance)
+        roots = find_crossings(eta, args.tol)
     except NoCrossingFound as exc:
         print(str(exc))
         return 0
@@ -300,22 +299,16 @@ def cmd_crossings(eta: float, tolerance: float = 1e-6) -> int:
     return 0
 
 
-def cmd_verify(
-    grid_mode: str = "full",
-    alpha: float | None = None,
-    eta: float | None = None,
-    output: str | None = None,
-) -> int:
-    if grid_mode == "single":
-        grid = [(0.5 if alpha is None else alpha, 1.0 if eta is None else eta)]
-    elif alpha is not None or eta is not None:
+def cmd_verify(args: Namespace) -> int:
+    grid = None
+    if args.grid == "single":
+        grid = [(0.5 if args.alpha is None else args.alpha, 1.0 if args.eta is None else args.eta)]
+    elif args.alpha is not None or args.eta is not None:
         raise ValueError("--alpha and --eta apply only to --grid single")
-    else:
-        grid = None
     report = verify_all(grid)
     print(report.render())
-    if output is not None:
-        _write_output(output, report.to_csv())
+    if args.output is not None:
+        _write_output(args.output, report.to_csv())
     return 0 if report.passed else 1
 
 
@@ -327,6 +320,7 @@ def build_parser() -> ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     point = sub.add_parser("point", help="evaluate one probe configuration")
+    point.set_defaults(run=cmd_point)
     point.add_argument("--family", choices=("ecs", "noon"), required=True)
     point.add_argument("--alpha", type=float, help="coherent amplitude (ecs)")
     point.add_argument("--n", type=int, help="photon number (noon)")
@@ -335,60 +329,35 @@ def build_parser() -> ArgumentParser:
     point.add_argument("--oracle", action="store_true", help="cross-check against the numeric oracle")
 
     sweep = sub.add_parser("sweep", help="write a sensitivity-vs-N CSV")
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument("--eta", type=float, required=True)
     sweep.add_argument("--output", required=True)
-    sweep.add_argument("--n-min", type=float, default=DEFAULT_SWEEP_RANGE[0], dest="n_min")
-    sweep.add_argument("--n-max", type=float, default=DEFAULT_SWEEP_RANGE[1], dest="n_max")
-    sweep.add_argument("--points", type=int, default=DEFAULT_SWEEP_POINTS)
-    sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
+    sweep.add_argument("--n-min", type=float, default=SweepConfig.n_min, dest="n_min")
+    sweep.add_argument("--n-max", type=float, default=SweepConfig.n_max, dest="n_max")
+    sweep.add_argument("--points", type=int, default=SweepConfig.points)
+    sweep.add_argument("--spacing", choices=("log", "linear"), default=SweepConfig.spacing)
 
     crossings = sub.add_parser("crossings", help="find where NOON and ECS curves cross")
+    crossings.set_defaults(run=cmd_crossings)
     crossings.add_argument("--eta", type=float, required=True)
-    crossings.add_argument("--tol", type=float, default=1e-6)
+    crossings.add_argument("--tol", type=float, default=DEFAULT_CROSSING_TOL)
 
     verify = sub.add_parser("verify", help="run the closed-form-vs-oracle suite")
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--grid", choices=("full", "single"), default="full")
     verify.add_argument("--alpha", type=float, help="with --grid single (default 0.5)")
     verify.add_argument("--eta", type=float, help="with --grid single (default 1.0)")
-    verify.add_argument("--output", default=None)
+    verify.add_argument("--output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "point":
-            code = cmd_point(
-                family=args.family,
-                eta=args.eta,
-                alpha=args.alpha,
-                n=args.n,
-                reference=args.reference,
-                use_oracle=args.oracle,
-            )
-        elif args.command == "sweep":
-            cfg = SweepConfig(
-                eta=args.eta,
-                n_min=args.n_min,
-                n_max=args.n_max,
-                points=args.points,
-                spacing=args.spacing,
-                output_path=args.output,
-            )
-            code = cmd_sweep(cfg)
-        elif args.command == "crossings":
-            code = cmd_crossings(args.eta, args.tol)
-        else:
-            code = cmd_verify(
-                grid_mode=args.grid,
-                alpha=args.alpha,
-                eta=args.eta,
-                output=args.output,
-            )
+        code = args.run(args)
         sys.stdout.flush()  # a reader that went away shows here, not at interpreter exit
         return code
     except BrokenPipeError:

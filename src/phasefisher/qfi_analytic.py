@@ -110,6 +110,7 @@ def _noref(a2, eta):
     return 2.0 * nsq * _libm(math.exp, -a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + a2 * eta)
 
 
+@_in_double_range
 def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) -> QFIResult:
     """Same quantity as an explicit sum of lossy NOON terms over sectors.
 
@@ -138,6 +139,7 @@ def qfi_noon(n: int, eta: float) -> QFIResult:
     return QFIResult((n * eta ** (n / 2)) ** 2)
 
 
+@_in_double_range
 def qfi_noon_continuous(n_mean: float, eta: float) -> float:
     """NOON benchmark with the photon number treated as a real variable.
 
@@ -146,11 +148,11 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
     misplace the decay.
     """
     check_eta(eta)
-    if n_mean <= 0.0:
-        raise ValueError(f"mean photon number must be positive, got {n_mean}")
+    if not 0.0 < n_mean < math.inf:
+        raise ValueError(f"mean photon number must be positive and finite, got {n_mean}")
     if eta == 0.0:
         return 0.0
-    return _noon(n_mean, eta)
+    return QFIResult(_noon(n_mean, eta)).value
 
 
 def _noon(n_mean, eta):
@@ -191,6 +193,7 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     )
 
 
+@_in_double_range
 def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
     """The two-level density matrix in the Gram-Schmidt orthonormal basis.
 
@@ -199,6 +202,7 @@ def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
     trace must come out one. The numeric reconstruction in qfi_oracle checks
     every entry.
     """
+    check_eta(eta)
     a2 = abs(alpha) ** 2
     nsq = ecs_normalization(alpha) ** 2
     p = math.exp(-eta * a2)

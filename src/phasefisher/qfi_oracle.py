@@ -307,7 +307,7 @@ def _rel(value: float, reference: float) -> float:
 
 def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
     """Largest entrywise |a - b|, taken over the union of the two supports."""
-    support = np.union1d(a.support, b.support)
+    support = np.flatnonzero(np.bincount(np.concatenate((a.support, b.support))))
     return float(np.max(np.abs(a.on(support) - b.on(support))))
 
 

@@ -3,6 +3,7 @@
 import errno
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -657,6 +658,22 @@ def test_no_arguments_is_usage_error():
     assert main([]) == 2
 
 
+SUBCOMMAND_FLAGS = {
+    "point": {"--family", "--alpha", "--n", "--eta", "--reference", "--oracle"},
+    "sweep": {"--eta", "--output", "--n-min", "--n-max", "--points", "--spacing"},
+    "crossings": {"--eta", "--tol"},
+    "verify": {"--grid", "--alpha", "--eta", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+def test_subcommand_help_names_every_flag(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: phasefisher {command} ")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == SUBCOMMAND_FLAGS[command] | {"--help"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -885,14 +902,17 @@ ECS = ["point", "--family", "ecs", "--alpha", "1", "--eta", "0.9", "--reference"
 )
 def test_no_scipy_import_outside_beam_splitter(tmp_path, argv):
     # the package depends on numpy alone, the beam-splitter cross-check in
-    # verify included, so every path runs in an interpreter that has no scipy
+    # verify included, so every path runs in an interpreter that has no scipy;
+    # nor does any path import numpy.ma, which np.unique and np.union1d pull in
+    # (numpy 1.x imports it with numpy itself, so the check is that no path adds it)
     if argv is None:
         code = "import phasefisher\nprint('imported')\n"
     else:
         argv = [str(tmp_path / "sweep.csv") if a == "SWEEP" else a for a in argv]
         code = f"from phasefisher.cli import main\nprint('exit', main({argv!r}))\n"
-    lines = _fresh_interpreter(_BLOCK_SCIPY + code)
-    assert lines[-1] == ("imported" if argv is None else "exit 0"), lines
+    has_ma = "print('numpy.ma' in sys.modules)\n"
+    lines = _fresh_interpreter(_BLOCK_SCIPY + "import numpy\n" + has_ma + code + has_ma)
+    assert lines[-2:] == ["imported" if argv is None else "exit 0", lines[0]], lines
 
 
 def test_scipy_blocker_blocks_scipy():

@@ -17,6 +17,7 @@ from phasefisher.exceptions import (
     NonpositiveFisher,
     NumericalOverflow,
 )
+from phasefisher.fock_core import FockTruncation
 from phasefisher.qfi_analytic import (
     GAMMA_MINUS_FLOOR,
     QFIResult,
@@ -303,6 +304,9 @@ class TestNoon:
         with pytest.raises(ValueError):
             qfi_noon_continuous(-1.0, 0.9)
         assert qfi_noon_continuous(3.0, 0.0) == 0.0
+        for n_mean in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                qfi_noon_continuous(n_mean, 0.9)
 
     def test_order_validated(self):
         with pytest.raises(ValueError):
@@ -377,6 +381,29 @@ def test_closed_form_overflow_is_typed():
         qfi_ecs_ref(1e200, 0.9)
     with pytest.raises(NumericalOverflow, match="qfi_noon"):
         qfi_noon(n=10**200, eta=1.0)
+    with pytest.raises(NumericalOverflow, match="qfi_ecs_noref_blocksum"):
+        qfi_ecs_noref_blocksum(1e200, 0.9, FockTruncation(3))
+    # N^2 overflows to inf: times an underflowed eta^N it is nan, at eta = 1 it stays inf;
+    # an integer N too large for a double overflows on its conversion
+    for n_mean, eta in ((1e200, 0.9), (1e300, 1.0), (10**200, 0.9)):
+        with pytest.raises(NumericalOverflow):
+            qfi_noon_continuous(n_mean, eta)
+
+
+@pytest.mark.parametrize(
+    "alpha, eta, error",
+    [
+        (1.0, 1.5, InvalidEta),
+        (1.0, -0.5, InvalidEta),
+        (30.0, 2.0, InvalidEta),
+        (1e200, 0.9, NumericalOverflow),
+    ],
+)
+def test_basis_overlap_matrix_refuses_what_sigma_spectrum_refuses(alpha, eta, error):
+    with pytest.raises(error):
+        sigma_spectrum(alpha, eta)
+    with pytest.raises(error):
+        basis_overlap_matrix(alpha, eta)
 
 
 EPS = sys.float_info.epsilon
