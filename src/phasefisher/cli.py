@@ -15,6 +15,10 @@ qfi_analytic._curves: each sweep block, the crossing grid and every
 bisection midpoint. A failing sweep row raises its own typed error, the one
 the scalar functions give at that N.
 
+`point` without `--oracle` runs on the standard library alone: numpy, the
+Fock-space code and the oracle are imported where a command first builds an
+array or an operator, in `point --oracle`, `sweep`, `crossings` and `verify`.
+
 All output is deterministic for fixed flags on a fixed numpy build:
 floats are rendered with repr (shortest round-trip digits), rows in input
 order, no timestamps. Closed-form output (`point` without `--oracle`,
@@ -35,8 +39,7 @@ import stat
 import sys
 from argparse import ArgumentParser, Namespace
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import (
     InvalidEta,
@@ -46,16 +49,10 @@ from .exceptions import (
     PhaseFisherError,
 )
 from .qfi_analytic import QFIResult, _curves, qfi_ecs_noref, qfi_ecs_ref, qfi_noon, sensitivity
-from .qfi_oracle import (
-    ORACLE_POINT_TOL,
-    WITH_REFERENCE,
-    WITHOUT_REFERENCE,
-    _rel,
-    build_scenario,
-    scenario_qfi,
-    verify_all,
-)
-from .states import ProbeSpec, _libm, alpha_for_mean_photon
+from .states import WITH_REFERENCE, WITHOUT_REFERENCE, ProbeSpec, _libm, alpha_for_mean_photon
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_HEADER = (
     "n_mean,eta,alpha,f_ecs_noref,f_ecs_ref,f_ecs_ref_asym,f_noon,"
@@ -106,6 +103,8 @@ class SweepConfig:
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         # near the largest double, both spacings overflow in the last point, which they then
         # overwrite with n_max: geomspace in its power, linspace in its product
         with np.errstate(over="ignore"):
@@ -148,6 +147,8 @@ def cmd_point(args: Namespace) -> int:
 
     if not args.oracle:
         return 0
+    from .qfi_oracle import ORACLE_POINT_TOL, _rel, build_scenario, scenario_qfi
+
     numeric = scenario_qfi(build_scenario(probe, reference))
     deviation = _rel(numeric.value, result.value)
     tolerance = ORACLE_POINT_TOL[(args.family, reference)]
@@ -173,6 +174,8 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     QFIResult check on F_noref, F_ref and F_ref_asym in that order, then
     NonpositiveFisher where an F or the shot-noise F underflows to 0.
     """
+    import numpy as np
+
     values = _curves(n_mean, eta)
     _, f_noref, f_ref, f_asym, f_noon = values
     failing = ~((values[1:4] >= 0.0) & (values[1:4] < math.inf)).all(axis=0)
@@ -245,6 +248,7 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
         raise InvalidEta(f"crossings are defined for 0 < eta < 1, got {eta}")
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"crossing tolerance must be finite and positive, got {tolerance}")
+    import numpy as np
 
     n_min, n_max = DEFAULT_SWEEP_RANGE
     ns = np.geomspace(n_min, n_max, DEFAULT_SWEEP_POINTS)
@@ -278,6 +282,8 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
 
 
 def cmd_crossings(args: Namespace) -> int:
+    import numpy as np
+
     eta = args.eta
     try:
         roots = find_crossings(eta, args.tol)
@@ -300,6 +306,8 @@ def cmd_crossings(args: Namespace) -> int:
 
 
 def cmd_verify(args: Namespace) -> int:
+    from .qfi_oracle import verify_all
+
     grid = None
     if args.grid == "single":
         grid = [(0.5 if args.alpha is None else args.alpha, 1.0 if args.eta is None else args.eta)]

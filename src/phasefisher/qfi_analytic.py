@@ -22,7 +22,8 @@ spectral route as its reference.
 
 Each closed form has one body that takes a float or an array. _curves runs
 them along an array of mean photon numbers, and it is the one route every
-N-curve reads: the sweep's rows, the crossing grid and its bisection.
+N-curve reads: the sweep's rows, the crossing grid and its bisection. A
+float runs on math alone; numpy is imported where an array is built.
 
 Every quantity here is validated against the brute-force oracle in
 qfi_oracle; the spectral coefficients additionally against a numeric
@@ -34,8 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import (
     InvalidEta,
@@ -43,8 +43,12 @@ from .exceptions import (
     NumericalOverflow,
     check_eta,
 )
-from .fock_core import FockTruncation
 from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights, solve_alpha
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fock_core import FockTruncation
 
 # No code in the package reads this. It is the minor-eigenvalue weight below which
 # acceptance gate a02 skips a point and the spectral-route tests drop the cross term.
@@ -121,6 +125,8 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0)
+    import numpy as np
+
     weights = ecs_sector_weights(alpha, trunc)
     n = np.arange(len(weights), dtype=float)
     value = float(np.sum(weights * n * n * eta**n))
@@ -208,6 +214,8 @@ def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
     p = math.exp(-eta * a2)
     p_perp = math.exp(-(1.0 - eta) * a2)
     off = (p + p_perp) * math.sqrt(-math.expm1(-2.0 * eta * a2))
+    import numpy as np
+
     return nsq * np.array(
         [
             [1.0 + 2.0 * p * p_perp + p * p, off],
@@ -271,6 +279,8 @@ def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:
     overflow there; a product beyond the double range puts inf or nan in
     its column, for the caller to report.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         alpha = solve_alpha(n_mean)
         a2 = _libm(pow, alpha, 2)

@@ -60,10 +60,14 @@ from .qfi_analytic import (
     qfi_noon,
     sigma_spectrum,
 )
-from .states import ProbeSpec, alpha_for_mean_photon, ecs_vector, noon_vector
-
-WITH_REFERENCE = "with"
-WITHOUT_REFERENCE = "without"
+from .states import (
+    WITH_REFERENCE,
+    WITHOUT_REFERENCE,
+    ProbeSpec,
+    alpha_for_mean_photon,
+    ecs_vector,
+    noon_vector,
+)
 
 # closed forms must match the oracle at least this tightly, at each point of
 # `point --oracle` and of the three oracle rows of verify_all

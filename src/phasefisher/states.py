@@ -17,11 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import FockTruncation, StateVector, coherent_vector
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .fock_core import FockTruncation, StateVector
+
+# the reference argument of build_scenario and `point --reference`
+WITH_REFERENCE = "with"
+WITHOUT_REFERENCE = "without"
 
 
 def _libm(fn, x, *args):
@@ -32,10 +39,14 @@ def _libm(fn, x, *args):
     from glibc's math.exp, math.log and pow in up to a few percent of
     inputs, which would move the last digit of sweep CSV cells; numpy is
     used only for + - * / and sqrt, which are correctly rounded in both.
+    A Python number or a numpy scalar (anything without a positive ndim)
+    goes to fn as it is, so a closed form at one point never imports numpy.
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
-    return fn(x, *args)
+    if getattr(x, "ndim", 0) == 0:
+        return fn(x, *args)
+    import numpy as np
+
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,10 @@ def ecs_vector(alpha: complex, trunc: FockTruncation) -> StateVector:
     so overlaps with NOON states equal sqrt(2) N c_n exactly; the norm
     deficit is bounded by coherent_vector's tail gate.
     """
+    import numpy as np
+
+    from .fock_core import StateVector, coherent_vector
+
     c = coherent_vector(alpha, trunc)
     vac = np.zeros(trunc.dim_single, dtype=complex)
     vac[0] = 1.0
@@ -91,6 +106,10 @@ def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
         raise ValueError(f"NOON index must be >= 1, got {n}")
     if n > trunc.n_max:
         raise TruncationTooSmall(f"NOON index {n} above cutoff {trunc.n_max}")
+    import numpy as np
+
+    from .fock_core import StateVector
+
     amp = np.zeros(trunc.dim, dtype=complex)
     s = 1.0 / math.sqrt(2.0)
     amp[trunc.index(n, 0)] = s
@@ -104,6 +123,10 @@ def ecs_sector_weights(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     The vacuum component appears in both branches of the superposition, so
     weights[0] = 4 N^2 |c_0|^2 while every n >= 1 carries 2 N^2 |c_n|^2.
     """
+    import numpy as np
+
+    from .fock_core import coherent_vector
+
     c2 = np.abs(coherent_vector(alpha, trunc)) ** 2
     weights = 2.0 * ecs_normalization(alpha) ** 2 * c2
     weights[0] *= 2.0  # both branches hit vacuum; their amplitudes add coherently
@@ -124,6 +147,8 @@ def solve_alpha(targets: np.ndarray) -> np.ndarray:
 
     Raises ValueError unless every target is positive and finite.
     """
+    import numpy as np
+
     targets = np.asarray(targets, dtype=float)
     bad = ~((targets > 0.0) & (targets < math.inf))
     if bad.any():
@@ -152,4 +177,4 @@ def solve_alpha(targets: np.ndarray) -> np.ndarray:
 
 def alpha_for_mean_photon(target_n: float) -> float:
     """Real alpha >= 0 with mean_photon_number(alpha) = target_n; see solve_alpha."""
-    return float(solve_alpha(np.array([target_n]))[0])
+    return float(solve_alpha([target_n])[0])

@@ -915,6 +915,34 @@ def test_no_scipy_import_outside_beam_splitter(tmp_path, argv):
     assert lines[-2:] == ["imported" if argv is None else "exit 0", lines[0]], lines
 
 
+@pytest.mark.parametrize(
+    ("argv", "loads_numpy"),
+    [
+        (None, False),
+        ([*ECS, "with"], False),
+        ([*ECS, "without"], False),
+        (NOON_POINT, False),
+        ([*ECS, "with", "--oracle"], True),
+        (["sweep", "--eta", "0.9", "--output", "SWEEP"], True),
+        (["crossings", "--eta", "0.9"], True),
+        (["verify", "--grid", "single"], True),
+    ],
+    ids=["import", "point-ecs-with", "point-ecs-without", "point-noon",
+         "oracle-ecs-with", "sweep", "crossings", "verify"],
+)
+def test_closed_form_paths_import_no_numpy(tmp_path, argv, loads_numpy):
+    # the package namespace is lazy and the closed forms run on math alone, so the
+    # benchmark's set-up code and `point` without --oracle never load numpy; the
+    # commands that build arrays load it, which shows that the probe sees it
+    code = "import sys\nimport phasefisher\nphasefisher.qfi_ecs_ref(1.0, 0.9)\n"
+    if argv is not None:
+        argv = [str(tmp_path / "sweep.csv") if a == "SWEEP" else a for a in argv]
+        code += f"from phasefisher.cli import main\nprint('exit', main({argv!r}))\n"
+    lines = _fresh_interpreter(code + "print('numpy' in sys.modules)\n")
+    assert lines[-1] == str(loads_numpy), lines
+    assert argv is None or lines[-2] == "exit 0", lines
+
+
 def test_scipy_blocker_blocks_scipy():
     code = _BLOCK_SCIPY + "try:\n    import scipy.linalg\nexcept ImportError as exc:\n    print(exc)\n"
     assert _fresh_interpreter(code)[-1:] == ["scipy is not installed"]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
@@ -373,6 +374,16 @@ def test_result_rejects_negative_value():
 def test_result_rejects_non_finite_value(value):
     with pytest.raises(NumericalOverflow):
         QFIResult(value)
+
+
+@pytest.mark.parametrize("closed_form", [qfi_ecs_ref, qfi_ecs_noref, qfi_ecs_ref_asymptotic])
+def test_numeric_scalars_take_the_scalar_route(closed_form):
+    # a scalar is told from an array by its ndim, not its type: a numpy integer or a
+    # Fraction gets the float's bits, and a float32 computes in float32
+    assert closed_form(np.int64(2), 0.9).value == closed_form(2.0, 0.9).value
+    assert closed_form(Fraction(3, 2), 0.9).value == closed_form(1.5, 0.9).value
+    f32 = closed_form(np.float32(1.5), 0.9).value
+    assert f32 == pytest.approx(closed_form(1.5, 0.9).value, rel=1e-6)
 
 
 def test_closed_form_overflow_is_typed():
