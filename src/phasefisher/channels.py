@@ -5,16 +5,14 @@ attenuation Kraus family
 
     K_k = sqrt((1 - eta)^k / k!) eta^{n/2} a^k,   k = 0 .. n_max,
 
-truncated exactly at the cutoff (a^k annihilates everything above it). The
-implementation exploits the band structure of K_k: each two-mode Kraus pair
-maps basis state |n1, n2> to the single state |n1 - k1, n2 - k2>, so the
-channel only ever moves weight downward, onto the downward closure of the
-input support. Which output states a pair's terms link is known from the
-input support alone, so the output is built per component: only the
-blocks of its connected components are summed, without any state-specific
-assumption. Every output entry receives its terms in the row-major
-(k1, k2) order of the plain double loop over pairs, so the result is the
-loop's to the bit.
+truncated exactly at the cutoff (a^k annihilates everything above it). Each
+two-mode Kraus pair maps |n1, n2> to the single state |n1 - k1, n2 - k2>,
+so loss moves weight onto the downward closure of the input support, and
+the output states a pair links are known from the support alone. An input
+is a factor V diag(w) V^dag of its block (a pure state: its amplitudes),
+and each output component is the Gram product M diag(w) M^dag of the Kraus
+images M of V's columns: the operator-sum form on a purification (Escher,
+de Matos Filho and Davidovich, Nat. Phys. 7, 406 (2011)), state-agnostic.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -29,10 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import DensityOperator, FockTruncation, _grouped, _read_only
-
-# Kraus-sum terms apply_loss evaluates at once (more only if one row of a pair is longer)
-LOSS_CHUNK_TERMS = 1 << 16
+from .fock_core import DensityOperator, FockTruncation, StateVector
+from .fock_core import _grouped, _read_only, _real_if_exact
 
 
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
@@ -59,109 +55,108 @@ def _loss_table(eta: float, d: int) -> np.ndarray:
     return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
 
 
-def _downward_closure(n1: np.ndarray, n2: np.ndarray, d: int) -> np.ndarray:
-    """Basis indices reachable from the states |n1, n2> by removing photons from either mode."""
-    occ = np.zeros((d, d), dtype=bool)
-    occ[n1, n2] = True
-    c = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
-    return np.flatnonzero(np.logical_or.accumulate(c[:, ::-1], axis=1)[:, ::-1])
-
-
-def _kraus_loss(
-    inputs: list[tuple[np.ndarray, np.ndarray]], eta: float, trunc: FockTruncation
-) -> DensityOperator:
-    """Loss on each (support, dense block) input, written straight into the components of one operator.
+def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTruncation) -> DensityOperator:
+    """Loss on each input factor (support, V, w), whose block is V diag(w) V^dag, as one operator.
 
     The inputs' traces sum to 1; each may be one sector of a state. Pair
-    (k1, k2) moves a source |n1, n2> of an input with n1 >= k1 and n2 >= k2
-    to |n1 - k1, n2 - k2>, and its terms link the images of one (input,
-    pair) group. An input's images are the downward closure of its support,
-    and their connected unions are its lossy components; the components of
-    different inputs are never merged, even where they share basis states.
-    Only their blocks are laid out, in fock_core._grouped order, and
-    summed. Term (r, c) of a group adds (w_r w_c) block[r, c], in the order
-    of a double loop over the pairs, in chunks of at most LOSS_CHUNK_TERMS
-    terms (or one row of a group, if longer). At eta = 1 only pair (0, 0)
-    moves anything, so it is the only pair visited and each input comes
-    back as it is.
+    (k1, k2) moves each source |n1, n2> with n1 >= k1 and n2 >= k2 to
+    |n1 - k1, n2 - k2>, one to one, so its image of V's column j is a column
+    of M, filled with no sum. A column links its images; their connected
+    unions are the input's lossy components, in _grouped order, never merged
+    with another input's. Each stack of equal-size components takes one
+    batched M diag(w) M^dag, real where V's imaginary parts are exactly 0,
+    and the lone states one np.bincount of w |M entry|^2. At eta = 1 only
+    pair (0, 0) moves anything, so it is the only pair visited.
     """
     d = trunc.dim_single
-    sizes = np.array([support.size for support, _ in inputs])
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    n1, n2 = np.divmod(np.concatenate([support for support, _ in inputs]), d)
-    # every (source, pair) incidence, grouped by (input, pair) in row-major pair
-    # order by a stable sort, which keeps the sources ascending within a group
+    supports, factors, weights = zip(*inputs)
+    sizes, ranks = np.array([s.size for s in supports]), np.array([v.shape[1] for v in factors])
+    # one source per (input, basis state, column j of V): its entry of V and w_j
+    owner = np.repeat(np.arange(sizes.size), sizes * ranks)
+    per_state = np.repeat(ranks, sizes)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(per_state) - per_state, per_state)
+    n1, n2 = np.divmod(np.repeat(np.concatenate(supports), per_state), d)
+    w = np.concatenate(weights)[(np.cumsum(ranks) - ranks)[owner] + j]
+    amp = _real_if_exact(np.concatenate([v.ravel() for v in factors]))
+    # every (source, pair) incidence, sorted by (input, pair, j)
     per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
     k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
-    order = np.argsort((owner[src] * d + k1) * d + k2, kind="stable")
-    src, k1, k2 = src[order], k1[order], k2[order]
-    first = np.flatnonzero(np.diff((owner[src] * d + k1) * d + k2, prepend=-1) != 0)
-    # no pair or image reaches past the largest occupation of any input
-    table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)
-    w = table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
+    key = ((owner[src] * d + k1) * d + k2) * ranks.max() + j[src]
+    order = np.argsort(key, kind="stable")
+    src, k1, k2, fresh = src[order], k1[order], k2[order], np.diff(key[order], prepend=-1) != 0
+    first, column = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
+    table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)  # no pair reaches past it
+    values, w = amp[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2], w[src]
     # the output states, (input, basis index) ascending, and each incidence's among them
     image = (owner[src] * d + n1[src] - k1) * d + n2[src] - k2
     order = np.argsort(image)
     fresh = np.diff(image[order], prepend=-1) != 0
     out, dst = image[order][fresh], np.empty_like(order)
     dst[order] = np.cumsum(fresh) - 1
-    del order, k1, k2, image, fresh  # freed before the terms are summed
-    # link each group's images until each output state holds its union's first position
-    size = np.diff(first, append=src.size)
+    del src, key, order, k1, k2, image, fresh
+    # link each column's images until each output state holds its union's first position
+    size = np.diff(first, append=dst.size)
     labels, previous = np.arange(out.size), None
     while not np.array_equal(labels, previous):
         previous = labels.copy()
         np.minimum.at(labels, dst, np.repeat(np.minimum.reduceat(labels[dst], first), size))
         labels = labels[labels]
-    # the components, one slice of acc per stack: output state q is column
-    # col[q] of the row that starts at row[q], and basis state support[pos[q]]
+    # each column's component (its first state), and its place among that component's columns
+    home = labels[dst[first]]
+    order = np.argsort(home, kind="stable")
+    run = np.flatnonzero(np.diff(home[order], prepend=-1) != 0)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size) - np.repeat(run, np.diff(run, append=order.size))
+    col = place[column]
     support = np.flatnonzero(np.bincount(out % (d * d)))
-    pos = np.searchsorted(support, out % (d * d))
-    acc = np.zeros(int(np.bincount(labels)[labels].sum()), dtype=complex)
-    row, col, parts, used = np.empty_like(labels), np.empty_like(labels), [], 0
+    # output state q is row i of component k of the stack of its component's size
+    parts, index, span = [], np.empty_like(labels), np.bincount(labels)[labels]
     for members in _grouped(labels):
         count, s = members.shape
-        row[members] = used + (np.arange(count)[:, None] * s + np.arange(s)) * s
-        col[members] = np.arange(s)
-        parts.append((pos[members], acc[used : used + count * s * s].reshape(count, s, s)))
-        used += count * s * s
-    # per incidence, where its row starts and which column it is, in acc and in the inputs
-    out_row, out_col = row[dst], col[dst]
-    in_col = src - np.repeat(np.cumsum(sizes) - sizes, sizes)[src]
-    in_row = (np.cumsum(sizes * sizes) - sizes * sizes)[owner[src]] + in_col * sizes[owner[src]]
-    flat = inputs[0][1].ravel() if len(inputs) == 1 else np.concatenate([b.ravel() for _, b in inputs])
-    # incidence i is the row of one term per incidence of its group: term t of
-    # incidence i pairs it with incidence t - skip[i]; np.add.at adds in array order
-    group = np.repeat(np.arange(first.size), size)
-    size = size[group]
-    ends = np.cumsum(size)
-    skip = ends - size - first[group]
-    del src, dst, group
-    start = 0
-    while start < size.size:
-        done = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, done + LOSS_CHUNK_TERMS, side="right")), start + 1)
-        r = np.repeat(np.arange(start, stop), size[start:stop])
-        c = np.arange(done, ends[stop - 1]) - skip[r]
-        np.add.at(acc, out_row[r] + out_col[c], (w[r] * w[c]) * flat[in_row[r] + in_col[c]])
-        start = stop
-    del w, out_row, out_col, in_row, in_col, size, ends, skip  # freed before the checks
+        index[members] = np.arange(members.size).reshape(count, s)
+        at = np.flatnonzero(span[dst] == s)
+        k, i = np.divmod(index[dst[at]], s)
+        if s == 1:
+            blocks = np.bincount(k, w[at] * (values[at] * values[at].conj()).real, count)[:, None, None]
+        else:  # M, and M diag(w) on the left, which is M itself where every w is 1
+            m = np.zeros((count, s, int(col[at].max()) + 1), dtype=values.dtype)
+            m[k, i, col[at]] = values[at]
+            left = np.zeros_like(m) if np.any(w[at] != 1.0) else m
+            left[k, i, col[at]] = w[at] * values[at]
+            blocks = left @ m.conj().transpose(0, 2, 1)
+            del m, left
+        parts.append((np.searchsorted(support, out[members] % (d * d)), blocks))
+    del values, w, dst, col, at, k, i  # freed before the checks
     return DensityOperator(support, tuple(parts), trunc)
 
 
 def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     """Equal transmittance eta on both modes, trace preserving and completely positive.
 
-    The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag, built
-    straight into its components by _kraus_loss on the block over the
-    support, which for a pure input is its stored block, read without a
-    copy; its support is the downward closure of rho's.
+    The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag on the
+    downward closure of rho's support, by _kraus_loss from one eigh per
+    stack of rho's components, its eigenvalues signed as they come (so the
+    trace is kept). apply_loss_pure takes a pure state with no eigh.
     """
     check_eta(eta)
     if eta == 1.0:
         return rho
-    return _kraus_loss([(rho.support, rho.on(rho.support))], eta, rho.truncation)
+    columns = sum(members.size for members, _ in rho.parts)
+    v, w, used = np.zeros((rho.support.size, columns), dtype=complex), np.empty(columns), 0
+    for members, blocks in rho.parts:
+        count, s = members.shape
+        cols = used + np.arange(count * s).reshape(count, 1, s)
+        w[cols[:, 0]], v[members[:, :, None], cols] = np.linalg.eigh(_real_if_exact(blocks))
+        used += count * s
+    return _kraus_loss([(rho.support, v, w)], eta, rho.truncation)
+
+
+def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
+    """apply_loss(psi.density(), eta) from psi's amplitudes, one column of weight 1: no eigensolve."""
+    check_eta(eta)
+    support = np.flatnonzero(psi.amplitudes)
+    return _kraus_loss([(support, psi.amplitudes[support, None], np.ones(1))], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:
@@ -183,17 +178,20 @@ def _bs_bands(eta: float, d: int) -> np.ndarray:
     to its environment b and conserves the total photon number (the SU(2)
     structure of the lossless beam splitter; Campos, Saleh and Teich, Phys.
     Rev. A 40, 1371 (1989)). On the block |n - e, e>, e = 0 .. n, it is
-    exp(-iH) for the tridiagonal H = i theta (a^dag b - a b^dag), from one
-    eigh; column |n, 0> is summed elementwise, so no BLAS product rounds it.
+    exp(-iH) for the tridiagonal H = i theta (a^dag b - a b^dag). With
+    D = diag(i^e), D^dag H D = theta A_n is real symmetric, A_n with
+    off-diagonal -sqrt((n - e)(e + 1)), so one real eigh gives exp(-iH) =
+    D exp(-i theta A_n) D^dag; column |n, 0> is summed elementwise, so no
+    BLAS product rounds it, and then takes the phases i^e.
     """
     theta = np.arccos(np.sqrt(eta))
+    phases = np.array([1.0, 1j, -1.0, -1j])
     bands = np.zeros((d, d), dtype=complex)
     for n in range(d):
-        # <n - e - 1, e + 1|H|n - e, e> = -i theta sqrt((n - e)(e + 1))
-        off = -1j * theta * np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1))
-        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off.conj(), 1))
+        off = -theta * np.sqrt(np.arange(n, 0, -1) * np.arange(1.0, n + 1))
+        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
         e = np.arange(n + 1)
-        bands[e, n - e] = (v * (np.exp(-1j * w) * v[0].conj())).sum(axis=1)
+        bands[e, n - e] = phases[e % 4] * (v * (np.exp(-1j * w) * v[0])).sum(axis=1)
     return bands
 
 
@@ -203,19 +201,22 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     Each mode gets its own vacuum environment; the beam splitter's columns
     from _bs_bands are the one-mode Kraus operators K_e[a, a + e] =
     bands[e, a], and tracing the environments out sums the pairs (e1, e2).
-    As in apply_loss, the pairs that move an occupied state are the downward
-    closure of the support, which is also the output support. Each pair adds
-    w w^dag times its source block, elementwise, in row-major pair order.
-    The environment shares the signal cutoff, which is exact: a mode holding
-    at most n_max photons can lose at most n_max. A trace deficit beyond
-    1e-9 (roundoff only) raises TruncationTooSmall.
+    The pairs that move an occupied state are the downward closure of the
+    support, the output support; each adds w w^dag times its source block,
+    elementwise, in row-major pair order. The environment shares the signal
+    cutoff, which is exact: a mode holding at most n_max photons can lose
+    at most n_max. A trace deficit beyond 1e-9 (roundoff) raises
+    TruncationTooSmall.
     """
     check_eta(eta)
-    trunc = rho.truncation
-    d = trunc.dim_single
+    trunc, d = rho.truncation, rho.truncation.dim_single
     bands = _bs_bands(eta, d)
     n1, n2 = np.divmod(rho.support, d)
-    closure = _downward_closure(n1, n2, d)
+    # the states reachable by removing photons from either mode
+    occ = np.zeros((d, d), dtype=bool)
+    occ[n1, n2] = True
+    occ = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
+    closure = np.flatnonzero(np.logical_or.accumulate(occ[:, ::-1], axis=1)[:, ::-1])
     block = rho.on(rho.support)
     acc = np.zeros((closure.size, closure.size), dtype=complex)
     for e1, e2 in zip(*np.divmod(closure, d)):
@@ -226,7 +227,5 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
         acc[np.ix_(dst, dst)] += np.outer(w, w.conj()) * block[np.ix_(src, src)]
     deficit = abs(float(np.trace(acc).real) - 1.0)
     if deficit > 1e-9:
-        raise TruncationTooSmall(
-            f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}"
-        )
+        raise TruncationTooSmall(f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}")
     return DensityOperator(closure, acc, trunc)

@@ -126,6 +126,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a's real part when every imaginary part is exactly zero, else a (a real a as it is)."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over the two-mode basis."""

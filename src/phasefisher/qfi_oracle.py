@@ -31,7 +31,7 @@ import numpy as np
 
 from .channels import (
     _kraus_loss,
-    apply_loss,
+    apply_loss_pure,
     apply_loss_via_bs,
     phase_average,
     single_arm_generator,
@@ -47,6 +47,7 @@ from .fock_core import (
     DensityOperator,
     FockTruncation,
     StateVector,
+    _real_if_exact,
     coherent_vector,
     truncation_for_tolerance,
 )
@@ -114,9 +115,10 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     sectors of a reference-free scenario: the QFI of a classical-quantum
     state is the sum over its labels. Each component, whatever its own
     trace, is scaled exactly by a power of two to a trace in [1/2, 1) for
-    its eigensolve: an eigenvalue below -1e-12 there raises
-    NegativeEigenvalue, a larger negative one is clipped to 0, and every
-    pair with p_i + p_j > 0 counts.
+    its eigensolve, a real eigh where its imaginary parts are all exactly
+    zero: an eigenvalue below -1e-12 there raises NegativeEigenvalue, a
+    larger negative one is clipped to 0, and every pair with p_i + p_j > 0
+    counts.
     """
     if len(generator) != rho.truncation.dim:
         raise DimensionMismatch(
@@ -130,19 +132,28 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
         else:
             _, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
             shift = -exponent[:, None, None]
-            w, v = np.linalg.eigh(np.ldexp(blocks.real, shift) + 1j * np.ldexp(blocks.imag, shift))
+            blocks = _real_if_exact(blocks)  # a real eigh where every imaginary part is 0
+            scaled = np.ldexp(blocks.real, shift)
+            if np.iscomplexobj(blocks):
+                scaled = scaled + 1j * np.ldexp(blocks.imag, shift)
+            w, v = np.linalg.eigh(scaled)
+            del scaled
         if w.min() < -1e-12:
             raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} of a trace-scaled component")
         if v is None:
             continue
         w = np.clip(w, 0.0, None)
-        gt = v.conj().transpose(0, 2, 1) @ (g[members][:, :, None] * v)
+        gt = np.abs(v.conj().transpose(0, 2, 1) @ (g[members][:, :, None] * v)) ** 2
+        del v
         diff = w[:, :, None] - w[:, None, :]
-        den = w[:, :, None] + w[:, None, :]
-        ratio = np.zeros_like(den)
-        # the ratio first, then the difference: (w_i - w_j)^2 would underflow
-        np.divide(diff, den, out=ratio, where=den > 0.0)
-        value += float(np.sum(np.ldexp(np.sum(2.0 * ratio * diff * np.abs(gt) ** 2, axis=(1, 2)), exponent)))
+        # 2 (w_i - w_j)^2 / (w_i + w_j) |<i|G|j>|^2 in place, the ratio first, then the
+        # difference: (w_i - w_j)^2 would underflow; a pair with w_i + w_j = 0 keeps its 0
+        terms = w[:, :, None] + w[:, None, :]
+        np.divide(diff, terms, out=terms, where=terms > 0.0)
+        terms *= 2.0
+        terms *= diff
+        terms *= gt
+        value += float(np.sum(np.ldexp(np.sum(terms, axis=(1, 2)), exponent)))
     return QFIResult(value)
 
 
@@ -152,19 +163,18 @@ def _probe_vector(probe: ProbeSpec, trunc: FockTruncation) -> StateVector:
     return ecs_vector(probe.alpha, trunc)
 
 
-def _sectors(psi: StateVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A pure state's occupied total-photon sectors as (support, block) pairs, unnormalized.
+def _sectors(psi: StateVector) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A pure state's occupied total-photon sectors as loss factors, unnormalized.
 
-    Sector n's block is the outer product of its amplitudes, so its trace
+    Sector n is its amplitudes, one column of weight 1, so its squared norm
     is the sector's weight. Only the occupied basis states are visited, so
     a sector costs its own support rather than a pass over the whole
     two-mode basis.
     """
-    amp = psi.amplitudes
-    occupied = np.flatnonzero(amp)
+    occupied = np.flatnonzero(psi.amplitudes)
     totals = psi.truncation.totals()[occupied]
     supports = (occupied[totals == n] for n in np.flatnonzero(np.bincount(totals)))
-    return [(support, np.outer(amp[support], amp[support].conj())) for support in supports]
+    return [(support, psi.amplitudes[support, None], np.ones(1)) for support in supports]
 
 
 def build_scenario(
@@ -187,7 +197,7 @@ def build_scenario(
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
     psi = _probe_vector(probe, truncation)
     if reference == WITH_REFERENCE:
-        return apply_loss(psi.density(), probe.eta)
+        return apply_loss_pure(psi, probe.eta)
     return _kraus_loss(_sectors(psi), probe.eta, truncation)
 
 
@@ -218,7 +228,7 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     keeps full precision as p nears 1.
     """
     trunc = _ecs_cutoff(alpha)
-    sigma = apply_loss(ecs_vector(alpha, trunc).density(), eta)
+    sigma = apply_loss_pure(ecs_vector(alpha, trunc), eta)
     d = trunc.dim_single
     vac = np.zeros(d, dtype=complex)
     vac[0] = 1.0
@@ -374,8 +384,8 @@ def verify_all(
         return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
     def bs(alpha: float, eta: float) -> float:
-        rho = ecs_vector(alpha, cutoff[alpha]).density()
-        return _max_entry_gap(apply_loss(rho, eta), apply_loss_via_bs(rho, eta))
+        psi = ecs_vector(alpha, cutoff[alpha])
+        return _max_entry_gap(apply_loss_pure(psi, eta), apply_loss_via_bs(psi.density(), eta))
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
         s = spectrum_fn(alpha, eta)
@@ -387,7 +397,7 @@ def verify_all(
         return abs(s.gamma_plus + s.gamma_minus - 1.0), abs(s.gamma_plus * s.gamma_minus - s.det_sigma)
 
     def pipeline(alpha: float, eta: float) -> float:
-        direct = phase_average(apply_loss(ecs_vector(alpha, cutoff[alpha]).density(), eta))
+        direct = phase_average(apply_loss_pure(ecs_vector(alpha, cutoff[alpha]), eta))
         return _max_entry_gap(label_free(alpha, eta)[1], direct)
 
     def generator(alpha: float, eta: float) -> float:

@@ -8,8 +8,9 @@ a path superposition of one coherent pulse against vacuum. Projected onto
 total-photon sectors it is a weighted family of NOON states
 (|n>|0> + |0>|n>)/sqrt(2), which is what makes the NOON benchmark the natural
 comparison. All closed forms downstream depend on alpha only through
-|alpha|^2: the CLI takes any real alpha with 0 < |alpha| < inf (a negative
-one gives the numbers of -alpha), and the library complex amplitudes too.
+|alpha|^2: the CLI takes any real alpha with 0 < |alpha| < inf whose square
+does not underflow to 0 (a negative one gives the numbers of -alpha), and
+the library complex amplitudes too.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class ProbeSpec:
         check_eta(self.eta)
         if self.family == "ecs" and not 0.0 < abs(self.alpha) < math.inf:
             raise ValueError(f"ECS probe needs finite |alpha| > 0, got {self.alpha}")
+        # every closed form reads |alpha|^2; ** 2 would raise OverflowError at large alpha
+        if self.family == "ecs" and abs(self.alpha) * abs(self.alpha) == 0.0:
+            raise ValueError(f"ECS probe needs |alpha|^2 > 0 in double precision, got alpha={self.alpha}")
         if self.family == "noon" and self.n < 1:
             raise ValueError(f"NOON probe needs n >= 1, got {self.n}")
 

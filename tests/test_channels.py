@@ -3,8 +3,9 @@
 The loss tests lean on exactly solvable cases (coherent inputs, the
 semigroup property, the textbook dense Kraus sum) so the support-based
 implementation is checked against independent structure, not itself. The
-vectorized Kraus sum is also held bit for bit to the plain loop over
-(k1, k2) pairs it replaced, which is kept here as the reference.
+Gram-product Kraus sum is held entrywise to the dense sum over (k1, k2) of
+explicit np.kron Kraus products, and each lossy sector's components to a
+plain double loop over (k1, k2) pairs, kept here as a second reference.
 """
 
 import math
@@ -17,10 +18,10 @@ import numpy as np
 import pytest
 
 from phasefisher.channels import (
-    LOSS_CHUNK_TERMS,
     _bs_bands,
     _loss_table,
     apply_loss,
+    apply_loss_pure,
     apply_loss_via_bs,
     phase_average,
     single_arm_generator,
@@ -38,7 +39,7 @@ from phasefisher.qfi_oracle import (
     _ecs_cutoff,
     build_scenario,
 )
-from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector
+from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector, noon_vector
 from test_fock_core import _assert_parts_match_a_search
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,23 +99,6 @@ def _loop_loss(
     return out_support, acc
 
 
-def _loss_terms(rho: DensityOperator) -> int:
-    """Terms of the Kraus sum: the squared source count of every pair that moves a state."""
-    n1, n2 = np.divmod(rho.support, rho.truncation.dim_single)
-    return sum(
-        int(np.count_nonzero((n1 >= k1) & (n2 >= k2))) ** 2
-        for k1 in range(int(n1.max()) + 1)
-        for k2 in range(int(n2.max()) + 1)
-    )
-
-
-def _assert_matches_loop(rho: DensityOperator, eta: float) -> None:
-    support, block = _loop_loss(rho.support, rho.on(rho.support), eta, rho.truncation)
-    got = apply_loss(rho, eta)
-    assert np.array_equal(got.support, support)
-    assert np.array_equal(got.on(got.support), block)
-
-
 def _binomial_kraus(eta: float, d: int) -> list[np.ndarray]:
     """Dense K_k with <a| K_k |a + k> = sqrt(binom(a + k, k) eta^a (1 - eta)^k)."""
     ops = []
@@ -124,6 +108,47 @@ def _binomial_kraus(eta: float, d: int) -> list[np.ndarray]:
             mat[a, a + k] = math.sqrt(math.comb(a + k, k) * eta**a * (1.0 - eta) ** k)
         ops.append(mat)
     return ops
+
+
+# entrywise bound on the gap between a loss route and the np.kron Kraus sum, nine
+# ulp of 1, the largest entry: the amplitude route's gap below is at most 2.2e-16,
+# the eigensolve route's 6.7e-16 (a random pure density at eta 0)
+LOSS_ATOL = 2e-15
+
+
+def _kron_loss(rho: DensityOperator, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag from np.kron, as (box, dense block over box).
+
+    Loss moves no photon up, so rho and its image lie in the box of states
+    |n1, n2> with n1 < m1 and n2 < m2 that holds rho's support: the sum is
+    taken there, over one-mode Kraus matrices on m1 and m2 levels.
+    """
+    d = rho.truncation.dim_single
+    n1, n2 = np.divmod(rho.support, d)
+    m1, m2 = int(n1.max()) + 1, int(n2.max()) + 1
+    box = np.add.outer(np.arange(m1) * d, np.arange(m2)).ravel()
+    columns = np.searchsorted(box, rho.support)
+    block = rho.on(rho.support)
+    acc = np.zeros((box.size, box.size), dtype=complex)
+    for k1 in _binomial_kraus(eta, m1):
+        for k2 in _binomial_kraus(eta, m2):
+            k = np.kron(k1, k2)[:, columns]
+            rows = np.flatnonzero(k.any(axis=1))  # the rows this pair reaches
+            acc[np.ix_(rows, rows)] += k[rows] @ block @ k[rows].conj().T
+    return box, acc
+
+
+def _assert_routes_match_kron(rho: DensityOperator, eta: float, *routes: DensityOperator) -> None:
+    box, want = _kron_loss(rho, eta)
+    for got in routes:
+        assert np.isin(got.support, box).all()
+        assert float(np.max(np.abs(got.on(box) - want))) <= LOSS_ATOL
+
+
+def _assert_both_routes_match_kron(psi: StateVector, eta: float) -> None:
+    """A pure state through its amplitudes and through the eigensolve of its density."""
+    rho = psi.density()
+    _assert_routes_match_kron(rho, eta, apply_loss_pure(psi, eta), apply_loss(rho, eta))
 
 
 def _coherent_vacuum_product(alpha: float, trunc: FockTruncation) -> StateVector:
@@ -167,29 +192,41 @@ class TestKraus:
 
 
 class TestLossMatchesPairLoop:
-    """apply_loss against the double loop over (k1, k2): equal bit for bit."""
+    """apply_loss against the dense sum over (k1, k2) of np.kron Kraus products, within LOSS_ATOL."""
 
-    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.55, 0.9])
-    def test_dense_state_over_several_chunks(self, eta):
-        rho = _random_density(10, seed=21)
-        assert _loss_terms(rho) > 2 * LOSS_CHUNK_TERMS
-        _assert_matches_loop(rho, eta)
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    def test_random_pure_and_mixed_states(self, eta):
+        trunc = FockTruncation(5)
+        rng = np.random.default_rng(21)
+        amp = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
+        _assert_both_routes_match_kron(StateVector(amp / np.linalg.norm(amp), trunc), eta)
+        rho = _random_density(5, seed=21)
+        _assert_routes_match_kron(rho, eta, apply_loss(rho, eta))
 
-    @pytest.mark.parametrize("eta", [0.0, 0.45])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.45, 0.9, 1.0])
     def test_irregular_sparse_support(self, eta):
-        _assert_matches_loop(_irregular_density(22), eta)
+        rho = _irregular_density(22)
+        _assert_routes_match_kron(rho, eta, apply_loss(rho, eta))
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
     def test_ecs_and_its_sectors(self, alpha):
+        # the whole ECS at alpha 1 alone: the kron sum at alpha 2 (n_max 27) takes
+        # about 1 s an eta, and at alpha 3.5 (n_max 46) about 46 s
         trunc = _ecs_cutoff(alpha)
         psi = ecs_vector(alpha, trunc)
-        _assert_matches_loop(psi.density(), 0.9)
+        states = [psi] if trunc.n_max <= 16 else []
         totals = trunc.totals()
         for n in (0, 1, 4):
             mask = totals == n
             weight = float(np.sum(np.abs(psi.amplitudes[mask]) ** 2))
-            sector = StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc)
-            _assert_matches_loop(sector.density(), 0.6)
+            states.append(StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc))
+        for eta in (0.0, 0.3, 0.9, 1.0):
+            for state in states:
+                _assert_both_routes_match_kron(state, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+    def test_noon_probe(self, eta):
+        _assert_both_routes_match_kron(noon_vector(5, FockTruncation(5)), eta)
 
 
 class TestSectorFold:
@@ -210,7 +247,7 @@ class TestSectorFold:
                 block = np.outer(amp[support], amp[support].conj())
                 sectors.append(_loop_loss(support, block, eta, trunc))
         rho = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
-        _assert_parts_match_a_search(rho, sectors)
+        _assert_parts_match_a_search(rho, sectors, atol=LOSS_ATOL)
         return rho
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
@@ -227,7 +264,7 @@ class TestSectorFold:
 
 class TestApplyLoss:
     def test_matches_dense_kraus_sum(self):
-        # n_max = 10 spreads the sum over several chunks
+        # at n_max = 10 the input has full rank 121: 121 columns of M per Kraus pair
         for n_max in (4, 10):
             rho = _random_density(n_max, seed=11)
             eta = 0.55
@@ -343,7 +380,27 @@ class TestGenerators:
         _assert_read_only_diagonal(single_arm_generator(trunc), trunc.occupations()[0])
 
 
+def _hermitian_bs_bands(eta: float, d: int) -> np.ndarray:
+    """_bs_bands from the complex Hermitian generator H = i theta (a^dag b - a b^dag) itself."""
+    theta = np.arccos(np.sqrt(eta))
+    bands = np.zeros((d, d), dtype=complex)
+    for n in range(d):
+        # <n - e - 1, e + 1|H|n - e, e> = -i theta sqrt((n - e)(e + 1))
+        off = -1j * theta * np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1))
+        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off.conj(), 1))
+        e = np.arange(n + 1)
+        bands[e, n - e] = (v * (np.exp(-1j * w) * v[0].conj())).sum(axis=1)
+    return bands
+
+
 class TestBeamSplitterRoute:
+    @pytest.mark.parametrize("d", [1, 2, 7, 25, 60])
+    def test_bands_equal_the_hermitian_route(self, d):
+        # the real symmetric theta A_n, with the phases i^e applied after, against exp(-iH)
+        for eta in (0.0, 0.3, 0.6, 0.9, 0.99, 1.0):
+            gap = np.abs(_bs_bands(eta, d) - _hermitian_bs_bands(eta, d))
+            assert float(gap.max()) <= 1e-14
+
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 1.0])
     def test_bands_columns_have_unit_norm(self, eta):
         # column |n, 0> of the unitary lies in the block |n - e, e>, e = 0 .. n

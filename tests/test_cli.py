@@ -160,6 +160,17 @@ class TestPoint:
         assert "nan" not in captured.out
         assert "alpha" in captured.err
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed", "oracle"])
+    def test_alpha_whose_square_underflows_exits_two(self, capsys, oracle):
+        # (1e-200)^2 is 0 in double precision, where every closed form reads alpha = 0;
+        # alpha 1e-160 keeps a subnormal square and runs (the fuzz test pins it)
+        rc = main(["point", "--family", "ecs", "--alpha", "1e-200", "--eta", "0.5",
+                   "--reference", "with", *oracle])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ECS probe needs |alpha|^2 > 0")
+
     @pytest.mark.parametrize("reference", ["with", "without"])
     def test_alpha_beyond_double_range_exits_two(self, capsys, reference):
         # |alpha|^2 itself overflows at alpha = 1e200
@@ -565,11 +576,14 @@ class TestVerify:
         [
             ["--grid", "single", "--alpha", "nan", "--eta", "0.9"],
             ["--grid", "single", "--alpha", "1e155", "--eta", "0.9"],
+            # every closed form tests |alpha|^2 == 0, and three rows would fail
+            ["--grid", "single", "--alpha", "1e-200", "--eta", "0.5"],
             # the cutoff (n_max 1039) fits, the stability row's doubled one (2078) does not
             ["--grid", "single", "--alpha", "28.75", "--eta", "0.9"],
             ["--eta", "1.5"],
         ],
-        ids=["alpha-nan", "alpha-squared-overflows", "doubled-cutoff-too-large",
+        ids=["alpha-nan", "alpha-squared-overflows", "alpha-squared-underflows",
+             "doubled-cutoff-too-large",
              "eta-1.5"],
     )
     def test_domain_error_exits_two_before_any_check(self, capsys, argv):
@@ -642,8 +656,8 @@ class TestVerify:
         """The ref row skips no point, also where the minor eigenvalue is tiny.
 
         At alpha 1, eta 1e-300 (gamma_minus below GAMMA_MINUS_FLOOR) the
-        oracle gives 7.310585786299667e-301 against the closed form's
-        7.310585786300049e-301, 5.2e-14 apart: qfi_numeric forms each pair's
+        oracle gives 7.310585786299656e-301 against the closed form's
+        7.310585786300049e-301, 5.4e-14 apart: qfi_numeric forms each pair's
         (w_i - w_j)/(w_i + w_j) before multiplying by w_i - w_j, so no squared
         eigenvalue difference underflows. The run exits 0: the two spectrum
         rows pass there too.

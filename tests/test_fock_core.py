@@ -54,7 +54,9 @@ def _search(support: np.ndarray, m: np.ndarray) -> list[tuple[np.ndarray, np.nda
 
 
 def _assert_parts_match_a_search(
-    rho: DensityOperator, sectors: list[tuple[np.ndarray, np.ndarray]] | None = None
+    rho: DensityOperator,
+    sectors: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    atol: float = 0.0,
 ) -> None:
     """rho.parts are the components a search over the exact nonzeros finds.
 
@@ -62,7 +64,8 @@ def _assert_parts_match_a_search(
     must be its components in its order. sectors are (support, dense block)
     pairs that sum to rho, the lossy sectors of a reference-free operator:
     each is searched on its own, and the parts must be all their components
-    as a multiset. Each stored block is the searched block's, bit for bit.
+    as a multiset. Each stored block is the searched block's within atol
+    entrywise, by default bit for bit.
     """
     stored = [(rho.support[m], b) for members, blocks in rho.parts for m, b in zip(members, blocks)]
     if sectors is None:
@@ -74,7 +77,7 @@ def _assert_parts_match_a_search(
     assert len(stored) == len(want)
     for (got_states, got_block), (want_states, want_block) in zip(stored, want):
         assert np.array_equal(got_states, want_states)
-        assert np.array_equal(got_block, want_block)
+        assert float(np.max(np.abs(got_block - want_block))) <= atol
 
 
 class TestTruncation:
