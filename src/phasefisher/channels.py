@@ -61,12 +61,15 @@ def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTru
     The inputs' traces sum to 1; each may be one sector of a state. Pair
     (k1, k2) moves each source |n1, n2> with n1 >= k1 and n2 >= k2 to
     |n1 - k1, n2 - k2>, one to one, so its image of V's column j is a column
-    of M, filled with no sum. A column links its images; their connected
-    unions are the input's lossy components, in _grouped order, never merged
-    with another input's. Each stack of equal-size components takes one
-    batched M diag(w) M^dag, real where V's imaginary parts are exactly 0,
-    and the lone states one np.bincount of w |M entry|^2. At eta = 1 only
-    pair (0, 0) moves anything, so it is the only pair visited.
+    of M, filled with no sum. An image of value exactly 0 (eta = 0, or an
+    underflowed (1 - eta)^k) is dropped first. A column links its images;
+    their connected unions are the input's lossy components, in _grouped
+    order, never merged with another input's. Each stack of equal-size
+    components takes one batched M diag(w) M^dag, real where V's imaginary
+    parts are exactly 0, and the lone states one np.bincount of w |M entry|^2;
+    a component whose every entry is 0 is dropped, and the support is the
+    states of the rest. At eta = 1 only pair (0, 0) moves anything, so it is
+    the only pair visited.
     """
     d = trunc.dim_single
     supports, factors, weights = zip(*inputs)
@@ -78,23 +81,28 @@ def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTru
     n1, n2 = np.divmod(np.repeat(np.concatenate(supports), per_state), d)
     w = np.concatenate(weights)[(np.cumsum(ranks) - ranks)[owner] + j]
     amp = _real_if_exact(np.concatenate([v.ravel() for v in factors]))
-    # every (source, pair) incidence, sorted by (input, pair, j)
+    # every (source, pair) incidence and its image's value
     per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
     k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
-    key = ((owner[src] * d + k1) * d + k2) * ranks.max() + j[src]
-    order = np.argsort(key, kind="stable")
-    src, k1, k2, fresh = src[order], k1[order], k2[order], np.diff(key[order], prepend=-1) != 0
-    first, column = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
     table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)  # no pair reaches past it
-    values, w = amp[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2], w[src]
+    values = amp[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
+    # the incidences whose image is not exactly 0 (a zero neither links states nor
+    # fills M), sorted by (input, pair, j)
+    kept = np.flatnonzero(values)
+    key = (((owner[src] * d + k1) * d + k2) * ranks.max() + j[src])[kept]
+    by_key = np.argsort(key, kind="stable")
+    order = kept[by_key]
+    src, k1, k2, values = src[order], k1[order], k2[order], values[order]
+    fresh, w = np.diff(key[by_key], prepend=-1) != 0, w[src]
+    first, column = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
     # the output states, (input, basis index) ascending, and each incidence's among them
     image = (owner[src] * d + n1[src] - k1) * d + n2[src] - k2
     order = np.argsort(image)
     fresh = np.diff(image[order], prepend=-1) != 0
     out, dst = image[order][fresh], np.empty_like(order)
     dst[order] = np.cumsum(fresh) - 1
-    del src, key, order, k1, k2, image, fresh
+    del src, key, kept, by_key, order, k1, k2, image, fresh
     # link each column's images until each output state holds its union's first position
     size = np.diff(first, append=dst.size)
     labels, previous = np.arange(out.size), None
@@ -109,7 +117,7 @@ def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTru
     place = np.empty_like(order)
     place[order] = np.arange(order.size) - np.repeat(run, np.diff(run, append=order.size))
     col = place[column]
-    support = np.flatnonzero(np.bincount(out % (d * d)))
+    del column, place
     # output state q is row i of component k of the stack of its component's size
     parts, index, span = [], np.empty_like(labels), np.bincount(labels)[labels]
     for members in _grouped(labels):
@@ -126,9 +134,15 @@ def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTru
             left[k, i, col[at]] = w[at] * values[at]
             blocks = left @ m.conj().transpose(0, 2, 1)
             del m, left
-        parts.append((np.searchsorted(support, out[members] % (d * d)), blocks))
+        # a component whose every entry is 0 (underflowed) is dropped
+        kept = np.flatnonzero(blocks.any(axis=(1, 2)))
+        if kept.size < count:
+            members, blocks = members[kept], blocks[kept]
+        parts.append((out[members] % (d * d), blocks))
     del values, w, dst, col, at, k, i  # freed before the checks
-    return DensityOperator(support, tuple(parts), trunc)
+    support = np.flatnonzero(np.bincount(np.concatenate([m.ravel() for m, _ in parts])))
+    parts = tuple((np.searchsorted(support, m), b) for m, b in parts if m.size)
+    return DensityOperator(support, parts, trunc)
 
 
 def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
@@ -155,8 +169,7 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
 def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
     """apply_loss(psi.density(), eta) from psi's amplitudes, one column of weight 1: no eigensolve."""
     check_eta(eta)
-    support = np.flatnonzero(psi.amplitudes)
-    return _kraus_loss([(support, psi.amplitudes[support, None], np.ones(1))], eta, psi.truncation)
+    return _kraus_loss([(psi.support, psi.amplitudes[psi.support, None], np.ones(1))], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

@@ -6,9 +6,10 @@ The fixed ordering keeps golden-file comparisons bit-stable.
 
 Pure states are dense complex128 amplitude vectors. A density operator is
 the sum of components, each a dense block over a few of the basis states it
-occupies; a component that holds an exact zero is split into the connected
-components of its exact nonzeros once, at construction. Values are treated
-as immutable after construction; the wrappers mark their buffers read-only.
+occupies. Given components are stored as given; a dense block that holds an
+exact zero is split into the connected components of its exact nonzeros
+once, at construction. Values are treated as immutable after construction;
+the wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class StateVector:
 
     amplitudes: np.ndarray
     truncation: FockTruncation
+    support: np.ndarray = field(init=False, repr=False)  # the basis states of nonzero amplitude
 
     def __post_init__(self) -> None:
         if self.amplitudes.shape != (self.truncation.dim,):
@@ -147,11 +149,11 @@ class StateVector:
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm^2 = {nrm!r} deviates from 1 beyond {NORM_ATOL}")
         _read_only(self.amplitudes)
+        object.__setattr__(self, "support", _read_only(np.flatnonzero(self.amplitudes)))
 
     def density(self) -> "DensityOperator":
-        support = np.flatnonzero(self.amplitudes)
-        amp = self.amplitudes[support]
-        return DensityOperator(support, np.outer(amp, amp.conj()), self.truncation)
+        amp = self.amplitudes[self.support]
+        return DensityOperator(self.support, np.outer(amp, amp.conj()), self.truncation)
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,11 @@ class DensityOperator:
     support, one component, or the components themselves: stacks as in
     `parts`, which may share basis states (the lossy sectors of a
     reference-free scenario do, and each keeps its own components, so the
-    sector label survives). Finite entries and hermiticity are enforced on
-    each stack and trace one on their sum. A component of two or more
-    states that holds an exact zero is split into the connected components
-    of its exact nonzeros, on its own, and the stacks are then ordered as
-    _grouped orders them; a lone state is a component whatever its entry.
+    sector label survives). Given stacks are stored as given. A dense block
+    of two or more states that holds an exact zero is split into the
+    connected components of its exact nonzeros, stacked as _grouped stacks
+    them. Finite entries and hermiticity are enforced on each stack and
+    trace one on their sum.
     Positivity is enforced where spectra are taken (the QFI eigensolve clips
     roundoff-negative eigenvalues and rejects anything worse).
     """
@@ -186,7 +188,10 @@ class DensityOperator:
         if not isinstance(block, tuple):
             if block.shape != (s.size, s.size):
                 raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
-            block = ((np.arange(s.size)[None], block[None]),)
+            if s.size > 1 and not block.all():
+                block = _components(block)
+            else:
+                block = ((np.arange(s.size)[None], block[None]),)
         dev = 0.0
         for members, blocks in block:
             if not np.isfinite(blocks).all():
@@ -196,30 +201,16 @@ class DensityOperator:
                     f"at basis indices ({s[members[k, i]]}, {s[members[k, j]]})"
                 )
             # a fresh array even for a real block, whose .conj() is the block
-            # itself; subtracting in place then copies a large block once
+            # itself; the subtraction and the absolute value then write into it
             gap = np.conj(blocks.transpose(0, 2, 1))
             gap -= blocks
-            dev = max(dev, float(np.abs(gap).max(initial=0.0)))
+            dev = max(dev, float(np.abs(gap, out=gap).real.max(initial=0.0)))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
         tr = sum(complex(np.trace(b, axis1=1, axis2=2).sum()) for _, b in block)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        stacks, split = [], False
-        for members, blocks in block:
-            # a component of two or more states that holds an exact zero splits, on its own
-            holed = ~blocks.all(axis=(1, 2)) & (members.shape[1] > 1)
-            if holed.any():
-                split = True
-                stacks.append((members[~holed], blocks[~holed]))
-                for k in np.flatnonzero(holed):
-                    stacks += [(members[k][sub], b) for sub, b in _components(blocks[k])]
-            else:
-                stacks.append((members, blocks))
-        if split:
-            sizes = sorted({m.shape[1] for m, _ in stacks if len(m)})
-            stacks = [_stacked([p for p in stacks if p[0].shape[1] == size]) for size in sizes]
-        object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in stacks))
+        object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in block))
         _read_only(s)
 
     def on(self, support: np.ndarray) -> np.ndarray:
@@ -257,13 +248,6 @@ def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         labels = np.where(linked, labels, block.shape[0]).min(axis=1)
         labels = labels[labels]
     return tuple((m, block[m[:, :, None], m[:, None, :]]) for m in _grouped(labels))
-
-
-def _stacked(stacks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of one component size as one, its rows stably ordered by first state, as by _grouped."""
-    members = np.concatenate([m for m, _ in stacks])
-    order = np.argsort(members[:, 0], kind="stable")
-    return members[order], np.concatenate([b for _, b in stacks])[order]
 
 
 def _grouped(labels: np.ndarray) -> list[np.ndarray]:

@@ -171,9 +171,8 @@ def _sectors(psi: StateVector) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
     a sector costs its own support rather than a pass over the whole
     two-mode basis.
     """
-    occupied = np.flatnonzero(psi.amplitudes)
-    totals = psi.truncation.totals()[occupied]
-    supports = (occupied[totals == n] for n in np.flatnonzero(np.bincount(totals)))
+    totals = psi.truncation.totals()[psi.support]
+    supports = (psi.support[totals == n] for n in np.flatnonzero(np.bincount(totals)))
     return [(support, psi.amplitudes[support, None], np.ones(1)) for support in supports]
 
 

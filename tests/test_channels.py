@@ -301,6 +301,19 @@ class TestApplyLoss:
         want[0, 0] = 1.0
         assert np.allclose(rho.matrix, want, atol=1e-13)
 
+    def test_zero_transmission_leaves_the_vacuum_alone(self):
+        # at eta 0 every image but the vacuum's is exactly 0, so no other state is stored;
+        # each reference-free sector keeps its own vacuum component
+        outputs = (
+            apply_loss(_random_density(3, seed=14), 0.0),
+            apply_loss_pure(ecs_vector(2.0, _ecs_cutoff(2.0)), 0.0),
+            build_scenario(ProbeSpec("ecs", 0.0, alpha=2.0), WITHOUT_REFERENCE),
+        )
+        for rho in outputs:
+            assert rho.support.tolist() == [0]
+            assert [members.shape[1] for members, _ in rho.parts] == [1]
+            assert rho.on(rho.support)[0, 0] == pytest.approx(1.0, abs=1e-13)
+
     def test_output_is_positive(self):
         rho = apply_loss(_random_density(4, seed=15), 0.4)
         assert float(np.linalg.eigvalsh(rho.matrix).min()) > -1e-12

@@ -64,14 +64,15 @@ def _assert_parts_match_a_search(
     must be its components in its order. sectors are (support, dense block)
     pairs that sum to rho, the lossy sectors of a reference-free operator:
     each is searched on its own, and the parts must be all their components
-    as a multiset. Each stored block is the searched block's within atol
-    entrywise, by default bit for bit.
+    that hold a nonzero, as a multiset (loss stores no all-zero component).
+    Each stored block is the searched block's within atol entrywise, by
+    default bit for bit.
     """
     stored = [(rho.support[m], b) for members, blocks in rho.parts for m, b in zip(members, blocks)]
     if sectors is None:
         want = _search(rho.support, rho.on(rho.support))
     else:
-        want = [c for support, m in sectors for c in _search(support, m)]
+        want = [c for support, m in sectors for c in _search(support, m) if c[1].any()]
         for components in (stored, want):
             components.sort(key=lambda c: (c[0].tolist(), c[1].real.tolist(), c[1].imag.tolist()))
     assert len(stored) == len(want)
@@ -331,10 +332,10 @@ class TestStateWrappers:
         for (m1, b1), (m2, b2) in zip(again.parts, rho.parts, strict=True):
             assert np.array_equal(m1, m2) and np.array_equal(b1, b2)
 
-    def test_one_state_components_holding_zeros_are_kept_as_predicted(self):
-        # sector n = 400 at eta 0.9: (1 - eta)^k underflows to 0 past k ~ 323, so the lone
-        # states near |0, 0> hold exact zeros; they split no further, and no dense block
-        # over the 801 output states (10 MB) is built to find that out
+    def test_underflowed_lone_states_are_not_stored(self):
+        # sector n = 400 at eta 0.9: (1 - eta)^k underflows to 0 past k ~ 323, so 63 of the
+        # 799 lone states near |0, 0> would hold exact zeros; loss stores none of them, and
+        # no dense block over the 801 output states (10 MB) is built to find that out
         n = 400
         t = FockTruncation(n)
         amp = np.zeros(t.dim, dtype=complex)
@@ -346,11 +347,26 @@ class TestStateWrappers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (lone, lone_blocks), (pair, _) = rho.parts
-        assert lone.shape == (2 * n - 1, 1) and pair.shape == (1, 2)
-        assert np.count_nonzero(lone_blocks == 0) > 0
+        (lone, _), (pair, _) = rho.parts
+        assert lone.shape == (736, 1) and pair.shape == (1, 2)
+        assert rho.support.size == 736 + 2
+        assert all(blocks.any(axis=(1, 2)).all() for _, blocks in rho.parts)
         _assert_parts_match_a_search(rho)
         assert peak < 5 * 2**20  # the loss table takes 1.3 MB of it
+
+    def test_hermiticity_check_takes_one_block_sized_temporary(self):
+        # a real 1,000-state block (7.6 MiB) with no exact zero is stored as given; the check's
+        # one temporary, the conjugate transpose, then holds the gaps and their absolute values
+        a = np.random.default_rng(7).random((1000, 1000)) + 1.0
+        block = (a + a.T) / np.trace(a + a.T)
+        tracemalloc.start()
+        try:
+            rho = DensityOperator(np.arange(1000), block, FockTruncation(31))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(rho.parts[0][1], block)
+        assert peak < 1.25 * block.nbytes
 
     def test_parts_cover_every_exact_nonzero(self):
         # a chain 0-2-4 and a pair 1-3, given in interleaved order, plus the lone state 5
@@ -394,3 +410,6 @@ class TestStateWrappers:
         psi = StateVector(amp, t)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+        assert psi.support.tolist() == [0]
+        with pytest.raises(ValueError):
+            psi.support[0] = 1

@@ -236,6 +236,17 @@ class TestBuildScenario:
         value = float(np.sum(weights * n**2 * eta**n))
         assert _rel(value, qfi_ecs_noref(alpha, eta).value) <= 1e-12
 
+    def test_no_stored_component_is_all_zero(self):
+        """At alpha 20, eta 0.9 no stored component is all zero, and F holds to 1e-12.
+
+        The lossy images of the lightest sectors and of the far lone states
+        underflow to 0; 24,960 such entries were stored before they were
+        dropped, and 5.521161190177005e-13 is F computed with them kept.
+        """
+        rho = build_scenario(ProbeSpec("ecs", 0.9, alpha=20.0), WITHOUT_REFERENCE)
+        assert all(blocks.any(axis=(1, 2)).all() for _, blocks in rho.parts)
+        assert _rel(scenario_qfi(rho).value, 5.521161190177005e-13) <= 1e-12
+
     def test_large_field_oracle_stays_small(self):
         """alpha = 4 on a 54-state-per-mode cutoff: both references, traced peak below 64 MB.
 
