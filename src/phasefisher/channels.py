@@ -9,10 +9,12 @@ truncated exactly at the cutoff (a^k annihilates everything above it). Each
 two-mode Kraus pair maps |n1, n2> to the single state |n1 - k1, n2 - k2>,
 so loss moves weight onto the downward closure of the input support, and
 the output states a pair links are known from the support alone. An input
-is a factor V diag(w) V^dag of its block (a pure state: its amplitudes),
-and each output component is the Gram product M diag(w) M^dag of the Kraus
-images M of V's columns: the operator-sum form on a purification (Escher,
-de Matos Filho and Davidovich, Nat. Phys. 7, 406 (2011)), state-agnostic.
+block is sum_j w_j V_j V_j^dag, given as its sources, the nonzero entries
+of its columns V_j (a pure state: its amplitudes, one column; a mixed one:
+each component's eigenvectors), and each output component is the Gram
+product M diag(w) M^dag of the Kraus images M of those columns: the
+operator-sum form on a purification (Escher, de Matos Filho and Davidovich,
+Nat. Phys. 7, 406 (2011)), state-agnostic.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -28,7 +30,7 @@ import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
 from .fock_core import DensityOperator, FockTruncation, StateVector
-from .fock_core import _grouped, _read_only, _real_if_exact
+from .fock_core import _grouped, _labels, _read_only, _real_if_exact
 
 
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
@@ -55,69 +57,62 @@ def _loss_table(eta: float, d: int) -> np.ndarray:
     return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
 
 
-def _kraus_loss(inputs: list[tuple[np.ndarray, ...]], eta: float, trunc: FockTruncation) -> DensityOperator:
-    """Loss on each input factor (support, V, w), whose block is V diag(w) V^dag, as one operator.
+def _kraus_loss(
+    state: np.ndarray, column: np.ndarray, amp: np.ndarray, w: np.ndarray, label: np.ndarray,
+    eta: float, trunc: FockTruncation,
+) -> DensityOperator:
+    """Loss on the block sum_j w_j V_j V_j^dag of the columns V_j of the sources, as one operator.
 
-    The inputs' traces sum to 1; each may be one sector of a state. Pair
-    (k1, k2) moves each source |n1, n2> with n1 >= k1 and n2 >= k2 to
-    |n1 - k1, n2 - k2>, one to one, so its image of V's column j is a column
-    of M, filled with no sum. An image of value exactly 0 (eta = 0, or an
-    underflowed (1 - eta)^k) is dropped first. A column links its images;
-    their connected unions are the input's lossy components, in _grouped
-    order, never merged with another input's. Each stack of equal-size
-    components takes one batched M diag(w) M^dag, real where V's imaginary
-    parts are exactly 0, and the lone states one np.bincount of w |M entry|^2;
-    a component whose every entry is 0 is dropped, and the support is the
-    states of the rest. At eta = 1 only pair (0, 0) moves anything, so it is
-    the only pair visited.
+    Each source is one entry of V: its basis state, its column and its
+    amplitude. w and label are per column, and the label names the input a
+    column belongs to (a sector of a state, say). Pair (k1, k2) moves each
+    source |n1, n2> with n1 >= k1 and n2 >= k2 to |n1 - k1, n2 - k2>, one
+    to one, so its image of column j is a column of M, filled with no sum.
+    An image of value exactly 0 (eta = 0, or an underflowed (1 - eta)^k) is
+    dropped first. A column links its images; their connected unions are
+    the lossy components, in _grouped order, never merged across labels.
+    Each stack of equal-size components takes one batched M diag(w) M^dag,
+    real where the amplitudes' imaginary parts are exactly 0, and the lone
+    states one np.bincount of w |M entry|^2; a component whose every entry
+    is 0 is dropped, and the support is the states of the rest. At eta = 1
+    only pair (0, 0) moves anything, so it is the only pair visited.
     """
     d = trunc.dim_single
-    supports, factors, weights = zip(*inputs)
-    sizes, ranks = np.array([s.size for s in supports]), np.array([v.shape[1] for v in factors])
-    # one source per (input, basis state, column j of V): its entry of V and w_j
-    owner = np.repeat(np.arange(sizes.size), sizes * ranks)
-    per_state = np.repeat(ranks, sizes)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(per_state) - per_state, per_state)
-    n1, n2 = np.divmod(np.repeat(np.concatenate(supports), per_state), d)
-    w = np.concatenate(weights)[(np.cumsum(ranks) - ranks)[owner] + j]
-    amp = _real_if_exact(np.concatenate([v.ravel() for v in factors]))
+    n1, n2 = np.divmod(state, d)
     # every (source, pair) incidence and its image's value
     per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
     k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
     table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)  # no pair reaches past it
-    values = amp[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
+    values = _real_if_exact(amp)[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
     # the incidences whose image is not exactly 0 (a zero neither links states nor
-    # fills M), sorted by (input, pair, j)
+    # fills M), sorted by (label, pair, column); callers list their sources label by
+    # label, so the stable sort meets long sorted runs
     kept = np.flatnonzero(values)
-    key = (((owner[src] * d + k1) * d + k2) * ranks.max() + j[src])[kept]
+    j = column[src[kept]]
+    key = ((label[j] * d + k1[kept]) * d + k2[kept]) * w.size + j
     by_key = np.argsort(key, kind="stable")
-    order = kept[by_key]
+    fresh, order, j = np.diff(key[by_key], prepend=-1) != 0, kept[by_key], j[by_key]
+    del key, kept, by_key
     src, k1, k2, values = src[order], k1[order], k2[order], values[order]
-    fresh, w = np.diff(key[by_key], prepend=-1) != 0, w[src]
-    first, column = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
-    # the output states, (input, basis index) ascending, and each incidence's among them
-    image = (owner[src] * d + n1[src] - k1) * d + n2[src] - k2
+    first, run, w = np.flatnonzero(fresh), np.cumsum(fresh) - 1, w[j]  # each run is one column of M
+    # the output states, (label, basis index) ascending, and each incidence's among them
+    image = (label[j] * d + n1[src] - k1) * d + n2[src] - k2
     order = np.argsort(image)
     fresh = np.diff(image[order], prepend=-1) != 0
     out, dst = image[order][fresh], np.empty_like(order)
     dst[order] = np.cumsum(fresh) - 1
-    del src, key, kept, by_key, order, k1, k2, image, fresh
-    # link each column's images until each output state holds its union's first position
-    size = np.diff(first, append=dst.size)
-    labels, previous = np.arange(out.size), None
-    while not np.array_equal(labels, previous):
-        previous = labels.copy()
-        np.minimum.at(labels, dst, np.repeat(np.minimum.reduceat(labels[dst], first), size))
-        labels = labels[labels]
+    del src, order, k1, k2, j, image, fresh
+    # each output state labelled by its component's first, linked to its column's first image
+    labels = _labels(out.size, dst, dst[first][run])
     # each column's component (its first state), and its place among that component's columns
     home = labels[dst[first]]
     order = np.argsort(home, kind="stable")
-    run = np.flatnonzero(np.diff(home[order], prepend=-1) != 0)
+    starts = np.flatnonzero(np.diff(home[order], prepend=-1) != 0)
     place = np.empty_like(order)
-    place[order] = np.arange(order.size) - np.repeat(run, np.diff(run, append=order.size))
-    col = place[column]
-    del column, place
+    place[order] = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+    col = place[run]
+    del run, place
     # output state q is row i of component k of the stack of its component's size
     parts, index, span = [], np.empty_like(labels), np.bincount(labels)[labels]
     for members in _grouped(labels):
@@ -151,25 +146,30 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag on the
     downward closure of rho's support, by _kraus_loss from one eigh per
     stack of rho's components, its eigenvalues signed as they come (so the
-    trace is kept). apply_loss_pure takes a pure state with no eigh.
+    trace is kept): each component's eigenvectors are its columns, and
+    their entries on its own states the sources. apply_loss_pure takes a
+    pure state with no eigh.
     """
     check_eta(eta)
     if eta == 1.0:
         return rho
-    columns = sum(members.size for members, _ in rho.parts)
-    v, w, used = np.zeros((rho.support.size, columns), dtype=complex), np.empty(columns), 0
+    sources, used = [], 0  # per stack: each source's state, column and amplitude, and each column's w
     for members, blocks in rho.parts:
         count, s = members.shape
-        cols = used + np.arange(count * s).reshape(count, 1, s)
-        w[cols[:, 0]], v[members[:, :, None], cols] = np.linalg.eigh(_real_if_exact(blocks))
+        w, v = np.linalg.eigh(_real_if_exact(blocks))
+        # entry (k, i, c) is state i of component k in its eigenvector c, column used + k s + c
+        column = np.tile(used + np.arange(count * s).reshape(count, 1, s), (1, s, 1))
+        sources.append((np.repeat(rho.support[members], s), column.ravel(), v.ravel(), w.ravel()))
         used += count * s
-    return _kraus_loss([(rho.support, v, w)], eta, rho.truncation)
+    return _kraus_loss(*map(np.concatenate, zip(*sources)), np.zeros(used, dtype=int), eta, rho.truncation)
 
 
 def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
     """apply_loss(psi.density(), eta) from psi's amplitudes, one column of weight 1: no eigensolve."""
     check_eta(eta)
-    return _kraus_loss([(psi.support, psi.amplitudes[psi.support, None], np.ones(1))], eta, psi.truncation)
+    zero = np.zeros(psi.support.size, dtype=int)
+    amp = psi.amplitudes[psi.support]
+    return _kraus_loss(psi.support, zero, amp, np.ones(1), zero[:1], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:
@@ -179,7 +179,7 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     between basis states of different n1 + n2 and leaves the rest untouched;
     the masking below is that integral done exactly. Idempotent.
     """
-    tot = rho.truncation.totals()[rho.support]
+    tot = rho.truncation.totals(rho.support)
     mask = tot[:, None] == tot[None, :]
     return DensityOperator(rho.support, np.where(mask, rho.on(rho.support), 0.0), rho.truncation)
 

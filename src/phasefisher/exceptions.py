@@ -1,7 +1,9 @@
-"""Error types raised across the package, and the one transmittance check.
+"""Error types raised across the package, the one transmittance check and the one overflow report.
 
 Everything derives from PhaseFisherError so callers can catch broadly.
 """
+
+import functools
 
 
 class PhaseFisherError(Exception):
@@ -44,6 +46,20 @@ class NonpositiveFisher(PhaseFisherError):
 
 class NumericalOverflow(PhaseFisherError):
     """A closed form leaves the double-precision range, or an operator holds a non-finite entry."""
+
+
+def _in_double_range(closed_form):
+    """Report a float overflow inside closed_form as NumericalOverflow naming it."""
+
+    @functools.wraps(closed_form)
+    def checked(*args, **kwargs):
+        try:
+            return closed_form(*args, **kwargs)
+        except OverflowError as exc:
+            message = f"{closed_form.__name__} overflows double precision at {args or kwargs}: {exc}"
+            raise NumericalOverflow(message) from exc
+
+    return checked
 
 
 class OracleTooLarge(PhaseFisherError):

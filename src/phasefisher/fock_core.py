@@ -25,6 +25,7 @@ from .exceptions import (
     NumericalOverflow,
     OracleTooLarge,
     TruncationTooSmall,
+    _in_double_range,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -75,9 +76,9 @@ class FockTruncation:
         d = self.dim_single
         return np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
 
-    def totals(self) -> np.ndarray:
-        """Total photon number n1 + n2 per basis index."""
-        n1, n2 = self.occupations()
+    def totals(self, index: np.ndarray) -> np.ndarray:
+        """Total photon number n1 + n2 of each basis index."""
+        n1, n2 = np.divmod(index, self.dim_single)
         return n1 + n2
 
 
@@ -234,20 +235,24 @@ class DensityOperator:
 
 
 def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The connected components of a dense block's exact nonzeros, stacked as by _grouped.
-
-    Each position takes the smallest label among its nonzero entries, then
-    that label's label, until no label moves.
-    """
-    linked = block != 0
-    linked |= linked.T
-    np.fill_diagonal(linked, True)
-    labels, previous = np.arange(block.shape[0]), None
-    while not np.array_equal(labels, previous):
-        previous = labels
-        labels = np.where(linked, labels, block.shape[0]).min(axis=1)
-        labels = labels[labels]
+    """The connected components of a dense block's exact nonzeros, stacked as by _grouped."""
+    labels = _labels(block.shape[0], *np.nonzero(block))
     return tuple((m, block[m[:, :, None], m[:, None, :]]) for m in _grouped(labels))
+
+
+def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of n positions labelled by the first position of its component under the edges (a, b).
+
+    Each undirected edge's ends take the smaller of their labels, b first,
+    then every label its own label's, until no label moves.
+    """
+    labels, previous = np.arange(n), None
+    while not np.array_equal(labels, previous):
+        previous = labels.copy()
+        np.minimum.at(labels, b, labels[a])
+        np.minimum.at(labels, a, labels[b])
+        labels = labels[labels]
+    return labels
 
 
 def _grouped(labels: np.ndarray) -> list[np.ndarray]:
@@ -261,6 +266,7 @@ def _grouped(labels: np.ndarray) -> list[np.ndarray]:
     return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
 
 
+@_in_double_range
 def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """Single-mode coherent amplitudes c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 

@@ -32,7 +32,6 @@ eigensolve of the two-level matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -41,6 +40,7 @@ from .exceptions import (
     InvalidEta,
     NonpositiveFisher,
     NumericalOverflow,
+    _in_double_range,
     check_eta,
 )
 from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights, solve_alpha
@@ -81,21 +81,6 @@ class EcsLossySpectrum:
     det_sigma: float
     gamma_plus: float
     gamma_minus: float
-
-
-def _in_double_range(closed_form):
-    """Report a float overflow inside closed_form as NumericalOverflow."""
-
-    @functools.wraps(closed_form)
-    def checked(*args, **kwargs):
-        try:
-            return closed_form(*args, **kwargs)
-        except OverflowError as exc:
-            raise NumericalOverflow(
-                f"{closed_form.__name__} overflows double precision at {args or kwargs}: {exc}"
-            ) from exc
-
-    return checked
 
 
 @_in_double_range

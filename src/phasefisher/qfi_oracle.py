@@ -46,7 +46,6 @@ from .exceptions import (
 from .fock_core import (
     DensityOperator,
     FockTruncation,
-    StateVector,
     _real_if_exact,
     coherent_vector,
     truncation_for_tolerance,
@@ -157,25 +156,6 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     return QFIResult(value)
 
 
-def _probe_vector(probe: ProbeSpec, trunc: FockTruncation) -> StateVector:
-    if probe.family == "noon":
-        return noon_vector(probe.n, trunc)
-    return ecs_vector(probe.alpha, trunc)
-
-
-def _sectors(psi: StateVector) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A pure state's occupied total-photon sectors as loss factors, unnormalized.
-
-    Sector n is its amplitudes, one column of weight 1, so its squared norm
-    is the sector's weight. Only the occupied basis states are visited, so
-    a sector costs its own support rather than a pass over the whole
-    two-mode basis.
-    """
-    totals = psi.truncation.totals()[psi.support]
-    supports = (psi.support[totals == n] for n in np.flatnonzero(np.bincount(totals)))
-    return [(support, psi.amplitudes[support, None], np.ones(1)) for support in supports]
-
-
 def build_scenario(
     probe: ProbeSpec, reference: str, truncation: FockTruncation | None = None
 ) -> DensityOperator:
@@ -194,10 +174,14 @@ def build_scenario(
         raise ValueError(f"reference must be 'with' or 'without', got {reference!r}")
     if truncation is None:
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
-    psi = _probe_vector(probe, truncation)
+    psi = noon_vector(probe.n, truncation) if probe.family == "noon" else ecs_vector(probe.alpha, truncation)
     if reference == WITH_REFERENCE:
         return apply_loss_pure(psi, probe.eta)
-    return _kraus_loss(_sectors(psi), probe.eta, truncation)
+    # sector n is column n of weight 1, labelled n: its amplitudes, unnormalized
+    n = truncation.totals(psi.support)
+    sectors = np.arange(n.max() + 1)
+    amp = psi.amplitudes[psi.support]
+    return _kraus_loss(psi.support, n, amp, np.ones(sectors.size), sectors, probe.eta, truncation)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .exceptions import TruncationTooSmall, check_eta
+from .exceptions import TruncationTooSmall, _in_double_range, check_eta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,6 +72,7 @@ class ProbeSpec:
             raise ValueError(f"NOON probe needs n >= 1, got {self.n}")
 
 
+@_in_double_range
 def ecs_normalization(alpha: complex) -> float:
     return _normalization(abs(alpha) ** 2)
 
@@ -81,9 +82,11 @@ def _normalization(a2):
     return 1.0 / _libm(math.sqrt, 2.0 * (1.0 + _libm(math.exp, -a2)))
 
 
+@_in_double_range
 def mean_photon_number(alpha: complex) -> float:
     """N_bar = 2 N^2 |alpha|^2, approaching |alpha|^2 for strong fields."""
-    return 2.0 * ecs_normalization(alpha) ** 2 * abs(alpha) ** 2
+    a2 = abs(alpha) ** 2
+    return 2.0 * _normalization(a2) ** 2 * a2
 
 
 def ecs_vector(alpha: complex, trunc: FockTruncation) -> StateVector:
@@ -121,6 +124,7 @@ def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
     return StateVector(amp, trunc)
 
 
+@_in_double_range
 def ecs_sector_weights(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """weights[n] is the trace of the total-photon-n block of the dephased ECS.
 
@@ -131,8 +135,8 @@ def ecs_sector_weights(alpha: complex, trunc: FockTruncation) -> np.ndarray:
 
     from .fock_core import coherent_vector
 
-    c2 = np.abs(coherent_vector(alpha, trunc)) ** 2
-    weights = 2.0 * ecs_normalization(alpha) ** 2 * c2
+    scale = 2.0 * _normalization(abs(alpha) ** 2) ** 2  # an overflow of |alpha|^2 names this function
+    weights = scale * np.abs(coherent_vector(alpha, trunc)) ** 2
     weights[0] *= 2.0  # both branches hit vacuum; their amplitudes add coherently
     return weights
 

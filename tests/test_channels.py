@@ -215,9 +215,9 @@ class TestLossMatchesPairLoop:
         trunc = _ecs_cutoff(alpha)
         psi = ecs_vector(alpha, trunc)
         states = [psi] if trunc.n_max <= 16 else []
-        totals = trunc.totals()
+        n1, n2 = trunc.occupations()
         for n in (0, 1, 4):
-            mask = totals == n
+            mask = n1 + n2 == n
             weight = float(np.sum(np.abs(psi.amplitudes[mask]) ** 2))
             states.append(StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc))
         for eta in (0.0, 0.3, 0.9, 1.0):
@@ -229,36 +229,36 @@ class TestLossMatchesPairLoop:
         _assert_both_routes_match_kron(noon_vector(5, FockTruncation(5)), eta)
 
 
+def _assert_components_match_the_sector_loops(alpha: float, eta: float) -> DensityOperator:
+    """The reference-free build's parts against each sector's pair loop, searched on its own."""
+    trunc = _ecs_cutoff(alpha)
+    psi = ecs_vector(alpha, trunc)
+    n1, n2 = np.divmod(psi.support, trunc.dim_single)
+    sectors = []
+    for n in np.unique(n1 + n2):  # every occupied sector, unnormalized
+        support = psi.support[n1 + n2 == n]
+        amp = psi.amplitudes[support]
+        sectors.append(_loop_loss(support, np.outer(amp, amp.conj()), eta, trunc))
+    rho = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
+    _assert_parts_match_a_search(rho, sectors, atol=LOSS_ATOL)
+    return rho
+
+
 class TestSectorFold:
     """build_scenario without a reference loses photons from every sector in one Kraus pass.
 
     The sectors share basis states once lossy, and each keeps its own components.
     """
 
-    @staticmethod
-    def _assert_components_match_the_sector_loops(alpha: float, eta: float) -> DensityOperator:
-        trunc = _ecs_cutoff(alpha)
-        amp = ecs_vector(alpha, trunc).amplitudes
-        totals = trunc.totals()
-        sectors = []
-        for n in range(2 * trunc.n_max + 1):
-            support = np.flatnonzero((totals == n) & (amp != 0))
-            if support.size:  # every occupied sector, unnormalized
-                block = np.outer(amp[support], amp[support].conj())
-                sectors.append(_loop_loss(support, block, eta, trunc))
-        rho = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
-        _assert_parts_match_a_search(rho, sectors, atol=LOSS_ATOL)
-        return rho
-
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
     @pytest.mark.parametrize("eta", [0.0, 0.6, 0.9])
     def test_each_component_equals_the_pair_loop_on_its_sector(self, alpha, eta):
-        self._assert_components_match_the_sector_loops(alpha, eta)
+        _assert_components_match_the_sector_loops(alpha, eta)
 
     def test_underflowed_coherences_split_within_their_sector(self):
         # sector n's coherence of |n, 0> and |0, n> is eta^n |c_n|^2 / norm: at eta 1e-300
         # it is 0 from n = 2 on, so each such pair splits, while every sector reaches |0, 0>
-        rho = self._assert_components_match_the_sector_loops(1.0, 1e-300)
+        rho = _assert_components_match_the_sector_loops(1.0, 1e-300)
         assert [members.shape for members, _ in rho.parts][1:] == [(1, 2)]
 
 
@@ -358,7 +358,8 @@ class TestPhaseAverage:
         discrete average equals the continuous one exactly.
         """
         rho = _random_density(4, seed=17)
-        totals = rho.truncation.totals()
+        n1, n2 = rho.truncation.occupations()
+        totals = n1 + n2
         k_points = 4 * rho.truncation.n_max + 1  # > max total difference of 2 n_max
         acc = np.zeros_like(rho.matrix)
         for k in range(k_points):
@@ -372,7 +373,7 @@ class TestPhaseAverage:
         # ulp, which is why that phase carries no information here.
         trunc = _ecs_cutoff(1.0)
         rho = phase_average(apply_loss(ecs_vector(1.0, trunc).density(), 0.8))
-        u = np.exp(-1j * 0.73 * 0.5 * trunc.totals()[rho.support])
+        u = np.exp(-1j * 0.73 * 0.5 * trunc.totals(rho.support))
         rotated = np.outer(u, u.conj()) * rho.on(rho.support)
         assert np.allclose(rotated, rho.on(rho.support), atol=1e-15)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from phasefisher.channels import apply_loss
+from phasefisher.channels import apply_loss, phase_average
 from phasefisher.exceptions import (
     DimensionMismatch,
     NotHermitian,
@@ -108,7 +108,8 @@ class TestTruncation:
 
     def test_totals(self):
         t = FockTruncation(2)
-        assert list(t.totals()) == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+        assert list(t.totals(np.arange(t.dim))) == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+        assert list(t.totals(np.array([7, 2]))) == [3, 2]
 
     def test_size_ceiling(self):
         # the largest cutoff whose two-mode amplitude vector fits MAX_STATE_VECTOR_BYTES
@@ -354,6 +355,20 @@ class TestStateWrappers:
         _assert_parts_match_a_search(rho)
         assert peak < 5 * 2**20  # the loss table takes 1.3 MB of it
 
+    def test_loss_of_a_mixed_state_takes_only_its_components_entries(self):
+        # the phase-averaged ECS at alpha 6 is the vacuum and 88 two-state sectors: 353 eigenvector
+        # entries, 16,017 Kraus incidences. A dense factor over its 177 states would bring 31,329
+        # entries and 1.4 million incidences (67.5 MiB traced, 2.6 MiB without)
+        rho = phase_average(ecs_vector(6.0, _ecs_cutoff(6.0)).density())
+        tracemalloc.start()
+        try:
+            lossy = apply_loss(rho, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [members.shape for members, _ in lossy.parts] == [(1, 1), (88, 2)]
+        assert peak < 8 * 2**20
+
     def test_hermiticity_check_takes_one_block_sized_temporary(self):
         # a real 1,000-state block (7.6 MiB) with no exact zero is stored as given; the check's
         # one temporary, the conjugate transpose, then holds the gaps and their absolute values
@@ -394,14 +409,18 @@ class TestStateWrappers:
     @pytest.mark.parametrize("eta", [0.0, 1e-300, 0.45])
     def test_loss_parts_match_a_search_over_the_nonzeros(self, eta):
         # the loss predicts its output's components; exact zeros (eta 0, underflow) split them
+        from test_channels import _assert_components_match_the_sector_loops  # it imports this module
+
         rng = np.random.default_rng(6)
         t = FockTruncation(4)
         a = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
         mixed = DensityOperator(np.arange(t.dim), a @ a.conj().T / np.trace(a @ a.conj().T), t)
-        # the reference-free operator is searched sector by sector in test_channels.TestSectorFold
+        dephased = phase_average(ecs_vector(2.0, _ecs_cutoff(2.0)).density())
         with_reference = build_scenario(ProbeSpec("ecs", eta, alpha=2.0), WITH_REFERENCE)
-        for rho in (apply_loss(mixed, eta), with_reference):
+        for rho in (apply_loss(mixed, eta), apply_loss(dephased, eta), with_reference):
             _assert_parts_match_a_search(rho)
+        # the reference-free operator, each sector searched on its own
+        _assert_components_match_the_sector_loops(2.0, eta)
 
     def test_buffers_are_read_only(self):
         t = FockTruncation(1)

@@ -37,6 +37,7 @@ from phasefisher.fock_core import (
     MAX_STATE_VECTOR_BYTES,
     DensityOperator,
     FockTruncation,
+    StateVector,
 )
 from phasefisher.qfi_analytic import (
     basis_overlap_matrix,
@@ -56,7 +57,6 @@ from phasefisher.qfi_oracle import (
     WITHOUT_REFERENCE,
     _ecs_cutoff,
     _rel,
-    _sectors,
     build_scenario,
     qfi_numeric,
     scenario_mixture,
@@ -75,6 +75,15 @@ def _from_dense(matrix: np.ndarray, trunc: FockTruncation) -> DensityOperator:
     nz = matrix != 0
     support = np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
     return DensityOperator(support, matrix[np.ix_(support, support)], trunc)
+
+
+def _sectors(psi: StateVector) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """psi's occupied total photon numbers n1 + n2, ascending, each sector's weight and its support."""
+    n1, n2 = np.divmod(psi.support, psi.truncation.dim_single)
+    n = np.flatnonzero(np.bincount(n1 + n2))
+    supports = [psi.support[n1 + n2 == total] for total in n]
+    weights = np.array([float(np.vdot(psi.amplitudes[s], psi.amplitudes[s]).real) for s in supports])
+    return n, weights, supports
 
 
 def _embed(rho: DensityOperator, target: FockTruncation) -> DensityOperator:
@@ -193,11 +202,10 @@ class TestBuildScenario:
 
     def test_ecs_sector_weights(self):
         alpha = 1.0
-        sectors = _sectors(ecs_vector(alpha, _ecs_cutoff(alpha)))
-        weights = [float(np.vdot(column, column).real) for _, column, _ in sectors]
+        _, weights, supports = _sectors(ecs_vector(alpha, _ecs_cutoff(alpha)))
         assert sum(weights) == pytest.approx(1.0, abs=1e-10)
         # vacuum sector first, supported on the vacuum alone
-        assert list(sectors[0][0]) == [0]
+        assert list(supports[0]) == [0]
         expected = ecs_sector_weights(alpha, _ecs_cutoff(alpha))
         assert weights[0] == pytest.approx(float(expected[0]), rel=1e-12)
         assert weights[1] == pytest.approx(float(expected[1]), rel=1e-12)
@@ -230,9 +238,8 @@ class TestBuildScenario:
         """
         eta = 0.9
         trunc = _ecs_cutoff(alpha)
-        sectors = _sectors(ecs_vector(alpha, trunc))
-        weights = np.array([np.vdot(column, column).real for _, column, _ in sectors])
-        n = trunc.totals()[[support[0] for support, _, _ in sectors]].astype(float)
+        n, weights, _ = _sectors(ecs_vector(alpha, trunc))
+        n = n.astype(float)
         value = float(np.sum(weights * n**2 * eta**n))
         assert _rel(value, qfi_ecs_noref(alpha, eta).value) <= 1e-12
 
@@ -293,14 +300,14 @@ class TestBuildScenario:
 
 class TestSectorFold:
     def test_reference_free_build_is_one_kraus_pass(self, monkeypatch):
-        # every sector goes to the Kraus routine in one call, and the only
-        # operator built is the one it returns
+        # every sector goes to the Kraus routine in one call, each its own label, and
+        # the only operator built is the one it returns
         kraus, post_init = qfi_oracle._kraus_loss, DensityOperator.__post_init__
         calls, built = [], []
 
-        def counting_kraus(inputs, eta, trunc):
-            calls.append(len(inputs))
-            return kraus(inputs, eta, trunc)
+        def counting_kraus(state, column, amp, w, label, eta, trunc):
+            calls.append(np.unique(label[column]).size)
+            return kraus(state, column, amp, w, label, eta, trunc)
 
         def recording_post_init(self, block):
             built.append(self)
@@ -309,7 +316,7 @@ class TestSectorFold:
         monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(DensityOperator, "__post_init__", recording_post_init)
         rho = build_scenario(ProbeSpec("ecs", 0.9, alpha=2.0), WITHOUT_REFERENCE)
-        assert calls == [len(_sectors(ecs_vector(2.0, _ecs_cutoff(2.0))))]
+        assert calls == [len(_sectors(ecs_vector(2.0, _ecs_cutoff(2.0)))[0])]
         assert calls[0] > 10
         assert len(built) == 1 and built[0] is rho
 

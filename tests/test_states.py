@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from perfbench.reference import mean_photons
-from phasefisher.exceptions import InvalidEta, TruncationTooSmall
+from phasefisher.exceptions import InvalidEta, NumericalOverflow, TruncationTooSmall
 from phasefisher.fock_core import FockTruncation, coherent_vector
 from phasefisher.qfi_oracle import _ecs_cutoff
 from phasefisher.states import (
@@ -122,6 +122,21 @@ def test_sector_weights_first_moment_is_mean_photon_number():
     n = np.arange(trunc.dim_single, dtype=float)
     first_moment = float(np.sum(n * ecs_sector_weights(alpha, trunc)))
     assert first_moment == pytest.approx(mean_photon_number(alpha), rel=1e-12)
+
+
+OVERFLOW_CASES = [
+    (ecs_normalization, ()),
+    (mean_photon_number, ()),
+    (coherent_vector, (FockTruncation(3),)),
+    (ecs_sector_weights, (FockTruncation(3),)),
+]
+
+
+@pytest.mark.parametrize("function, args", OVERFLOW_CASES, ids=[f.__name__ for f, _ in OVERFLOW_CASES])
+def test_overflow_is_typed_and_names_the_function(function, args):
+    # |alpha|^2 itself overflows at alpha = 1e200, as it does in the closed forms
+    with pytest.raises(NumericalOverflow, match=function.__name__):
+        function(1e200, *args)
 
 
 def test_noon_vector_amplitudes():
