@@ -168,8 +168,7 @@ def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
     """apply_loss(psi.density(), eta) from psi's amplitudes, one column of weight 1: no eigensolve."""
     check_eta(eta)
     zero = np.zeros(psi.support.size, dtype=int)
-    amp = psi.amplitudes[psi.support]
-    return _kraus_loss(psi.support, zero, amp, np.ones(1), zero[:1], eta, psi.truncation)
+    return _kraus_loss(psi.support, zero, psi.amplitudes, np.ones(1), zero[:1], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

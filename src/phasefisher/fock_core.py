@@ -4,12 +4,13 @@ States and operators live on the product basis |n1, n2> with 0 <= ni <= n_max,
 ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
 
-Pure states are dense complex128 amplitude vectors. A density operator is
-the sum of components, each a dense block over a few of the basis states it
-occupies. Given components are stored as given; a dense block that holds an
-exact zero is split into the connected components of its exact nonzeros
-once, at construction. Values are treated as immutable after construction;
-the wrappers mark their buffers read-only.
+A pure state is its support, the strictly increasing basis indices it
+occupies, and its amplitudes there. A density operator is the sum of
+components, each a dense block over a few of the basis states it occupies.
+Given components are stored as given; a dense block that holds an exact
+zero is split into the connected components of its exact nonzeros once, at
+construction. Values are treated as immutable after construction; the
+wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# largest complex amplitude vector over the two-mode basis (n_max <= 2047); the
-# oracle's probes and their per-basis-state arrays all scale with it
+# 16 bytes per two-mode basis state (n_max <= 2047): the oracle's arrays over the
+# whole basis, the occupation pair and the generator diagonals, stay within it
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 
@@ -41,8 +42,8 @@ MAX_STATE_VECTOR_BYTES = 1 << 26
 class FockTruncation:
     """Per-mode Fock cutoff. Two-mode dimension is (n_max + 1)**2.
 
-    n_max above 2047 raises OracleTooLarge: one amplitude vector over the
-    two-mode basis would pass MAX_STATE_VECTOR_BYTES.
+    n_max above 2047 raises OracleTooLarge: 16 bytes per basis state would
+    pass MAX_STATE_VECTOR_BYTES.
     """
 
     n_max: int
@@ -54,7 +55,7 @@ class FockTruncation:
         need = 16 * self.dim
         if need > MAX_STATE_VECTOR_BYTES:
             raise OracleTooLarge(
-                f"cutoff n_max={self.n_max} needs {need / 2**30:.3g} GiB per state vector; "
+                f"cutoff n_max={self.n_max} needs {need / 2**30:.3g} GiB at 16 bytes per basis state; "
                 f"the oracle allows {MAX_STATE_VECTOR_BYTES / 2**20:g} MiB"
             )
 
@@ -133,28 +134,34 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+def _check_support(s: np.ndarray, d: int) -> None:
+    """Raise DimensionMismatch unless s is strictly increasing integer basis indices in [0, d)."""
+    if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
+        s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
+    ):
+        raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized pure state over the two-mode basis."""
+    """Normalized pure state: one amplitude per basis index of its support, zero elsewhere."""
 
+    support: np.ndarray
     amplitudes: np.ndarray
     truncation: FockTruncation
-    support: np.ndarray = field(init=False, repr=False)  # the basis states of nonzero amplitude
 
     def __post_init__(self) -> None:
-        if self.amplitudes.shape != (self.truncation.dim,):
-            raise DimensionMismatch(
-                f"amplitude shape {self.amplitudes.shape} for dim {self.truncation.dim}"
-            )
+        _check_support(self.support, self.truncation.dim)
+        if self.amplitudes.shape != self.support.shape:
+            raise DimensionMismatch(f"amplitude shape {self.amplitudes.shape} for support size {self.support.size}")
         nrm = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {nrm!r} deviates from 1 beyond {NORM_ATOL}")
+        _read_only(self.support)
         _read_only(self.amplitudes)
-        object.__setattr__(self, "support", _read_only(np.flatnonzero(self.amplitudes)))
 
     def density(self) -> "DensityOperator":
-        amp = self.amplitudes[self.support]
-        return DensityOperator(self.support, np.outer(amp, amp.conj()), self.truncation)
+        return DensityOperator(self.support, np.outer(self.amplitudes, self.amplitudes.conj()), self.truncation)
 
 
 @dataclass(frozen=True)
@@ -181,11 +188,8 @@ class DensityOperator:
     parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self, block) -> None:
-        s, d = self.support, self.truncation.dim
-        if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
-            s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
-        ):
-            raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
+        s = self.support
+        _check_support(s, self.truncation.dim)
         if not isinstance(block, tuple):
             if block.shape != (s.size, s.size):
                 raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")

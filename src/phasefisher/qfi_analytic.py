@@ -275,9 +275,11 @@ def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:
 
 
 def sensitivity(fisher: float, repetitions: int = 1) -> float:
-    """Cramer-Rao phase uncertainty (m F)^{-1/2} in radians."""
-    if fisher <= 0.0:
+    """Cramer-Rao phase uncertainty (m F)^{-1/2} in radians, for finite F > 0 and m >= 1 (NaN is neither)."""
+    if not fisher > 0.0:
         raise NonpositiveFisher(f"sensitivity needs F > 0, got {fisher}")
-    if repetitions < 1:
+    if fisher == math.inf:
+        raise NumericalOverflow(f"sensitivity needs a finite F, got {fisher}")
+    if not repetitions >= 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     return (repetitions * fisher) ** -0.5

@@ -180,8 +180,7 @@ def build_scenario(
     # sector n is column n of weight 1, labelled n: its amplitudes, unnormalized
     n = truncation.totals(psi.support)
     sectors = np.arange(n.max() + 1)
-    amp = psi.amplitudes[psi.support]
-    return _kraus_loss(psi.support, n, amp, np.ones(sectors.size), sectors, probe.eta, truncation)
+    return _kraus_loss(psi.support, n, psi.amplitudes, np.ones(sectors.size), sectors, probe.eta, truncation)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:
@@ -212,12 +211,11 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     """
     trunc = _ecs_cutoff(alpha)
     sigma = apply_loss_pure(ecs_vector(alpha, trunc), eta)
-    d = trunc.dim_single
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
+    # the branches |sqrt(eta) alpha, 0> and |0, sqrt(eta) alpha> on sigma's support, the
+    # states the matrix is taken over; a branch entry off it is one whose lossy image underflowed
     c = coherent_vector(math.sqrt(eta) * alpha, trunc)
-    psi1 = np.kron(c, vac)
-    psi2 = np.kron(vac, c)
+    n1, n2 = np.divmod(sigma.support, trunc.dim_single)
+    psi1, psi2 = c[n1] * (n2 == 0), c[n2] * (n1 == 0)
     p = float(np.vdot(psi1, psi2).real)
     delta = psi2 - psi1
     one_minus_p = float(np.vdot(delta, delta).real) / 2.0
@@ -225,9 +223,8 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
         raise DegenerateSpectrum(
             f"the two lossy branches coincide in double precision (1 - p = {one_minus_p!r})"
         )
-    e1 = psi1
-    e2 = (delta + one_minus_p * e1) / math.sqrt(one_minus_p * (1.0 + p))
-    basis, block = (e1[sigma.support], e2[sigma.support]), sigma.on(sigma.support)
+    basis = psi1, (delta + one_minus_p * psi1) / math.sqrt(one_minus_p * (1.0 + p))
+    block = sigma.on(sigma.support)
     m = np.empty((2, 2))
     for i in range(2):
         for j in range(2):

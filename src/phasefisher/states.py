@@ -90,21 +90,22 @@ def mean_photon_number(alpha: complex) -> float:
 
 
 def ecs_vector(alpha: complex, trunc: FockTruncation) -> StateVector:
-    """Two-mode ECS amplitudes at the given cutoff.
+    """Two-mode ECS amplitudes on the axes |0, n> and |n, 0>, basis indices n and n (n_max + 1).
 
     Uses the analytic normalization rather than renormalizing numerically,
     so overlaps with NOON states equal sqrt(2) N c_n exactly; the norm
-    deficit is bounded by coherent_vector's tail gate.
+    deficit is bounded by coherent_vector's tail gate. The vacuum, in both
+    branches, holds N (c_0 + c_0); an underflowed amplitude, exactly 0, is not stored.
     """
     import numpy as np
 
     from .fock_core import StateVector, coherent_vector
 
     c = coherent_vector(alpha, trunc)
-    vac = np.zeros(trunc.dim_single, dtype=complex)
-    vac[0] = 1.0
-    amp = ecs_normalization(alpha) * (np.kron(c, vac) + np.kron(vac, c))
-    return StateVector(amp, trunc)
+    d = trunc.dim_single
+    support = np.concatenate([np.arange(d), np.arange(d, d * d, d)])
+    amp = ecs_normalization(alpha) * np.concatenate([c[:1] + c[:1], c[1:], c[1:]])
+    return StateVector(support[amp != 0.0], amp[amp != 0.0], trunc)
 
 
 def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
@@ -117,11 +118,8 @@ def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
 
     from .fock_core import StateVector
 
-    amp = np.zeros(trunc.dim, dtype=complex)
-    s = 1.0 / math.sqrt(2.0)
-    amp[trunc.index(n, 0)] = s
-    amp[trunc.index(0, n)] = s
-    return StateVector(amp, trunc)
+    support = np.array([trunc.index(0, n), trunc.index(n, 0)])
+    return StateVector(support, np.full(2, 1.0 / math.sqrt(2.0), dtype=complex), trunc)
 
 
 @_in_double_range

@@ -40,7 +40,7 @@ from phasefisher.qfi_oracle import (
     build_scenario,
 )
 from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector, noon_vector
-from test_fock_core import _assert_parts_match_a_search
+from test_fock_core import _assert_parts_match_a_search, _state_from_dense
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -154,7 +154,7 @@ def _assert_both_routes_match_kron(psi: StateVector, eta: float) -> None:
 def _coherent_vacuum_product(alpha: float, trunc: FockTruncation) -> StateVector:
     vac = np.zeros(trunc.dim_single, dtype=complex)
     vac[0] = 1.0
-    return StateVector(np.kron(coherent_vector(alpha, trunc), vac), trunc)
+    return _state_from_dense(np.kron(coherent_vector(alpha, trunc), vac), trunc)
 
 
 class TestKraus:
@@ -199,7 +199,7 @@ class TestLossMatchesPairLoop:
         trunc = FockTruncation(5)
         rng = np.random.default_rng(21)
         amp = rng.normal(size=trunc.dim) + 1j * rng.normal(size=trunc.dim)
-        _assert_both_routes_match_kron(StateVector(amp / np.linalg.norm(amp), trunc), eta)
+        _assert_both_routes_match_kron(_state_from_dense(amp / np.linalg.norm(amp), trunc), eta)
         rho = _random_density(5, seed=21)
         _assert_routes_match_kron(rho, eta, apply_loss(rho, eta))
 
@@ -215,11 +215,11 @@ class TestLossMatchesPairLoop:
         trunc = _ecs_cutoff(alpha)
         psi = ecs_vector(alpha, trunc)
         states = [psi] if trunc.n_max <= 16 else []
-        n1, n2 = trunc.occupations()
+        totals = trunc.totals(psi.support)
         for n in (0, 1, 4):
-            mask = n1 + n2 == n
+            mask = totals == n
             weight = float(np.sum(np.abs(psi.amplitudes[mask]) ** 2))
-            states.append(StateVector(np.where(mask, psi.amplitudes, 0.0) / math.sqrt(weight), trunc))
+            states.append(StateVector(psi.support[mask], psi.amplitudes[mask] / math.sqrt(weight), trunc))
         for eta in (0.0, 0.3, 0.9, 1.0):
             for state in states:
                 _assert_both_routes_match_kron(state, eta)
@@ -236,9 +236,8 @@ def _assert_components_match_the_sector_loops(alpha: float, eta: float) -> Densi
     n1, n2 = np.divmod(psi.support, trunc.dim_single)
     sectors = []
     for n in np.unique(n1 + n2):  # every occupied sector, unnormalized
-        support = psi.support[n1 + n2 == n]
-        amp = psi.amplitudes[support]
-        sectors.append(_loop_loss(support, np.outer(amp, amp.conj()), eta, trunc))
+        amp = psi.amplitudes[n1 + n2 == n]
+        sectors.append(_loop_loss(psi.support[n1 + n2 == n], np.outer(amp, amp.conj()), eta, trunc))
     rho = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
     _assert_parts_match_a_search(rho, sectors, atol=LOSS_ATOL)
     return rho

@@ -28,7 +28,20 @@ from phasefisher.fock_core import (
     truncation_for_tolerance,
 )
 from phasefisher.qfi_oracle import WITH_REFERENCE, _ecs_cutoff, build_scenario
-from phasefisher.states import ProbeSpec, ecs_vector
+from phasefisher.states import ProbeSpec, ecs_vector, noon_vector
+
+
+def _state_from_dense(amp: np.ndarray, trunc: FockTruncation) -> StateVector:
+    """The pure state whose amplitudes over the whole basis are amp: its nonzeros, in basis order."""
+    support = np.flatnonzero(amp)
+    return StateVector(support, amp[support], trunc)
+
+
+def _dense(psi: StateVector) -> np.ndarray:
+    """psi's amplitudes over the whole basis, zero off its support."""
+    amp = np.zeros(psi.truncation.dim, dtype=complex)
+    amp[psi.support] = psi.amplitudes
+    return amp
 
 
 def _search(support: np.ndarray, m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -212,16 +225,37 @@ class TestCoherent:
 
 class TestStateWrappers:
     def test_state_vector_rejects_bad_norm(self):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.array([0]), np.array([0.9], dtype=complex), FockTruncation(1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.nan, 1.0), complex(0.0, -math.inf)])
+    def test_state_vector_rejects_non_finite_amplitudes(self, value):
+        # a NaN norm fails the norm check too, rather than as a non-finite operator entry later
         t = FockTruncation(1)
-        amp = np.zeros(t.dim, dtype=complex)
-        amp[0] = 0.9
-        with pytest.raises(ValueError):
-            StateVector(amp, t)
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(np.array([0]), np.array([value], dtype=complex), t)
+        with pytest.raises(ValueError, match="norm"):  # beside an amplitude that alone has norm 1
+            StateVector(np.array([0, 3]), np.array([1.0, value], dtype=complex), t)
 
     def test_state_vector_rejects_bad_shape(self):
         t = FockTruncation(1)
         with pytest.raises(DimensionMismatch):
-            StateVector(np.ones(3, dtype=complex), t)
+            StateVector(np.arange(2), np.ones(3, dtype=complex) / math.sqrt(3.0), t)
+        with pytest.raises(DimensionMismatch):  # one amplitude per support entry, not per basis state
+            StateVector(np.array([0]), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), t)
+
+    @pytest.mark.parametrize(
+        "support", [[1, 0], [0, 0], [-1, 0], [0, 4], [0.0, 1.0], [[0, 1]]],
+        ids=["decreasing", "repeated", "negative", "past-dim", "float", "2-d"],
+    )
+    def test_state_vector_checks_its_support_as_an_operator_does(self, support):
+        t = FockTruncation(1)
+        support = np.array(support)
+        amp = np.full(support.shape, 1.0 / math.sqrt(2.0), dtype=complex)
+        with pytest.raises(DimensionMismatch, match="strictly increasing"):
+            StateVector(support, amp, t)
+        with pytest.raises(DimensionMismatch, match="strictly increasing"):
+            DensityOperator(support, np.eye(2) / 2.0, t)
 
     def test_density_rejects_nonhermitian(self):
         t = FockTruncation(1)
@@ -282,7 +316,7 @@ class TestStateWrappers:
         t = FockTruncation(2)
         amp = np.zeros(t.dim, dtype=complex)
         amp[t.index(1, 0)] = amp[t.index(0, 1)] = 1.0 / math.sqrt(2.0)
-        rho = StateVector(amp, t).density()
+        rho = _state_from_dense(amp, t).density()
         assert list(rho.support) == [t.index(0, 1), t.index(1, 0)]
         w, v = np.linalg.eigh(rho.matrix)
         assert w[-1] == pytest.approx(1.0, abs=1e-14)
@@ -297,8 +331,8 @@ class TestStateWrappers:
         (_, blocks), = rho.parts
         block = rho.on(rho.support)
         assert np.shares_memory(block, blocks) and not block.flags.writeable
-        amp = psi.amplitudes[rho.support]
-        assert np.array_equal(block, np.outer(amp, amp.conj()))
+        assert np.array_equal(rho.support, psi.support)
+        assert np.array_equal(block, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         # a strict superset of the support still gets a fresh array
         assert not np.shares_memory(rho.on(np.arange(rho.truncation.dim)), blocks)
 
@@ -317,9 +351,7 @@ class TestStateWrappers:
         # a lossy ECS sector n keeps its one coherence pair |0, n>, |n, 0> and 2n - 1 lone states
         t = FockTruncation(12)
         n = 7
-        amp = np.zeros(t.dim, dtype=complex)
-        amp[t.index(n, 0)] = amp[t.index(0, n)] = 1.0 / math.sqrt(2.0)
-        rho = apply_loss(StateVector(amp, t).density(), 0.8)
+        rho = apply_loss(noon_vector(n, t).density(), 0.8)
         assert rho.support.size == 2 * n + 1
         (lone, lone_blocks), (pair, pair_blocks) = rho.parts
         assert lone.shape == (2 * n - 1, 1) and lone_blocks.shape == (2 * n - 1, 1, 1)
@@ -339,9 +371,7 @@ class TestStateWrappers:
         # no dense block over the 801 output states (10 MB) is built to find that out
         n = 400
         t = FockTruncation(n)
-        amp = np.zeros(t.dim, dtype=complex)
-        amp[t.index(n, 0)] = amp[t.index(0, n)] = 1.0 / math.sqrt(2.0)
-        rho = StateVector(amp, t).density()
+        rho = noon_vector(n, t).density()
         tracemalloc.start()
         try:
             rho = apply_loss(rho, 0.9)
@@ -424,9 +454,7 @@ class TestStateWrappers:
 
     def test_buffers_are_read_only(self):
         t = FockTruncation(1)
-        amp = np.zeros(t.dim, dtype=complex)
-        amp[0] = 1.0
-        psi = StateVector(amp, t)
+        psi = StateVector(np.array([0]), np.array([1.0], dtype=complex), t)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
         assert psi.support.tolist() == [0]

@@ -355,14 +355,16 @@ class TestSensitivity:
         assert sensitivity(4.0, repetitions=4) == pytest.approx(0.25)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonpositiveFisher):
-            sensitivity(0.0)
-        with pytest.raises(NonpositiveFisher):
-            sensitivity(-1.0)
+        for fisher in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(NonpositiveFisher):
+                sensitivity(fisher)
+        with pytest.raises(NumericalOverflow):
+            sensitivity(math.inf)
 
     def test_repetitions_validated(self):
-        with pytest.raises(ValueError):
-            sensitivity(1.0, repetitions=0)
+        for repetitions in (0, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                sensitivity(1.0, repetitions=repetitions)
 
 
 def test_result_rejects_negative_value():

@@ -1,6 +1,7 @@
 """Probe constructions and their scalar descriptors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from phasefisher.states import (
     noon_vector,
     solve_alpha,
 )
+from test_fock_core import _dense
 
 # frozen at first light against direct evaluation of the defining formulas
 ECS_NORM_ALPHA1 = 0.6045901829462685
@@ -84,12 +86,60 @@ def test_ecs_vector_amplitudes():
     c = coherent_vector(alpha, trunc)
     nrm = ecs_normalization(alpha)
     # pure |n>|0> components carry N c_n, |0>|n> the same, |0>|0> both
-    assert psi.amplitudes[trunc.index(0, 0)] == pytest.approx(2.0 * nrm * c[0], rel=1e-14)
+    amp = _dense(psi)
+    assert amp[trunc.index(0, 0)] == pytest.approx(2.0 * nrm * c[0], rel=1e-14)
     for n in (1, 2, 3):
-        assert psi.amplitudes[trunc.index(n, 0)] == pytest.approx(nrm * c[n], rel=1e-14)
-        assert psi.amplitudes[trunc.index(0, n)] == pytest.approx(nrm * c[n], rel=1e-14)
+        assert amp[trunc.index(n, 0)] == pytest.approx(nrm * c[n], rel=1e-14)
+        assert amp[trunc.index(0, n)] == pytest.approx(nrm * c[n], rel=1e-14)
     # nothing off the two coherent rays
-    assert psi.amplitudes[trunc.index(1, 1)] == 0.0
+    assert amp[trunc.index(1, 1)] == 0.0
+    assert trunc.index(1, 1) not in psi.support
+
+
+def _branch_sum(alpha: complex, trunc: FockTruncation) -> tuple[np.ndarray, np.ndarray]:
+    """N (|alpha, 0> + |0, alpha>) summed over the whole basis: its nonzeros' indices and values."""
+    c = coherent_vector(alpha, trunc)
+    vac = np.zeros(trunc.dim_single, dtype=complex)
+    vac[0] = 1.0
+    amp = ecs_normalization(alpha) * (np.kron(c, vac) + np.kron(vac, c))
+    support = np.flatnonzero(amp)
+    return support, amp[support]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 3.5, 6.0, 12.0, 1.5j, 0.7 - 0.7j, -1.2])
+def test_ecs_vector_is_the_branch_sum_on_its_support(alpha):
+    # written straight onto the two axes, bit for bit the sum of the two branches
+    trunc = _ecs_cutoff(alpha)
+    psi = ecs_vector(alpha, trunc)
+    support, amp = _branch_sum(alpha, trunc)
+    assert np.array_equal(psi.support, support)
+    assert psi.amplitudes.tobytes() == amp.tobytes()
+
+
+def test_ecs_vector_leaves_underflowed_amplitudes_out():
+    # at alpha 1e-160, c_3 = alpha^3 / sqrt(6) underflows to 0, and so does every later c_n
+    trunc = FockTruncation(5)
+    psi = ecs_vector(1e-160, trunc)
+    assert psi.support.tolist() == [0, 1, 2, 6, 12]
+    support, amp = _branch_sum(1e-160, trunc)
+    assert np.array_equal(psi.support, support)
+    assert psi.amplitudes.tobytes() == amp.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: ecs_vector(28.5, _ecs_cutoff(28.5)), lambda: noon_vector(2047, FockTruncation(2047))],
+    ids=["ecs-28.5", "noon-2047"],
+)
+def test_probe_takes_no_array_over_the_basis(build):
+    # complex amplitudes over the whole basis take 16 MiB at alpha 28.5 (n_max 1,023) and
+    # 64 MiB at n_max 2,047; the ECS occupies 2 n_max + 1 basis states, the NOON state 2
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ecs_overlap_with_noon_sectors():
@@ -100,7 +150,7 @@ def test_ecs_overlap_with_noon_sectors():
     c = coherent_vector(alpha, trunc)
     nrm = ecs_normalization(alpha)
     for n in (1, 2, 4):
-        overlap = complex(np.vdot(noon_vector(n, trunc).amplitudes, psi.amplitudes))
+        overlap = complex(np.vdot(_dense(noon_vector(n, trunc)), _dense(psi)))
         assert overlap == pytest.approx(math.sqrt(2.0) * nrm * c[n], rel=1e-13)
 
 
@@ -143,9 +193,11 @@ def test_noon_vector_amplitudes():
     trunc = FockTruncation(5)
     psi = noon_vector(3, trunc)
     s = 1.0 / math.sqrt(2.0)
-    assert psi.amplitudes[trunc.index(3, 0)] == pytest.approx(s)
-    assert psi.amplitudes[trunc.index(0, 3)] == pytest.approx(s)
-    assert np.count_nonzero(psi.amplitudes) == 2
+    amp = _dense(psi)
+    assert amp[trunc.index(3, 0)] == pytest.approx(s)
+    assert amp[trunc.index(0, 3)] == pytest.approx(s)
+    assert np.count_nonzero(amp) == 2
+    assert psi.support.tolist() == [trunc.index(0, 3), trunc.index(3, 0)]
 
 
 def test_noon_vector_validation():
