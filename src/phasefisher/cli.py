@@ -42,8 +42,6 @@ import os
 import stat
 import sys
 from argparse import ArgumentParser, Namespace
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .exceptions import (
     InvalidEta,
@@ -51,10 +49,13 @@ from .exceptions import (
     NoCrossingFound,
     NonpositiveFisher,
     PhaseFisherError,
+    _record,
 )
 from .qfi_analytic import QFIResult, _curves, qfi_ecs_noref, qfi_ecs_ref, qfi_noon, sensitivity
 from .states import WITH_REFERENCE, WITHOUT_REFERENCE, ProbeSpec, _libm, alpha_for_mean_photon
 
+# the typing module's constant, without importing typing on the closed-form path
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -78,33 +79,36 @@ DEFAULT_CROSSING_TOL = 1e-6
 SWEEP_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_record("SweepConfig", "eta n_min n_max points spacing output_path")):
     """Axes and output target of one sensitivity sweep."""
 
-    eta: float
-    n_min: float = DEFAULT_SWEEP_RANGE[0]
-    n_max: float = DEFAULT_SWEEP_RANGE[1]
-    points: int = DEFAULT_SWEEP_POINTS
-    spacing: str = "log"
-    output_path: str = "sweep.csv"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise InvalidEta(f"sweep needs 0 < eta <= 1, got {self.eta}")
-        for name, bound in (("n_min", self.n_min), ("n_max", self.n_max)):
+    def __new__(
+        cls,
+        eta: float,
+        n_min: float = DEFAULT_SWEEP_RANGE[0],
+        n_max: float = DEFAULT_SWEEP_RANGE[1],
+        points: int = DEFAULT_SWEEP_POINTS,
+        spacing: str = "log",
+        output_path: str = "sweep.csv",
+    ) -> SweepConfig:
+        if not 0.0 < eta <= 1.0:
+            raise InvalidEta(f"sweep needs 0 < eta <= 1, got {eta}")
+        for name, bound in (("n_min", n_min), ("n_max", n_max)):
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite, got {bound}")
-        if self.n_min <= 0.0:
-            raise ValueError(f"n_min must be positive, got {self.n_min}")
-        if self.n_max <= self.n_min:
-            raise ValueError(f"need n_max > n_min, got [{self.n_min}, {self.n_max}]")
-        if self.points < 2:
-            raise ValueError(f"need at least 2 points, got {self.points}")
-        if self.points > MAX_SWEEP_POINTS:
-            raise ValueError(f"at most {MAX_SWEEP_POINTS} points, got {self.points}")
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if n_min <= 0.0:
+            raise ValueError(f"n_min must be positive, got {n_min}")
+        if n_max <= n_min:
+            raise ValueError(f"need n_max > n_min, got [{n_min}, {n_max}]")
+        if points < 2:
+            raise ValueError(f"need at least 2 points, got {points}")
+        if points > MAX_SWEEP_POINTS:
+            raise ValueError(f"at most {MAX_SWEEP_POINTS} points, got {points}")
+        if spacing not in ("log", "linear"):
+            raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+        return super().__new__(cls, eta, n_min, n_max, points, spacing, output_path)
 
     def grid(self) -> np.ndarray:
         import numpy as np
@@ -344,10 +348,10 @@ def build_parser() -> ArgumentParser:
     sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument("--eta", type=float, required=True)
     sweep.add_argument("--output", required=True)
-    sweep.add_argument("--n-min", type=float, default=SweepConfig.n_min, dest="n_min")
-    sweep.add_argument("--n-max", type=float, default=SweepConfig.n_max, dest="n_max")
-    sweep.add_argument("--points", type=int, default=SweepConfig.points)
-    sweep.add_argument("--spacing", choices=("log", "linear"), default=SweepConfig.spacing)
+    sweep.add_argument("--n-min", type=float, default=DEFAULT_SWEEP_RANGE[0], dest="n_min")
+    sweep.add_argument("--n-max", type=float, default=DEFAULT_SWEEP_RANGE[1], dest="n_max")
+    sweep.add_argument("--points", type=int, default=DEFAULT_SWEEP_POINTS)
+    sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
 
     crossings = sub.add_parser("crossings", help="find where NOON and ECS curves cross")
     crossings.set_defaults(run=cmd_crossings)

@@ -1,9 +1,11 @@
-"""Error types raised across the package, the one transmittance check and the one overflow report.
+"""Error types raised across the package, its shared argument checks and the base of its value records.
 
 Everything derives from PhaseFisherError so callers can catch broadly.
 """
 
 import functools
+import operator
+from collections import namedtuple
 
 
 class PhaseFisherError(Exception):
@@ -34,6 +36,25 @@ def check_eta(eta: float) -> None:
     """Raise InvalidEta unless 0 <= eta <= 1; NaN fails the comparison and raises too."""
     if not 0.0 <= eta <= 1.0:
         raise InvalidEta(f"eta must lie in [0, 1], got {eta}")
+
+
+def _integer(value, what: str) -> int:
+    """value as an int when operator.index takes it (a Python or numpy integer), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _record(typename: str, field_names: str) -> type:
+    """The namedtuple base of a value record, whose subclass checks its fields in __new__.
+
+    _make, and with it _replace, builds through that __new__, so a copy with
+    new field values is checked as a new record is.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 class DegenerateSpectrum(PhaseFisherError):

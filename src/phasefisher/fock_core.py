@@ -16,7 +16,6 @@ wrappers mark their buffers read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,8 @@ from .exceptions import (
     OracleTooLarge,
     TruncationTooSmall,
     _in_double_range,
+    _integer,
+    _record,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -38,26 +39,28 @@ NORM_ATOL = 1e-10
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 
-@dataclass(frozen=True)
-class FockTruncation:
+class FockTruncation(_record("FockTruncation", "n_max")):
     """Per-mode Fock cutoff. Two-mode dimension is (n_max + 1)**2.
 
-    n_max above 2047 raises OracleTooLarge: 16 bytes per basis state would
-    pass MAX_STATE_VECTOR_BYTES.
+    n_max is stored as an int; a Python or numpy integer is taken, anything
+    else raises ValueError. n_max above 2047 raises OracleTooLarge: 16 bytes
+    per basis state would pass MAX_STATE_VECTOR_BYTES.
     """
 
-    n_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+    def __new__(cls, n_max: int) -> FockTruncation:
+        n_max = _integer(n_max, "n_max")
+        if n_max < 0:
+            raise ValueError(f"n_max must be nonnegative, got {n_max}")
         # every oversized cutoff is refused here, before anything is allocated
-        need = 16 * self.dim
+        need = 16 * (n_max + 1) ** 2
         if need > MAX_STATE_VECTOR_BYTES:
             raise OracleTooLarge(
-                f"cutoff n_max={self.n_max} needs {need / 2**30:.3g} GiB at 16 bytes per basis state; "
+                f"cutoff n_max={n_max} needs {need / 2**30:.3g} GiB at 16 bytes per basis state; "
                 f"the oracle allows {MAX_STATE_VECTOR_BYTES / 2**20:g} MiB"
             )
+        return super().__new__(cls, n_max)
 
     @property
     def dim_single(self) -> int:
@@ -142,29 +145,24 @@ def _check_support(s: np.ndarray, d: int) -> None:
         raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_record("StateVector", "support amplitudes truncation")):
     """Normalized pure state: one amplitude per basis index of its support, zero elsewhere."""
 
-    support: np.ndarray
-    amplitudes: np.ndarray
-    truncation: FockTruncation
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_support(self.support, self.truncation.dim)
-        if self.amplitudes.shape != self.support.shape:
-            raise DimensionMismatch(f"amplitude shape {self.amplitudes.shape} for support size {self.support.size}")
-        nrm = float(np.vdot(self.amplitudes, self.amplitudes).real)
+    def __new__(cls, support: np.ndarray, amplitudes: np.ndarray, truncation: FockTruncation) -> StateVector:
+        _check_support(support, truncation.dim)
+        if amplitudes.shape != support.shape:
+            raise DimensionMismatch(f"amplitude shape {amplitudes.shape} for support size {support.size}")
+        nrm = float(np.vdot(amplitudes, amplitudes).real)
         if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {nrm!r} deviates from 1 beyond {NORM_ATOL}")
-        _read_only(self.support)
-        _read_only(self.amplitudes)
+        return super().__new__(cls, _read_only(support), _read_only(amplitudes), truncation)
 
     def density(self) -> "DensityOperator":
         return DensityOperator(self.support, np.outer(self.amplitudes, self.amplitudes.conj()), self.truncation)
 
 
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, trace-one operator over the two-mode basis, stored as the sum of its components.
 
@@ -182,10 +180,31 @@ class DensityOperator:
     roundoff-negative eigenvalues and rejects anything worse).
     """
 
-    support: np.ndarray
-    block: InitVar[np.ndarray | tuple[tuple[np.ndarray, np.ndarray], ...]]
-    truncation: FockTruncation
-    parts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    __slots__ = ("support", "truncation", "parts")
+
+    def __init__(
+        self,
+        support: np.ndarray,
+        block: np.ndarray | tuple[tuple[np.ndarray, np.ndarray], ...],
+        truncation: FockTruncation,
+    ) -> None:
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "truncation", truncation)
+        # the checks stay a method of their own, which a tracer or a test can wrap
+        self.__post_init__(block)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DensityOperator(support={self.support!r}, truncation={self.truncation!r})"
+
+    def __reduce__(self):
+        # a copy or an unpickled operator is built from the stored components, and checked again
+        return DensityOperator, (self.support, self.parts, self.truncation)
 
     def __post_init__(self, block) -> None:
         s = self.support

@@ -33,18 +33,19 @@ eigensolve of the two-level matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .exceptions import (
     InvalidEta,
     NonpositiveFisher,
     NumericalOverflow,
     _in_double_range,
+    _record,
     check_eta,
 )
 from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights, solve_alpha
 
+# the typing module's constant, without importing typing on the closed-form path
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -55,32 +56,27 @@ if TYPE_CHECKING:
 GAMMA_MINUS_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class QFIResult:
+class QFIResult(_record("QFIResult", "value")):
     """A Fisher information value, checked to be finite and nonnegative."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise NumericalOverflow(f"QFI is {self.value!r}: inputs beyond double precision")
-        if self.value < 0.0:
-            raise ValueError(f"QFI must be nonnegative, got {self.value}")
+    def __new__(cls, value: float) -> QFIResult:
+        if not math.isfinite(value):
+            raise NumericalOverflow(f"QFI is {value!r}: inputs beyond double precision")
+        if value < 0.0:
+            raise ValueError(f"QFI must be nonnegative, got {value}")
+        return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class EcsLossySpectrum:
+class EcsLossySpectrum(_record("EcsLossySpectrum", "p p_perp det_sigma gamma_plus gamma_minus")):
     """Exact two-level spectral data of the lossy ECS with a reference beam.
 
     p is the overlap <Psi_1|Psi_2>, p_perp the surviving coherence weight.
     gamma_plus >= gamma_minus are the eigenvalues, det_sigma their product.
     """
 
-    p: float
-    p_perp: float
-    det_sigma: float
-    gamma_plus: float
-    gamma_minus: float
+    __slots__ = ()
 
 
 @_in_double_range

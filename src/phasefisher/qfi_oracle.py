@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .exceptions import (
     DimensionMismatch,
     NegativeEigenvalue,
     PhaseFisherError,
+    _record,
 )
 from .fock_core import (
     DensityOperator,
@@ -232,20 +232,16 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_record("CheckResult", "name passed max_err tolerance detail")):
     """One verification row: worst error over its points against a tolerance."""
 
-    name: str
-    passed: bool
-    max_err: float
-    tolerance: float
-    detail: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(_record("VerificationReport", "checks")):
+    """The verification rows, in run order."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

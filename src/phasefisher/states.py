@@ -16,12 +16,12 @@ the library complex amplitudes too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
 
-from .exceptions import TruncationTooSmall, _in_double_range, check_eta
+from .exceptions import TruncationTooSmall, _in_double_range, _integer, _record, check_eta
 
+# the typing module's constant, without importing typing on the closed-form path
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -50,26 +50,28 @@ def _libm(fn, x, *args):
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Declarative probe description: which family, how strong, how lossy."""
+class ProbeSpec(_record("ProbeSpec", "family eta alpha n")):
+    """Declarative probe description: which family, how strong, how lossy.
 
-    family: str
-    eta: float
-    alpha: complex = 0.0
-    n: int = 0
+    The NOON order n is stored as an int; a Python or numpy integer is
+    taken, anything else raises ValueError.
+    """
 
-    def __post_init__(self) -> None:
-        if self.family not in ("ecs", "noon"):
-            raise ValueError(f"family must be 'ecs' or 'noon', got {self.family!r}")
-        check_eta(self.eta)
-        if self.family == "ecs" and not 0.0 < abs(self.alpha) < math.inf:
-            raise ValueError(f"ECS probe needs finite |alpha| > 0, got {self.alpha}")
+    __slots__ = ()
+
+    def __new__(cls, family: str, eta: float, alpha: complex = 0.0, n: int = 0) -> ProbeSpec:
+        if family not in ("ecs", "noon"):
+            raise ValueError(f"family must be 'ecs' or 'noon', got {family!r}")
+        check_eta(eta)
+        if family == "ecs" and not 0.0 < abs(alpha) < math.inf:
+            raise ValueError(f"ECS probe needs finite |alpha| > 0, got {alpha}")
         # every closed form reads |alpha|^2; ** 2 would raise OverflowError at large alpha
-        if self.family == "ecs" and abs(self.alpha) * abs(self.alpha) == 0.0:
-            raise ValueError(f"ECS probe needs |alpha|^2 > 0 in double precision, got alpha={self.alpha}")
-        if self.family == "noon" and self.n < 1:
-            raise ValueError(f"NOON probe needs n >= 1, got {self.n}")
+        if family == "ecs" and abs(alpha) * abs(alpha) == 0.0:
+            raise ValueError(f"ECS probe needs |alpha|^2 > 0 in double precision, got alpha={alpha}")
+        n = _integer(n, "NOON order n")
+        if family == "noon" and n < 1:
+            raise ValueError(f"NOON probe needs n >= 1, got {n}")
+        return super().__new__(cls, family, eta, alpha, n)
 
 
 @_in_double_range

@@ -5,7 +5,6 @@ the measured numbers before asserting. Tolerances here are the shipped
 guarantees, not the (much tighter) typical behavior.
 """
 
-import dataclasses
 import math
 import time
 
@@ -227,7 +226,7 @@ def test_a09_crossings_bracket_noon_advantage_window():
 def _spectrum_without_factor_four(alpha: float, eta: float):
     s = sigma_spectrum(alpha, eta)
     r = math.sqrt(1.0 - s.det_sigma)
-    return dataclasses.replace(s, gamma_plus=0.5 * (1.0 + r), gamma_minus=0.5 * (1.0 - r))
+    return s._replace(gamma_plus=0.5 * (1.0 + r), gamma_minus=0.5 * (1.0 - r))
 
 
 def _basis_with_spurious_coherence_factor(alpha: float, eta: float):

@@ -877,10 +877,10 @@ def test_console_script_installed():
     _assert_noon_point(proc, f"declared entry point {entry!r} run from {SRC}")
 
 
-def _fresh_interpreter(code: str) -> list[str]:
-    """Run code in a new interpreter on this checkout's src/; return its stdout lines."""
-    proc = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True,
-                          text=True, timeout=120)
+def _fresh_interpreter(code: str, *options: str) -> list[str]:
+    """Run code in a new interpreter, with options, on this checkout's src/; return its stdout lines."""
+    proc = subprocess.run([sys.executable, *options, "-c", code], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     return proc.stdout.splitlines()
 
@@ -955,6 +955,20 @@ def test_closed_form_paths_import_no_numpy(tmp_path, argv, loads_numpy):
     lines = _fresh_interpreter(code + "print('numpy' in sys.modules)\n")
     assert lines[-1] == str(loads_numpy), lines
     assert argv is None or lines[-2] == "exit 0", lines
+
+
+def test_closed_form_points_import_no_dataclasses_typing_or_numpy():
+    # -S runs no site hook, so no .pth file preloads a module and the probe sees what the
+    # package itself imports: its records are namedtuples, and TYPE_CHECKING is a constant
+    points = [[*ECS, "with"], [*ECS, "without"], NOON_POINT]
+    code = (
+        "import sys\nimport phasefisher\nphasefisher.qfi_ecs_ref(1.0, 0.9)\n"
+        "from phasefisher.cli import main\n"
+        f"print('exit', *[main(argv) for argv in {points!r}])\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & sys.modules.keys()))\n"
+    )
+    lines = _fresh_interpreter(code, "-S")
+    assert lines[-2:] == ["exit 0 0 0", "[]"], lines
 
 
 def test_scipy_blocker_blocks_scipy():

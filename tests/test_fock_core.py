@@ -104,6 +104,15 @@ class TestTruncation:
         with pytest.raises(ValueError):
             FockTruncation(-1)
 
+    @pytest.mark.parametrize("n_max", [9.0, 2.5, np.float64(3.0), "3", None])
+    def test_cutoff_must_be_an_integer(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            FockTruncation(n_max)
+
+    def test_numpy_integer_cutoff_is_stored_as_int(self):
+        t = FockTruncation(np.int64(3))
+        assert type(t.n_max) is int and t == FockTruncation(3)
+
     def test_index_matches_occupation_arrays(self):
         t = FockTruncation(4)
         n1, n2 = t.occupations()

@@ -7,7 +7,6 @@ verification suite notices.
 
 import collections
 import csv
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -449,7 +448,7 @@ def _spectrum_without_factor_four(alpha: float, eta: float):
     # the transcription slip the eigenvalue check exists to catch
     s = sigma_spectrum(alpha, eta)
     r = math.sqrt(1.0 - s.det_sigma)
-    return dataclasses.replace(s, gamma_plus=0.5 * (1.0 + r), gamma_minus=0.5 * (1.0 - r))
+    return s._replace(gamma_plus=0.5 * (1.0 + r), gamma_minus=0.5 * (1.0 - r))
 
 
 def _basis_with_spurious_coherence_factor(alpha: float, eta: float):
@@ -474,7 +473,7 @@ class TestVerifyAll:
         # a NaN at a later grid point must not be folded away by an earlier finite error
         def spectrum_nan_at_second_point(alpha, eta):
             s = sigma_spectrum(alpha, eta)
-            return dataclasses.replace(s, gamma_plus=math.nan) if alpha > 0.6 else s
+            return s._replace(gamma_plus=math.nan) if alpha > 0.6 else s
 
         report = verify_all([(0.5, 0.9), (0.8, 0.9)], spectrum_fn=spectrum_nan_at_second_point)
         rows = {c.name: c for c in report.checks}

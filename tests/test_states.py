@@ -11,8 +11,10 @@ import hypothesis.strategies as st
 from perfbench.reference import mean_photons
 from phasefisher.exceptions import InvalidEta, NumericalOverflow, TruncationTooSmall
 from phasefisher.fock_core import FockTruncation, coherent_vector
-from phasefisher.qfi_oracle import _ecs_cutoff
+from phasefisher.qfi_analytic import qfi_noon
+from phasefisher.qfi_oracle import _ecs_cutoff, build_scenario, scenario_qfi
 from phasefisher.states import (
+    WITH_REFERENCE,
     ProbeSpec,
     alpha_for_mean_photon,
     ecs_normalization,
@@ -273,3 +275,21 @@ class TestProbeSpec:
     def test_noon_needs_positive_n(self):
         with pytest.raises(ValueError):
             ProbeSpec("noon", 0.9, n=0)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(2.0), "2", None])
+    def test_noon_order_must_be_an_integer(self, n):
+        # a float order once reached the oracle, which refused it as a misplaced support
+        with pytest.raises(ValueError, match="NOON order n must be an integer"):
+            ProbeSpec("noon", 0.9, n=n)
+
+    def test_numpy_integer_order_is_stored_as_int(self):
+        probe = ProbeSpec("noon", 0.9, n=np.int64(2))
+        assert type(probe.n) is int and probe == ProbeSpec("noon", 0.9, n=2)
+        assert scenario_qfi(build_scenario(probe, WITH_REFERENCE)).value == pytest.approx(
+            qfi_noon(2, 0.9).value, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e-200])
+    def test_ecs_needs_finite_amplitude_whose_square_is_positive(self, alpha):
+        with pytest.raises(ValueError, match="ECS probe needs"):
+            ProbeSpec("ecs", 0.9, alpha=alpha)
