@@ -9,12 +9,12 @@ truncated exactly at the cutoff (a^k annihilates everything above it). Each
 two-mode Kraus pair maps |n1, n2> to the single state |n1 - k1, n2 - k2>,
 so loss moves weight onto the downward closure of the input support, and
 the output states a pair links are known from the support alone. An input
-block is sum_j w_j V_j V_j^dag, given as its sources, the nonzero entries
-of its columns V_j (a pure state: its amplitudes, one column; a mixed one:
-each component's eigenvectors), and each output component is the Gram
-product M diag(w) M^dag of the Kraus images M of those columns: the
-operator-sum form on a purification (Escher, de Matos Filho and Davidovich,
-Nat. Phys. 7, 406 (2011)), state-agnostic.
+block is sum_j V_j V_j^dag, given as its sources, the nonzero entries of
+its columns V_j (a pure state: its amplitudes, one column; a mixed one:
+each component's eigenvectors times the roots of their eigenvalues), and
+each output component is the Gram product M M^dag of the Kraus images M
+of those columns: the operator-sum form on a purification (Escher, de
+Matos Filho and Davidovich, Nat. Phys. 7, 406 (2011)), state-agnostic.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -26,11 +26,13 @@ total-photon-number sectors, implemented by masking rather than quadrature.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
 from .fock_core import DensityOperator, FockTruncation, StateVector
-from .fock_core import _grouped, _labels, _read_only, _real_if_exact
+from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra
 
 
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
@@ -48,32 +50,51 @@ def single_arm_generator(trunc: FockTruncation) -> np.ndarray:
 def _loss_table(eta: float, d: int) -> np.ndarray:
     """table[k, a] = <a| K_k |a + k> for a + k < d: the bands of K_k on the first d Fock states.
 
-    Row k is row k - 1 times sqrt((1 - eta)(a + k) / k). Entries with
-    a + k >= d are never read; each is still a binomial amplitude, at most
-    1, so none overflows.
+    Row k is row k - 1 times sqrt((1 - eta)(a + k) / k), from row 0's
+    eta^{a/2}. A column whose start is below 2^-1000 (0 < eta < 0.51 and a
+    large) starts at eta^{a/2} 2^{s_a} instead, s_a the least shift that
+    lifts it there, taken from eta = m 4^f, 1/2 <= m < 2, as m^{a/2} 2^{f a}
+    with no underflow, and is scaled back by 2^{-s_a} at the end; so no
+    entry of normal size reads 0 for an underflowed start. A read entry
+    grows by at most 2^{d/2} <= 2^1024 down its column, so none overflows;
+    the entries with a + k >= d are never read, and in a lifted column they
+    may overflow to inf.
     """
     a = np.arange(d, dtype=float)
     k = np.arange(1, d)[:, None]
-    return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
+    start = eta ** (a / 2.0)
+    # the lifted columns are the last ones, since the start falls with a; eta 0 keeps its zeros
+    c = d - np.count_nonzero(start < 2.0**-1000) if eta > 0.0 else d
+    if c < d:
+        m, e = math.frexp(eta)
+        m, f = (2.0 * m, (e - 1) // 2) if e % 2 else (m, e // 2)
+        mantissa, e = np.frexp(m ** (a[c:] / 2.0))
+        shift = -999 - e - f * np.arange(c, d)
+        start[c:] = np.ldexp(mantissa, -999)
+    with np.errstate(over="ignore"):  # only an unread entry of a lifted column overflows
+        table = np.cumprod(np.vstack([start, np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
+    if c < d:
+        np.ldexp(table[:, c:], -shift, out=table[:, c:])
+    return table
 
 
 def _kraus_loss(
-    state: np.ndarray, column: np.ndarray, amp: np.ndarray, w: np.ndarray, label: np.ndarray,
+    state: np.ndarray, column: np.ndarray, amp: np.ndarray, label: np.ndarray,
     eta: float, trunc: FockTruncation,
 ) -> DensityOperator:
-    """Loss on the block sum_j w_j V_j V_j^dag of the columns V_j of the sources, as one operator.
+    """Loss on the block sum_j V_j V_j^dag of the columns V_j of the sources, as one operator.
 
     Each source is one entry of V: its basis state, its column and its
-    amplitude. w and label are per column, and the label names the input a
-    column belongs to (a sector of a state, say). Pair (k1, k2) moves each
+    amplitude. label is per column, and names the input a column belongs
+    to (a sector of a state, say). Pair (k1, k2) moves each
     source |n1, n2> with n1 >= k1 and n2 >= k2 to |n1 - k1, n2 - k2>, one
     to one, so its image of column j is a column of M, filled with no sum.
     An image of value exactly 0 (eta = 0, or an underflowed (1 - eta)^k) is
     dropped first. A column links its images; their connected unions are
     the lossy components, in _grouped order, never merged across labels.
-    Each stack of equal-size components takes one batched M diag(w) M^dag,
-    real where the amplitudes' imaginary parts are exactly 0, and the lone
-    states one np.bincount of w |M entry|^2; a component whose every entry
+    Each stack of equal-size components takes one batched M M^dag, real
+    where the amplitudes' imaginary parts are exactly 0, and the lone
+    states one np.bincount of |M entry|^2; a component whose every entry
     is 0 is dropped, and the support is the states of the rest. At eta = 1
     only pair (0, 0) moves anything, so it is the only pair visited.
     """
@@ -90,12 +111,12 @@ def _kraus_loss(
     # label, so the stable sort meets long sorted runs
     kept = np.flatnonzero(values)
     j = column[src[kept]]
-    key = ((label[j] * d + k1[kept]) * d + k2[kept]) * w.size + j
+    key = ((label[j] * d + k1[kept]) * d + k2[kept]) * label.size + j
     by_key = np.argsort(key, kind="stable")
     fresh, order, j = np.diff(key[by_key], prepend=-1) != 0, kept[by_key], j[by_key]
     del key, kept, by_key
     src, k1, k2, values = src[order], k1[order], k2[order], values[order]
-    first, run, w = np.flatnonzero(fresh), np.cumsum(fresh) - 1, w[j]  # each run is one column of M
+    first, run = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
     # the output states, (label, basis index) ascending, and each incidence's among them
     image = (label[j] * d + n1[src] - k1) * d + n2[src] - k2
     order = np.argsort(image)
@@ -121,20 +142,18 @@ def _kraus_loss(
         at = np.flatnonzero(span[dst] == s)
         k, i = np.divmod(index[dst[at]], s)
         if s == 1:
-            blocks = np.bincount(k, w[at] * (values[at] * values[at].conj()).real, count)[:, None, None]
-        else:  # M, and M diag(w) on the left, which is M itself where every w is 1
+            blocks = np.bincount(k, (values[at] * values[at].conj()).real, count)[:, None, None]
+        else:
             m = np.zeros((count, s, int(col[at].max()) + 1), dtype=values.dtype)
             m[k, i, col[at]] = values[at]
-            left = np.zeros_like(m) if np.any(w[at] != 1.0) else m
-            left[k, i, col[at]] = w[at] * values[at]
-            blocks = left @ m.conj().transpose(0, 2, 1)
-            del m, left
+            blocks = m @ m.conj().transpose(0, 2, 1)
+            del m
         # a component whose every entry is 0 (underflowed) is dropped
         kept = np.flatnonzero(blocks.any(axis=(1, 2)))
         if kept.size < count:
             members, blocks = members[kept], blocks[kept]
         parts.append((out[members] % (d * d), blocks))
-    del values, w, dst, col, at, k, i  # freed before the checks
+    del values, dst, col, at, k, i  # freed before the checks
     support = np.flatnonzero(np.bincount(np.concatenate([m.ravel() for m, _ in parts])))
     parts = tuple((np.searchsorted(support, m), b) for m, b in parts if m.size)
     return DensityOperator(support, parts, trunc)
@@ -144,31 +163,31 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     """Equal transmittance eta on both modes, trace preserving and completely positive.
 
     The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag on the
-    downward closure of rho's support, by _kraus_loss from one eigh per
-    stack of rho's components, its eigenvalues signed as they come (so the
-    trace is kept): each component's eigenvectors are its columns, and
-    their entries on its own states the sources. apply_loss_pure takes a
-    pure state with no eigh.
+    downward closure of rho's support, by _kraus_loss from the spectra of
+    rho's components under qfi_numeric's rule (fock_core._spectra): each
+    eigenvector times the root of its eigenvalue is a column, and its
+    entries on its component's own states are the sources.
     """
     check_eta(eta)
     if eta == 1.0:
         return rho
-    sources, used = [], 0  # per stack: each source's state, column and amplitude, and each column's w
+    sources, used = [], 0  # per stack: each source's state, column and amplitude
     for members, blocks in rho.parts:
         count, s = members.shape
-        w, v = np.linalg.eigh(_real_if_exact(blocks))
+        p, v, exponent = _spectra(blocks)
         # entry (k, i, c) is state i of component k in its eigenvector c, column used + k s + c
         column = np.tile(used + np.arange(count * s).reshape(count, 1, s), (1, s, 1))
-        sources.append((np.repeat(rho.support[members], s), column.ravel(), v.ravel(), w.ravel()))
+        v = v * np.sqrt(np.ldexp(p, exponent[:, None]))[:, None, :]
+        sources.append((np.repeat(rho.support[members], s), column.ravel(), v.ravel()))
         used += count * s
     return _kraus_loss(*map(np.concatenate, zip(*sources)), np.zeros(used, dtype=int), eta, rho.truncation)
 
 
 def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
-    """apply_loss(psi.density(), eta) from psi's amplitudes, one column of weight 1: no eigensolve."""
+    """apply_loss(psi.density(), eta) from psi's amplitudes, one column: no eigensolve."""
     check_eta(eta)
     zero = np.zeros(psi.support.size, dtype=int)
-    return _kraus_loss(psi.support, zero, psi.amplitudes, np.ones(1), zero[:1], eta, psi.truncation)
+    return _kraus_loss(psi.support, zero, psi.amplitudes, zero[:1], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

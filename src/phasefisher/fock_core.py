@@ -21,6 +21,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatch,
+    NegativeEigenvalue,
     NotHermitian,
     NumericalOverflow,
     OracleTooLarge,
@@ -137,6 +138,27 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+def _spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of components: component k is sum_c ldexp(p[k, c], exponent[k]) v_c v_c^dag.
+
+    Each is scaled exactly by 2^-exponent to a trace in [1/2, 1), a real eigh where every imaginary
+    part is 0; a lone state is its entry's frexp mantissa, with no eigh. The one eigenvalue rule
+    for stored components: a p below -1e-12 raises NegativeEigenvalue, a larger negative one is clipped.
+    """
+    mantissa, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
+    if blocks.shape[1] == 1:
+        p, v = mantissa[:, None], np.broadcast_to(1.0, blocks.shape)
+    else:
+        blocks, shift = _real_if_exact(blocks), -exponent[:, None, None]
+        scaled = np.ldexp(blocks.real, shift)
+        if np.iscomplexobj(blocks):
+            scaled = scaled + 1j * np.ldexp(blocks.imag, shift)
+        p, v = np.linalg.eigh(scaled)
+    if p.min() < -1e-12:
+        raise NegativeEigenvalue(f"eigenvalue {p.min():.3e} of a trace-scaled component")
+    return np.clip(p, 0.0, None), v, exponent
+
+
 def _check_support(s: np.ndarray, d: int) -> None:
     """Raise DimensionMismatch unless s is strictly increasing integer basis indices in [0, d)."""
     if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
@@ -176,8 +198,8 @@ class DensityOperator:
     connected components of its exact nonzeros, stacked as _grouped stacks
     them. Finite entries and hermiticity are enforced on each stack and
     trace one on their sum.
-    Positivity is enforced where spectra are taken (the QFI eigensolve clips
-    roundoff-negative eigenvalues and rejects anything worse).
+    Positivity is enforced where spectra are taken (qfi_numeric and
+    apply_loss), by the one eigenvalue rule of _spectra.
     """
 
     __slots__ = ("support", "truncation", "parts")

@@ -39,14 +39,13 @@ from .channels import (
 from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
-    NegativeEigenvalue,
     PhaseFisherError,
     _record,
 )
 from .fock_core import (
     DensityOperator,
     FockTruncation,
-    _real_if_exact,
+    _spectra,
     coherent_vector,
     truncation_for_tolerance,
 )
@@ -112,12 +111,9 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     Liu et al., J. Phys. A 53, 023001 (2020)). By the same argument the QFI
     is the sum over rho.parts, its components, which may be the lossy
     sectors of a reference-free scenario: the QFI of a classical-quantum
-    state is the sum over its labels. Each component, whatever its own
-    trace, is scaled exactly by a power of two to a trace in [1/2, 1) for
-    its eigensolve, a real eigh where its imaginary parts are all exactly
-    zero: an eigenvalue below -1e-12 there raises NegativeEigenvalue, a
-    larger negative one is clipped to 0, and every pair with p_i + p_j > 0
-    counts.
+    state is the sum over its labels. The spectra are fock_core._spectra's,
+    as apply_loss's are (trace-scaled, clipped, and refused below -1e-12);
+    every pair with p_i + p_j > 0 counts, and each sum is scaled back.
     """
     if len(generator) != rho.truncation.dim:
         raise DimensionMismatch(
@@ -126,22 +122,9 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     g = generator[rho.support]
     value = 0.0
     for members, blocks in rho.parts:  # a stack of equal-size components
-        if members.shape[1] == 1:  # one state: its entry's frexp mantissa, and no pair
-            w, v = np.frexp(blocks[:, 0, 0].real)[0], None
-        else:
-            _, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
-            shift = -exponent[:, None, None]
-            blocks = _real_if_exact(blocks)  # a real eigh where every imaginary part is 0
-            scaled = np.ldexp(blocks.real, shift)
-            if np.iscomplexobj(blocks):
-                scaled = scaled + 1j * np.ldexp(blocks.imag, shift)
-            w, v = np.linalg.eigh(scaled)
-            del scaled
-        if w.min() < -1e-12:
-            raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} of a trace-scaled component")
-        if v is None:
+        w, v, exponent = _spectra(blocks)
+        if members.shape[1] == 1:  # one state: no pair
             continue
-        w = np.clip(w, 0.0, None)
         gt = np.abs(v.conj().transpose(0, 2, 1) @ (g[members][:, :, None] * v)) ** 2
         del v
         diff = w[:, :, None] - w[:, None, :]
@@ -175,12 +158,9 @@ def build_scenario(
     if truncation is None:
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
     psi = noon_vector(probe.n, truncation) if probe.family == "noon" else ecs_vector(probe.alpha, truncation)
-    if reference == WITH_REFERENCE:
-        return apply_loss_pure(psi, probe.eta)
-    # sector n is column n of weight 1, labelled n: its amplitudes, unnormalized
-    n = truncation.totals(psi.support)
-    sectors = np.arange(n.max() + 1)
-    return _kraus_loss(psi.support, n, psi.amplitudes, np.ones(sectors.size), sectors, probe.eta, truncation)
+    # one column labelled 0 with a reference; without, sector n is column n, labelled n, unnormalized
+    column = np.zeros_like(psi.support) if reference == WITH_REFERENCE else truncation.totals(psi.support)
+    return _kraus_loss(psi.support, column, psi.amplitudes, np.arange(column.max() + 1), probe.eta, truncation)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -27,7 +28,7 @@ from phasefisher.channels import (
     single_arm_generator,
     two_arm_generator,
 )
-from phasefisher.exceptions import InvalidEta
+from phasefisher.exceptions import InvalidEta, NegativeEigenvalue
 from phasefisher.fock_core import (
     DensityOperator,
     FockTruncation,
@@ -35,9 +36,12 @@ from phasefisher.fock_core import (
     coherent_vector,
 )
 from phasefisher.qfi_oracle import (
+    WITH_REFERENCE,
     WITHOUT_REFERENCE,
     _ecs_cutoff,
     build_scenario,
+    qfi_numeric,
+    scenario_qfi,
 )
 from phasefisher.states import ProbeSpec, ecs_normalization, ecs_vector, noon_vector
 from test_fock_core import _assert_parts_match_a_search, _state_from_dense
@@ -70,6 +74,13 @@ def _loop_bands(eta: float, d: int) -> list[np.ndarray]:
         a = np.arange(d - k, dtype=float)
         bands.append(bands[k - 1][: d - k] * np.sqrt((1.0 - eta) * (a + k) / k))
     return bands
+
+
+def _plain_table(eta: float, d: int) -> np.ndarray:
+    """The band table as one cumulative product from eta^{a/2}, with no column lifted."""
+    a = np.arange(d, dtype=float)
+    k = np.arange(1, d)[:, None]
+    return np.cumprod(np.vstack([eta ** (a / 2.0), np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
 
 
 def _loop_loss(
@@ -189,6 +200,26 @@ class TestKraus:
             table = _loss_table(eta, d)
             for k, band in enumerate(_loop_bands(eta, d)):
                 assert np.array_equal(table[k, : d - k], band)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-300, 0.5, 0.9, 1.0])
+    def test_table_is_the_plain_product_where_no_start_underflows(self, eta):
+        # at 1e-300 every lifted entry still underflows to 0 once scaled back
+        assert np.array_equal(_loss_table(eta, 300), _plain_table(eta, 300))
+
+    @pytest.mark.parametrize(("eta", "d", "restored"), [(0.01, 552, 52_057), (0.3, 2048, 1_513_614)])
+    def test_lifted_columns_restore_entries_of_normal_size(self, eta, d, restored):
+        # entries that read 0 from an underflowed start, against 50-digit mpmath
+        table = _loss_table(eta, d)
+        zero = _plain_table(eta, d) == 0.0
+        assert np.count_nonzero(zero & (table != 0.0)) == restored
+        k, a = np.nonzero(zero & (table > 1e-300))
+        read = np.flatnonzero(a + k < d)
+        sample = np.random.default_rng(7).choice(read, 1000, replace=False)
+        with mp.workdps(50):
+            e = mp.mpf(eta)
+            for kk, aa in zip(k[sample].tolist(), a[sample].tolist()):
+                want = e ** (mp.mpf(aa) / 2) * (1 - e) ** (mp.mpf(kk) / 2) * mp.sqrt(mp.binomial(aa + kk, kk))
+                assert abs(table[kk, aa] - want) <= 2.5e-13 * want
 
 
 class TestLossMatchesPairLoop:
@@ -312,6 +343,27 @@ class TestApplyLoss:
             assert rho.support.tolist() == [0]
             assert [members.shape[1] for members, _ in rho.parts] == [1]
             assert rho.on(rho.support)[0, 0] == pytest.approx(1.0, abs=1e-13)
+
+    def test_lossy_ecs_keeps_states_past_an_underflowed_start(self):
+        # at eta 0.01, 0.1^a underflows from a = 324; the lifted table keeps the lossy
+        # |n, 0> states beyond it, and F moves by less than 1e-12 from its value with
+        # those states dropped
+        rho = build_scenario(ProbeSpec("ecs", 0.01, alpha=20.0), WITH_REFERENCE)
+        n1, n2 = np.divmod(rho.support, rho.truncation.dim_single)
+        assert n1[n2 == 0].max() > 323
+        assert scenario_qfi(rho).value == pytest.approx(3.999999999994492, rel=1e-12, abs=0.0)
+
+    def test_negative_eigenvalue_is_refused(self):
+        # the rule qfi_numeric applies: a negative eigenvalue beyond roundoff is refused,
+        # in lone states or in a pair
+        trunc = FockTruncation(2)
+        lone = DensityOperator(np.arange(trunc.dim), np.diag([1.5, -0.5] + [0.0] * 7), trunc)
+        pair = DensityOperator(np.arange(2), np.array([[0.5, 1.0], [1.0, 0.5]]), trunc)
+        for rho in (lone, pair):
+            with pytest.raises(NegativeEigenvalue):
+                apply_loss(rho, 0.5)
+            with pytest.raises(NegativeEigenvalue):
+                qfi_numeric(rho, two_arm_generator(trunc))
 
     def test_output_is_positive(self):
         rho = apply_loss(_random_density(4, seed=15), 0.4)

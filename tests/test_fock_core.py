@@ -24,6 +24,7 @@ from phasefisher.fock_core import (
     DensityOperator,
     FockTruncation,
     StateVector,
+    _spectra,
     coherent_vector,
     truncation_for_tolerance,
 )
@@ -469,3 +470,31 @@ class TestStateWrappers:
         assert psi.support.tolist() == [0]
         with pytest.raises(ValueError):
             psi.support[0] = 1
+
+
+class TestSpectra:
+    """The one eigenvalue rule for stored components, shared by apply_loss and qfi_numeric."""
+
+    def test_one_state_is_its_mantissa_with_no_eigh(self, monkeypatch):
+        def no_eigh(a):
+            raise AssertionError("eigh called on one-state components")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        entries = np.array([0.75, 3e-20, 6.0, 0.0])
+        p, v, exponent = _spectra(entries[:, None, None].astype(complex))
+        mantissa, want = np.frexp(entries)
+        assert np.array_equal(p[:, 0], mantissa) and np.array_equal(exponent, want)
+        assert np.array_equal(v, np.ones((4, 1, 1)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_scaled_spectra_sum_to_each_trace(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 4, 4)) + (1j * rng.normal(size=(3, 4, 4)) if dtype is complex else 0.0)
+        blocks = (a @ a.conj().transpose(0, 2, 1)) * np.array([1e-30, 1.0, 5e10])[:, None, None]
+        p, v, exponent = _spectra(blocks)
+        assert v.dtype == np.dtype(dtype)
+        scale = np.ldexp(p, exponent[:, None])
+        trace = np.trace(blocks, axis1=1, axis2=2).real
+        assert np.allclose(scale.sum(axis=1), trace, rtol=1e-14, atol=0.0)
+        rebuilt = (v * scale[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        assert np.allclose(rebuilt, blocks, rtol=0.0, atol=1e-13 * trace.max())

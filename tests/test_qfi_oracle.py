@@ -305,9 +305,9 @@ class TestSectorFold:
         kraus, post_init = qfi_oracle._kraus_loss, DensityOperator.__post_init__
         calls, built = [], []
 
-        def counting_kraus(state, column, amp, w, label, eta, trunc):
+        def counting_kraus(state, column, amp, label, eta, trunc):
             calls.append(np.unique(label[column]).size)
-            return kraus(state, column, amp, w, label, eta, trunc)
+            return kraus(state, column, amp, label, eta, trunc)
 
         def recording_post_init(self, block):
             built.append(self)
