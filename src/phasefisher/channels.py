@@ -202,27 +202,74 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.support, np.where(mask, rho.on(rho.support), 0.0), rho.truncation)
 
 
+def _bessel_j(z: float) -> np.ndarray:
+    """J_k(z) for k = 0 .. K, z >= 0, K the last order with |J_k| > 1e-18.
+
+    Miller's backward recurrence J_{k-1} = (2k / z) J_k - J_{k+1}, started
+    at J_top = 1, J_{top+1} = 0 with top = z + 20 z^{1/3} + 40, where J_top
+    is below 1e-30 (Airy decay past the turning point k = z), and
+    normalised by J_0 + 2 sum_k J_{2k} = 1. The recurrence is stable
+    downwards; whenever a value passes 2^500 every value so far is scaled by
+    2^-500, so nothing overflows.
+    """
+    if z == 0.0:
+        return np.ones(1)
+    top = int(z + 20.0 * z ** (1.0 / 3.0) + 40.0)
+    j = [0.0] * (top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * k / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 2.0**500:
+            j[k - 1:] = [math.ldexp(v, -500) for v in j[k - 1:]]
+    j = np.array(j[: top + 1])
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return j[: np.flatnonzero(np.abs(j) > 1e-18)[-1] + 1]
+
+
 def _bs_bands(eta: float, d: int) -> np.ndarray:
     """bands[e, a] = <a, e|U|a + e, 0> for a + e < d, the vacuum-environment columns of U.
 
-    U = exp[theta (a^dag b - a b^dag)], cos(theta) = sqrt(eta), couples a mode
-    to its environment b and conserves the total photon number (the SU(2)
-    structure of the lossless beam splitter; Campos, Saleh and Teich, Phys.
-    Rev. A 40, 1371 (1989)). On the block |n - e, e>, e = 0 .. n, it is
-    exp(-iH) for the tridiagonal H = i theta (a^dag b - a b^dag). With
-    D = diag(i^e), D^dag H D = theta A_n is real symmetric, A_n with
-    off-diagonal -sqrt((n - e)(e + 1)), so one real eigh gives exp(-iH) =
-    D exp(-i theta A_n) D^dag; column |n, 0> is summed elementwise, so no
-    BLAS product rounds it, and then takes the phases i^e.
+    U = exp(theta K), K = a^dag b - a b^dag, cos(theta) = sqrt(eta), couples a
+    mode to its environment b and conserves the total photon number (the
+    SU(2) structure of the lossless beam splitter; Campos, Saleh and Teich,
+    Phys. Rev. A 40, 1371 (1989)). On the block |n - e, e>, e = 0 .. n, K is
+    real antisymmetric and tridiagonal, K[e, e + 1] = sqrt((n - e)(e + 1)) =
+    -K[e + 1, e], with eigenvalues i(n - 2m), so K' = K/(d - 1) has its
+    spectrum in [-i, i] for every n < d. Column |n, 0> of exp(z K'),
+    z = theta (d - 1), is the real Chebyshev series sum_k eps_k J_k(z) Q_k
+    |n, 0>, Q_{k+1} = 2 K' Q_k + Q_{k-1} (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)), cut where J_k falls below 1e-18: |Q_k| <= 1. Every
+    n goes at once, as the rows of the lower triangle of one (d, d) array
+    packed row after row; K's coefficient past a row's end is 0, so no row
+    reaches into the next. Each step is elementwise, with no BLAS product, so
+    the bytes do not depend on the thread count.
     """
-    theta = np.arccos(np.sqrt(eta))
-    phases = np.array([1.0, 1j, -1.0, -1j])
-    bands = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        off = -theta * np.sqrt(np.arange(n, 0, -1) * np.arange(1.0, n + 1))
-        w, v = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-        e = np.arange(n + 1)
-        bands[e, n - e] = phases[e % 4] * (v * (np.exp(-1j * w) * v[0])).sum(axis=1)
+    n, e = np.tril_indices(d)  # row n of the packed triangle holds e = 0 .. n
+    bands = np.zeros((d, d))
+    theta = math.acos(math.sqrt(eta))
+    if d == 1 or theta == 0.0:  # U is the identity on every column
+        bands[0] = 1.0
+        return bands
+    j = 2.0 * _bessel_j(theta * (d - 1))
+    # twice K' q is c[i] q[i + 1] - c[i - 1] q[i - 1]; c is 0 at each row's last entry
+    c = 2.0 * np.sqrt((n - e) * (e + 1.0))[:-1] / (d - 1)
+    prev = (e == 0).astype(float)  # Q_0 on each row's |n, 0>
+    cur = np.zeros_like(prev)
+    cur[:-1] = c * prev[1:]
+    cur[1:] -= c * prev[:-1]
+    cur *= 0.5  # Q_1 = K' Q_0
+    total = prev * (j[0] / 2.0) + cur * j[1]  # z > 0 has J_1(z) > 1e-18
+    step = np.empty_like(prev)
+    for weight in j[2:]:
+        # Q_{k+1} = 2 K' Q_k + Q_{k-1}, written over Q_{k-1}
+        np.multiply(c, cur[1:], out=step[:-1])
+        prev[:-1] += step[:-1]
+        np.multiply(c, cur[:-1], out=step[:-1])
+        prev[1:] -= step[:-1]
+        np.multiply(prev, weight, out=step)
+        total += step
+        prev, cur = cur, prev
+    bands[e, n - e] = total
     return bands
 
 
@@ -233,8 +280,11 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     from _bs_bands are the one-mode Kraus operators K_e[a, a + e] =
     bands[e, a], and tracing the environments out sums the pairs (e1, e2).
     The pairs that move an occupied state are the downward closure of the
-    support, the output support; each adds w w^dag times its source block,
-    elementwise, in row-major pair order. The environment shares the signal
+    support, the output support; one pass over the (pair, source) incidences
+    gives each pair's sources, images and real weights w, and each pair adds
+    w w^T times its source block, elementwise, in row-major pair order: real
+    arithmetic where every imaginary part of rho is exactly 0, and no BLAS
+    product. The environment shares the signal
     cutoff, which is exact: a mode holding at most n_max photons can lose
     at most n_max. A trace deficit beyond 1e-9 (roundoff) raises
     TruncationTooSmall.
@@ -248,14 +298,18 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     occ[n1, n2] = True
     occ = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
     closure = np.flatnonzero(np.logical_or.accumulate(occ[:, ::-1], axis=1)[:, ::-1])
-    block = rho.on(rho.support)
-    acc = np.zeros((closure.size, closure.size), dtype=complex)
-    for e1, e2 in zip(*np.divmod(closure, d)):
-        src = np.flatnonzero((n1 >= e1) & (n2 >= e2))
-        a1, a2 = n1[src] - e1, n2[src] - e2
-        w = bands[e1, a1] * bands[e2, a2]
-        dst = np.searchsorted(closure, a1 * d + a2)
-        acc[np.ix_(dst, dst)] += np.outer(w, w.conj()) * block[np.ix_(src, src)]
+    # every (pair, source) incidence, pairs in row-major order, with its image and weight
+    e1, e2 = np.divmod(closure, d)
+    pair, src = np.nonzero((n1 >= e1[:, None]) & (n2 >= e2[:, None]))
+    a1, a2 = n1[src] - e1[pair], n2[src] - e2[pair]
+    w = bands[e1[pair], a1] * bands[e2[pair], a2]
+    dst = np.searchsorted(closure, a1 * d + a2)
+    cuts = np.cumsum(np.bincount(pair, minlength=closure.size))[:-1]
+    del pair, a1, a2
+    block = np.ascontiguousarray(_real_if_exact(rho.on(rho.support)))
+    acc = np.zeros((closure.size, closure.size), dtype=block.dtype)
+    for s, t, x in zip(np.split(src, cuts), np.split(dst, cuts), np.split(w, cuts)):
+        acc[np.ix_(t, t)] += np.outer(x, x) * block[np.ix_(s, s)]
     deficit = abs(float(np.trace(acc).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}")

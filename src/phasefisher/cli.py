@@ -26,13 +26,13 @@ order, no timestamps. Closed-form output (`point` without `--oracle`,
 errors come from LAPACK eigensolves and BLAS products, real ones where
 every amplitude is real. CI pins the default `verify` report and its
 `--output` CSV, which carries every max error in full repr, at one and two
-BLAS threads, and a subprocess test pins the beam-splitter route's output
-bytes at alpha 1.5 and 2. A larger product or eigensolve may thread, and
-its last digits then move with the thread count: at alpha 12 the
-beam-splitter route's bytes and two rows of `verify --grid single`'s CSV
-(the with-reference oracle's and truncation_stability), and at alpha 20 the
-with-reference `point --oracle` value (359.9999999864846 at one thread,
-359.9999999864044 at two). Another BLAS library may move last digits too.
+BLAS threads, and subprocess tests pin the beam-splitter route's output
+bytes at alpha 1.5, 2 and 12: that route is elementwise, with no BLAS
+product. A larger product or eigensolve may thread, and its last digits
+then move with the thread count: at alpha 12 two rows of `verify --grid
+single`'s CSV (the with-reference oracle's and truncation_stability), and
+at alpha 20 the with-reference `point --oracle` value (359.9999999864846 at
+one thread, 359.9999999864044 at two). Another BLAS library may move last digits too.
 """
 
 from __future__ import annotations

@@ -189,8 +189,12 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     (psi2 - p psi1)/sqrt(1 - p^2) = (delta + (1 - p) psi1)/sqrt((1 - p)(1 + p))
     keeps full precision as p nears 1.
     """
-    trunc = _ecs_cutoff(alpha)
-    sigma = apply_loss_pure(ecs_vector(alpha, trunc), eta)
+    return _two_level_matrix(apply_loss_pure(ecs_vector(alpha, _ecs_cutoff(alpha)), eta), alpha, eta)
+
+
+def _two_level_matrix(sigma: DensityOperator, alpha: complex, eta: float) -> np.ndarray:
+    """two_level_matrix_numeric from sigma, the lossy ECS at (alpha, eta), on its own cutoff."""
+    trunc = sigma.truncation
     # the branches |sqrt(eta) alpha, 0> and |0, sqrt(eta) alpha> on sigma's support, the
     # states the matrix is taken over; a branch entry off it is one whose lossy image underflowed
     c = coherent_vector(math.sqrt(eta) * alpha, trunc)
@@ -293,7 +297,11 @@ def verify_all(
     validation grid. Each point's states sit on _ecs_cutoff(alpha), and
     truncation_stability compares them with its double. A row is its name,
     tolerance, points, the error at one point and its detail; _run_check
-    walks every row's points. spectrum_fn /
+    walks every row's points. Rows share what they read through caches: one
+    with-reference lossy operator per (alpha, eta) at the base cutoff serves
+    the reference oracle, the two-level matrix, the beam-splitter row and the
+    pipeline row, and one reference-free build serves its QFI and the
+    label-free mixture. spectrum_fn /
     basis_matrix_fn are injection seams for negative-control tests that
     feed deliberately corrupted closed forms. A grid point or cutoff that
     `point --oracle` would refuse, or a doubled cutoff past the size
@@ -312,24 +320,32 @@ def verify_all(
     etas = sorted({e for _, e in grid})
     lossy = [(a, e) for a, e in grid if e != 0.0]  # the spectrum rows skip eta 0
 
-    # Rows share oracle values through these caches; only floats, 2x2 matrices
-    # and the label-free mixtures are held. functools.cache stores no exception,
-    # so a value that raises fails again in each row that needs it, and no other;
-    # the reference-free base build yields two values, and its failure fails both.
+    # Rows share oracle values through these caches: floats, 2x2 matrices, the
+    # label-free mixtures and the with-reference lossy operators at the base
+    # cutoff. functools.cache stores no exception, so a value that raises fails
+    # again in each row that needs it, and no other; the reference-free base
+    # build yields two values, and its failure fails both.
     @functools.cache
     def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
         rho = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha])
         return scenario_qfi(rho).value, scenario_mixture(rho)
 
     @functools.cache
+    def with_ref(alpha: float, eta: float) -> DensityOperator:
+        # the beam-splitter points need not be on the grid, so the probe is built here
+        return build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITH_REFERENCE, cutoff[alpha])
+
+    @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
-        if reference == WITHOUT_REFERENCE and trunc == cutoff[alpha]:
-            return label_free(alpha, eta)[0]
+        if trunc == cutoff[alpha]:
+            if reference == WITHOUT_REFERENCE:
+                return label_free(alpha, eta)[0]
+            return scenario_qfi(with_ref(alpha, eta)).value
         return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc)).value
 
     @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
-        return two_level_matrix_numeric(alpha, eta)
+        return _two_level_matrix(with_ref(alpha, eta), alpha, eta)
 
     def noon(n: int, eta: float, reference: str) -> float:
         probe = ProbeSpec("noon", eta, n=n)
@@ -340,8 +356,8 @@ def verify_all(
         return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
     def bs(alpha: float, eta: float) -> float:
-        psi = ecs_vector(alpha, cutoff[alpha])
-        return _max_entry_gap(apply_loss_pure(psi, eta), apply_loss_via_bs(psi.density(), eta))
+        rho = ecs_vector(alpha, cutoff[alpha]).density()
+        return _max_entry_gap(with_ref(alpha, eta), apply_loss_via_bs(rho, eta))
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
         s = spectrum_fn(alpha, eta)
@@ -353,8 +369,7 @@ def verify_all(
         return abs(s.gamma_plus + s.gamma_minus - 1.0), abs(s.gamma_plus * s.gamma_minus - s.det_sigma)
 
     def pipeline(alpha: float, eta: float) -> float:
-        direct = phase_average(apply_loss_pure(ecs_vector(alpha, cutoff[alpha]), eta))
-        return _max_entry_gap(label_free(alpha, eta)[1], direct)
+        return _max_entry_gap(label_free(alpha, eta)[1], phase_average(with_ref(alpha, eta)))
 
     def generator(alpha: float, eta: float) -> float:
         mix = label_free(alpha, eta)[1]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from phasefisher.channels import (
+    _bessel_j,
     _bs_bands,
     _loss_table,
     apply_loss,
@@ -461,7 +462,7 @@ def _hermitian_bs_bands(eta: float, d: int) -> np.ndarray:
 class TestBeamSplitterRoute:
     @pytest.mark.parametrize("d", [1, 2, 7, 25, 60])
     def test_bands_equal_the_hermitian_route(self, d):
-        # the real symmetric theta A_n, with the phases i^e applied after, against exp(-iH)
+        # the real Chebyshev series for exp(theta K) against exp(-iH) by a complex eigensolve
         for eta in (0.0, 0.3, 0.6, 0.9, 0.99, 1.0):
             gap = np.abs(_bs_bands(eta, d) - _hermitian_bs_bands(eta, d))
             assert float(gap.max()) <= 1e-14
@@ -474,6 +475,29 @@ class TestBeamSplitterRoute:
         for n in range(d):
             column = bands[np.arange(n + 1), n - np.arange(n + 1)]
             assert float(np.sum(np.abs(column) ** 2)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [239, 552])
+    def test_bands_columns_have_unit_norm_at_large_fields(self, d):
+        # the alpha-12 and alpha-20 cutoffs; eta 0 and 1e-300 take the most Chebyshev terms
+        a, e = np.ogrid[:d, :d]
+        inside = a + e < d
+        for eta in (0.0, 1e-300, 0.3, 0.9, 1.0):
+            bands = _bs_bands(eta, d)
+            norms = np.bincount((a + e)[inside], (bands.T**2)[inside], d)
+            assert float(np.max(np.abs(norms - 1.0))) <= 1e-12
+
+    @pytest.mark.parametrize("z", [1e-8, 0.3, 8.7, 100.0, 865.5, 3215.0])
+    def test_bessel_orders_match_mpmath(self, z):
+        # 865.5 and 3215 are z = theta (d - 1) at eta 0 for d 552 and 2,048
+        j = _bessel_j(z)
+        # every order up to z 100; past it, mpmath takes up to 80 ms an order, so 16 of them
+        orders = np.arange(j.size) if j.size <= 200 else np.linspace(0, j.size - 1, 16).astype(int)
+        with mp.workdps(30):
+            want = np.array([float(mp.besselj(int(k), z)) for k in orders])
+            past = float(abs(mp.besselj(j.size, z)))
+        assert float(np.max(np.abs(j[orders] - want))) <= 1e-15
+        # the series stops at the last order above 1e-18
+        assert abs(j[-1]) > 1e-18 and past <= 1e-18
 
     def test_bands_split_coherent(self):
         # |alpha>|0> -> |sqrt(eta) alpha>|-sqrt(1-eta) alpha>
@@ -505,7 +529,7 @@ class TestBeamSplitterRoute:
         assert np.allclose(via_bs.matrix, via_kraus.matrix, atol=1e-11)
 
     def test_matches_kraus_on_sparse_support(self):
-        # the eigensolve runs on the block; embedding must land on the right states
+        # the pairs are the closure of an irregular support; each image must land on its state
         rho = _irregular_density(23)
         via_bs = apply_loss_via_bs(rho, 0.7)
         assert np.allclose(via_bs.matrix, apply_loss(rho, 0.7).matrix, atol=1e-11)
@@ -514,11 +538,11 @@ class TestBeamSplitterRoute:
         """The beam-splitter route's output and Kraus gap, bit for bit at 1 and 2 BLAS threads.
 
         The gap is the value `verify` reports in its bs_vs_kraus_channel row.
-        The route's output bytes are hashed too: its sums are elementwise and
-        its eigensolves small here, so no thread count moves their last bits.
-        At alpha 12 they do move: the 239-state block's eigh runs threaded.
+        The route's output bytes are hashed too: its bands and its pair sums
+        are elementwise, with no BLAS product, so no thread count moves their
+        last bits (see the large-field test below).
         """
-        code = (
+        outputs = _at_one_and_two_threads(
             "import hashlib\n"
             "import numpy as np\n"
             "from phasefisher.channels import apply_loss, apply_loss_via_bs\n"
@@ -533,17 +557,39 @@ class TestBeamSplitterRoute:
             "        raw = out.support.tobytes() + out.on(out.support).tobytes()\n"
             "        print(repr(float(gap.max())), hashlib.sha256(raw).hexdigest())\n"
         )
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if (cpus or 1) < 2:
-            pytest.skip("OpenBLAS runs at most one thread per CPU this process may use")
-        outputs = []
-        for threads in ("1", "2"):
-            # a fresh interpreter per thread count, since BLAS reads it at load time
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                  text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_bands_independent_of_blas_threads_at_a_large_field(self):
+        # alpha 12 (d 239), where a per-block eigensolve would run threaded and move last bits
+        outputs = _at_one_and_two_threads(
+            "import hashlib\n"
+            "from phasefisher.channels import _bs_bands, apply_loss_via_bs\n"
+            "from phasefisher.qfi_oracle import _ecs_cutoff\n"
+            "from phasefisher.states import ecs_vector\n"
+            "trunc = _ecs_cutoff(12.0)  # n_max 238\n"
+            "rho = ecs_vector(12.0, trunc).density()\n"
+            "for eta in (0.6, 0.9):\n"
+            "    out = apply_loss_via_bs(rho, eta)\n"
+            "    raw = out.support.tobytes() + out.on(out.support).tobytes()\n"
+            "    bands = _bs_bands(eta, trunc.dim_single)\n"
+            "    print(hashlib.sha256(bands.tobytes()).hexdigest(), hashlib.sha256(raw).hexdigest())\n"
+        )
+        assert outputs[0] == outputs[1]
+
+
+def _at_one_and_two_threads(code: str) -> list[str]:
+    """code's stdout in a fresh interpreter at one and at two OpenBLAS threads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("OpenBLAS runs at most one thread per CPU this process may use")
+    outputs = []
+    for threads in ("1", "2"):
+        # a fresh interpreter per thread count, since BLAS reads it at load time
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs

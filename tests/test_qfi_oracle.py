@@ -45,7 +45,7 @@ from phasefisher.qfi_analytic import (
     qfi_noon,
     sigma_spectrum,
 )
-from phasefisher import qfi_oracle
+from phasefisher import channels, qfi_oracle
 from phasefisher.qfi_oracle import (
     ASYMPTOTIC_POINTS,
     DEFAULT_GRID_ALPHAS,
@@ -489,12 +489,18 @@ class TestVerifyAll:
         doubled); without sharing, truncation_stability takes the 32 base
         values again, the two mixture rows build the 16 reference-free base
         scenarios again, and the two spectrum rows build every matrix twice.
+        The with-reference build at the base cutoff is the one lossy ECS the
+        two-level matrix, the beam-splitter row and the pipeline row read, so
+        the Kraus routine runs 96 times: the 64 ECS builds and the 32 NOON
+        builds (4 orders x 4 etas x 2 references), and no other loss.
         """
         build = qfi_oracle.build_scenario
         qfi = qfi_oracle.scenario_qfi
-        two_level = qfi_oracle.two_level_matrix_numeric
+        kraus = channels._kraus_loss
+        two_level = qfi_oracle._two_level_matrix
         built = {}  # id -> (scenario, key); the scenario is held so its id is not reused
         builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(3))
+        kraus_calls = []
 
         def counting_build(probe, reference, truncation=None):
             scenario = build(probe, reference, truncation)
@@ -509,19 +515,29 @@ class TestVerifyAll:
                 qfi_calls[built[id(scenario)][1]] += 1
             return qfi(scenario)
 
-        def counting_two_level(alpha, eta):
+        def counting_kraus(*args):
+            kraus_calls.append(args[4])
+            return kraus(*args)
+
+        def counting_two_level(sigma, alpha, eta):
+            # formed from the shared with-reference operator at the base cutoff, not a new loss
+            key = (alpha, eta, WITH_REFERENCE, _ecs_cutoff(alpha).n_max)
+            assert id(sigma) in built and built[id(sigma)][1] == key
             two_level_calls[alpha, eta] += 1
-            return two_level(alpha, eta)
+            return two_level(sigma, alpha, eta)
 
         monkeypatch.setattr(qfi_oracle, "build_scenario", counting_build)
         monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
-        monkeypatch.setattr(qfi_oracle, "two_level_matrix_numeric", counting_two_level)
+        monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
+        monkeypatch.setattr(channels, "_kraus_loss", counting_kraus)
+        monkeypatch.setattr(qfi_oracle, "_two_level_matrix", counting_two_level)
         report = verify_all()
         assert report.passed, report.render()
         assert len(builds) == 64
         assert sum(builds.values()) == 64
         assert len(qfi_calls) == 64
         assert sum(qfi_calls.values()) == 64
+        assert len(kraus_calls) == 96
         assert len(two_level_calls) == 16
         assert sum(two_level_calls.values()) == 16
 
