@@ -35,6 +35,14 @@ from .fock_core import DensityOperator, FockTruncation, StateVector
 from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra
 
 
+def _fresh(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 1-D array that differ from the entry before them; the first one does."""
+    mask = np.empty(x.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(x[1:], x[:-1], out=mask[1:])
+    return mask
+
+
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
     """Diagonal of G = (n1 - n2)/2 over the basis, the antisymmetric phase between the arms."""
     n1, n2 = trunc.occupations()
@@ -71,8 +79,16 @@ def _loss_table(eta: float, d: int) -> np.ndarray:
         mantissa, e = np.frexp(m ** (a[c:] / 2.0))
         shift = -999 - e - f * np.arange(c, d)
         start[c:] = np.ldexp(mantissa, -999)
+    # built in place, one (d, d) array: row 0 the starts, row k sqrt((1 - eta)(a + k)/k), then the product
+    table = np.empty((d, d))
+    table[0] = start
+    steps = table[1:]
+    np.add(a, k, out=steps)
+    steps *= 1.0 - eta
+    steps /= k
+    np.sqrt(steps, out=steps)
     with np.errstate(over="ignore"):  # only an unread entry of a lifted column overflows
-        table = np.cumprod(np.vstack([start, np.sqrt((1.0 - eta) * (a + k) / k)]), axis=0)
+        np.cumprod(table, axis=0, out=table)
     if c < d:
         np.ldexp(table[:, c:], -shift, out=table[:, c:])
     return table
@@ -109,19 +125,20 @@ def _kraus_loss(
     # the incidences whose image is not exactly 0 (a zero neither links states nor
     # fills M), sorted by (label, pair, column); callers list their sources label by
     # label, so the stable sort meets long sorted runs
-    kept = np.flatnonzero(values)
+    kept = values.nonzero()[0]
     j = column[src[kept]]
     key = ((label[j] * d + k1[kept]) * d + k2[kept]) * label.size + j
     by_key = np.argsort(key, kind="stable")
-    fresh, order, j = np.diff(key[by_key], prepend=-1) != 0, kept[by_key], j[by_key]
+    fresh, order, j = _fresh(key[by_key]), kept[by_key], j[by_key]
     del key, kept, by_key
     src, k1, k2, values = src[order], k1[order], k2[order], values[order]
-    first, run = np.flatnonzero(fresh), np.cumsum(fresh) - 1  # each run is one column of M
+    first, run = fresh.nonzero()[0], np.cumsum(fresh) - 1  # each run is one column of M
     # the output states, (label, basis index) ascending, and each incidence's among them
     image = (label[j] * d + n1[src] - k1) * d + n2[src] - k2
     order = np.argsort(image)
-    fresh = np.diff(image[order], prepend=-1) != 0
-    out, dst = image[order][fresh], np.empty_like(order)
+    image = image[order]
+    fresh = _fresh(image)
+    out, dst = image[fresh], np.empty_like(order)
     dst[order] = np.cumsum(fresh) - 1
     del src, order, k1, k2, j, image, fresh
     # each output state labelled by its component's first, linked to its column's first image
@@ -129,9 +146,9 @@ def _kraus_loss(
     # each column's component (its first state), and its place among that component's columns
     home = labels[dst[first]]
     order = np.argsort(home, kind="stable")
-    starts = np.flatnonzero(np.diff(home[order], prepend=-1) != 0)
+    fresh = _fresh(home[order])
     place = np.empty_like(order)
-    place[order] = np.arange(order.size) - np.repeat(starts, np.diff(starts, append=order.size))
+    place[order] = np.arange(order.size) - fresh.nonzero()[0][np.cumsum(fresh) - 1]
     col = place[run]
     del run, place
     # output state q is row i of component k of the stack of its component's size
@@ -139,7 +156,7 @@ def _kraus_loss(
     for members in _grouped(labels):
         count, s = members.shape
         index[members] = np.arange(members.size).reshape(count, s)
-        at = np.flatnonzero(span[dst] == s)
+        at = (span[dst] == s).nonzero()[0]
         k, i = np.divmod(index[dst[at]], s)
         if s == 1:
             blocks = np.bincount(k, (values[at] * values[at].conj()).real, count)[:, None, None]
@@ -149,12 +166,12 @@ def _kraus_loss(
             blocks = m @ m.conj().transpose(0, 2, 1)
             del m
         # a component whose every entry is 0 (underflowed) is dropped
-        kept = np.flatnonzero(blocks.any(axis=(1, 2)))
+        kept = blocks.any(axis=(1, 2)).nonzero()[0]
         if kept.size < count:
             members, blocks = members[kept], blocks[kept]
         parts.append((out[members] % (d * d), blocks))
     del values, dst, col, at, k, i  # freed before the checks
-    support = np.flatnonzero(np.bincount(np.concatenate([m.ravel() for m, _ in parts])))
+    support = np.bincount(np.concatenate([m.ravel() for m, _ in parts])).nonzero()[0]
     parts = tuple((np.searchsorted(support, m), b) for m, b in parts if m.size)
     return DensityOperator(support, parts, trunc)
 
@@ -223,7 +240,7 @@ def _bessel_j(z: float) -> np.ndarray:
             j[k - 1:] = [math.ldexp(v, -500) for v in j[k - 1:]]
     j = np.array(j[: top + 1])
     j /= j[0] + 2.0 * j[2::2].sum()
-    return j[: np.flatnonzero(np.abs(j) > 1e-18)[-1] + 1]
+    return j[: (np.abs(j) > 1e-18).nonzero()[0][-1] + 1]
 
 
 def _bs_bands(eta: float, d: int) -> np.ndarray:
@@ -297,7 +314,7 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     occ = np.zeros((d, d), dtype=bool)
     occ[n1, n2] = True
     occ = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
-    closure = np.flatnonzero(np.logical_or.accumulate(occ[:, ::-1], axis=1)[:, ::-1])
+    closure = np.logical_or.accumulate(occ[:, ::-1], axis=1)[:, ::-1].ravel().nonzero()[0]
     # every (pair, source) incidence, pairs in row-major order, with its image and weight
     e1, e2 = np.divmod(closure, d)
     pair, src = np.nonzero((n1 >= e1[:, None]) & (n2 >= e2[:, None]))
@@ -309,7 +326,7 @@ def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     block = np.ascontiguousarray(_real_if_exact(rho.on(rho.support)))
     acc = np.zeros((closure.size, closure.size), dtype=block.dtype)
     for s, t, x in zip(np.split(src, cuts), np.split(dst, cuts), np.split(w, cuts)):
-        acc[np.ix_(t, t)] += np.outer(x, x) * block[np.ix_(s, s)]
+        acc[t[:, None], t] += x[:, None] * x * block[s[:, None], s]
     deficit = abs(float(np.trace(acc).real) - 1.0)
     if deficit > 1e-9:
         raise TruncationTooSmall(f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}")

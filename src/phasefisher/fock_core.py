@@ -147,7 +147,7 @@ def _spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     mantissa, exponent = np.frexp(np.trace(blocks, axis1=1, axis2=2).real)
     if blocks.shape[1] == 1:
-        p, v = mantissa[:, None], np.broadcast_to(1.0, blocks.shape)
+        p, v = mantissa[:, None], np.ones(blocks.shape)
     else:
         blocks, shift = _real_if_exact(blocks), -exponent[:, None, None]
         scaled = np.ldexp(blocks.real, shift)
@@ -161,8 +161,8 @@ def _spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _check_support(s: np.ndarray, d: int) -> None:
     """Raise DimensionMismatch unless s is strictly increasing integer basis indices in [0, d)."""
-    if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer) or (
-        s.size and (s[0] < 0 or s[-1] >= d or np.any(np.diff(s) <= 0))
+    if s.ndim != 1 or s.dtype.kind not in "iu" or (
+        s.size and (s[0] < 0 or s[-1] >= d or not (s[1:] > s[:-1]).all())
     ):
         raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
 
@@ -291,13 +291,14 @@ def _labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each undirected edge's ends take the smaller of their labels, b first,
     then every label its own label's, until no label moves.
     """
-    labels, previous = np.arange(n), None
-    while not np.array_equal(labels, previous):
+    labels = np.arange(n)
+    while True:
         previous = labels.copy()
         np.minimum.at(labels, b, labels[a])
         np.minimum.at(labels, a, labels[b])
         labels = labels[labels]
-    return labels
+        if not (labels != previous).any():
+            return labels
 
 
 def _grouped(labels: np.ndarray) -> list[np.ndarray]:

@@ -45,6 +45,7 @@ from .exceptions import (
 from .fock_core import (
     DensityOperator,
     FockTruncation,
+    StateVector,
     _spectra,
     coherent_vector,
     truncation_for_tolerance,
@@ -119,7 +120,11 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
         raise DimensionMismatch(
             f"generator of length {len(generator)} for a state of dimension {rho.truncation.dim}"
         )
-    g = generator[rho.support]
+    return _qfi_on_support(rho, generator[rho.support])
+
+
+def _qfi_on_support(rho: DensityOperator, g: np.ndarray) -> QFIResult:
+    """qfi_numeric from g, the generator's diagonal on rho's support."""
     value = 0.0
     for members, blocks in rho.parts:  # a stack of equal-size components
         w, v, exponent = _spectra(blocks)
@@ -158,14 +163,24 @@ def build_scenario(
     if truncation is None:
         truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
     psi = noon_vector(probe.n, truncation) if probe.family == "noon" else ecs_vector(probe.alpha, truncation)
+    return _scenario(psi, probe.eta, reference)
+
+
+def _scenario(psi: StateVector, eta: float, reference: str) -> DensityOperator:
+    """build_scenario from the probe's vector psi: one Kraus pass."""
     # one column labelled 0 with a reference; without, sector n is column n, labelled n, unnormalized
-    column = np.zeros_like(psi.support) if reference == WITH_REFERENCE else truncation.totals(psi.support)
-    return _kraus_loss(psi.support, column, psi.amplitudes, np.arange(column.max() + 1), probe.eta, truncation)
+    column = np.zeros_like(psi.support) if reference == WITH_REFERENCE else psi.truncation.totals(psi.support)
+    return _kraus_loss(psi.support, column, psi.amplitudes, np.arange(column.max() + 1), eta, psi.truncation)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:
-    """QFI of a scenario under the two-arm generator."""
-    return qfi_numeric(rho, two_arm_generator(rho.truncation))
+    """QFI of a scenario under the two-arm generator, G = (n1 - n2)/2 read on rho's support only.
+
+    The same value as qfi_numeric(rho, two_arm_generator(rho.truncation)),
+    bit for bit, with no array over the whole basis.
+    """
+    n1, n2 = np.divmod(rho.support, rho.truncation.dim_single)
+    return _qfi_on_support(rho, (n1 - n2) / 2.0)
 
 
 def scenario_mixture(rho: DensityOperator) -> DensityOperator:
@@ -281,7 +296,7 @@ def _rel(value: float, reference: float) -> float:
 
 def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
     """Largest entrywise |a - b|, taken over the union of the two supports."""
-    support = np.flatnonzero(np.bincount(np.concatenate((a.support, b.support))))
+    support = np.bincount(np.concatenate((a.support, b.support))).nonzero()[0]
     return float(np.max(np.abs(a.on(support) - b.on(support))))
 
 
@@ -298,10 +313,12 @@ def verify_all(
     truncation_stability compares them with its double. A row is its name,
     tolerance, points, the error at one point and its detail; _run_check
     walks every row's points. Rows share what they read through caches: one
-    with-reference lossy operator per (alpha, eta) at the base cutoff serves
-    the reference oracle, the two-level matrix, the beam-splitter row and the
-    pipeline row, and one reference-free build serves its QFI and the
-    label-free mixture. spectrum_fn /
+    ECS vector per (alpha, cutoff) serves every ECS build and the beam
+    splitter's input, one with-reference lossy operator per (alpha, eta) at
+    the base cutoff serves the reference oracle, the two-level matrix, the
+    beam-splitter row and the pipeline row, and one reference-free build
+    serves its QFI and the label-free mixture. Each cached operator is
+    released after the last row that reads it. spectrum_fn /
     basis_matrix_fn are injection seams for negative-control tests that
     feed deliberately corrupted closed forms. A grid point or cutoff that
     `point --oracle` would refuse, or a doubled cutoff past the size
@@ -312,7 +329,8 @@ def verify_all(
     if not grid:
         raise ValueError("verification grid must be nonempty")
     # the alpha and eta domain of `point`, checked once per point
-    probes = {(alpha, eta): ProbeSpec("ecs", eta, alpha=alpha) for alpha, eta in grid}
+    for alpha, eta in grid:
+        ProbeSpec("ecs", eta, alpha=alpha)
     cutoff = {alpha: _ecs_cutoff(alpha) for alpha, _ in grid}
     doubled = {alpha: FockTruncation(2 * trunc.n_max) for alpha, trunc in cutoff.items()}
 
@@ -320,20 +338,21 @@ def verify_all(
     etas = sorted({e for _, e in grid})
     lossy = [(a, e) for a, e in grid if e != 0.0]  # the spectrum rows skip eta 0
 
-    # Rows share oracle values through these caches: floats, 2x2 matrices, the
-    # label-free mixtures and the with-reference lossy operators at the base
-    # cutoff. functools.cache stores no exception, so a value that raises fails
-    # again in each row that needs it, and no other; the reference-free base
-    # build yields two values, and its failure fails both.
+    # Rows share oracle values through these caches: ECS vectors, floats, 2x2
+    # matrices, the label-free mixtures and the with-reference lossy operators
+    # at the base cutoff. functools.cache stores no exception, so a value that
+    # raises fails again in each row that needs it, and no other; the
+    # reference-free base build yields two values, and its failure fails both.
+    ecs = functools.cache(ecs_vector)  # (alpha, cutoff) -> the probe's vector
+
     @functools.cache
     def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
-        rho = build_scenario(probes[alpha, eta], WITHOUT_REFERENCE, cutoff[alpha])
+        rho = _scenario(ecs(alpha, cutoff[alpha]), eta, WITHOUT_REFERENCE)
         return scenario_qfi(rho).value, scenario_mixture(rho)
 
     @functools.cache
     def with_ref(alpha: float, eta: float) -> DensityOperator:
-        # the beam-splitter points need not be on the grid, so the probe is built here
-        return build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITH_REFERENCE, cutoff[alpha])
+        return _scenario(ecs(alpha, cutoff[alpha]), eta, WITH_REFERENCE)
 
     @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
@@ -341,7 +360,7 @@ def verify_all(
             if reference == WITHOUT_REFERENCE:
                 return label_free(alpha, eta)[0]
             return scenario_qfi(with_ref(alpha, eta)).value
-        return scenario_qfi(build_scenario(probes[alpha, eta], reference, trunc)).value
+        return scenario_qfi(_scenario(ecs(alpha, trunc), eta, reference)).value
 
     @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
@@ -356,7 +375,7 @@ def verify_all(
         return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
     def bs(alpha: float, eta: float) -> float:
-        rho = ecs_vector(alpha, cutoff[alpha]).density()
+        rho = ecs(alpha, cutoff[alpha]).density()
         return _max_entry_gap(with_ref(alpha, eta), apply_loss_via_bs(rho, eta))
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
@@ -413,4 +432,15 @@ def verify_all(
          lambda a, e, r: _rel(oracle(a, e, r, cutoff[a]), oracle(a, e, r, doubled[a])),
          f"{len(grid)} points, cutoff doubled"),
     )
-    return VerificationReport(tuple(_run_check(*row) for row in rows))
+    # each cached operator goes after the last row that reads it; truncation_stability
+    # reads only the cached floats
+    release = {
+        "dephased_pipeline_consistency": (with_ref, two_level),
+        "generator_equivalence": (label_free,),
+    }
+    checks = []
+    for row in rows:
+        checks.append(_run_check(*row))
+        for cache in release.get(row[0], ()):
+            cache.cache_clear()
+    return VerificationReport(tuple(checks))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -206,6 +207,17 @@ class TestKraus:
     def test_table_is_the_plain_product_where_no_start_underflows(self, eta):
         # at 1e-300 every lifted entry still underflows to 0 once scaled back
         assert np.array_equal(_loss_table(eta, 300), _plain_table(eta, 300))
+
+    def test_table_is_built_in_place(self):
+        # at the largest cutoff the table is 32 MiB; a stacked copy and its product took twice that
+        _loss_table(0.9, 2)  # no first-call allocation counts below
+        tracemalloc.start()
+        try:
+            table = _loss_table(0.9, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * table.nbytes
 
     @pytest.mark.parametrize(("eta", "d", "restored"), [(0.01, 552, 52_057), (0.3, 2048, 1_513_614)])
     def test_lifted_columns_restore_entries_of_normal_size(self, eta, d, restored):

@@ -336,6 +336,28 @@ class TestScenarioQfi:
                 assert any(np.iscomplexobj(b) for _, b in rotated.parts)
                 assert _rel(scenario_qfi(rotated).value, scenario_qfi(real).value) <= 1e-12
 
+    @pytest.mark.parametrize("reference", [WITH_REFERENCE, WITHOUT_REFERENCE])
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("probe", [("ecs", 1.5), ("ecs", 1.2 + 0.7j), ("noon", 3)])
+    def test_equals_qfi_numeric_with_the_full_generator(self, probe, eta, reference):
+        # the generator read on the support gives the whole-basis value bit for bit
+        family, size = probe
+        spec = ProbeSpec("ecs", eta, alpha=size) if family == "ecs" else ProbeSpec("noon", eta, n=size)
+        rho = build_scenario(spec, reference)
+        assert scenario_qfi(rho).value == qfi_numeric(rho, two_arm_generator(rho.truncation)).value
+
+    def test_reads_no_array_over_the_basis(self):
+        # NOON 2047 has 4.2 million basis states: the whole-basis generator took 128 MiB here
+        rho = build_scenario(ProbeSpec("noon", 0.9, n=2047), WITH_REFERENCE)
+        tracemalloc.start()
+        try:
+            value = scenario_qfi(rho).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(qfi_noon(2047, 0.9).value, rel=1e-9)
+        assert peak < 2**20
+
     def test_noref_matches_closed_form(self):
         probe = ProbeSpec("ecs", 0.9, alpha=1.0)
         oracle = scenario_qfi(build_scenario(probe, WITHOUT_REFERENCE))
@@ -483,29 +505,39 @@ class TestVerifyAll:
         assert rows["basis_matrix_vs_numeric"].passed
 
     def test_rows_share_each_oracle_value(self, monkeypatch):
-        """One default run builds each ECS scenario and each two-level matrix once.
+        """One default run builds each ECS vector, ECS scenario and two-level matrix once.
 
-        The 64 ECS keys are 16 points x 2 references x 2 cutoffs (base and
-        doubled); without sharing, truncation_stability takes the 32 base
-        values again, the two mixture rows build the 16 reference-free base
-        scenarios again, and the two spectrum rows build every matrix twice.
-        The with-reference build at the base cutoff is the one lossy ECS the
-        two-level matrix, the beam-splitter row and the pipeline row read, so
-        the Kraus routine runs 96 times: the 64 ECS builds and the 32 NOON
-        builds (4 orders x 4 etas x 2 references), and no other loss.
+        The 8 ECS vectors are 4 alphas x 2 cutoffs (base and doubled), and
+        every ECS build and beam-splitter input reads them. The 64 ECS keys
+        are 16 points x 2 references x 2 cutoffs; without sharing,
+        truncation_stability takes the 32 base values again, the two mixture
+        rows build the 16 reference-free base scenarios again, and the two
+        spectrum rows build every matrix twice. The with-reference build at
+        the base cutoff is the one lossy ECS the two-level matrix, the
+        beam-splitter row and the pipeline row read, so the Kraus routine
+        runs 96 times: the 64 ECS builds and the 32 NOON builds (4 orders x
+        4 etas x 2 references), and no other loss.
         """
-        build = qfi_oracle.build_scenario
+        vector = qfi_oracle.ecs_vector
+        lose = qfi_oracle._scenario
         qfi = qfi_oracle.scenario_qfi
         kraus = channels._kraus_loss
         two_level = qfi_oracle._two_level_matrix
-        built = {}  # id -> (scenario, key); the scenario is held so its id is not reused
-        builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(3))
+        alpha_of = {}  # id -> (vector, alpha); the vector is held so its id is not reused
+        built = {}  # id -> (scenario, key), likewise
+        vectors, builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(4))
         kraus_calls = []
 
-        def counting_build(probe, reference, truncation=None):
-            scenario = build(probe, reference, truncation)
-            if probe.family == "ecs":
-                key = (probe.alpha, probe.eta, reference, truncation.n_max)
+        def counting_vector(alpha, trunc):
+            psi = vector(alpha, trunc)
+            alpha_of[id(psi)] = (psi, alpha)
+            vectors[alpha, trunc.n_max] += 1
+            return psi
+
+        def counting_scenario(psi, eta, reference):
+            scenario = lose(psi, eta, reference)
+            if id(psi) in alpha_of:  # an ECS build; a NOON build reads no ECS vector
+                key = (alpha_of[id(psi)][1], eta, reference, psi.truncation.n_max)
                 built[id(scenario)] = (scenario, key)
                 builds[key] += 1
             return scenario
@@ -526,13 +558,16 @@ class TestVerifyAll:
             two_level_calls[alpha, eta] += 1
             return two_level(sigma, alpha, eta)
 
-        monkeypatch.setattr(qfi_oracle, "build_scenario", counting_build)
+        monkeypatch.setattr(qfi_oracle, "ecs_vector", counting_vector)
+        monkeypatch.setattr(qfi_oracle, "_scenario", counting_scenario)
         monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
         monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(channels, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(qfi_oracle, "_two_level_matrix", counting_two_level)
         report = verify_all()
         assert report.passed, report.render()
+        assert len(vectors) == 8
+        assert sum(vectors.values()) == 8
         assert len(builds) == 64
         assert sum(builds.values()) == 64
         assert len(qfi_calls) == 64
@@ -543,14 +578,21 @@ class TestVerifyAll:
 
     def test_a_failing_shared_value_fails_only_the_rows_that_need_it(self, monkeypatch):
         # a cached value is never an exception, so every row that needs it fails on its own
-        build = qfi_oracle.build_scenario
+        vector, lose = qfi_oracle.ecs_vector, qfi_oracle._scenario
+        ecs = {}  # id -> vector, held so its id is not reused
 
-        def build_without_reference_fails(probe, reference, *args):
-            if probe.family == "ecs" and reference == WITHOUT_REFERENCE:
+        def recording_vector(alpha, trunc):
+            psi = vector(alpha, trunc)
+            ecs[id(psi)] = psi
+            return psi
+
+        def reference_free_ecs_fails(psi, eta, reference):
+            if id(psi) in ecs and reference == WITHOUT_REFERENCE:
                 raise TruncationTooSmall("injected reference-free failure")
-            return build(probe, reference, *args)
+            return lose(psi, eta, reference)
 
-        monkeypatch.setattr(qfi_oracle, "build_scenario", build_without_reference_fails)
+        monkeypatch.setattr(qfi_oracle, "ecs_vector", recording_vector)
+        monkeypatch.setattr(qfi_oracle, "_scenario", reference_free_ecs_fails)
         rows = {c.name: c for c in verify_all().checks}
         for name in (
             "noref_closed_vs_oracle",
