@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import DensityOperator, FockTruncation, StateVector
+from .fock_core import DensityOperator, FockTruncation
 from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra
 
 
@@ -198,13 +198,6 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
         sources.append((np.repeat(rho.support[members], s), column.ravel(), v.ravel()))
         used += count * s
     return _kraus_loss(*map(np.concatenate, zip(*sources)), np.zeros(used, dtype=int), eta, rho.truncation)
-
-
-def apply_loss_pure(psi: StateVector, eta: float) -> DensityOperator:
-    """apply_loss(psi.density(), eta) from psi's amplitudes, one column: no eigensolve."""
-    check_eta(eta)
-    zero = np.zeros(psi.support.size, dtype=int)
-    return _kraus_loss(psi.support, zero, psi.amplitudes, zero[:1], eta, psi.truncation)
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:

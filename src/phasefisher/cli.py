@@ -250,7 +250,9 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
     sweep's log grid and each is bisected until the curve gap at the
     midpoint is within tolerance; grid and midpoints read the sweep's array
     route. Raises NoCrossingFound when the grid shows no sign change and
-    NoConvergence when 200 halvings of a bracket leave the gap above tolerance.
+    NoConvergence when a bracket has shrunk to two adjacent doubles with the
+    gap still above tolerance; every halving before that shrinks it, so the
+    bisection ends.
     """
     if not 0.0 < eta < 1.0:
         raise InvalidEta(f"crossings are defined for 0 < eta < 1, got {eta}")
@@ -270,8 +272,10 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
         if gaps[i + 1] == 0.0 or (gaps[i] > 0.0) == (gaps[i + 1] > 0.0):
             continue
         lo, hi, glo = float(ns[i]), float(ns[i + 1]), gaps[i]
-        for _ in range(200):
+        while True:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent doubles: the bracket can shrink no more
+                raise NoConvergence(f"bisection stalled on bracket [{lo}, {hi}] at eta={eta}")
             gm = _gap(np.array([mid]), eta)[0]
             if abs(gm) <= tolerance:
                 roots.append(mid)
@@ -280,8 +284,6 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
                 lo, glo = mid, gm
             else:
                 hi = mid
-        else:
-            raise NoConvergence(f"bisection stalled on bracket [{lo}, {hi}] at eta={eta}")
     if gaps[-1] == 0.0:
         roots.append(float(ns[-1]))
     if not roots:

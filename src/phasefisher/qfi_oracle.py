@@ -28,19 +28,13 @@ import math
 
 import numpy as np
 
-from .channels import (
-    _kraus_loss,
-    apply_loss_pure,
-    apply_loss_via_bs,
-    phase_average,
-    single_arm_generator,
-    two_arm_generator,
-)
+from .channels import _kraus_loss, apply_loss_via_bs, phase_average
 from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
     PhaseFisherError,
     _record,
+    check_eta,
 )
 from .fock_core import (
     DensityOperator,
@@ -144,9 +138,7 @@ def _qfi_on_support(rho: DensityOperator, g: np.ndarray) -> QFIResult:
     return QFIResult(value)
 
 
-def build_scenario(
-    probe: ProbeSpec, reference: str, truncation: FockTruncation | None = None
-) -> DensityOperator:
+def build_scenario(probe: ProbeSpec, reference: str) -> DensityOperator:
     """The lossy state seen by the estimator, as one operator.
 
     "with": the probe goes through the loss channel intact.
@@ -155,14 +147,15 @@ def build_scenario(
     component belongs to one sector (see the module docstring;
     scenario_mixture gives the label-free state).
 
-    truncation = None builds a NOON probe on the smallest space that holds
-    it and an ECS probe on _ecs_cutoff(alpha).
+    A NOON probe sits on the smallest space that holds it, an ECS probe on
+    _ecs_cutoff(alpha).
     """
     if reference not in (WITH_REFERENCE, WITHOUT_REFERENCE):
         raise ValueError(f"reference must be 'with' or 'without', got {reference!r}")
-    if truncation is None:
-        truncation = FockTruncation(probe.n) if probe.family == "noon" else _ecs_cutoff(probe.alpha)
-    psi = noon_vector(probe.n, truncation) if probe.family == "noon" else ecs_vector(probe.alpha, truncation)
+    if probe.family == "noon":
+        psi = noon_vector(probe.n, FockTruncation(probe.n))
+    else:
+        psi = ecs_vector(probe.alpha, _ecs_cutoff(probe.alpha))
     return _scenario(psi, probe.eta, reference)
 
 
@@ -204,7 +197,8 @@ def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     (psi2 - p psi1)/sqrt(1 - p^2) = (delta + (1 - p) psi1)/sqrt((1 - p)(1 + p))
     keeps full precision as p nears 1.
     """
-    return _two_level_matrix(apply_loss_pure(ecs_vector(alpha, _ecs_cutoff(alpha)), eta), alpha, eta)
+    check_eta(eta)
+    return _two_level_matrix(_scenario(ecs_vector(alpha, _ecs_cutoff(alpha)), eta, WITH_REFERENCE), alpha, eta)
 
 
 def _two_level_matrix(sigma: DensityOperator, alpha: complex, eta: float) -> np.ndarray:
@@ -314,11 +308,13 @@ def verify_all(
     tolerance, points, the error at one point and its detail; _run_check
     walks every row's points. Rows share what they read through caches: one
     ECS vector per (alpha, cutoff) serves every ECS build and the beam
-    splitter's input, one with-reference lossy operator per (alpha, eta) at
-    the base cutoff serves the reference oracle, the two-level matrix, the
-    beam-splitter row and the pipeline row, and one reference-free build
-    serves its QFI and the label-free mixture. Each cached operator is
-    released after the last row that reads it. spectrum_fn /
+    splitter's input, and one lossy ECS per (alpha, eta, reference) at the
+    base cutoff serves that reference's oracle value; the with-reference
+    one also serves the two-level matrix, the beam-splitter row and the
+    pipeline row, and the reference-free one the label-free mixture. The
+    cached operators are released before truncation_stability, the last
+    row, which builds at the doubled cutoff and reads the base values as
+    cached floats. spectrum_fn /
     basis_matrix_fn are injection seams for negative-control tests that
     feed deliberately corrupted closed forms. A grid point or cutoff that
     `point --oracle` would refuse, or a doubled cutoff past the size
@@ -339,32 +335,28 @@ def verify_all(
     lossy = [(a, e) for a, e in grid if e != 0.0]  # the spectrum rows skip eta 0
 
     # Rows share oracle values through these caches: ECS vectors, floats, 2x2
-    # matrices, the label-free mixtures and the with-reference lossy operators
-    # at the base cutoff. functools.cache stores no exception, so a value that
-    # raises fails again in each row that needs it, and no other; the
-    # reference-free base build yields two values, and its failure fails both.
+    # matrices, the label-free mixtures and the lossy ECS at the base cutoff.
+    # functools.cache stores no exception, so a value that raises fails again
+    # in each row that needs it, and no other.
     ecs = functools.cache(ecs_vector)  # (alpha, cutoff) -> the probe's vector
 
     @functools.cache
-    def label_free(alpha: float, eta: float) -> tuple[float, DensityOperator]:
-        rho = _scenario(ecs(alpha, cutoff[alpha]), eta, WITHOUT_REFERENCE)
-        return scenario_qfi(rho).value, scenario_mixture(rho)
-
-    @functools.cache
-    def with_ref(alpha: float, eta: float) -> DensityOperator:
-        return _scenario(ecs(alpha, cutoff[alpha]), eta, WITH_REFERENCE)
+    def lossy_ecs(alpha: float, eta: float, reference: str) -> DensityOperator:
+        return _scenario(ecs(alpha, cutoff[alpha]), eta, reference)
 
     @functools.cache
     def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
         if trunc == cutoff[alpha]:
-            if reference == WITHOUT_REFERENCE:
-                return label_free(alpha, eta)[0]
-            return scenario_qfi(with_ref(alpha, eta)).value
+            return scenario_qfi(lossy_ecs(alpha, eta, reference)).value
         return scenario_qfi(_scenario(ecs(alpha, trunc), eta, reference)).value
 
     @functools.cache
+    def mixture(alpha: float, eta: float) -> DensityOperator:
+        return scenario_mixture(lossy_ecs(alpha, eta, WITHOUT_REFERENCE))
+
+    @functools.cache
     def two_level(alpha: float, eta: float) -> np.ndarray:
-        return _two_level_matrix(with_ref(alpha, eta), alpha, eta)
+        return _two_level_matrix(lossy_ecs(alpha, eta, WITH_REFERENCE), alpha, eta)
 
     def noon(n: int, eta: float, reference: str) -> float:
         probe = ProbeSpec("noon", eta, n=n)
@@ -376,7 +368,7 @@ def verify_all(
 
     def bs(alpha: float, eta: float) -> float:
         rho = ecs(alpha, cutoff[alpha]).density()
-        return _max_entry_gap(with_ref(alpha, eta), apply_loss_via_bs(rho, eta))
+        return _max_entry_gap(lossy_ecs(alpha, eta, WITH_REFERENCE), apply_loss_via_bs(rho, eta))
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
         s = spectrum_fn(alpha, eta)
@@ -388,13 +380,13 @@ def verify_all(
         return abs(s.gamma_plus + s.gamma_minus - 1.0), abs(s.gamma_plus * s.gamma_minus - s.det_sigma)
 
     def pipeline(alpha: float, eta: float) -> float:
-        return _max_entry_gap(label_free(alpha, eta)[1], phase_average(with_ref(alpha, eta)))
+        return _max_entry_gap(mixture(alpha, eta), phase_average(lossy_ecs(alpha, eta, WITH_REFERENCE)))
 
     def generator(alpha: float, eta: float) -> float:
-        mix = label_free(alpha, eta)[1]
-        two = qfi_numeric(mix, two_arm_generator(mix.truncation)).value
-        one = qfi_numeric(mix, single_arm_generator(mix.truncation)).value
-        return _rel(one, two)
+        # G = n1 against G = (n1 - n2)/2, each read on the mixture's support
+        mix = mixture(alpha, eta)
+        one = _qfi_on_support(mix, (mix.support // mix.truncation.dim_single).astype(float))
+        return _rel(one.value, scenario_qfi(mix).value)
 
     both = (WITH_REFERENCE, WITHOUT_REFERENCE)
     noon_points = [(n, eta, reference) for n in NOON_ORDERS for eta in etas for reference in both]
@@ -432,15 +424,10 @@ def verify_all(
          lambda a, e, r: _rel(oracle(a, e, r, cutoff[a]), oracle(a, e, r, doubled[a])),
          f"{len(grid)} points, cutoff doubled"),
     )
-    # each cached operator goes after the last row that reads it; truncation_stability
-    # reads only the cached floats
-    release = {
-        "dephased_pipeline_consistency": (with_ref, two_level),
-        "generator_equivalence": (label_free,),
-    }
-    checks = []
-    for row in rows:
-        checks.append(_run_check(*row))
-        for cache in release.get(row[0], ()):
-            cache.cache_clear()
+    checks = [_run_check(*row) for row in rows[:-1]]
+    # truncation_stability reads only the cached floats at the base cutoff, so the
+    # operators go before its doubled-cutoff builds
+    for cache in (lossy_ecs, mixture, two_level):
+        cache.cache_clear()
+    checks.append(_run_check(*rows[-1]))
     return VerificationReport(tuple(checks))

@@ -24,7 +24,6 @@ from phasefisher.channels import (
     _bs_bands,
     _loss_table,
     apply_loss,
-    apply_loss_pure,
     apply_loss_via_bs,
     phase_average,
     single_arm_generator,
@@ -41,6 +40,7 @@ from phasefisher.qfi_oracle import (
     WITH_REFERENCE,
     WITHOUT_REFERENCE,
     _ecs_cutoff,
+    _scenario,
     build_scenario,
     qfi_numeric,
     scenario_qfi,
@@ -161,7 +161,7 @@ def _assert_routes_match_kron(rho: DensityOperator, eta: float, *routes: Density
 def _assert_both_routes_match_kron(psi: StateVector, eta: float) -> None:
     """A pure state through its amplitudes and through the eigensolve of its density."""
     rho = psi.density()
-    _assert_routes_match_kron(rho, eta, apply_loss_pure(psi, eta), apply_loss(rho, eta))
+    _assert_routes_match_kron(rho, eta, _scenario(psi, eta, WITH_REFERENCE), apply_loss(rho, eta))
 
 
 def _coherent_vacuum_product(alpha: float, trunc: FockTruncation) -> StateVector:
@@ -349,7 +349,7 @@ class TestApplyLoss:
         # each reference-free sector keeps its own vacuum component
         outputs = (
             apply_loss(_random_density(3, seed=14), 0.0),
-            apply_loss_pure(ecs_vector(2.0, _ecs_cutoff(2.0)), 0.0),
+            _scenario(ecs_vector(2.0, _ecs_cutoff(2.0)), 0.0, WITH_REFERENCE),
             build_scenario(ProbeSpec("ecs", 0.0, alpha=2.0), WITHOUT_REFERENCE),
         )
         for rho in outputs:

@@ -531,6 +531,10 @@ class TestCrossings:
         assert captured.err.startswith("error: bisection stalled on bracket [")
         assert captured.err.endswith("] at eta=0.9\n")
         assert "Traceback" not in captured.err
+        # the second bracket, shrunk to two adjacent doubles
+        assert captured.err == (
+            "error: bisection stalled on bracket [34.22616141893186, 34.226161418931866] at eta=0.9\n"
+        )
 
     def test_no_sign_change_raises(self):
         # at eta 0.5 the ecs curve stays on top over the whole grid [0.1, 200]

@@ -7,10 +7,12 @@ verification suite notices.
 
 import collections
 import csv
+import gc
 import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -424,7 +426,7 @@ class TestScenarioMixture:
     def test_equals_dephase_then_lose(self):
         alpha, eta = 1.0, 0.9
         trunc = _ecs_cutoff(alpha)
-        scenario = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE, trunc)
+        scenario = build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITHOUT_REFERENCE)
         merged = scenario_mixture(scenario)
         direct = phase_average(apply_loss(ecs_vector(alpha, trunc).density(), eta))
         assert np.allclose(merged.matrix, direct.matrix, atol=1e-13)
@@ -458,6 +460,11 @@ class TestTwoLevelNumeric:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSpectrum):
                 two_level_matrix_numeric(1e-3, 5e-324)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+    def test_eta_validated(self, eta):
+        with pytest.raises(InvalidEta):
+            two_level_matrix_numeric(1.3, eta)
 
     def test_eigenvalues_match_spectrum(self):
         s = sigma_spectrum(1.3, 0.7)
@@ -575,6 +582,37 @@ class TestVerifyAll:
         assert len(kraus_calls) == 96
         assert len(two_level_calls) == 16
         assert sum(two_level_calls.values()) == 16
+
+    def test_base_operators_are_released_before_the_doubled_builds(self, monkeypatch):
+        """No lossy ECS or label-free mixture at a base cutoff outlives the rows that read it.
+
+        DensityOperator takes no weak reference, so each operator is tracked
+        by the arrays it stores: its support and its component stacks. At the
+        first doubled-cutoff build every one of them is gone.
+        """
+        grid = [(1.0, 0.9), (1.5, 0.6)]  # doubled n_max 32 and 42: no NOON build's cutoff
+        base = {_ecs_cutoff(alpha) for alpha, _ in grid}
+        doubled = {FockTruncation(2 * trunc.n_max) for trunc in base}
+        lose, merge = qfi_oracle._scenario, qfi_oracle.scenario_mixture
+        held, alive = [], []  # weak references; live ones at the first doubled build
+
+        def track(rho):
+            held.extend(weakref.ref(a) for a in (rho.support, *(b for _, b in rho.parts)))
+            return rho
+
+        def tracking_scenario(psi, eta, reference):
+            if psi.truncation in doubled and not alive:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in held))
+            scenario = lose(psi, eta, reference)
+            return track(scenario) if psi.truncation in base else scenario
+
+        monkeypatch.setattr(qfi_oracle, "_scenario", tracking_scenario)
+        monkeypatch.setattr(qfi_oracle, "scenario_mixture", lambda rho: track(merge(rho)))
+        report = verify_all(grid)
+        assert report.passed, report.render()
+        assert len(held) >= 3 * len(grid) * 2  # two builds and a mixture a point, each 2+ arrays
+        assert alive == [0]
 
     def test_a_failing_shared_value_fails_only_the_rows_that_need_it(self, monkeypatch):
         # a cached value is never an exception, so every row that needs it fails on its own
