@@ -42,6 +42,7 @@ import os
 import stat
 import sys
 from argparse import ArgumentParser, Namespace
+from itertools import repeat
 
 from .exceptions import (
     InvalidEta,
@@ -108,7 +109,8 @@ class SweepConfig(_record("SweepConfig", "eta n_min n_max points spacing output_
             raise ValueError(f"at most {MAX_SWEEP_POINTS} points, got {points}")
         if spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-        return super().__new__(cls, eta, n_min, n_max, points, spacing, output_path)
+        # a library caller's eta=1 writes its cells as 1.0, as `sweep --eta 1` does
+        return super().__new__(cls, float(eta), n_min, n_max, points, spacing, output_path)
 
     def grid(self) -> np.ndarray:
         import numpy as np
@@ -200,14 +202,15 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
             f"so its sensitivity is undefined; {bound}"
         )
     dphi = [_libm(pow, f, -0.5) for f in (f_noref, f_ref, f_noon)]
-    columns = [n_mean, np.full(n_mean.size, eta), *values, *dphi, 1.0 / np.sqrt(eta * n_mean)]
     # no NOON state has n = 0, so an N that rounds to 0 is not an integer N
     nearest = np.rint(n_mean)
-    integer_n = ((nearest >= 1.0) & (np.abs(n_mean - nearest) < INTEGER_N_ATOL)).tolist()
-    return [
-        ",".join(map(repr, cells)) + (",true" if flag else ",false")
-        for cells, flag in zip(zip(*(c.tolist() for c in columns)), integer_n)
-    ]
+    integer_n = (nearest >= 1.0) & (np.abs(n_mean - nearest) < INTEGER_N_ATOL)
+    # rendered a column at a time; the eta cell is the same in every row
+    varying = (n_mean, *values, *dphi, 1.0 / np.sqrt(eta * n_mean))
+    cells = [list(map(repr, c.tolist())) for c in varying]
+    cells.insert(1, repeat(repr(eta)))
+    cells.append(map(("false", "true").__getitem__, integer_n.tolist()))
+    return list(map(",".join, zip(*cells)))
 
 
 def cmd_sweep(args: Namespace) -> int:

@@ -20,10 +20,12 @@ the two-level mixed-state QFI formula (Liu et al., J. Phys. A 53, 023001
 it reduces to a closed form with no subtraction; the tests keep the
 spectral route as its reference.
 
-Each closed form has one body that takes a float or an array. _curves runs
-them along an array of mean photon numbers, and it is the one route every
-N-curve reads: the sweep's rows, the crossing grid and its bisection. A
-float runs on math alone; numpy is imported where an array is built.
+Each closed form has one body that takes a float or an array; the three ECS
+forms share one, _ecs_forms, which evaluates their common factors once.
+_curves runs them along an array of mean photon numbers, and it is the one
+route every N-curve reads: the sweep's rows, the crossing grid and its
+bisection. A float runs on math alone; numpy is imported where an array is
+built.
 
 Every quantity here is validated against the brute-force oracle in
 qfi_oracle; the spectral coefficients additionally against a numeric
@@ -42,7 +44,7 @@ from .exceptions import (
     _record,
     check_eta,
 )
-from .states import _libm, _normalization, ecs_normalization, ecs_sector_weights, solve_alpha
+from .states import _libm, ecs_normalization, ecs_sector_weights, solve_alpha
 
 # the typing module's constant, without importing typing on the closed-form path
 TYPE_CHECKING = False
@@ -86,13 +88,24 @@ def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0)
-    return QFIResult(_noref(a2, eta))
+    return QFIResult(_ecs_forms(a2, eta)[0])
 
 
-def _noref(a2, eta):
-    # qfi_ecs_noref at |alpha|^2 = a2 > 0, a float or an array
-    nsq = _libm(pow, _normalization(a2), 2)
-    return 2.0 * nsq * _libm(math.exp, -a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + a2 * eta)
+def _ecs_forms(a2, eta):
+    """F_noref, F_ref and F_ref_asym at |alpha|^2 = a2 > 0, a float or an array.
+
+    The three forms share q = e^{-a2}, N^2 = 1/(2 (1 + q)) and p_perp^2 =
+    e^{-2 (1 - eta) a2}, each evaluated once; the scalar functions and
+    _curves both read this one body.
+    """
+    q = _libm(math.exp, -a2)
+    nsq = _libm(pow, 1.0 / _libm(math.sqrt, 2.0 * (1.0 + q)), 2)  # _normalization(a2) squared
+    p_perp2 = _libm(math.exp, -2.0 * (1.0 - eta) * a2)
+    x = eta * a2
+    noref = 2.0 * nsq * _libm(math.exp, -a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + x)
+    ref = x / (1.0 + q) + x * (x * (q + p_perp2)) / _libm(pow, 1.0 + q, 2)
+    asymptotic = 2.0 * nsq * (p_perp2 * a2 * a2 * eta * eta + x)
+    return noref, ref, asymptotic
 
 
 @_in_double_range
@@ -223,15 +236,7 @@ def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0)
-    return QFIResult(_ref(a2, eta))
-
-
-def _ref(a2, eta):
-    # qfi_ecs_ref at |alpha|^2 = a2, a float or an array
-    x = eta * a2
-    q = _libm(math.exp, -a2)
-    p_perp2 = _libm(math.exp, -2.0 * (1.0 - eta) * a2)
-    return x / (1.0 + q) + x * (x * (q + p_perp2)) / _libm(pow, 1.0 + q, 2)
+    return QFIResult(_ecs_forms(a2, eta)[1])
 
 
 @_in_double_range
@@ -241,13 +246,7 @@ def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     a2 = abs(alpha) ** 2
     if a2 == 0.0 or eta == 0.0:
         return QFIResult(0.0)
-    return QFIResult(_ref_asymptotic(a2, eta))
-
-
-def _ref_asymptotic(a2, eta):
-    # qfi_ecs_ref_asymptotic at |alpha|^2 = a2 > 0, a float or an array
-    nsq = _libm(pow, _normalization(a2), 2)
-    return 2.0 * nsq * (_libm(math.exp, -2.0 * a2 * (1.0 - eta)) * a2 * a2 * eta * eta + a2 * eta)
+    return QFIResult(_ecs_forms(a2, eta)[2])
 
 
 def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:
@@ -265,9 +264,7 @@ def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         alpha = solve_alpha(n_mean)
         a2 = _libm(pow, alpha, 2)
-        return np.stack(
-            [alpha, _noref(a2, eta), _ref(a2, eta), _ref_asymptotic(a2, eta), _noon(n_mean, eta)]
-        )
+        return np.stack([alpha, *_ecs_forms(a2, eta), _noon(n_mean, eta)])
 
 
 def sensitivity(fisher: float, repetitions: int = 1) -> float:

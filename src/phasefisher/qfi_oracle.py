@@ -327,7 +327,8 @@ def verify_all(
     # the alpha and eta domain of `point`, checked once per point
     for alpha, eta in grid:
         ProbeSpec("ecs", eta, alpha=alpha)
-    cutoff = {alpha: _ecs_cutoff(alpha) for alpha, _ in grid}
+    # one cutoff walk per distinct alpha, in grid order
+    cutoff = {alpha: _ecs_cutoff(alpha) for alpha in dict.fromkeys(a for a, _ in grid)}
     doubled = {alpha: FockTruncation(2 * trunc.n_max) for alpha, trunc in cutoff.items()}
 
     alphas = sorted(cutoff)

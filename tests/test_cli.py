@@ -437,8 +437,11 @@ class TestSweep:
             (0.9, "log", 0.1, 200.0, SWEEP_BLOCK_ROWS + 300),
             (0.55, "linear", 1.0, 400.0, 200),
             (0.987654, "log", 1e-3, 1e4, SWEEP_BLOCK_ROWS),
+            # every exp argument (1 - eta) |alpha|^2 is -0 or +0
+            (1.0, "log", 0.1, 200.0, 300),
+            (0.05, "log", 0.1, 200.0, 300),
         ],
-        ids=["log-two-blocks", "linear-part-block", "log-one-block"],
+        ids=["log-two-blocks", "linear-part-block", "log-one-block", "no-loss", "heavy-loss"],
     )
     def test_rows_equal_the_scalar_functions(self, eta, spacing, n_min, n_max, points):
         """Blocked rows are, byte for byte, rows built from the public scalar functions."""
@@ -454,6 +457,19 @@ class TestSweep:
             flag = "true" if abs(nm - round(nm)) < 1e-9 else "false"
             want.append(",".join(map(repr, values)) + "," + flag)
         assert sweep_rows(cfg) == want
+
+    def test_integer_eta_rows_equal_float_eta_rows(self):
+        # a library caller's eta=1 writes the eta cell as 1.0, as `sweep --eta 1` does
+        assert sweep_rows(SweepConfig(eta=1, points=5)) == sweep_rows(SweepConfig(eta=1.0, points=5))
+
+    def test_no_loss_overflow_near_the_largest_double(self, tmp_path, capsys):
+        # F_noref overflows first in the first row, before F_ref_asym
+        out = tmp_path / "never.csv"
+        rc = main(["sweep", "--eta", "1", "--n-min", "1e300", "--n-max", "1.7976931348623157e308",
+                   "--points", "7", "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: QFI is inf: inputs beyond double precision\n"
 
     def test_large_mean_photon_numbers(self, tmp_path):
         # past N = 2^17 the doubles around N are coarser than 1e-10

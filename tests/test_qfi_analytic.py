@@ -22,6 +22,7 @@ from phasefisher.fock_core import FockTruncation
 from phasefisher.qfi_analytic import (
     GAMMA_MINUS_FLOOR,
     QFIResult,
+    _curves,
     basis_overlap_matrix,
     qfi_ecs_noref,
     qfi_ecs_noref_blocksum,
@@ -33,7 +34,7 @@ from phasefisher.qfi_analytic import (
     sigma_spectrum,
 )
 from phasefisher.qfi_oracle import _ecs_cutoff
-from phasefisher.states import ecs_normalization
+from phasefisher.states import alpha_for_mean_photon, ecs_normalization
 
 # Frozen on first evaluation and cross-checked against the numeric oracle;
 # any drift here means the formulas themselves changed.
@@ -401,6 +402,27 @@ def test_closed_form_overflow_is_typed():
     for n_mean, eta in ((1e200, 0.9), (1e300, 1.0), (10**200, 0.9)):
         with pytest.raises(NumericalOverflow):
             qfi_noon_continuous(n_mean, eta)
+
+
+def test_asymptotic_overflow_at_no_loss_is_inf():
+    # at eta = 1 every form shares p_perp^2 = e^{-2 (1 - eta) |alpha|^2} = 1, also where
+    # 2 |alpha|^2 itself overflows, so F_ref_asym = 2 N^2 (|alpha|^4 + |alpha|^2) is inf there
+    for closed_form in (qfi_ecs_noref, qfi_ecs_ref, qfi_ecs_ref_asymptotic):
+        with pytest.raises(NumericalOverflow, match="QFI is inf"):
+            closed_form(1e154, 1.0)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
+def test_curves_equal_the_scalar_functions(eta):
+    """Each _curves column is, bit for bit, alpha_for_mean_photon and the public closed forms."""
+    n_mean = np.geomspace(1e-12, 1e5, 1000)
+    alpha, f_noref, f_ref, f_asym, f_noon = _curves(n_mean, eta).tolist()
+    alphas = [alpha_for_mean_photon(nm) for nm in n_mean.tolist()]
+    assert alpha == alphas
+    assert f_noref == [qfi_ecs_noref(a, eta).value for a in alphas]
+    assert f_ref == [qfi_ecs_ref(a, eta).value for a in alphas]
+    assert f_asym == [qfi_ecs_ref_asymptotic(a, eta).value for a in alphas]
+    assert f_noon == [qfi_noon_continuous(nm, eta) for nm in n_mean.tolist()]
 
 
 @pytest.mark.parametrize(

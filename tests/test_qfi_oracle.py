@@ -655,6 +655,15 @@ class TestVerifyAll:
         assert rows["spectrum_eigenvalues"].detail == "0 points vs 2x2 eigensolve"
         assert rows["basis_matrix_vs_numeric"].detail == "0 points, entrywise"
 
+    def test_one_cutoff_walk_per_distinct_alpha(self, monkeypatch):
+        walk, walked = qfi_oracle.truncation_for_tolerance, []
+        monkeypatch.setattr(
+            qfi_oracle, "truncation_for_tolerance", lambda alpha, tol: walked.append(alpha) or walk(alpha, tol)
+        )
+        report = verify_all([(0.5, 1.0), (0.5, 0.9), (0.8, 0.9), (0.5, 0.8)])
+        assert report.passed, report.render()
+        assert walked == [0.5, 0.8]
+
     def test_single_point_grid_passes(self):
         report = verify_all([(0.5, 1.0)])
         assert report.passed, report.render()
