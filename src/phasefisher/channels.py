@@ -18,7 +18,11 @@ Matos Filho and Davidovich, Nat. Phys. 7, 406 (2011)), state-agnostic.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
-environment) is retained as an independent cross-check of the Kraus route.
+environment) is the same channel, whose one-mode Kraus elements are the
+beam splitter's vacuum-environment columns. It is kept as a cross-check of
+the Kraus table: those columns, propagated from the generator, go through
+the one operator-sum body in place of the binomial table, so the check
+reaches the table through the whole channel, not the body itself.
 
 Phase averaging over an unknown common phase is exactly a dephasing between
 total-photon-number sectors, implemented by masking rather than quadrature.
@@ -96,12 +100,15 @@ def _loss_table(eta: float, d: int) -> np.ndarray:
 
 def _kraus_loss(
     state: np.ndarray, column: np.ndarray, amp: np.ndarray, label: np.ndarray,
-    eta: float, trunc: FockTruncation,
+    eta: float, trunc: FockTruncation, table_fn=_loss_table,
 ) -> DensityOperator:
     """Loss on the block sum_j V_j V_j^dag of the columns V_j of the sources, as one operator.
 
     Each source is one entry of V: its basis state, its column and its
-    amplitude. label is per column, and names the input a column belongs
+    amplitude. table_fn(eta, d)[k, a] is <a|K_k|a + k>, up to a sign that
+    depends on k alone (_loss_table, or the beam splitter's _bs_bands): a
+    pair's sign is then the same on every image, and cancels in M M^dag.
+    label is per column, and names the input a column belongs
     to (a sector of a state, say). Pair (k1, k2) moves each
     source |n1, n2> with n1 >= k1 and n2 >= k2 to |n1 - k1, n2 - k2>, one
     to one, so its image of column j is a column of M, filled with no sum.
@@ -112,7 +119,11 @@ def _kraus_loss(
     where the amplitudes' imaginary parts are exactly 0, and the lone
     states one np.bincount of |M entry|^2; a component whose every entry
     is 0 is dropped, and the support is the states of the rest. At eta = 1
-    only pair (0, 0) moves anything, so it is the only pair visited.
+    only pair (0, 0) moves anything, so it is the only pair visited. A trace
+    deficit beyond 1e-9 raises TruncationTooSmall before the operator is
+    built (whose own check would raise a plain ValueError first), on every
+    route through here: apply_loss, apply_loss_via_bs and the oracle's
+    scenarios.
     """
     d = trunc.dim_single
     n1, n2 = np.divmod(state, d)
@@ -120,7 +131,7 @@ def _kraus_loss(
     per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
     k1, k2 = np.divmod(np.arange(src.size) - np.repeat(np.cumsum(per_src) - per_src, per_src), n2[src] + 1)
-    table = _loss_table(eta, int(max(n1.max(), n2.max())) + 1)  # no pair reaches past it
+    table = table_fn(eta, int(max(n1.max(), n2.max())) + 1)  # no pair reaches past it
     values = _real_if_exact(amp)[src] * table[k1, n1[src] - k1] * table[k2, n2[src] - k2]
     # the incidences whose image is not exactly 0 (a zero neither links states nor
     # fills M), sorted by (label, pair, column); callers list their sources label by
@@ -171,6 +182,9 @@ def _kraus_loss(
             members, blocks = members[kept], blocks[kept]
         parts.append((out[members] % (d * d), blocks))
     del values, dst, col, at, k, i  # freed before the checks
+    deficit = abs(sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in parts) - 1.0)
+    if deficit > 1e-9:
+        raise TruncationTooSmall(f"loss leaks trace {deficit:.3e} at cutoff {trunc.n_max}")
     support = np.bincount(np.concatenate([m.ravel() for m, _ in parts])).nonzero()[0]
     parts = tuple((np.searchsorted(support, m), b) for m, b in parts if m.size)
     return DensityOperator(support, parts, trunc)
@@ -180,9 +194,17 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
     """Equal transmittance eta on both modes, trace preserving and completely positive.
 
     The output is sum_{k1, k2} (K_k1 x K_k2) rho (K_k1 x K_k2)^dag on the
-    downward closure of rho's support, by _kraus_loss from the spectra of
-    rho's components under qfi_numeric's rule (fock_core._spectra): each
-    eigenvector times the root of its eigenvalue is a column, and its
+    downward closure of rho's support, by _spectral_loss with the binomial
+    table (_loss_table).
+    """
+    return _spectral_loss(rho, eta, _loss_table)
+
+
+def _spectral_loss(rho: DensityOperator, eta: float, table_fn) -> DensityOperator:
+    """_kraus_loss with table_fn from the spectra of rho's components.
+
+    The spectra are taken under qfi_numeric's rule (fock_core._spectra):
+    each eigenvector times the root of its eigenvalue is a column, and its
     entries on its component's own states are the sources.
     """
     check_eta(eta)
@@ -197,7 +219,9 @@ def apply_loss(rho: DensityOperator, eta: float) -> DensityOperator:
         v = v * np.sqrt(np.ldexp(p, exponent[:, None]))[:, None, :]
         sources.append((np.repeat(rho.support[members], s), column.ravel(), v.ravel()))
         used += count * s
-    return _kraus_loss(*map(np.concatenate, zip(*sources)), np.zeros(used, dtype=int), eta, rho.truncation)
+    return _kraus_loss(
+        *map(np.concatenate, zip(*sources)), np.zeros(used, dtype=int), eta, rho.truncation, table_fn
+    )
 
 
 def phase_average(rho: DensityOperator) -> DensityOperator:
@@ -286,41 +310,17 @@ def _bs_bands(eta: float, d: int) -> np.ndarray:
 def apply_loss_via_bs(rho: DensityOperator, eta: float) -> DensityOperator:
     """Loss through explicit vacuum environments, then a partial trace.
 
-    Each mode gets its own vacuum environment; the beam splitter's columns
-    from _bs_bands are the one-mode Kraus operators K_e[a, a + e] =
-    bands[e, a], and tracing the environments out sums the pairs (e1, e2).
-    The pairs that move an occupied state are the downward closure of the
-    support, the output support; one pass over the (pair, source) incidences
-    gives each pair's sources, images and real weights w, and each pair adds
-    w w^T times its source block, elementwise, in row-major pair order: real
-    arithmetic where every imaginary part of rho is exactly 0, and no BLAS
-    product. The environment shares the signal
-    cutoff, which is exact: a mode holding at most n_max photons can lose
-    at most n_max. A trace deficit beyond 1e-9 (roundoff) raises
-    TruncationTooSmall.
+    Each mode gets its own vacuum environment, and tracing the environments
+    out of U rho U^dag leaves the operator sum over the pairs (e1, e2) of
+    the one-mode Kraus operators K_e[a, a + e] = bands[e, a], the beam
+    splitter's vacuum-environment columns from _bs_bands. The environment
+    shares the signal cutoff, which is exact: a mode holding at most n_max
+    photons can lose at most n_max. So this is apply_loss's body fed the
+    bands in place of the binomial table; bands[e, a] = (-1)^e table[e, a],
+    a sign that cancels in each output component. What the route checks
+    against apply_loss is the one-mode table, propagated from the generator
+    against the binomial cumprod, through the whole channel; the gather and
+    Gram machinery of _kraus_loss is shared, and checked on its own by the
+    np.kron tests.
     """
-    check_eta(eta)
-    trunc, d = rho.truncation, rho.truncation.dim_single
-    bands = _bs_bands(eta, d)
-    n1, n2 = np.divmod(rho.support, d)
-    # the states reachable by removing photons from either mode
-    occ = np.zeros((d, d), dtype=bool)
-    occ[n1, n2] = True
-    occ = np.logical_or.accumulate(occ[::-1, :], axis=0)[::-1, :]
-    closure = np.logical_or.accumulate(occ[:, ::-1], axis=1)[:, ::-1].ravel().nonzero()[0]
-    # every (pair, source) incidence, pairs in row-major order, with its image and weight
-    e1, e2 = np.divmod(closure, d)
-    pair, src = np.nonzero((n1 >= e1[:, None]) & (n2 >= e2[:, None]))
-    a1, a2 = n1[src] - e1[pair], n2[src] - e2[pair]
-    w = bands[e1[pair], a1] * bands[e2[pair], a2]
-    dst = np.searchsorted(closure, a1 * d + a2)
-    cuts = np.cumsum(np.bincount(pair, minlength=closure.size))[:-1]
-    del pair, a1, a2
-    block = np.ascontiguousarray(_real_if_exact(rho.on(rho.support)))
-    acc = np.zeros((closure.size, closure.size), dtype=block.dtype)
-    for s, t, x in zip(np.split(src, cuts), np.split(dst, cuts), np.split(w, cuts)):
-        acc[t[:, None], t] += x[:, None] * x * block[s[:, None], s]
-    deficit = abs(float(np.trace(acc).real) - 1.0)
-    if deficit > 1e-9:
-        raise TruncationTooSmall(f"beam-splitter route leaks trace {deficit:.3e} at cutoff {trunc.n_max}")
-    return DensityOperator(closure, acc, trunc)
+    return _spectral_loss(rho, eta, _bs_bands)

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .channels import _kraus_loss, apply_loss_via_bs, phase_average
+from .channels import _bs_bands, _kraus_loss, phase_average
 from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -161,9 +161,14 @@ def build_scenario(probe: ProbeSpec, reference: str) -> DensityOperator:
 
 def _scenario(psi: StateVector, eta: float, reference: str) -> DensityOperator:
     """build_scenario from the probe's vector psi: one Kraus pass."""
+    return _kraus_loss(*_sources(psi, reference), eta, psi.truncation)
+
+
+def _sources(psi: StateVector, reference: str) -> tuple[np.ndarray, ...]:
+    """psi as _kraus_loss's state, column, amplitude and label arrays, with no eigensolve."""
     # one column labelled 0 with a reference; without, sector n is column n, labelled n, unnormalized
     column = np.zeros_like(psi.support) if reference == WITH_REFERENCE else psi.truncation.totals(psi.support)
-    return _kraus_loss(psi.support, column, psi.amplitudes, np.arange(column.max() + 1), eta, psi.truncation)
+    return psi.support, column, psi.amplitudes, np.arange(column.max() + 1)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:
@@ -368,8 +373,10 @@ def verify_all(
         return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
     def bs(alpha: float, eta: float) -> float:
-        rho = ecs(alpha, cutoff[alpha]).density()
-        return _max_entry_gap(lossy_ecs(alpha, eta, WITH_REFERENCE), apply_loss_via_bs(rho, eta))
+        # the pure ECS through the beam splitter's bands, one column as in _scenario
+        psi = ecs(alpha, cutoff[alpha])
+        via_bs = _kraus_loss(*_sources(psi, WITH_REFERENCE), eta, psi.truncation, _bs_bands)
+        return _max_entry_gap(lossy_ecs(alpha, eta, WITH_REFERENCE), via_bs)
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
         s = spectrum_fn(alpha, eta)

@@ -22,6 +22,7 @@ import pytest
 from phasefisher.channels import (
     _bessel_j,
     _bs_bands,
+    _kraus_loss,
     _loss_table,
     apply_loss,
     apply_loss_via_bs,
@@ -29,7 +30,7 @@ from phasefisher.channels import (
     single_arm_generator,
     two_arm_generator,
 )
-from phasefisher.exceptions import InvalidEta, NegativeEigenvalue
+from phasefisher.exceptions import InvalidEta, NegativeEigenvalue, TruncationTooSmall
 from phasefisher.fock_core import (
     DensityOperator,
     FockTruncation,
@@ -533,8 +534,19 @@ class TestBeamSplitterRoute:
         gap = np.abs(np.abs(_bs_bands(eta, d)) - _loss_table(eta, d))
         assert float(gap[inside].max()) <= 1e-13
 
-    @pytest.mark.parametrize("eta", [0.3, 0.8])
+    @pytest.mark.parametrize(("eta", "d"), [(0.9, 239), (0.6, 552), (0.3, 300)])
+    def test_bands_equal_the_signed_loss_table(self, eta, d):
+        # bands[e, a] = (-1)^e table[e, a]: a pair's sign (-1)^(e1 + e2) is the same on
+        # every image, so the two tables give _kraus_loss the same M M^dag
+        e, a = np.ogrid[:d, :d]
+        inside = a + e < d
+        signed = np.where(e % 2, -1.0, 1.0) * _loss_table(eta, d)
+        assert float(np.abs(_bs_bands(eta, d) - signed)[inside].max()) <= 1e-14
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-300, 0.3, 0.8, 1.0])
     def test_matches_kraus_on_mixed_state(self, eta):
+        # at eta 0 the bands hold roundoff-size entries where the table holds exact zeros,
+        # so the two routes split their outputs into different components
         rho = _random_density(4, seed=20)
         via_bs = apply_loss_via_bs(rho, eta)
         via_kraus = apply_loss(rho, eta)
@@ -543,16 +555,25 @@ class TestBeamSplitterRoute:
     def test_matches_kraus_on_sparse_support(self):
         # the pairs are the closure of an irregular support; each image must land on its state
         rho = _irregular_density(23)
-        via_bs = apply_loss_via_bs(rho, 0.7)
-        assert np.allclose(via_bs.matrix, apply_loss(rho, 0.7).matrix, atol=1e-11)
+        for eta in (0.7, 0.0, 1e-300, 1.0):
+            via_bs = apply_loss_via_bs(rho, eta)
+            assert np.allclose(via_bs.matrix, apply_loss(rho, eta).matrix, atol=1e-11)
+
+    def test_trace_deficit_raises_before_the_operator_is_built(self):
+        # a table that loses weight: the typed check fires where the operator's own
+        # trace check would raise a plain ValueError
+        psi = ecs_vector(1.0, _ecs_cutoff(1.0))
+        column = np.zeros_like(psi.support)
+        with pytest.raises(TruncationTooSmall, match="leaks trace"):
+            _kraus_loss(psi.support, column, psi.amplitudes, np.zeros(1, dtype=int), 0.9,
+                        psi.truncation, lambda eta, d: 0.999 * _loss_table(eta, d))
 
     def test_check_value_independent_of_blas_threads(self):
         """The beam-splitter route's output and Kraus gap, bit for bit at 1 and 2 BLAS threads.
 
-        The gap is the value `verify` reports in its bs_vs_kraus_channel row.
-        The route's output bytes are hashed too: its bands and its pair sums
-        are elementwise, with no BLAS product, so no thread count moves their
-        last bits (see the large-field test below).
+        The route's output bytes are hashed too: its bands are elementwise,
+        with no BLAS product, and at these sizes neither its eigensolve of the
+        input nor its Gram products move a last bit with the thread count.
         """
         outputs = _at_one_and_two_threads(
             "import hashlib\n"
@@ -572,16 +593,17 @@ class TestBeamSplitterRoute:
         assert outputs[0] == outputs[1]
 
     def test_bands_independent_of_blas_threads_at_a_large_field(self):
-        # alpha 12 (d 239), where a per-block eigensolve would run threaded and move last bits
+        # alpha 12 (d 239): the bands and verify's pure-vector route through them, which
+        # takes no eigensolve (an eigh of the rank-1 density would run threaded)
         outputs = _at_one_and_two_threads(
             "import hashlib\n"
-            "from phasefisher.channels import _bs_bands, apply_loss_via_bs\n"
-            "from phasefisher.qfi_oracle import _ecs_cutoff\n"
+            "from phasefisher.channels import _bs_bands, _kraus_loss\n"
+            "from phasefisher.qfi_oracle import _ecs_cutoff, _sources\n"
             "from phasefisher.states import ecs_vector\n"
             "trunc = _ecs_cutoff(12.0)  # n_max 238\n"
-            "rho = ecs_vector(12.0, trunc).density()\n"
+            "psi = ecs_vector(12.0, trunc)\n"
             "for eta in (0.6, 0.9):\n"
-            "    out = apply_loss_via_bs(rho, eta)\n"
+            "    out = _kraus_loss(*_sources(psi, 'with'), eta, trunc, _bs_bands)\n"
             "    raw = out.support.tobytes() + out.on(out.support).tobytes()\n"
             "    bands = _bs_bands(eta, trunc.dim_single)\n"
             "    print(hashlib.sha256(bands.tobytes()).hexdigest(), hashlib.sha256(raw).hexdigest())\n"

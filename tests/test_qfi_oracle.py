@@ -522,8 +522,9 @@ class TestVerifyAll:
         spectrum rows build every matrix twice. The with-reference build at
         the base cutoff is the one lossy ECS the two-level matrix, the
         beam-splitter row and the pipeline row read, so the Kraus routine
-        runs 96 times: the 64 ECS builds and the 32 NOON builds (4 orders x
-        4 etas x 2 references), and no other loss.
+        runs 104 times: the 64 ECS builds, the 32 NOON builds (4 orders x 4
+        etas x 2 references) and the beam-splitter row's 8 passes of the pure
+        ECS through its bands, and no other loss.
         """
         vector = qfi_oracle.ecs_vector
         lose = qfi_oracle._scenario
@@ -579,7 +580,7 @@ class TestVerifyAll:
         assert sum(builds.values()) == 64
         assert len(qfi_calls) == 64
         assert sum(qfi_calls.values()) == 64
-        assert len(kraus_calls) == 96
+        assert len(kraus_calls) == 104
         assert len(two_level_calls) == 16
         assert sum(two_level_calls.values()) == 16
 
