@@ -237,7 +237,7 @@ def phase_average(rho: DensityOperator) -> DensityOperator:
 
 
 def _bessel_j(z: float) -> np.ndarray:
-    """J_k(z) for k = 0 .. K, z >= 0, K the last order with |J_k| > 1e-18.
+    """J_k(z) for k = 0 .. K, z > 0, K the last order with |J_k| > 1e-18.
 
     Miller's backward recurrence J_{k-1} = (2k / z) J_k - J_{k+1}, started
     at J_top = 1, J_{top+1} = 0 with top = z + 20 z^{1/3} + 40, where J_top
@@ -246,8 +246,6 @@ def _bessel_j(z: float) -> np.ndarray:
     downwards; whenever a value passes 2^500 every value so far is scaled by
     2^-500, so nothing overflows.
     """
-    if z == 0.0:
-        return np.ones(1)
     top = int(z + 20.0 * z ** (1.0 / 3.0) + 40.0)
     j = [0.0] * (top + 2)
     j[top] = 1.0

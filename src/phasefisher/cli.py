@@ -27,9 +27,10 @@ errors come from LAPACK eigensolves and BLAS products, real ones where
 every amplitude is real. CI pins the default `verify` report and its
 `--output` CSV, which carries every max error in full repr, at one and two
 BLAS threads, and subprocess tests pin the beam-splitter route's output
-bytes at alpha 1.5, 2 and 12: that route is elementwise, with no BLAS
-product. A larger product or eigensolve may thread, and its last digits
-then move with the thread count: at alpha 12 two rows of `verify --grid
+bytes at alpha 1.5, 2 and 12. Only that route's bands are elementwise; it
+runs the Kraus loss body's Gram products, whose bytes hold at one and two
+threads at those sizes. A larger product or eigensolve may thread, and its
+last digits then move with the thread count: at alpha 12 two rows of `verify --grid
 single`'s CSV (the with-reference oracle's and truncation_stability), and
 at alpha 20 the with-reference `point --oracle` value (359.9999999864846 at
 one thread, 359.9999999864044 at two). Another BLAS library may move last digits too.
@@ -50,6 +51,7 @@ from .exceptions import (
     NoCrossingFound,
     NonpositiveFisher,
     PhaseFisherError,
+    _integer,
     _record,
 )
 from .qfi_analytic import QFIResult, _curves, qfi_ecs_noref, qfi_ecs_ref, qfi_noon, sensitivity
@@ -103,6 +105,7 @@ class SweepConfig(_record("SweepConfig", "eta n_min n_max points spacing output_
             raise ValueError(f"n_min must be positive, got {n_min}")
         if n_max <= n_min:
             raise ValueError(f"need n_max > n_min, got [{n_min}, {n_max}]")
+        points = _integer(points, "points")
         if points < 2:
             raise ValueError(f"need at least 2 points, got {points}")
         if points > MAX_SWEEP_POINTS:

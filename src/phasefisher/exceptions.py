@@ -46,6 +46,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _noon_order(n) -> int:
+    """n as an int when it is an integer NOON order n >= 1, else ValueError."""
+    n = _integer(n, "NOON order n")
+    if n < 1:
+        raise ValueError(f"NOON probe needs n >= 1, got {n}")
+    return n
+
+
 def _record(typename: str, field_names: str) -> type:
     """The namedtuple base of a value record, whose subclass checks its fields in __new__.
 

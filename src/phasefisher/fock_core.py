@@ -35,8 +35,9 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# 16 bytes per two-mode basis state (n_max <= 2047): the oracle's arrays over the
-# whole basis, the occupation pair and the generator diagonals, stay within it
+# 16 bytes per two-mode basis state (n_max <= 2047). The oracle builds no array over
+# the whole basis; the library calls that do, the generator diagonals and the
+# occupation pair behind them, stay within it, and the cutoff bounds the oracle's states
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 

@@ -41,10 +41,11 @@ from .exceptions import (
     NonpositiveFisher,
     NumericalOverflow,
     _in_double_range,
+    _noon_order,
     _record,
     check_eta,
 )
-from .states import _libm, ecs_normalization, ecs_sector_weights, solve_alpha
+from .states import _libm, _normalization, ecs_sector_weights, solve_alpha
 
 # the typing module's constant, without importing typing on the closed-form path
 TYPE_CHECKING = False
@@ -56,6 +57,9 @@ if TYPE_CHECKING:
 # No code in the package reads this. It is the minor-eigenvalue weight below which
 # acceptance gate a02 skips a point and the spectral-route tests drop the cross term.
 GAMMA_MINUS_FLOOR = 1e-14
+
+# the smallest normal double; a subnormal holds fewer than 53 significant bits
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 class QFIResult(_record("QFIResult", "value")):
@@ -84,11 +88,20 @@ class EcsLossySpectrum(_record("EcsLossySpectrum", "p p_perp det_sigma gamma_plu
 @_in_double_range
 def qfi_ecs_noref(alpha: complex, eta: float) -> QFIResult:
     """Sector-resolved QFI of the lossy ECS without a reference beam."""
+    a2, live = _ecs_a2(alpha, eta)
+    return QFIResult(_ecs_forms(a2, eta)[0] if live else 0.0)
+
+
+def _ecs_a2(alpha: complex, eta: float) -> tuple[float, bool]:
+    """|alpha|^2 after check_eta, and False where every ECS form's F is 0: at |alpha|^2 = 0 or eta = 0.
+
+    The zero case keeps |alpha|^4 = inf times eta = 0 out of the forms. Each
+    public function that reads |alpha|^2 calls this itself, so its
+    _in_double_range names that function where |alpha|^2 overflows.
+    """
     check_eta(eta)
     a2 = abs(alpha) ** 2
-    if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0)
-    return QFIResult(_ecs_forms(a2, eta)[0])
+    return a2, a2 != 0.0 and eta != 0.0
 
 
 def _ecs_forms(a2, eta):
@@ -96,16 +109,43 @@ def _ecs_forms(a2, eta):
 
     The three forms share q = e^{-a2}, N^2 = 1/(2 (1 + q)) and p_perp^2 =
     e^{-2 (1 - eta) a2}, each evaluated once; the scalar functions and
-    _curves both read this one body.
+    _curves both read this one body. F_noref's decay e^{-a2 (1 - eta)} may be
+    subnormal where F_noref is not; _past_underflow keeps its digits there.
     """
     q = _libm(math.exp, -a2)
-    nsq = _libm(pow, 1.0 / _libm(math.sqrt, 2.0 * (1.0 + q)), 2)  # _normalization(a2) squared
+    two_nsq = 2.0 * _libm(pow, 1.0 / _libm(math.sqrt, 2.0 * (1.0 + q)), 2)  # 2 _normalization(a2)^2
     p_perp2 = _libm(math.exp, -2.0 * (1.0 - eta) * a2)
     x = eta * a2
-    noref = 2.0 * nsq * _libm(math.exp, -a2 * (1.0 - eta)) * (a2 * a2 * eta * eta + x)
+    y = -a2 * (1.0 - eta)
+    decay = _libm(math.exp, y)
+    moments = a2 * a2 * eta * eta + x
+    noref = _past_underflow(two_nsq * decay * moments, decay, y, two_nsq, moments)
     ref = x / (1.0 + q) + x * (x * (q + p_perp2)) / _libm(pow, 1.0 + q, 2)
-    asymptotic = 2.0 * nsq * (p_perp2 * a2 * a2 * eta * eta + x)
+    asymptotic = two_nsq * (p_perp2 * a2 * a2 * eta * eta + x)
     return noref, ref, asymptotic
+
+
+def _past_underflow(f, factor, y, scale, rest):
+    """f = scale factor rest, factor = e^y, with F's digits where factor is subnormal.
+
+    A factor below 2^-1022 holds fewer than 53 bits, so such an entry is
+    taken again as (scale e^{y/2}) (rest e^{y/2}), whose factors stay normal,
+    and kept where that is a normal double, as qfi_noon squares n eta^{n/2}.
+    Every other entry keeps f's bits, the 0 of an F that is itself subnormal
+    among them. The arguments are floats, or arrays of one shape whose
+    flagged entries go one at a time through the float code, so an array
+    entry is the float's value and an array with none flagged costs one test.
+    """
+    if getattr(f, "ndim", 0) != 0:
+        tiny = (factor < _SMALLEST_NORMAL).nonzero()
+        if tiny[0].size:
+            f[tiny] = list(map(_past_underflow, *(a[tiny].tolist() for a in (f, factor, y, scale, rest))))
+        return f
+    if not factor < _SMALLEST_NORMAL:
+        return f
+    half = math.exp(0.5 * y)
+    g = scale * half * (rest * half)
+    return g if g >= _SMALLEST_NORMAL else f
 
 
 @_in_double_range
@@ -115,9 +155,7 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
     Each total-photon sector n contributes weight(n) * n^2 eta^n; the sum
     telescopes into qfi_ecs_noref, which the tests pin to 1e-10.
     """
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0 or eta == 0.0:
+    if not _ecs_a2(alpha, eta)[1]:
         return QFIResult(0.0)
     import numpy as np
 
@@ -129,13 +167,12 @@ def qfi_ecs_noref_blocksum(alpha: complex, eta: float, trunc: FockTruncation) ->
 
 @_in_double_range
 def qfi_noon(n: int, eta: float) -> QFIResult:
-    """F = n^2 eta^n for the lossy NOON probe, Heisenberg-limited at eta = 1.
+    """F = n^2 eta^n for the lossy NOON probe of integer order n >= 1, Heisenberg-limited at eta = 1.
 
     Squared from n eta^{n/2}, so a subnormal eta^n cannot cut F's digits.
     """
     check_eta(eta)
-    if n < 1:
-        raise ValueError(f"NOON index must be >= 1, got {n}")
+    n = _noon_order(n)
     return QFIResult((n * eta ** (n / 2)) ** 2)
 
 
@@ -157,7 +194,9 @@ def qfi_noon_continuous(n_mean: float, eta: float) -> float:
 
 def _noon(n_mean, eta):
     # qfi_noon_continuous at eta > 0 for a float or an array of n_mean
-    return n_mean * n_mean * _libm(math.exp, n_mean * math.log(eta))
+    y = n_mean * math.log(eta)
+    decay = _libm(math.exp, y)
+    return _past_underflow(n_mean * n_mean * decay, decay, y, n_mean, n_mean)
 
 
 @_in_double_range
@@ -171,15 +210,11 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     no value is a difference of nearly equal terms. The numeric two-level
     eigensolve in qfi_oracle arbitrates these forms.
     """
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
+    a2, nsq, p, p_perp = _branch_factors(alpha, eta)
     if a2 == 0.0:
         raise ValueError("spectrum undefined at alpha = 0")
     if eta == 0.0:
         raise InvalidEta("spectrum undefined at eta = 0: both branches collapse to vacuum")
-    nsq = ecs_normalization(alpha) ** 2
-    p = math.exp(-eta * a2)
-    p_perp = math.exp(-(1.0 - eta) * a2)
     one_plus_q = 1.0 + math.exp(-a2)
     one_minus_p = -math.expm1(-eta * a2)
     det = nsq * nsq * -math.expm1(-2.0 * eta * a2) * -math.expm1(-2.0 * (1.0 - eta) * a2)
@@ -193,6 +228,12 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
     )
 
 
+def _branch_factors(alpha: complex, eta: float) -> tuple[float, float, float, float]:
+    """|alpha|^2, N^2, p = e^{-eta |alpha|^2} and p_perp = e^{-(1 - eta) |alpha|^2}, after check_eta."""
+    a2 = _ecs_a2(alpha, eta)[0]
+    return a2, _normalization(a2) ** 2, math.exp(-eta * a2), math.exp(-(1.0 - eta) * a2)
+
+
 @_in_double_range
 def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
     """The two-level density matrix in the Gram-Schmidt orthonormal basis.
@@ -202,11 +243,7 @@ def basis_overlap_matrix(alpha: complex, eta: float) -> np.ndarray:
     trace must come out one. The numeric reconstruction in qfi_oracle checks
     every entry.
     """
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
-    nsq = ecs_normalization(alpha) ** 2
-    p = math.exp(-eta * a2)
-    p_perp = math.exp(-(1.0 - eta) * a2)
+    a2, nsq, p, p_perp = _branch_factors(alpha, eta)
     off = (p + p_perp) * math.sqrt(-math.expm1(-2.0 * eta * a2))
     import numpy as np
 
@@ -232,21 +269,15 @@ def qfi_ecs_ref(alpha: complex, eta: float) -> QFIResult:
     Every term is positive, so F keeps full precision wherever it fits in a
     double; x^2 is never formed alone, so it cannot overflow before F does.
     """
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0)
-    return QFIResult(_ecs_forms(a2, eta)[1])
+    a2, live = _ecs_a2(alpha, eta)
+    return QFIResult(_ecs_forms(a2, eta)[1] if live else 0.0)
 
 
 @_in_double_range
 def qfi_ecs_ref_asymptotic(alpha: complex, eta: float) -> QFIResult:
     """Large-field limit of qfi_ecs_ref, valid once p = e^{-eta |alpha|^2} is negligible."""
-    check_eta(eta)
-    a2 = abs(alpha) ** 2
-    if a2 == 0.0 or eta == 0.0:
-        return QFIResult(0.0)
-    return QFIResult(_ecs_forms(a2, eta)[2])
+    a2, live = _ecs_a2(alpha, eta)
+    return QFIResult(_ecs_forms(a2, eta)[2] if live else 0.0)
 
 
 def _curves(n_mean: np.ndarray, eta: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 
-from .exceptions import TruncationTooSmall, _in_double_range, _integer, _record, check_eta
+from .exceptions import TruncationTooSmall, _in_double_range, _integer, _noon_order, _record, check_eta
 
 # the typing module's constant, without importing typing on the closed-form path
 TYPE_CHECKING = False
@@ -68,9 +68,7 @@ class ProbeSpec(_record("ProbeSpec", "family eta alpha n")):
         # every closed form reads |alpha|^2; ** 2 would raise OverflowError at large alpha
         if family == "ecs" and abs(alpha) * abs(alpha) == 0.0:
             raise ValueError(f"ECS probe needs |alpha|^2 > 0 in double precision, got alpha={alpha}")
-        n = _integer(n, "NOON order n")
-        if family == "noon" and n < 1:
-            raise ValueError(f"NOON probe needs n >= 1, got {n}")
+        n = _noon_order(n) if family == "noon" else _integer(n, "NOON order n")
         return super().__new__(cls, family, eta, alpha, n)
 
 
@@ -111,9 +109,8 @@ def ecs_vector(alpha: complex, trunc: FockTruncation) -> StateVector:
 
 
 def noon_vector(n: int, trunc: FockTruncation) -> StateVector:
-    """(|n,0> + |0,n>)/sqrt(2)."""
-    if n < 1:
-        raise ValueError(f"NOON index must be >= 1, got {n}")
+    """(|n,0> + |0,n>)/sqrt(2), for an integer n >= 1 (ProbeSpec's rule)."""
+    n = _noon_order(n)
     if n > trunc.n_max:
         raise TruncationTooSmall(f"NOON index {n} above cutoff {trunc.n_max}")
     import numpy as np

@@ -191,6 +191,23 @@ class TestPoint:
         assert rc == 0
         assert _stdout_value(capsys.readouterr().out, "F") == pytest.approx(exact, rel=1e-15)
 
+    @pytest.mark.parametrize("reference", ["with", "without"])
+    def test_no_transmission_at_huge_alpha_exits_zero(self, capsys, reference):
+        # |alpha|^4 overflows to inf at alpha 1e100; F is 0 at eta 0 all the same
+        rc = main(["point", "--family", "ecs", "--alpha", "1e100", "--eta", "0",
+                   "--reference", reference])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert _stdout_value(out, "F") == 0.0 and _stdout_value(out, "dphi") == math.inf
+
+    def test_subnormal_decay_keeps_the_fisher_information(self, capsys):
+        # e^{-|alpha|^2 (1 - eta)} is e^{-746}, below 2^-1022, and F is a normal double
+        rc = main(["point", "--family", "ecs", "--alpha", "1e8", "--eta", "0.9999999999999254",
+                   "--reference", "without"])
+        assert rc == 0
+        f = _stdout_value(capsys.readouterr().out, "F")
+        assert f == pytest.approx(float(f_noref(1e8, 0.9999999999999254)), rel=1e-13, abs=0.0)
+
     def test_oversized_oracle_exits_two(self, capsys):
         rc = main(["point", "--family", "noon", "--n", "100000", "--eta", "0.9", "--oracle"])
         assert rc == 2
@@ -277,6 +294,10 @@ class TestSweepConfig:
         assert SweepConfig(eta=0.9, points=MAX_SWEEP_POINTS).points == MAX_SWEEP_POINTS
         for points in (MAX_SWEEP_POINTS + 1, 10**13, 10**400):
             with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_POINTS} points"):
+                SweepConfig(eta=0.9, points=points)
+        # a float count once passed here and failed in sweep_rows with numpy's TypeError
+        for points in (2.5, 200.0, "200", None):
+            with pytest.raises(ValueError, match="points must be an integer"):
                 SweepConfig(eta=0.9, points=points)
 
 

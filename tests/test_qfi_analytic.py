@@ -412,6 +412,30 @@ def test_asymptotic_overflow_at_no_loss_is_inf():
             closed_form(1e154, 1.0)
 
 
+def test_no_transmission_is_zero_where_alpha_to_the_fourth_overflows():
+    # |alpha|^4 = 1e400 is inf, so only the zero case keeps inf * 0 = nan out of F
+    for closed_form in (qfi_ecs_noref, qfi_ecs_ref, qfi_ecs_ref_asymptotic):
+        assert closed_form(1e100, 0.0).value == 0.0
+
+
+def test_curves_keep_their_digits_where_the_decay_is_subnormal():
+    """F_noref and F_noon along N in [6700, 7300] at eta 0.9, against the 50-digit reference.
+
+    0.9^N is subnormal from N ~ 6723 and F_noon from N ~ 6886; F_noref's
+    e^{-0.1 N} from N ~ 7084 and F_noref from N ~ 7260. Every normal F
+    keeps its digits there, and a subnormal one is 0 or subnormal.
+    """
+    n_mean = np.linspace(6700.0, 7300.0, 241)
+    alpha, f_noref_col, _, _, f_noon_col = _curves(n_mean, 0.9).tolist()
+    for nm, a, got_noref, got_noon in zip(n_mean.tolist(), alpha, f_noref_col, f_noon_col):
+        assert got_noref == qfi_ecs_noref(a, 0.9).value and got_noon == qfi_noon_continuous(nm, 0.9)
+        for got, ref in ((got_noref, f_noref(a, 0.9)), (got_noon, f_noon(nm, 0.9))):
+            if ref >= SMALLEST_NORMAL:
+                assert abs(got - ref) <= 1e-12 * ref, (nm, got, ref)
+            else:
+                assert got < SMALLEST_NORMAL, (nm, got, ref)
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
 def test_curves_equal_the_scalar_functions(eta):
     """Each _curves column is, bit for bit, alpha_for_mean_photon and the public closed forms."""
@@ -501,6 +525,10 @@ def _assert_near(name, compute, f, a2, eta):
 @example(alpha=1e8, eta=0.9, n=1)
 @example(alpha=12.0, eta=0.9, n=40)
 @example(alpha=1e-4, eta=5e-324, n=10**6)
+# F_noref's decay e^{-|alpha|^2 (1 - eta)}, then eta^n, below 2^-1022 with F normal
+@example(alpha=1e8, eta=0.9999999999999254, n=1)
+@example(alpha=1e6, eta=0.99999999925, n=1)
+@example(alpha=1.0, eta=0.9992702663851757, n=10**6)
 def test_closed_forms_match_50_digit_reference(alpha, eta, n):
     """Every closed form and EcsLossySpectrum field is exact to double precision.
 
@@ -520,6 +548,8 @@ def test_closed_forms_match_50_digit_reference(alpha, eta, n):
     _assert_near("qfi_ecs_ref", lambda: qfi_ecs_ref(alpha, eta).value, at(f_ref), a2, eta_mp)
     _assert_near("qfi_ecs_noref", lambda: qfi_ecs_noref(alpha, eta).value, at(f_noref), a2, eta_mp)
     _assert_near("qfi_noon", lambda: qfi_noon(n, eta).value, lambda _, e: f_noon(n, e), a2, eta_mp)
+    noon_continuous = lambda: qfi_noon_continuous(n, eta)
+    _assert_near("qfi_noon_continuous", noon_continuous, lambda _, e: f_noon(n, e), a2, eta_mp)
     if eta == 0.0:
         return  # the spectrum is undefined there
     s = sigma_spectrum(alpha, eta)

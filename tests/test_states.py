@@ -254,6 +254,13 @@ class TestAlphaSolve:
             solve_alpha(np.array([2.0, bad]))
 
 
+_NOON_ORDER_CHECKS = (
+    lambda n: ProbeSpec("noon", 0.9, n=n),
+    lambda n: noon_vector(n, FockTruncation(3)),
+    lambda n: qfi_noon(n, 0.9),
+)
+
+
 class TestProbeSpec:
     def test_valid_specs(self):
         ProbeSpec("ecs", 0.9, alpha=1.0)
@@ -273,14 +280,19 @@ class TestProbeSpec:
             ProbeSpec("ecs", 0.9)
 
     def test_noon_needs_positive_n(self):
-        with pytest.raises(ValueError):
-            ProbeSpec("noon", 0.9, n=0)
+        # noon_vector and qfi_noon apply ProbeSpec's rule, message and all
+        for check in _NOON_ORDER_CHECKS:
+            for n in (0, -1):
+                with pytest.raises(ValueError, match=f"^NOON probe needs n >= 1, got {n}$"):
+                    check(n)
 
     @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(2.0), "2", None])
     def test_noon_order_must_be_an_integer(self, n):
-        # a float order once reached the oracle, which refused it as a misplaced support
-        with pytest.raises(ValueError, match="NOON order n must be an integer"):
-            ProbeSpec("noon", 0.9, n=n)
+        # a float order once reached the oracle, which refused it as a misplaced support;
+        # noon_vector refused 2.0 the same way, and qfi_noon took 2.5
+        for check in _NOON_ORDER_CHECKS:
+            with pytest.raises(ValueError, match="NOON order n must be an integer"):
+                check(n)
 
     def test_numpy_integer_order_is_stored_as_int(self):
         probe = ProbeSpec("noon", 0.9, n=np.int64(2))
