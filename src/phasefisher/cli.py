@@ -12,8 +12,11 @@ runs it and maps its errors to exit codes.
 
 `sweep` and `crossings` read one array route from N to F,
 qfi_analytic._curves: each sweep block, the crossing grid and every
-bisection midpoint. A failing sweep row raises its own typed error, the one
-the scalar functions give at that N.
+bisection midpoint. A sweep computes and checks every row, a block at a time
+into five float columns, before it opens its output: a failing row raises
+its own typed error, the one the scalar functions give at that N, and writes
+no file. It then renders and writes the CSV a block at a time, so a sweep
+process peaks at about 32 MB at 40,000 rows and 86 MB at 1,000,000.
 
 `point` without `--oracle` runs on the standard library alone: numpy, the
 Fock-space code and the oracle are imported where a command first builds an
@@ -43,7 +46,7 @@ import os
 import stat
 import sys
 from argparse import ArgumentParser, Namespace
-from itertools import repeat
+from itertools import chain, repeat
 
 from .exceptions import (
     InvalidEta,
@@ -60,6 +63,8 @@ from .states import WITH_REFERENCE, WITHOUT_REFERENCE, ProbeSpec, _libm, alpha_f
 # the typing module's constant, without importing typing on the closed-form path
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     import numpy as np
 
 CSV_HEADER = (
@@ -70,15 +75,15 @@ CSV_HEADER = (
 INTEGER_N_ATOL = 1e-9
 
 DEFAULT_SWEEP_POINTS = 200
-# a sweep holds every row in memory, about 450 B each (475 MB peak RSS at this many)
+# a sweep holds 48 B of floats per row and one block of text (86 MB peak RSS at this many)
 MAX_SWEEP_POINTS = 1_000_000
 DEFAULT_SWEEP_RANGE = (0.1, 200.0)
 
 # `crossings` stops bisecting once |F_noon - F_ref| at the midpoint is at most this
 DEFAULT_CROSSING_TOL = 1e-6
 
-# sweep rows go through numpy this many at a time; whole columns raise a
-# 40,000-row sweep's peak RSS from 48 to 61 MB and save no time
+# sweep rows are computed, rendered and written this many at a time; one block for
+# all of a 40,000-row sweep raises its peak RSS from 32 to 84 MB and saves no time
 SWEEP_BLOCK_ROWS = 1024
 
 
@@ -172,24 +177,32 @@ def cmd_point(args: Namespace) -> int:
     return 0
 
 
-def sweep_rows(cfg: SweepConfig) -> list[str]:
-    grid = cfg.grid()
-    rows = [CSV_HEADER]
-    for start in range(0, grid.size, SWEEP_BLOCK_ROWS):
-        rows += _block_rows(grid[start : start + SWEEP_BLOCK_ROWS], cfg.eta)
-    return rows
+def sweep_rows(cfg: SweepConfig) -> Iterator[str]:
+    """The sweep's CSV text: the header line, then the rows of each block of the grid.
 
-
-def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
-    """CSV rows of one block of the grid, bit for bit those of the scalar functions.
-
-    The first failing row raises the error the scalar functions would: a
-    QFIResult check on F_noref, F_ref and F_ref_asym in that order, then
-    NonpositiveFisher where an F or the shot-noise F underflows to 0.
+    Every row is computed and checked when this is called, so the first
+    failing row raises before any text exists; the rows are then rendered
+    one block at a time as the returned iterator is read.
     """
     import numpy as np
 
-    values = _curves(n_mean, eta)
+    grid = cfg.grid()
+    blocks = [slice(i, i + SWEEP_BLOCK_ROWS) for i in range(0, grid.size, SWEEP_BLOCK_ROWS)]
+    values = np.empty((5, grid.size))
+    for b in blocks:
+        values[:, b] = _curves(grid[b], cfg.eta)
+    _check(grid, values, cfg.eta)
+    text = (_block_text(grid[b], values[:, b], cfg.eta) for b in blocks)
+    return chain((CSV_HEADER + "\n",), text)
+
+
+def _check(n_mean: np.ndarray, values: np.ndarray, eta: float) -> None:
+    """Raise at the first failing row the error the scalar functions would give there.
+
+    That is a QFIResult check on F_noref, F_ref and F_ref_asym in that
+    order, then NonpositiveFisher where an F or the shot-noise F underflows
+    to 0.
+    """
     _, f_noref, f_ref, f_asym, f_noon = values
     failing = ~((values[1:4] >= 0.0) & (values[1:4] < math.inf)).all(axis=0)
     failing |= (f_noref == 0.0) | (f_ref == 0.0) | (f_noon == 0.0) | (eta * n_mean == 0.0)
@@ -204,6 +217,13 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
             f"Fisher information underflows to 0 at N = {_fmt(nm)} (eta = {eta:g}), "
             f"so its sensitivity is undefined; {bound}"
         )
+
+
+def _block_text(n_mean: np.ndarray, values: np.ndarray, eta: float) -> str:
+    """CSV lines of one checked block, bit for bit those of the scalar functions."""
+    import numpy as np
+
+    _, f_noref, f_ref, _, f_noon = values
     dphi = [_libm(pow, f, -0.5) for f in (f_noref, f_ref, f_noon)]
     # no NOON state has n = 0, so an N that rounds to 0 is not an integer N
     nearest = np.rint(n_mean)
@@ -213,26 +233,31 @@ def _block_rows(n_mean: np.ndarray, eta: float) -> list[str]:
     cells = [list(map(repr, c.tolist())) for c in varying]
     cells.insert(1, repeat(repr(eta)))
     cells.append(map(("false", "true").__getitem__, integer_n.tolist()))
-    return list(map(",".join, zip(*cells)))
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def cmd_sweep(args: Namespace) -> int:
     cfg = SweepConfig(args.eta, args.n_min, args.n_max, args.points, args.spacing, args.output)
-    # all rows are computed before the file is opened, so a numerical
-    # failure can never leave a partial CSV behind
-    _write_output(cfg.output_path, "\n".join(sweep_rows(cfg)) + "\n")
+    # sweep_rows checks every row before the file is opened, so a numerical failure
+    # leaves an existing file as it was; the rows are rendered and written a block at a time
+    _write_output(cfg.output_path, sweep_rows(cfg))
     print(f"wrote {cfg.points} rows to {cfg.output_path}")
     return 0
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write text to path. A failed open deletes nothing, and a failed write removes only a regular file."""
+def _write_output(path: str, chunks: Iterable[str]) -> None:
+    """Write each chunk to path.
+
+    A failed open deletes nothing; any failure after it removes only a regular file.
+    """
     fh = open(path, "w", encoding="ascii", newline="")  # a failed open deletes nothing
     try:
         with fh:
-            fh.write(text)
-    except OSError:
-        # a partial file goes, but never a symlink, pipe or device the path names
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        # a partial file goes, whatever stopped the writing (a full disk, an interrupt),
+        # but never a symlink, pipe or device the path names
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
         raise
@@ -332,7 +357,7 @@ def cmd_verify(args: Namespace) -> int:
     report = verify_all(grid)
     print(report.render())
     if args.output is not None:
-        _write_output(args.output, report.to_csv())
+        _write_output(args.output, (report.to_csv(),))
     return 0 if report.passed else 1
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -45,19 +46,32 @@ def _stdout_value(out: str, key: str) -> float:
     raise AssertionError(f"no line starting with {key!r} in output:\n{out}")
 
 
+def _sweep_lines(cfg: SweepConfig) -> list[str]:
+    """The lines of the text sweep_rows gives, each of which ends in a newline."""
+    text = "".join(sweep_rows(cfg))
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep_eta0.9.csv"
 
 
-def _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv):
-    """argv + [--output, path] exits 2 when the write fails after the open, as on a full disk.
+def _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv,
+                                                     error=None, writes=0):
+    """argv + [--output, path] fails when the write after the first `writes` raises error.
 
-    A partial regular file is removed; a symlink the path names is kept, and so is its target.
+    The default error is a full disk's OSError, on which main exits 2 with an
+    `error:` line; any other error must leave main. A partial regular file is
+    removed; a symlink the path names is kept, and so is its target.
     Returns each run's stdout.
     """
-    class FullDisk:
+    error = error or OSError(errno.ENOSPC, "No space left on device")
+
+    class FailingFile:
         def __init__(self, path, *args, **kwargs):
-            self.path = path
+            self.path, self.writes = Path(path), 0
+            self.path.write_text("")
 
         def __enter__(self):
             return self
@@ -66,10 +80,14 @@ def _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypat
             return False
 
         def write(self, text):
-            Path(self.path).write_text(text[:10])
-            raise OSError(errno.ENOSPC, "No space left on device")
+            with self.path.open("a") as fh:
+                if self.writes == writes:
+                    fh.write(text[:10])
+                    raise error
+                fh.write(text)
+            self.writes += 1
 
-    monkeypatch.setattr("phasefisher.cli.open", FullDisk, raising=False)
+    monkeypatch.setattr("phasefisher.cli.open", FailingFile, raising=False)
     target = tmp_path / "target.csv"
     target.write_text("keep me\n")
     link = tmp_path / "link.csv"
@@ -77,10 +95,13 @@ def _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypat
     regular = tmp_path / "partial.csv"
     outs = []
     for out in (link, regular):
-        rc = main([*argv, "--output", str(out)])
-        assert rc == 2
+        if isinstance(error, OSError):
+            assert main([*argv, "--output", str(out)]) == 2
+        else:
+            with pytest.raises(type(error)):
+                main([*argv, "--output", str(out)])
         captured = capsys.readouterr()
-        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert captured.err == (f"error: {error}\n" if isinstance(error, OSError) else "")
         outs.append(captured.out)
     assert link.is_symlink() and target.is_file()
     assert not regular.exists()
@@ -251,7 +272,7 @@ class TestPoint:
         assert dphi == sensitivity(qfi_ecs_ref(1.0, 0.9).value) == 0.9238537020429951
         header = CSV_HEADER.split(",")
         f_col, dphi_col = header.index("f_ecs_ref"), header.index("dphi_ecs_ref")
-        for line in sweep_rows(SweepConfig(eta=0.9))[1:]:
+        for line in _sweep_lines(SweepConfig(eta=0.9))[1:]:
             cells = line.split(",")
             assert float(cells[dphi_col]) == sensitivity(float(cells[f_col])), line
 
@@ -380,6 +401,27 @@ class TestSweep:
         argv = ["sweep", "--eta", "0.9", "--points", "5"]
         _assert_failed_write_removes_only_a_regular_file(tmp_path, capsys, monkeypatch, argv)
 
+    def test_interrupted_write_removes_only_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        # rows are rendered after the open: an interrupt between two blocks leaves no partial CSV
+        argv = ["sweep", "--eta", "0.9", "--points", "5"]
+        _assert_failed_write_removes_only_a_regular_file(
+            tmp_path, capsys, monkeypatch, argv, error=KeyboardInterrupt(), writes=1
+        )
+
+    def test_rows_are_written_a_block_at_a_time(self, tmp_path, capsys):
+        # holding the whole CSV, about 455 B a row, would trace about 8.7 MiB here
+        import numpy  # noqa: F401  numpy's import is not the sweep's memory
+
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["sweep", "--eta", "0.9", "--points", "20000", "--output", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
     def test_underflowed_fisher_exits_two_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["sweep", "--eta", "0.9", "--n-max", "1e9", "--output", str(out)])
@@ -394,15 +436,19 @@ class TestSweep:
         # grid row 1455 is the first to underflow, in the second block
         cfg = SweepConfig(eta=0.9, n_max=1e9, points=3000)
         assert SWEEP_BLOCK_ROWS < 1455 and cfg.grid()[1455] == 7105.869146093529
-        out = tmp_path / "never.csv"
-        rc = main(["sweep", "--eta", "0.9", "--n-max", "1e9", "--points", "3000",
-                   "--output", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert capsys.readouterr().err == (
-            "error: Fisher information underflows to 0 at N = 7105.869146093529 (eta = 0.9), "
-            "so its sensitivity is undefined; lower --n-max\n"
-        )
+        # every row is checked before the output is opened, so an existing file keeps its bytes
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"keep me\n")
+        for out in (tmp_path / "never.csv", existing):
+            rc = main(["sweep", "--eta", "0.9", "--n-max", "1e9", "--points", "3000",
+                       "--output", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: Fisher information underflows to 0 at N = 7105.869146093529 (eta = 0.9), "
+                "so its sensitivity is undefined; lower --n-max\n"
+            )
+        assert not (tmp_path / "never.csv").exists()
+        assert existing.read_bytes() == b"keep me\n"
 
     def test_underflow_below_one_photon_names_n_min(self, tmp_path, capsys):
         # F vanishes with N at the low end, so only a larger --n-min helps
@@ -477,11 +523,11 @@ class TestSweep:
                       f_noon, f_noref**-0.5, f_ref**-0.5, f_noon**-0.5, 1.0 / math.sqrt(eta * nm))
             flag = "true" if abs(nm - round(nm)) < 1e-9 else "false"
             want.append(",".join(map(repr, values)) + "," + flag)
-        assert sweep_rows(cfg) == want
+        assert _sweep_lines(cfg) == want
 
     def test_integer_eta_rows_equal_float_eta_rows(self):
         # a library caller's eta=1 writes the eta cell as 1.0, as `sweep --eta 1` does
-        assert sweep_rows(SweepConfig(eta=1, points=5)) == sweep_rows(SweepConfig(eta=1.0, points=5))
+        assert _sweep_lines(SweepConfig(eta=1, points=5)) == _sweep_lines(SweepConfig(eta=1.0, points=5))
 
     def test_no_loss_overflow_near_the_largest_double(self, tmp_path, capsys):
         # F_noref overflows first in the first row, before F_ref_asym
@@ -502,7 +548,7 @@ class TestSweep:
         assert flags == ["false"] * 3
 
     def test_snl_column(self):
-        rows = sweep_rows(SweepConfig(eta=0.25, n_min=4.0, n_max=8.0, points=2))
+        rows = _sweep_lines(SweepConfig(eta=0.25, n_min=4.0, n_max=8.0, points=2))
         cells = rows[1].split(",")
         assert float(cells[10]) == pytest.approx(1.0 / math.sqrt(0.25 * 4.0), rel=1e-14)
 
