@@ -15,6 +15,9 @@ each component's eigenvectors times the roots of their eigenvalues), and
 each output component is the Gram product M M^dag of the Kraus images M
 of those columns: the operator-sum form on a purification (Escher, de
 Matos Filho and Davidovich, Nat. Phys. 7, 406 (2011)), state-agnostic.
+The output support is the union of the images' states, taken over those
+states alone, and the output's trace is held to the operator's own rule
+(TRACE_ATOL) before it is built, a leak raising TruncationTooSmall.
 
 The virtual beam-splitter construction (couple each arm to a vacuum
 environment mode, evolve with exp[theta (a^dag b - a b^dag)], trace the
@@ -35,8 +38,8 @@ import math
 import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
-from .fock_core import DensityOperator, FockTruncation
-from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra
+from .fock_core import TRACE_ATOL, DensityOperator, FockTruncation
+from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra, _trace
 
 
 def _fresh(x: np.ndarray) -> np.ndarray:
@@ -45,6 +48,12 @@ def _fresh(x: np.ndarray) -> np.ndarray:
     mask[:1] = True
     np.not_equal(x[1:], x[:-1], out=mask[1:])
     return mask
+
+
+def _union(*supports: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of the given index arrays, in an array of at most their total size."""
+    x = np.sort(np.concatenate(supports))
+    return x[_fresh(x)]
 
 
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
@@ -118,12 +127,13 @@ def _kraus_loss(
     Each stack of equal-size components takes one batched M M^dag, real
     where the amplitudes' imaginary parts are exactly 0, and the lone
     states one np.bincount of |M entry|^2; a component whose every entry
-    is 0 is dropped, and the support is the states of the rest. At eta = 1
-    only pair (0, 0) moves anything, so it is the only pair visited. A trace
-    deficit beyond 1e-9 raises TruncationTooSmall before the operator is
-    built (whose own check would raise a plain ValueError first), on every
-    route through here: apply_loss, apply_loss_via_bs and the oracle's
-    scenarios.
+    is 0 is dropped, and the support is the states of the rest, their
+    _union. At eta = 1 only pair (0, 0) moves anything, so it is the only
+    pair visited. The trace is the constructor's sum (fock_core._trace), and
+    a leak beyond TRACE_ATOL raises TruncationTooSmall before the operator
+    is built, so the constructor's own check, the same rule, never raises a
+    plain ValueError first; this holds on every route through here:
+    apply_loss, apply_loss_via_bs and the oracle's scenarios.
     """
     d = trunc.dim_single
     n1, n2 = np.divmod(state, d)
@@ -146,12 +156,9 @@ def _kraus_loss(
     first, run = fresh.nonzero()[0], np.cumsum(fresh) - 1  # each run is one column of M
     # the output states, (label, basis index) ascending, and each incidence's among them
     image = (label[j] * d + n1[src] - k1) * d + n2[src] - k2
-    order = np.argsort(image)
-    image = image[order]
-    fresh = _fresh(image)
-    out, dst = image[fresh], np.empty_like(order)
-    dst[order] = np.cumsum(fresh) - 1
-    del src, order, k1, k2, j, image, fresh
+    out = _union(image)
+    dst = np.searchsorted(out, image)
+    del src, k1, k2, j, image
     # each output state labelled by its component's first, linked to its column's first image
     labels = _labels(out.size, dst, dst[first][run])
     # each column's component (its first state), and its place among that component's columns
@@ -182,10 +189,10 @@ def _kraus_loss(
             members, blocks = members[kept], blocks[kept]
         parts.append((out[members] % (d * d), blocks))
     del values, dst, col, at, k, i  # freed before the checks
-    deficit = abs(sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in parts) - 1.0)
-    if deficit > 1e-9:
-        raise TruncationTooSmall(f"loss leaks trace {deficit:.3e} at cutoff {trunc.n_max}")
-    support = np.bincount(np.concatenate([m.ravel() for m, _ in parts])).nonzero()[0]
+    leak = abs(_trace(parts) - 1.0)
+    if leak > TRACE_ATOL:
+        raise TruncationTooSmall(f"loss leaks trace {leak:.3e} at cutoff {trunc.n_max}")
+    support = _union(*(m.ravel() for m, _ in parts))
     parts = tuple((np.searchsorted(support, m), b) for m, b in parts if m.size)
     return DensityOperator(support, parts, trunc)
 

@@ -9,8 +9,9 @@ occupies, and its amplitudes there. A density operator is the sum of
 components, each a dense block over a few of the basis states it occupies.
 Given components are stored as given; a dense block that holds an exact
 zero is split into the connected components of its exact nonzeros once, at
-construction. Values are treated as immutable after construction; the
-wrappers mark their buffers read-only.
+construction. One trace rule holds for every operator: the sum of the
+components' traces (_trace) is within TRACE_ATOL of 1. Values are treated
+as immutable after construction; the wrappers mark their buffers read-only.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# 16 bytes per two-mode basis state (n_max <= 2047). The oracle builds no array over
-# the whole basis; the library calls that do, the generator diagonals and the
-# occupation pair behind them, stay within it, and the cutoff bounds the oracle's states
+# 16 bytes per two-mode basis state (n_max <= 2047). The oracle's one basis-sized array
+# is the (n_max + 1)^2 float loss table, half of this; the library calls that span the
+# basis, the generator diagonals and the occupation pair behind them, stay within it,
+# and the cutoff bounds the oracle's states
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 
@@ -254,7 +256,7 @@ class DensityOperator:
             dev = max(dev, float(np.abs(gap, out=gap).real.max(initial=0.0)))
         if dev > HERMITICITY_ATOL:
             raise NotHermitian(f"hermiticity deviation {dev:.3e} beyond {HERMITICITY_ATOL}")
-        tr = sum(complex(np.trace(b, axis1=1, axis2=2).sum()) for _, b in block)
+        tr = _trace(block)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
         object.__setattr__(self, "parts", tuple((_read_only(m), _read_only(b)) for m, b in block))
@@ -263,13 +265,20 @@ class DensityOperator:
     def on(self, support: np.ndarray) -> np.ndarray:
         """The sum of the components as a dense array over a strictly increasing superset of the support.
 
-        When one component spans support, this is its stored block, read-only.
+        The array's dtype is np.result_type of the stored stacks: real when
+        every component is real. When one component spans support, this is
+        its stored block, read-only. A support that is not such a superset
+        raises DimensionMismatch.
         """
+        _check_support(support, self.truncation.dim)
+        pos = np.searchsorted(support, self.support)
+        # pos increases, and the operator's support is never empty
+        if pos[-1] >= support.size or (support[pos] != self.support).any():
+            raise DimensionMismatch("support must hold every state of the operator's support")
         (members, blocks), *rest = self.parts
         if not rest and members.shape == (1, support.size):
             return blocks[0]
-        pos = np.searchsorted(support, self.support)
-        out = np.zeros((support.size, support.size), dtype=complex)
+        out = np.zeros((support.size, support.size), dtype=np.result_type(*(b for _, b in self.parts)))
         for members, blocks in self.parts:
             np.add.at(out, (pos[members][:, :, None], pos[members][:, None, :]), blocks)
         return out
@@ -278,6 +287,11 @@ class DensityOperator:
     def matrix(self) -> np.ndarray:
         """Read-only dense (dim, dim) view, allocated on each access."""
         return _read_only(self.on(np.arange(self.truncation.dim)))
+
+
+def _trace(parts) -> complex:
+    """The trace of a sum of component stacks (members, blocks): the one trace rule reads this sum."""
+    return sum(complex(np.trace(b, axis1=1, axis2=2).sum()) for _, b in parts)
 
 
 def _components(block: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -45,7 +45,7 @@ from .exceptions import (
     _record,
     check_eta,
 )
-from .states import _libm, _normalization, ecs_sector_weights, solve_alpha
+from .states import _libm, ecs_sector_weights, solve_alpha
 
 # the typing module's constant, without importing typing on the closed-form path
 TYPE_CHECKING = False
@@ -231,7 +231,8 @@ def sigma_spectrum(alpha: complex, eta: float) -> EcsLossySpectrum:
 def _branch_factors(alpha: complex, eta: float) -> tuple[float, float, float, float]:
     """|alpha|^2, N^2, p = e^{-eta |alpha|^2} and p_perp = e^{-(1 - eta) |alpha|^2}, after check_eta."""
     a2 = _ecs_a2(alpha, eta)[0]
-    return a2, _normalization(a2) ** 2, math.exp(-eta * a2), math.exp(-(1.0 - eta) * a2)
+    # N^2 = 1/(2 (1 + e^{-a2})) in one division, with no square root to square
+    return a2, 0.5 / (1.0 + math.exp(-a2)), math.exp(-eta * a2), math.exp(-(1.0 - eta) * a2)
 
 
 @_in_double_range

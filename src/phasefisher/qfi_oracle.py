@@ -19,6 +19,10 @@ components each belong to one sector, so the label is kept;
 scenario_mixture sums the components, which discards it and reproduces the
 plain dephase-then-lose pipeline, with strictly less information once loss
 mixes neighboring sectors.
+
+Every Kraus pass of the oracle goes through _scenario, verify_all's
+beam-splitter row included, and every QFI through _qfi_on_support: a
+tracer or a test that wraps these two sees every build and every QFI.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 
 import numpy as np
 
-from .channels import _bs_bands, _kraus_loss, phase_average
+from . import channels
 from .exceptions import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -159,16 +163,16 @@ def build_scenario(probe: ProbeSpec, reference: str) -> DensityOperator:
     return _scenario(psi, probe.eta, reference)
 
 
-def _scenario(psi: StateVector, eta: float, reference: str) -> DensityOperator:
-    """build_scenario from the probe's vector psi: one Kraus pass."""
-    return _kraus_loss(*_sources(psi, reference), eta, psi.truncation)
+def _scenario(psi: StateVector, eta: float, reference: str, table_fn=channels._loss_table) -> DensityOperator:
+    """build_scenario from the probe's vector psi: one Kraus pass of its amplitudes, with no eigensolve.
 
-
-def _sources(psi: StateVector, reference: str) -> tuple[np.ndarray, ...]:
-    """psi as _kraus_loss's state, column, amplitude and label arrays, with no eigensolve."""
+    The one seam of every oracle Kraus pass. table_fn is the one-mode
+    table, the binomial _loss_table or the beam splitter's _bs_bands.
+    """
     # one column labelled 0 with a reference; without, sector n is column n, labelled n, unnormalized
     column = np.zeros_like(psi.support) if reference == WITH_REFERENCE else psi.truncation.totals(psi.support)
-    return psi.support, column, psi.amplitudes, np.arange(column.max() + 1)
+    label = np.arange(column.max() + 1)
+    return channels._kraus_loss(psi.support, column, psi.amplitudes, label, eta, psi.truncation, table_fn)
 
 
 def scenario_qfi(rho: DensityOperator) -> QFIResult:
@@ -295,7 +299,7 @@ def _rel(value: float, reference: float) -> float:
 
 def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
     """Largest entrywise |a - b|, taken over the union of the two supports."""
-    support = np.bincount(np.concatenate((a.support, b.support))).nonzero()[0]
+    support = channels._union(a.support, b.support)
     return float(np.max(np.abs(a.on(support) - b.on(support))))
 
 
@@ -313,13 +317,15 @@ def verify_all(
     tolerance, points, the error at one point and its detail; _run_check
     walks every row's points. Rows share what they read through caches: one
     ECS vector per (alpha, cutoff) serves every ECS build and the beam
-    splitter's input, and one lossy ECS per (alpha, eta, reference) at the
-    base cutoff serves that reference's oracle value; the with-reference
-    one also serves the two-level matrix, the beam-splitter row and the
-    pipeline row, and the reference-free one the label-free mixture. The
-    cached operators are released before truncation_stability, the last
-    row, which builds at the doubled cutoff and reads the base values as
-    cached floats. spectrum_fn /
+    splitter's input, and one lossy ECS per (alpha, eta, reference), at the
+    base cutoff, serves that reference's oracle value, cached per (alpha,
+    eta, reference); the with-reference one also serves the two-level
+    matrix, the beam-splitter row and the pipeline row, and the
+    reference-free one the label-free mixture. Every Kraus pass, the
+    beam-splitter row's included, goes through _scenario. The cached
+    operators are released before truncation_stability, the last row,
+    which reads the base values as cached floats and builds at the doubled
+    cutoff where it reads that value. spectrum_fn /
     basis_matrix_fn are injection seams for negative-control tests that
     feed deliberately corrupted closed forms. A grid point or cutoff that
     `point --oracle` would refuse, or a doubled cutoff past the size
@@ -351,10 +357,8 @@ def verify_all(
         return _scenario(ecs(alpha, cutoff[alpha]), eta, reference)
 
     @functools.cache
-    def oracle(alpha: float, eta: float, reference: str, trunc: FockTruncation) -> float:
-        if trunc == cutoff[alpha]:
-            return scenario_qfi(lossy_ecs(alpha, eta, reference)).value
-        return scenario_qfi(_scenario(ecs(alpha, trunc), eta, reference)).value
+    def oracle(alpha: float, eta: float, reference: str) -> float:
+        return scenario_qfi(lossy_ecs(alpha, eta, reference)).value
 
     @functools.cache
     def mixture(alpha: float, eta: float) -> DensityOperator:
@@ -373,9 +377,8 @@ def verify_all(
         return abs(qfi_ecs_ref(alpha_for_mean_photon(n_mean), eta).value / (eta * n_mean) - 1.0)
 
     def bs(alpha: float, eta: float) -> float:
-        # the pure ECS through the beam splitter's bands, one column as in _scenario
-        psi = ecs(alpha, cutoff[alpha])
-        via_bs = _kraus_loss(*_sources(psi, WITH_REFERENCE), eta, psi.truncation, _bs_bands)
+        # the pure ECS through the beam splitter's bands in place of the binomial table
+        via_bs = _scenario(ecs(alpha, cutoff[alpha]), eta, WITH_REFERENCE, channels._bs_bands)
         return _max_entry_gap(lossy_ecs(alpha, eta, WITH_REFERENCE), via_bs)
 
     def spectrum_eigen(alpha: float, eta: float) -> tuple[float, float]:
@@ -388,7 +391,7 @@ def verify_all(
         return abs(s.gamma_plus + s.gamma_minus - 1.0), abs(s.gamma_plus * s.gamma_minus - s.det_sigma)
 
     def pipeline(alpha: float, eta: float) -> float:
-        return _max_entry_gap(mixture(alpha, eta), phase_average(lossy_ecs(alpha, eta, WITH_REFERENCE)))
+        return _max_entry_gap(mixture(alpha, eta), channels.phase_average(lossy_ecs(alpha, eta, WITH_REFERENCE)))
 
     def generator(alpha: float, eta: float) -> float:
         # G = n1 against G = (n1 - n2)/2, each read on the mixture's support
@@ -402,10 +405,10 @@ def verify_all(
     # (name, tolerance, points, error of one point, detail)
     rows = (
         ("noref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITHOUT_REFERENCE], grid,
-         lambda a, e: _rel(oracle(a, e, WITHOUT_REFERENCE, cutoff[a]), qfi_ecs_noref(a, e).value),
+         lambda a, e: _rel(oracle(a, e, WITHOUT_REFERENCE), qfi_ecs_noref(a, e).value),
          f"{len(grid)} points"),
         ("ref_closed_vs_oracle", ORACLE_POINT_TOL["ecs", WITH_REFERENCE], grid,
-         lambda a, e: _rel(oracle(a, e, WITH_REFERENCE, cutoff[a]), qfi_ecs_ref(a, e).value),
+         lambda a, e: _rel(oracle(a, e, WITH_REFERENCE), qfi_ecs_ref(a, e).value),
          f"{len(grid)} points"),
         ("lossless_equivalence", 1e-9, [(a,) for a in alphas],
          lambda a: _rel(qfi_ecs_ref(a, 1.0).value, qfi_ecs_noref(a, 1.0).value),
@@ -429,7 +432,7 @@ def verify_all(
          f"{len(grid)} points: sector merge equals dephase-then-lose"),
         ("generator_equivalence", 1e-9, grid, generator, f"{len(grid)} points, single-arm vs two-arm"),
         ("truncation_stability", 1e-8, [(a, e, r) for a, e in grid for r in both],
-         lambda a, e, r: _rel(oracle(a, e, r, cutoff[a]), oracle(a, e, r, doubled[a])),
+         lambda a, e, r: _rel(oracle(a, e, r), scenario_qfi(_scenario(ecs(a, doubled[a]), e, r)).value),
          f"{len(grid)} points, cutoff doubled"),
     )
     checks = [_run_check(*row) for row in rows[:-1]]

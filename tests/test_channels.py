@@ -568,6 +568,13 @@ class TestBeamSplitterRoute:
             _kraus_loss(psi.support, column, psi.amplitudes, np.zeros(1, dtype=int), 0.9,
                         psi.truncation, lambda eta, d: 0.999 * _loss_table(eta, d))
 
+    def test_leak_past_trace_atol_raises_typed_error(self):
+        # the table scaled by 1 - 1e-10 leaks 4e-10 of the trace: past TRACE_ATOL, the rule
+        # loss and the operator share, so the typed error fires, not the operator's ValueError
+        psi = ecs_vector(1.0, _ecs_cutoff(1.0))
+        with pytest.raises(TruncationTooSmall, match="leaks trace 4.0"):
+            _scenario(psi, 0.9, WITH_REFERENCE, lambda eta, d: (1.0 - 1e-10) * _loss_table(eta, d))
+
     def test_check_value_independent_of_blas_threads(self):
         """The beam-splitter route's output and Kraus gap, bit for bit at 1 and 2 BLAS threads.
 
@@ -597,13 +604,13 @@ class TestBeamSplitterRoute:
         # takes no eigensolve (an eigh of the rank-1 density would run threaded)
         outputs = _at_one_and_two_threads(
             "import hashlib\n"
-            "from phasefisher.channels import _bs_bands, _kraus_loss\n"
-            "from phasefisher.qfi_oracle import _ecs_cutoff, _sources\n"
+            "from phasefisher.channels import _bs_bands\n"
+            "from phasefisher.qfi_oracle import _ecs_cutoff, _scenario\n"
             "from phasefisher.states import ecs_vector\n"
             "trunc = _ecs_cutoff(12.0)  # n_max 238\n"
             "psi = ecs_vector(12.0, trunc)\n"
             "for eta in (0.6, 0.9):\n"
-            "    out = _kraus_loss(*_sources(psi, 'with'), eta, trunc, _bs_bands)\n"
+            "    out = _scenario(psi, eta, 'with', _bs_bands)\n"
             "    raw = out.support.tobytes() + out.on(out.support).tobytes()\n"
             "    bands = _bs_bands(eta, trunc.dim_single)\n"
             "    print(hashlib.sha256(bands.tobytes()).hexdigest(), hashlib.sha256(raw).hexdigest())\n"

@@ -624,6 +624,25 @@ class TestCrossings:
         with pytest.raises(NoCrossingFound):
             find_crossings(0.5)
 
+    def test_exact_zero_grid_gaps_are_roots(self, monkeypatch):
+        # at eta 0.5 every grid gap is negative; one exactly 0 at an interior point and at
+        # the last point makes each of those points a root as it is, with no bisection
+        import numpy as np
+
+        from phasefisher import cli
+
+        gap = cli._gap
+        ns = np.geomspace(*cli.DEFAULT_SWEEP_RANGE, cli.DEFAULT_SWEEP_POINTS)
+
+        def gap_zero_at_two_points(n_mean, eta):
+            gaps = gap(n_mean, eta)
+            assert len(gaps) == ns.size and all(g < 0.0 for g in gaps)  # the grid call alone
+            gaps[50] = gaps[-1] = 0.0
+            return gaps
+
+        monkeypatch.setattr(cli, "_gap", gap_zero_at_two_points)
+        assert find_crossings(0.5) == [float(ns[50]), float(ns[-1])]
+
     def test_absence_reported_not_failed(self, capsys, monkeypatch):
         def none_found(eta, tolerance):
             raise NoCrossingFound("no crossing anywhere")

@@ -346,6 +346,24 @@ class TestStateWrappers:
         # a strict superset of the support still gets a fresh array
         assert not np.shares_memory(rho.on(np.arange(rho.truncation.dim)), blocks)
 
+    def test_sum_of_real_components_is_real(self):
+        # the dense sum takes the stored stacks' dtype on both paths, as the one-component path does
+        t = FockTruncation(2)
+        rho = DensityOperator(np.array([0, 3, 5]), np.diag([0.5, 0.25, 0.25]), t)
+        assert [members.shape for members, _ in rho.parts] == [(3, 1)]  # three lone states
+        assert rho.on(rho.support).dtype == np.float64
+        assert rho.matrix.dtype == np.float64
+
+    def test_on_rejects_a_support_that_misses_a_state(self):
+        # a set of the same size would have put the block on the wrong states; a smaller one
+        # raised a bare IndexError
+        t = FockTruncation(2)
+        rho = DensityOperator(np.array([0, 3]), np.diag([0.5, 0.5]), t)
+        for support in (np.array([0, 5]), np.array([0]), np.array([3, 0]), np.array([0, 3, 3])):
+            with pytest.raises(DimensionMismatch):
+                rho.on(support)
+        assert np.array_equal(rho.on(np.array([0, 1, 3])), np.diag([0.5, 0.0, 0.5]))
+
     def test_matrix_round_trips_the_block(self):
         t = FockTruncation(2)
         m = np.zeros((t.dim, t.dim), dtype=complex)

@@ -529,6 +529,8 @@ def _assert_near(name, compute, f, a2, eta):
 @example(alpha=1e8, eta=0.9999999999999254, n=1)
 @example(alpha=1e6, eta=0.99999999925, n=1)
 @example(alpha=1.0, eta=0.9992702663851757, n=10**6)
+# det_sigma was 4.36 eps off here while N^2 was taken as the square of N
+@example(alpha=3.0298408183212424, eta=0.4375, n=1)
 def test_closed_forms_match_50_digit_reference(alpha, eta, n):
     """Every closed form and EcsLossySpectrum field is exact to double precision.
 

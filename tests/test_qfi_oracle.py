@@ -21,6 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from phasefisher.channels import (
+    _bs_bands,
+    _loss_table,
     apply_loss,
     phase_average,
     single_arm_generator,
@@ -212,6 +214,19 @@ class TestBuildScenario:
         assert weights[0] == pytest.approx(float(expected[0]), rel=1e-12)
         assert weights[1] == pytest.approx(float(expected[1]), rel=1e-12)
 
+    @pytest.mark.parametrize("reference", [WITH_REFERENCE, WITHOUT_REFERENCE])
+    def test_noon_2047_build_peaks_at_the_loss_table(self, reference):
+        # the one basis-sized array of the build is the 32 MiB loss table; a support union
+        # counted over every basis index up to the largest (4.19 M int64) doubled the peak
+        build_scenario(ProbeSpec("noon", 0.9, n=1), reference)  # no first-call allocation counts below
+        tracemalloc.start()
+        try:
+            build_scenario(ProbeSpec("noon", 0.9, n=2047), reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * 2048**2
+
     def test_with_reference_support_is_the_two_axes(self):
         """Loss keeps |n, 0> + |0, m> states on their axes: 2 n_max + 1 basis states."""
         probe = ProbeSpec("ecs", 0.9, alpha=4.0)
@@ -304,18 +319,18 @@ class TestSectorFold:
     def test_reference_free_build_is_one_kraus_pass(self, monkeypatch):
         # every sector goes to the Kraus routine in one call, each its own label, and
         # the only operator built is the one it returns
-        kraus, post_init = qfi_oracle._kraus_loss, DensityOperator.__post_init__
+        kraus, post_init = channels._kraus_loss, DensityOperator.__post_init__
         calls, built = [], []
 
-        def counting_kraus(state, column, amp, label, eta, trunc):
+        def counting_kraus(state, column, amp, label, eta, trunc, table_fn):
             calls.append(np.unique(label[column]).size)
-            return kraus(state, column, amp, label, eta, trunc)
+            return kraus(state, column, amp, label, eta, trunc, table_fn)
 
         def recording_post_init(self, block):
             built.append(self)
             post_init(self, block)
 
-        monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
+        monkeypatch.setattr(channels, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(DensityOperator, "__post_init__", recording_post_init)
         rho = build_scenario(ProbeSpec("ecs", 0.9, alpha=2.0), WITHOUT_REFERENCE)
         assert calls == [len(_sectors(ecs_vector(2.0, _ecs_cutoff(2.0)))[0])]
@@ -430,6 +445,8 @@ class TestScenarioMixture:
         merged = scenario_mixture(scenario)
         direct = phase_average(apply_loss(ecs_vector(alpha, trunc).density(), eta))
         assert np.allclose(merged.matrix, direct.matrix, atol=1e-13)
+        # the sum of real sectors, and the dephased real state, are stored real
+        assert all(b.dtype == np.float64 for _, b in (*merged.parts, *direct.parts))
 
     def test_label_free_mixture_loses_exactly_the_coherence_weight(self):
         """Pinned: QFI of the merged mixture is p_perp times the ensemble value.
@@ -524,7 +541,8 @@ class TestVerifyAll:
         beam-splitter row and the pipeline row read, so the Kraus routine
         runs 104 times: the 64 ECS builds, the 32 NOON builds (4 orders x 4
         etas x 2 references) and the beam-splitter row's 8 passes of the pure
-        ECS through its bands, and no other loss.
+        ECS through its bands, and no other loss. Every one of them goes
+        through _scenario, the band passes with _bs_bands for their table.
         """
         vector = qfi_oracle.ecs_vector
         lose = qfi_oracle._scenario
@@ -534,7 +552,7 @@ class TestVerifyAll:
         alpha_of = {}  # id -> (vector, alpha); the vector is held so its id is not reused
         built = {}  # id -> (scenario, key), likewise
         vectors, builds, qfi_calls, two_level_calls = (collections.Counter() for _ in range(4))
-        kraus_calls = []
+        kraus_calls, band_passes, scenario_calls = [], collections.Counter(), []
 
         def counting_vector(alpha, trunc):
             psi = vector(alpha, trunc)
@@ -542,10 +560,13 @@ class TestVerifyAll:
             vectors[alpha, trunc.n_max] += 1
             return psi
 
-        def counting_scenario(psi, eta, reference):
-            scenario = lose(psi, eta, reference)
-            if id(psi) in alpha_of:  # an ECS build; a NOON build reads no ECS vector
-                key = (alpha_of[id(psi)][1], eta, reference, psi.truncation.n_max)
+        def counting_scenario(psi, eta, reference, table_fn=_loss_table):
+            scenario = lose(psi, eta, reference, table_fn)
+            scenario_calls.append(eta)
+            key = (alpha_of[id(psi)][1], eta, reference, psi.truncation.n_max) if id(psi) in alpha_of else None
+            if table_fn is _bs_bands:
+                band_passes[key] += 1
+            elif key is not None:  # an ECS build; a NOON build reads no ECS vector
                 built[id(scenario)] = (scenario, key)
                 builds[key] += 1
             return scenario
@@ -569,7 +590,6 @@ class TestVerifyAll:
         monkeypatch.setattr(qfi_oracle, "ecs_vector", counting_vector)
         monkeypatch.setattr(qfi_oracle, "_scenario", counting_scenario)
         monkeypatch.setattr(qfi_oracle, "scenario_qfi", counting_qfi)
-        monkeypatch.setattr(qfi_oracle, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(channels, "_kraus_loss", counting_kraus)
         monkeypatch.setattr(qfi_oracle, "_two_level_matrix", counting_two_level)
         report = verify_all()
@@ -581,6 +601,12 @@ class TestVerifyAll:
         assert len(qfi_calls) == 64
         assert sum(qfi_calls.values()) == 64
         assert len(kraus_calls) == 104
+        assert scenario_calls == kraus_calls  # no Kraus pass bypasses _scenario
+        # the pure ECS at each alpha and etas 0.6 and 0.9, with reference, at the base cutoff
+        assert set(band_passes) == {
+            (a, e, WITH_REFERENCE, _ecs_cutoff(a).n_max) for a in DEFAULT_GRID_ALPHAS for e in (0.6, 0.9)
+        }
+        assert sum(band_passes.values()) == 8
         assert len(two_level_calls) == 16
         assert sum(two_level_calls.values()) == 16
 
@@ -601,11 +627,11 @@ class TestVerifyAll:
             held.extend(weakref.ref(a) for a in (rho.support, *(b for _, b in rho.parts)))
             return rho
 
-        def tracking_scenario(psi, eta, reference):
+        def tracking_scenario(psi, eta, reference, table_fn=_loss_table):
             if psi.truncation in doubled and not alive:
                 gc.collect()
                 alive.append(sum(ref() is not None for ref in held))
-            scenario = lose(psi, eta, reference)
+            scenario = lose(psi, eta, reference, table_fn)
             return track(scenario) if psi.truncation in base else scenario
 
         monkeypatch.setattr(qfi_oracle, "_scenario", tracking_scenario)
@@ -625,10 +651,10 @@ class TestVerifyAll:
             ecs[id(psi)] = psi
             return psi
 
-        def reference_free_ecs_fails(psi, eta, reference):
+        def reference_free_ecs_fails(psi, eta, reference, table_fn=_loss_table):
             if id(psi) in ecs and reference == WITHOUT_REFERENCE:
                 raise TruncationTooSmall("injected reference-free failure")
-            return lose(psi, eta, reference)
+            return lose(psi, eta, reference, table_fn)
 
         monkeypatch.setattr(qfi_oracle, "ecs_vector", recording_vector)
         monkeypatch.setattr(qfi_oracle, "_scenario", reference_free_ecs_fails)
