@@ -39,32 +39,18 @@ import numpy as np
 
 from .exceptions import TruncationTooSmall, check_eta
 from .fock_core import TRACE_ATOL, DensityOperator, FockTruncation
-from .fock_core import _grouped, _labels, _read_only, _real_if_exact, _spectra, _trace
-
-
-def _fresh(x: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a 1-D array that differ from the entry before them; the first one does."""
-    mask = np.empty(x.size, dtype=bool)
-    mask[:1] = True
-    np.not_equal(x[1:], x[:-1], out=mask[1:])
-    return mask
-
-
-def _union(*supports: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of the given index arrays, in an array of at most their total size."""
-    x = np.sort(np.concatenate(supports))
-    return x[_fresh(x)]
+from .fock_core import _fresh, _grouped, _labels, _read_only, _real_if_exact, _spectra, _trace, _union
 
 
 def two_arm_generator(trunc: FockTruncation) -> np.ndarray:
     """Diagonal of G = (n1 - n2)/2 over the basis, the antisymmetric phase between the arms."""
-    n1, n2 = trunc.occupations()
+    n1, n2 = trunc.occupations(np.arange(trunc.dim))
     return _read_only((n1 - n2) / 2.0)
 
 
 def single_arm_generator(trunc: FockTruncation) -> np.ndarray:
     """Diagonal of G = n1, a phase on one arm only; needs a reference to differ from two_arm."""
-    n1, _ = trunc.occupations()
+    n1, _ = trunc.occupations(np.arange(trunc.dim))
     return _read_only(n1.astype(float))
 
 
@@ -124,8 +110,11 @@ def _kraus_loss(
     An image of value exactly 0 (eta = 0, or an underflowed (1 - eta)^k) is
     dropped first. A column links its images; their connected unions are
     the lossy components, in _grouped order, never merged across labels.
-    Each stack of equal-size components takes one batched M M^dag, real
-    where the amplitudes' imaginary parts are exactly 0, and the lone
+    A column's place among its component's columns, in the sorted order,
+    is found per stack of equal-size components: the sorted distinct
+    (component, column) keys (_union) and two searches, one for the key,
+    one for its component's first. Each stack takes one batched M M^dag,
+    real where the amplitudes' imaginary parts are exactly 0, and the lone
     states one np.bincount of |M entry|^2; a component whose every entry
     is 0 is dropped, and the support is the states of the rest, their
     _union. At eta = 1 only pair (0, 0) moves anything, so it is the only
@@ -136,7 +125,7 @@ def _kraus_loss(
     apply_loss, apply_loss_via_bs and the oracle's scenarios.
     """
     d = trunc.dim_single
-    n1, n2 = np.divmod(state, d)
+    n1, n2 = trunc.occupations(state)
     # every (source, pair) incidence and its image's value
     per_src = (n1 + 1) * (n2 + 1) if eta < 1.0 else np.ones_like(n1)
     src = np.repeat(np.arange(n1.size), per_src)
@@ -158,17 +147,9 @@ def _kraus_loss(
     image = (label[j] * d + n1[src] - k1) * d + n2[src] - k2
     out = _union(image)
     dst = np.searchsorted(out, image)
-    del src, k1, k2, j, image
+    del src, k1, k2, j, image, fresh
     # each output state labelled by its component's first, linked to its column's first image
     labels = _labels(out.size, dst, dst[first][run])
-    # each column's component (its first state), and its place among that component's columns
-    home = labels[dst[first]]
-    order = np.argsort(home, kind="stable")
-    fresh = _fresh(home[order])
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size) - fresh.nonzero()[0][np.cumsum(fresh) - 1]
-    col = place[run]
-    del run, place
     # output state q is row i of component k of the stack of its component's size
     parts, index, span = [], np.empty_like(labels), np.bincount(labels)[labels]
     for members in _grouped(labels):
@@ -179,16 +160,21 @@ def _kraus_loss(
         if s == 1:
             blocks = np.bincount(k, (values[at] * values[at].conj()).real, count)[:, None, None]
         else:
-            m = np.zeros((count, s, int(col[at].max()) + 1), dtype=values.dtype)
-            m[k, i, col[at]] = values[at]
+            # a run's place among its component's runs, in run order: its column of M
+            key = k * first.size + run[at]
+            runs = _union(key)
+            col = np.searchsorted(runs, key) - np.searchsorted(runs, k * first.size)
+            del key, runs
+            m = np.zeros((count, s, int(col.max()) + 1), dtype=values.dtype)
+            m[k, i, col] = values[at]
             blocks = m @ m.conj().transpose(0, 2, 1)
-            del m
+            del m, col
         # a component whose every entry is 0 (underflowed) is dropped
         kept = blocks.any(axis=(1, 2)).nonzero()[0]
         if kept.size < count:
             members, blocks = members[kept], blocks[kept]
         parts.append((out[members] % (d * d), blocks))
-    del values, dst, col, at, k, i  # freed before the checks
+    del values, dst, first, run, at, k, i  # freed before the checks
     leak = abs(_trace(parts) - 1.0)
     if leak > TRACE_ATOL:
         raise TruncationTooSmall(f"loss leaks trace {leak:.3e} at cutoff {trunc.n_max}")

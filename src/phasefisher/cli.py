@@ -291,8 +291,8 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
         raise ValueError(f"crossing tolerance must be finite and positive, got {tolerance}")
     import numpy as np
 
-    n_min, n_max = DEFAULT_SWEEP_RANGE
-    ns = np.geomspace(n_min, n_max, DEFAULT_SWEEP_POINTS)
+    default = SweepConfig(eta)
+    ns = default.grid()
     gaps = _gap(ns, eta)
     roots: list[float] = []
     for i in range(ns.size - 1):
@@ -318,7 +318,7 @@ def find_crossings(eta: float, tolerance: float = DEFAULT_CROSSING_TOL) -> list[
     if gaps[-1] == 0.0:
         roots.append(float(ns[-1]))
     if not roots:
-        raise NoCrossingFound(f"no crossing on N in [{n_min}, {n_max}] at eta={eta}")
+        raise NoCrossingFound(f"no crossing on N in [{default.n_min}, {default.n_max}] at eta={eta}")
     return roots
 
 

@@ -3,6 +3,8 @@
 States and operators live on the product basis |n1, n2> with 0 <= ni <= n_max,
 ordered row-major with mode 1 major: index(n1, n2) = n1 * (n_max + 1) + n2.
 The fixed ordering keeps golden-file comparisons bit-stable.
+FockTruncation.occupations is the one split of indices into (n1, n2), and
+_union the one sorted set of indices, taken over the indices themselves.
 
 A pure state is its support, the strictly increasing basis indices it
 occupies, and its amplitudes there. A density operator is the sum of
@@ -12,6 +14,8 @@ zero is split into the connected components of its exact nonzeros once, at
 construction. One trace rule holds for every operator: the sum of the
 components' traces (_trace) is within TRACE_ATOL of 1. Values are treated
 as immutable after construction; the wrappers mark their buffers read-only.
+A support, amplitudes or block passed in is a numpy array of its stated
+shape; a list raises DimensionMismatch rather than being converted.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ NORM_ATOL = 1e-10
 
 # 16 bytes per two-mode basis state (n_max <= 2047). The oracle's one basis-sized array
 # is the (n_max + 1)^2 float loss table, half of this; the library calls that span the
-# basis, the generator diagonals and the occupation pair behind them, stay within it,
-# and the cutoff bounds the oracle's states
+# basis, the generator diagonals and the index and occupation arrays behind them, hold
+# arrays of at most 8 bytes per state, and the cutoff bounds the oracle's states
 MAX_STATE_VECTOR_BYTES = 1 << 26
 
 
@@ -79,14 +83,13 @@ class FockTruncation(_record("FockTruncation", "n_max")):
             raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {self.n_max}")
         return n1 * self.dim_single + n2
 
-    def occupations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (n1, n2) over the basis, in index order."""
-        d = self.dim_single
-        return np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+    def occupations(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (n1, n2) of the given basis indices: the one split of an index into its modes."""
+        return np.divmod(index, self.dim_single)
 
     def totals(self, index: np.ndarray) -> np.ndarray:
         """Total photon number n1 + n2 of each basis index."""
-        n1, n2 = np.divmod(index, self.dim_single)
+        n1, n2 = self.occupations(index)
         return n1 + n2
 
 
@@ -163,11 +166,32 @@ def _spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_support(s: np.ndarray, d: int) -> None:
-    """Raise DimensionMismatch unless s is strictly increasing integer basis indices in [0, d)."""
-    if s.ndim != 1 or s.dtype.kind not in "iu" or (
+    """Raise DimensionMismatch unless s is a numpy array of strictly increasing basis indices in [0, d)."""
+    if not isinstance(s, np.ndarray) or s.ndim != 1 or s.dtype.kind not in "iu" or (
         s.size and (s[0] < 0 or s[-1] >= d or not (s[1:] > s[:-1]).all())
     ):
-        raise DimensionMismatch(f"support must be strictly increasing integers in [0, {d})")
+        raise DimensionMismatch(f"support must be a numpy array of strictly increasing integers in [0, {d})")
+
+
+def _check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+    """Raise DimensionMismatch unless a is a numpy array of the given shape; a list is refused, not converted."""
+    if not isinstance(a, np.ndarray) or a.shape != shape:
+        got = getattr(a, "shape", type(a))
+        raise DimensionMismatch(f"{name} must be a numpy array of shape {shape}, got {got}")
+
+
+def _fresh(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 1-D array that differ from the entry before them; the first one does."""
+    mask = np.empty(x.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(x[1:], x[:-1], out=mask[1:])
+    return mask
+
+
+def _union(*supports: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of the given index arrays, in an array of at most their total size."""
+    x = np.sort(np.concatenate(supports))
+    return x[_fresh(x)]
 
 
 class StateVector(_record("StateVector", "support amplitudes truncation")):
@@ -177,8 +201,7 @@ class StateVector(_record("StateVector", "support amplitudes truncation")):
 
     def __new__(cls, support: np.ndarray, amplitudes: np.ndarray, truncation: FockTruncation) -> StateVector:
         _check_support(support, truncation.dim)
-        if amplitudes.shape != support.shape:
-            raise DimensionMismatch(f"amplitude shape {amplitudes.shape} for support size {support.size}")
+        _check_shape(amplitudes, support.shape, "amplitudes")
         nrm = float(np.vdot(amplitudes, amplitudes).real)
         if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {nrm!r} deviates from 1 beyond {NORM_ATOL}")
@@ -235,8 +258,7 @@ class DensityOperator:
         s = self.support
         _check_support(s, self.truncation.dim)
         if not isinstance(block, tuple):
-            if block.shape != (s.size, s.size):
-                raise DimensionMismatch(f"block shape {block.shape} for support size {s.size}")
+            _check_shape(block, (s.size, s.size), "block")
             if s.size > 1 and not block.all():
                 block = _components(block)
             else:
@@ -324,7 +346,7 @@ def _grouped(labels: np.ndarray) -> list[np.ndarray]:
     """
     order = np.argsort(labels, kind="stable")
     size = np.bincount(labels)[labels[order]]
-    return [order[size == s].reshape(-1, s) for s in sorted(set(size.tolist()))]
+    return [order[size == s].reshape(-1, s) for s in _union(size)]
 
 
 @_in_double_range

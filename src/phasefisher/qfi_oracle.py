@@ -33,18 +33,14 @@ import math
 import numpy as np
 
 from . import channels
-from .exceptions import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    PhaseFisherError,
-    _record,
-    check_eta,
-)
+from .exceptions import DegenerateSpectrum, PhaseFisherError, _record
 from .fock_core import (
     DensityOperator,
     FockTruncation,
     StateVector,
+    _check_shape,
     _spectra,
+    _union,
     coherent_vector,
     truncation_for_tolerance,
 )
@@ -114,10 +110,7 @@ def qfi_numeric(rho: DensityOperator, generator: np.ndarray) -> QFIResult:
     as apply_loss's are (trace-scaled, clipped, and refused below -1e-12);
     every pair with p_i + p_j > 0 counts, and each sum is scaled back.
     """
-    if len(generator) != rho.truncation.dim:
-        raise DimensionMismatch(
-            f"generator of length {len(generator)} for a state of dimension {rho.truncation.dim}"
-        )
+    _check_shape(generator, (rho.truncation.dim,), "generator")
     return _qfi_on_support(rho, generator[rho.support])
 
 
@@ -181,7 +174,7 @@ def scenario_qfi(rho: DensityOperator) -> QFIResult:
     The same value as qfi_numeric(rho, two_arm_generator(rho.truncation)),
     bit for bit, with no array over the whole basis.
     """
-    n1, n2 = np.divmod(rho.support, rho.truncation.dim_single)
+    n1, n2 = rho.truncation.occupations(rho.support)
     return _qfi_on_support(rho, (n1 - n2) / 2.0)
 
 
@@ -198,16 +191,17 @@ def scenario_mixture(rho: DensityOperator) -> DensityOperator:
 def two_level_matrix_numeric(alpha: complex, eta: float) -> np.ndarray:
     """Numeric 2x2 matrix of the lossy ECS in its Gram-Schmidt basis, on _ecs_cutoff(alpha).
 
-    Built entirely from vectors and the Kraus channel; arbitrates the
-    closed-form spectrum and basis matrix (and in particular their two
-    easy-to-mistranscribe coefficients) without sharing any algebra. For
-    unit vectors with a real overlap p, 1 - p = ||delta||^2 / 2 with
-    delta = psi2 - psi1 has no cancellation, so the second basis vector
+    The lossy ECS is build_scenario's, with a reference, so ProbeSpec
+    checks alpha and eta. Built entirely from vectors and the Kraus
+    channel; arbitrates the closed-form spectrum and basis matrix (and in
+    particular their two easy-to-mistranscribe coefficients) without
+    sharing any algebra. For unit vectors with a real overlap p,
+    1 - p = ||delta||^2 / 2 with delta = psi2 - psi1 has no cancellation,
+    so the second basis vector
     (psi2 - p psi1)/sqrt(1 - p^2) = (delta + (1 - p) psi1)/sqrt((1 - p)(1 + p))
     keeps full precision as p nears 1.
     """
-    check_eta(eta)
-    return _two_level_matrix(_scenario(ecs_vector(alpha, _ecs_cutoff(alpha)), eta, WITH_REFERENCE), alpha, eta)
+    return _two_level_matrix(build_scenario(ProbeSpec("ecs", eta, alpha=alpha), WITH_REFERENCE), alpha, eta)
 
 
 def _two_level_matrix(sigma: DensityOperator, alpha: complex, eta: float) -> np.ndarray:
@@ -216,7 +210,7 @@ def _two_level_matrix(sigma: DensityOperator, alpha: complex, eta: float) -> np.
     # the branches |sqrt(eta) alpha, 0> and |0, sqrt(eta) alpha> on sigma's support, the
     # states the matrix is taken over; a branch entry off it is one whose lossy image underflowed
     c = coherent_vector(math.sqrt(eta) * alpha, trunc)
-    n1, n2 = np.divmod(sigma.support, trunc.dim_single)
+    n1, n2 = trunc.occupations(sigma.support)
     psi1, psi2 = c[n1] * (n2 == 0), c[n2] * (n1 == 0)
     p = float(np.vdot(psi1, psi2).real)
     delta = psi2 - psi1
@@ -226,12 +220,10 @@ def _two_level_matrix(sigma: DensityOperator, alpha: complex, eta: float) -> np.
             f"the two lossy branches coincide in double precision (1 - p = {one_minus_p!r})"
         )
     basis = psi1, (delta + one_minus_p * psi1) / math.sqrt(one_minus_p * (1.0 + p))
+    # one product with the block per basis vector; entry (i, j) is <b_i| sigma |b_j>
     block = sigma.on(sigma.support)
-    m = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            m[i, j] = float(np.vdot(basis[i], block @ basis[j]).real)
-    return m
+    images = [block @ b for b in basis]
+    return np.array([[float(np.vdot(b, image).real) for image in images] for b in basis])
 
 
 class CheckResult(_record("CheckResult", "name passed max_err tolerance detail")):
@@ -299,7 +291,7 @@ def _rel(value: float, reference: float) -> float:
 
 def _max_entry_gap(a: DensityOperator, b: DensityOperator) -> float:
     """Largest entrywise |a - b|, taken over the union of the two supports."""
-    support = channels._union(a.support, b.support)
+    support = _union(a.support, b.support)
     return float(np.max(np.abs(a.on(support) - b.on(support))))
 
 
@@ -396,7 +388,7 @@ def verify_all(
     def generator(alpha: float, eta: float) -> float:
         # G = n1 against G = (n1 - n2)/2, each read on the mixture's support
         mix = mixture(alpha, eta)
-        one = _qfi_on_support(mix, (mix.support // mix.truncation.dim_single).astype(float))
+        one = _qfi_on_support(mix, mix.truncation.occupations(mix.support)[0].astype(float))
         return _rel(one.value, scenario_qfi(mix).value)
 
     both = (WITH_REFERENCE, WITHOUT_REFERENCE)

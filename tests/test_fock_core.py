@@ -116,11 +116,15 @@ class TestTruncation:
 
     def test_index_matches_occupation_arrays(self):
         t = FockTruncation(4)
-        n1, n2 = t.occupations()
+        n1, n2 = t.occupations(np.arange(t.dim))
         for a in range(5):
             for b in range(5):
                 i = t.index(a, b)
                 assert (n1[i], n2[i]) == (a, b)
+        # any index array, neither contiguous nor sorted, splits entry by entry
+        pairs = [(4, 1), (0, 3), (2, 2), (0, 0), (4, 4), (1, 0)]
+        n1, n2 = t.occupations(np.array([t.index(a, b) for a, b in pairs]))
+        assert list(zip(n1.tolist(), n2.tolist())) == pairs
 
     def test_index_out_of_range(self):
         t = FockTruncation(2)
@@ -363,6 +367,25 @@ class TestStateWrappers:
             with pytest.raises(DimensionMismatch):
                 rho.on(support)
         assert np.array_equal(rho.on(np.array([0, 1, 3])), np.diag([0.5, 0.0, 0.5]))
+
+    # arrays passed in from outside must be numpy arrays of the stated shape: a list is
+    # refused, not converted, and each of these read an attribute of it (AttributeError)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, rho: DensityOperator([0, 3], np.diag([0.5, 0.5]), t),
+            lambda t, rho: DensityOperator(np.array([0, 3]), [[0.5, 0.0], [0.0, 0.5]], t),
+            lambda t, rho: StateVector([0], np.array([1.0]), t),
+            lambda t, rho: StateVector(np.array([0]), [1.0], t),
+            lambda t, rho: rho.on([0, 3]),
+        ],
+        ids=["operator-support", "operator-block", "vector-support", "vector-amplitudes", "on-support"],
+    )
+    def test_a_list_raises_dimension_mismatch(self, call):
+        t = FockTruncation(2)
+        rho = DensityOperator(np.array([0, 3]), np.diag([0.5, 0.5]), t)
+        with pytest.raises(DimensionMismatch, match="numpy array"):
+            call(t, rho)
 
     def test_matrix_round_trips_the_block(self):
         t = FockTruncation(2)

@@ -9,6 +9,7 @@ import collections
 import csv
 import gc
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -90,7 +91,7 @@ def _sectors(psi: StateVector) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]
 
 
 def _embed(rho: DensityOperator, target: FockTruncation) -> DensityOperator:
-    n1s, n2s = rho.truncation.occupations()
+    n1s, n2s = rho.truncation.occupations(np.arange(rho.truncation.dim))
     idx = n1s * (target.n_max + 1) + n2s
     acc = np.zeros((target.dim, target.dim), dtype=complex)
     acc[np.ix_(idx, idx)] = rho.matrix
@@ -164,6 +165,19 @@ class TestQfiNumeric:
         rho = noon_vector(1, FockTruncation(2)).density()
         with pytest.raises(DimensionMismatch):
             qfi_numeric(rho, two_arm_generator(FockTruncation(3)))
+
+    def test_list_generator_rejected(self):
+        # a list raised numpy's "only integer scalar arrays" TypeError on indexing
+        rho = noon_vector(1, FockTruncation(2)).density()
+        with pytest.raises(DimensionMismatch, match="numpy array"):
+            qfi_numeric(rho, list(two_arm_generator(rho.truncation)))
+
+    def test_two_column_generator_rejected(self):
+        # a (dim, 2) generator passed a length check, then failed in a numpy broadcast
+        rho = noon_vector(1, FockTruncation(2)).density()
+        gen = two_arm_generator(rho.truncation)
+        with pytest.raises(DimensionMismatch, match="numpy array"):
+            qfi_numeric(rho, np.stack([gen, gen], axis=1))
 
     def test_negative_eigenvalue_rejected(self):
         trunc = FockTruncation(1)
@@ -482,6 +496,16 @@ class TestTwoLevelNumeric:
     def test_eta_validated(self, eta):
         with pytest.raises(InvalidEta):
             two_level_matrix_numeric(1.3, eta)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(0.0, "ECS probe needs finite |alpha| > 0"), (1e-170, "ECS probe needs |alpha|^2 > 0")],
+    )
+    def test_vanishing_alpha_is_refused_as_a_probe(self, alpha, message):
+        # the lossy ECS is built through build_scenario, so ProbeSpec refuses an alpha whose
+        # square is 0 in double precision before any branch is formed
+        with pytest.raises(ValueError, match=re.escape(message)):
+            two_level_matrix_numeric(alpha, 0.5)
 
     def test_eigenvalues_match_spectrum(self):
         s = sigma_spectrum(1.3, 0.7)
